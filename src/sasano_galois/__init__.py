@@ -21,6 +21,7 @@ from .algnum import (
     wasow_tower,
 )
 from .diffsys import DiffSystem, char_poly, system_from_entries
+from .exprparse import parse_ratfunc
 from .galois import (
     GaloisError,
     GaloisOutcome,
@@ -30,7 +31,7 @@ from .galois import (
     stokes_triviality,
 )
 from .puiseux import AlgPoly, PuiseuxPoly
-from .ratfunc import RatFunc, parse_ratfunc
+from .ratfunc import RatFunc
 from .reduction import (
     ReductionError,
     ReductionTrace,

@@ -100,13 +100,6 @@ class TowerSpec:
             v = tuple(v if k == e else zero for k in range(d))
         return v
 
-    def lift_value(self, lvl_from: int, v):
-        """Embed a value of a lower level as a top-level value."""
-        for lvl in range(lvl_from + 1, self.top + 1):
-            zero = self.zero_value(lvl - 1)
-            v = tuple(v if k == 0 else zero for k in range(self.degrees[lvl]))
-        return v
-
     # -- ring operations ---------------------------------------------------
 
     def is_zero(self, lvl: int, v) -> bool:
@@ -132,17 +125,7 @@ class TowerSpec:
     def mul(self, lvl: int, a, b):
         if lvl < 0:
             return a * b
-        d = self.degrees[lvl]
-        zero = self.zero_value(lvl - 1)
-        acc = [zero] * (2 * d - 1)
-        for ia, ca in enumerate(a):
-            if self.is_zero(lvl - 1, ca):
-                continue
-            for ib, cb in enumerate(b):
-                if self.is_zero(lvl - 1, cb):
-                    continue
-                acc[ia + ib] = self.add(lvl - 1, acc[ia + ib], self.mul(lvl - 1, ca, cb))
-        return self._reduce(lvl, acc)
+        return self._reduce(lvl, self._pmul(lvl - 1, a, b))
 
     def _reduce(self, lvl: int, acc: list):
         # fold x^e for e >= d via x^d = -(p_0 + p_1 x + ... + p_{d-1} x^{d-1})
@@ -254,12 +237,6 @@ class TowerSpec:
 
         walk(self.top, v, ())
         return out
-
-    def value_from_coords(self, coords: dict[tuple[int, ...], Fraction]):
-        v = self.zero_value(self.top)
-        for exps, q in coords.items():
-            v = self.add(self.top, v, self.monomial_value(exps, q))
-        return v
 
     def basis_exponents(self):
         return itertools.product(*(range(d) for d in self.degrees))
@@ -475,14 +452,7 @@ class AlgNum:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = AlgNum.from_rational(self.tower, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return int_power(self, n, AlgNum.from_rational(self.tower, 1))
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -503,35 +473,11 @@ class AlgNum:
     # -- presentation --------------------------------------------------------
 
     def __str__(self):
-        coords = sorted(self.coords().items())
-        if not coords:
-            return "0"
         names = self.tower.names()
-        parts = []
-        for exps, q in coords:
-            factors = []
-            if q == 1 and any(exps):
-                pass
-            elif q == -1 and any(exps):
-                factors.append("-")
-            else:
-                factors.append(str(q))
-            for name, e in zip(names, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            if factors == ["-"]:
-                term = "-" + "*".join(f for f in factors[1:])
-            else:
-                lead = factors[0] if factors else "1"
-                rest = [f for f in factors[1:]]
-                term = "*".join(([lead] if lead != "-" else []) + rest)
-                if lead == "-":
-                    term = "-" + term
-            parts.append(term)
-        out = " + ".join(parts)
-        return out.replace("+ -", "- ")
+        return join_terms(
+            (str(q), "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e))
+            for exps, q in sorted(self.coords().items())
+        )
 
     def __repr__(self):
         return f"AlgNum({self})"
@@ -539,6 +485,40 @@ class AlgNum:
     def embed(self, precision: int = 20):
         """Numeric value as an mpmath complex number (ring homomorphism)."""
         return self.tower.embed_value(self.value, precision)
+
+
+def int_power(base, n: int, one):
+    """base**n for n >= 0 by repeated squaring, starting from ``one``."""
+    if n < 0:
+        raise ValueError(f"negative power {n} of a polynomial")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+def join_terms(terms) -> str:
+    """Render a sum of (coefficient text, monomial text) pairs.
+
+    A coefficient with an inner sign or sum is parenthesized, a unit
+    coefficient is dropped before a monomial (an empty monomial is the
+    constant term), and "+ -" folds to "- ".  No terms render as "0".
+    """
+    parts = []
+    for coeff, mono in terms:
+        if "+" in coeff or "-" in coeff[1:]:
+            coeff = f"({coeff})"
+        if not mono:
+            parts.append(coeff)
+        elif coeff in ("1", "-1"):
+            parts.append(coeff[:-1] + mono)
+        else:
+            parts.append(f"{coeff}*{mono}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
 def rational_recognize(a: AlgNum) -> Fraction | None:
@@ -550,10 +530,6 @@ def rational_recognize(a: AlgNum) -> Fraction | None:
     if set(coords) == {zero_key}:
         return coords[zero_key]
     return None
-
-
-def numeric_embed(a: AlgNum, precision: int = 20):
-    return a.embed(precision)
 
 
 def _rational_sqrt(q: Fraction) -> Fraction | None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .algnum import AlgNum, TowerError, TowerSpec
 from .puiseux import AlgPoly, PuiseuxPoly
@@ -30,12 +30,13 @@ PolyMatrix = tuple[tuple[PuiseuxPoly, ...], ...]
 # -- exact linear algebra over a tower ----------------------------------------
 
 
-def identity_matrix(tower: TowerSpec, n: int) -> AlgMatrix:
-    one = AlgNum.from_rational(tower, 1)
+def diagonal_matrix(tower: TowerSpec, diag: Sequence[AlgNum]) -> AlgMatrix:
     zero = AlgNum.from_rational(tower, 0)
-    return tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)
-    )
+    return tuple(tuple(d if i == j else zero for j in range(len(diag))) for i, d in enumerate(diag))
+
+
+def identity_matrix(tower: TowerSpec, n: int) -> AlgMatrix:
+    return diagonal_matrix(tower, [AlgNum.from_rational(tower, 1)] * n)
 
 
 def mat_from_rows(tower: TowerSpec, rows: Sequence[Sequence]) -> AlgMatrix:
@@ -64,7 +65,12 @@ def mat_scale(a: AlgMatrix, c) -> AlgMatrix:
     return tuple(tuple(x * c for x in row) for row in a)
 
 
-def mat_mul(a: AlgMatrix, b: AlgMatrix) -> AlgMatrix:
+def mat_mul(a, b):
+    """Matrix product for entries with ``+`` and ``*``.
+
+    Each sum starts from its first product, so the entries need no zero:
+    tower numbers, Puiseux polynomials, integers and mpmath numbers alike.
+    """
     n, inner, m = len(a), len(b), len(b[0])
     out = []
     for i in range(n):
@@ -196,16 +202,8 @@ def eigen_decompose_distinct(
         cols.append(tuple(e * scale for e in v))
     t = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
     t_inv = mat_inv(t)
-    check = mat_mul(t_inv, mat_mul(a, t))
-    for i in range(n):
-        for j in range(n):
-            want = eigenvalues[i] if i == j else None
-            got = check[i][j]
-            if want is None:
-                if not got.is_zero():
-                    raise TowerError(f"diagonalization left residue at ({i},{j})")
-            elif got != want:
-                raise TowerError(f"diagonal entry ({i},{i}) does not match eigenvalue")
+    if mat_mul(t_inv, mat_mul(a, t)) != diagonal_matrix(tower, eigenvalues):
+        raise TowerError("conjugation by the eigenvectors does not give diag(eigenvalues)")
     return t, t_inv
 
 
@@ -229,11 +227,6 @@ class DiffSystem:
 
     def entry(self, i: int, j: int) -> PuiseuxPoly:
         return self.matrix[i][j]
-
-    def map_entries(self, f: Callable[[PuiseuxPoly], PuiseuxPoly]) -> DiffSystem:
-        return DiffSystem(
-            self.var, tuple(tuple(f(e) for e in row) for row in self.matrix)
-        )
 
     def render(self) -> str:
         lines = []
@@ -267,34 +260,19 @@ def lift_matrix(tower: TowerSpec, a: AlgMatrix) -> PolyMatrix:
     )
 
 
-def pmat_mul(a: PolyMatrix, b: PolyMatrix, tower: TowerSpec) -> PolyMatrix:
-    n, inner, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = PuiseuxPoly.zero(tower)
-            for k in range(inner):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+def pmat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """Product of two Puiseux polynomial matrices."""
+    return mat_mul(a, b)
 
 
 def gauge_constant(system: DiffSystem, t: AlgMatrix, t_inv: AlgMatrix | None = None) -> DiffSystem:
     """Apply X = T Y with constant invertible T; the new matrix is T^-1 M T."""
+    tower = system.tower
     if t_inv is None:
         t_inv = mat_inv(t)
-    else:
-        prod = mat_mul(t_inv, t)
-        n = len(t)
-        tower = system.tower
-        if prod != identity_matrix(tower, n):
-            raise TowerError("supplied inverse does not invert the gauge matrix")
-    tower = system.tower
-    lifted = pmat_mul(
-        lift_matrix(tower, t_inv), pmat_mul(system.matrix, lift_matrix(tower, t), tower), tower
-    )
+    elif mat_mul(t_inv, t) != identity_matrix(tower, len(t)):
+        raise TowerError("supplied inverse does not invert the gauge matrix")
+    lifted = pmat_mul(lift_matrix(tower, t_inv), pmat_mul(system.matrix, lift_matrix(tower, t)))
     return DiffSystem(system.var, lifted)
 
 

@@ -1,38 +1,53 @@
-"""Tiny expression parser producing exact Puiseux polynomials.
+"""One expression parser for the exact values of two rings.
 
-The frozen reference matrices ship as human-readable strings such as
-``"112/5*al^(5/4)*tau^(-2)"``.  This module parses them into
-:class:`~sasano_galois.puiseux.PuiseuxPoly` values over an algebraic
-tower, resolving named constants through a caller-supplied symbol table.
+Solution files carry rational functions of ``t`` such as
+``"-2*t/5 - 1/(4*t^2)"``; the frozen reference matrices carry Puiseux
+polynomials over an algebraic tower such as
+``"112/5*al^(5/4)*tau^(-2)"``.  Both are read by the one tokenizer and
+recursive-descent parser below, which builds values through a small set of
+ring callbacks: integer constant, power of the variable, named symbol,
+division and integer power.
 
 Grammar (whitespace ignored)::
 
-    expr   := term (('+' | '-') term)*
-    term   := factor (('*' | '/') factor)*
-    factor := ('+' | '-')* power
-    power  := atom ('^' exponent)?
-    atom   := INT | NAME | '(' expr ')'
-    exponent := INT | '-' INT | '(' ('+'|'-')? INT ('/' INT)? ')'
+    expr     := term (('+' | '-') term)*
+    term     := factor (('*' | '/') factor)*
+    factor   := ('+' | '-')* power
+    power    := atom ('^' exponent)?
+    atom     := INT | NAME | '(' expr ')'
+    exponent := SIGNED | '(' SIGNED ('/' INT)? ')'
+    SIGNED   := ('+' | '-')? INT
 
-Division and negative powers apply only to single-term operands (constants
-and monomials), which keeps every operation exact; the reference data never
-needs more.
+The variable and named symbols take rational exponents; integers and
+parenthesized expressions take integer exponents only.
+
+* :func:`parse_ratfunc` reads into Q(t): division is exact division of
+  rational functions, powers of ``t`` must be integers, and every other
+  name is an unknown symbol.
+* :func:`parse_puiseux` reads into Puiseux polynomials over a tower:
+  division and negative powers apply only to single-term operands
+  (constants and monomials), which keeps every operation exact, and names
+  resolve through a caller-supplied symbol table.
+
+Every failure, including a division by zero, raises :class:`ExprError`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+import re
 from fractions import Fraction
-from typing import Callable
+from typing import Any, Callable, NamedTuple
 
-from .algnum import AlgNum, ChainConstants, TowerError, TowerSpec
+from .algnum import AlgNum, ChainConstants, TowerError, TowerSpec, int_power
 from .puiseux import PuiseuxPoly
+from .ratfunc import RatFunc
 
 SymbolResolver = Callable[[str, Fraction], AlgNum]
 
 
 class ExprError(ValueError):
-    """Raised for malformed expression text or unresolvable symbols."""
+    """Raised for malformed expression text, unknown symbols or inexact operations."""
 
 
 def chain_symbols(constants: ChainConstants) -> SymbolResolver:
@@ -69,185 +84,180 @@ def chain_symbols(constants: ChainConstants) -> SymbolResolver:
     return resolve
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # int | name | op | end
-    text: str
+class _Ring(NamedTuple):
+    """How the parser builds values; sums and products use ``+ - *``."""
+
+    const: Callable[[int], Any]
+    var_power: Callable[[Fraction], Any]
+    symbol: Callable[[str, Fraction], Any]
+    divide: Callable[[Any, Any], Any]
+    power: Callable[[Any, int], Any]
 
 
-def _tokenize(text: str) -> list[_Token]:
-    toks: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Token("int", text[i:j]))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Token("name", text[i:j]))
-            i = j
-            continue
-        if ch in "+-*/^()":
-            toks.append(_Token("op", ch))
-            i += 1
-            continue
-        raise ExprError(f"unexpected character {ch!r} in {text!r}")
-    toks.append(_Token("end", ""))
-    return toks
+_TOKEN = re.compile(r"\s*(?:(\d+|[^\W\d]\w*|[-+*/^()])|(\S))")
+
+
+def _tokenize(text: str) -> list[str]:
+    """Integers, names and single-character operators, then "" for the end."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        if m.group(2) is not None:
+            raise ExprError(f"unexpected character {m.group(2)!r} in {text!r}")
+        tokens.append(m.group(1))
+    tokens.append("")
+    return tokens
 
 
 class _Parser:
-    def __init__(self, text: str, tower: TowerSpec, var: str, resolve: SymbolResolver | None):
+    def __init__(self, text: str, var: str, ring: _Ring):
         self.text = text
-        self.tower = tower
         self.var = var
-        self.resolve = resolve
+        self.ring = ring
         self.toks = _tokenize(text)
         self.pos = 0
 
-    # -- token plumbing ----------------------------------------------------
-
-    def peek(self) -> _Token:
+    def peek(self) -> str:
         return self.toks[self.pos]
 
-    def take(self) -> _Token:
-        t = self.toks[self.pos]
+    def take(self) -> str:
+        tok = self.toks[self.pos]
         self.pos += 1
-        return t
+        return tok
 
-    def expect_op(self, ch: str) -> None:
-        t = self.take()
-        if t.kind != "op" or t.text != ch:
-            raise ExprError(f"expected {ch!r} near token {t.text!r} in {self.text!r}")
+    def error(self, what: str) -> ExprError:
+        return ExprError(f"{what} in {self.text!r}")
+
+    def expect(self, tok: str) -> None:
+        got = self.take()
+        if got != tok:
+            raise self.error(f"expected {tok!r} near token {got!r}")
+
+    def integer(self) -> int:
+        tok = self.take()
+        if not tok[:1].isdecimal():
+            raise self.error("malformed exponent")
+        return int(tok)
 
     # -- grammar -------------------------------------------------------------
 
-    def parse(self) -> PuiseuxPoly:
+    def parse(self):
         value = self.expr()
-        if self.peek().kind != "end":
-            raise ExprError(f"trailing input at {self.peek().text!r} in {self.text!r}")
+        if self.peek():
+            raise self.error(f"trailing input at {self.peek()!r}")
         return value
 
-    def expr(self) -> PuiseuxPoly:
+    def expr(self):
         value = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.take().text
+        while self.peek() in ("+", "-"):
+            op = self.take()
             rhs = self.term()
             value = value + rhs if op == "+" else value - rhs
         return value
 
-    def term(self) -> PuiseuxPoly:
+    def term(self):
         value = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.take().text
+        while self.peek() in ("*", "/"):
+            op = self.take()
             rhs = self.factor()
-            value = value * rhs if op == "*" else self._divide(value, rhs)
+            value = value * rhs if op == "*" else self.ring.divide(value, rhs)
         return value
 
-    def factor(self) -> PuiseuxPoly:
-        sign = 1
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            if self.take().text == "-":
-                sign = -sign
+    def factor(self):
+        negate = False
+        while self.peek() in ("+", "-"):
+            negate ^= self.take() == "-"
         value = self.power()
-        return value if sign == 1 else -value
+        return -value if negate else value
 
-    def power(self) -> PuiseuxPoly:
-        base = self.atom()
+    def power(self):
+        tok = self.take()
+        if tok == "(":
+            base = self.expr()
+            self.expect(")")
+        elif tok[:1].isdecimal():
+            base = self.ring.const(int(tok))
+        elif not tok or tok in "+-*/^)":
+            raise self.error(f"unexpected token {tok!r}")
+        else:
+            base = None
         exp = Fraction(1)
-        if self.peek().kind == "op" and self.peek().text == "^":
+        if self.peek() == "^":
             self.take()
             exp = self.exponent()
-        kind, payload = base
-        if kind == "var":
-            return PuiseuxPoly.monomial(self.tower, 1, exp)
-        if kind == "sym":
-            if self.resolve is None:
-                raise ExprError(f"no symbol table supplied, cannot resolve {payload!r}")
-            return PuiseuxPoly.const(self.tower, self.resolve(payload, exp))
-        return self._poly_power(payload, exp)
-
-    def atom(self):
-        t = self.take()
-        if t.kind == "int":
-            return "poly", PuiseuxPoly.const(self.tower, Fraction(t.text))
-        if t.kind == "name":
-            if t.text == self.var:
-                return "var", None
-            return "sym", t.text
-        if t.kind == "op" and t.text == "(":
-            value = self.expr()
-            self.expect_op(")")
-            return "poly", value
-        raise ExprError(f"unexpected token {t.text!r} in {self.text!r}")
+        if base is None:
+            if tok == self.var:
+                return self.ring.var_power(exp)
+            return self.ring.symbol(tok, exp)
+        if exp == 1:
+            return base
+        if exp.denominator != 1:
+            raise self.error("fractional power of a compound expression")
+        return self.ring.power(base, int(exp))
 
     def exponent(self) -> Fraction:
-        t = self.peek()
-        if t.kind == "int":
+        paren = self.peek() == "("
+        if paren:
             self.take()
-            return Fraction(t.text)
-        if t.kind == "op" and t.text == "-":
+        sign = -1 if self.peek() == "-" else 1
+        if self.peek() in ("+", "-"):
             self.take()
-            num = self.take()
-            if num.kind != "int":
-                raise ExprError(f"malformed exponent in {self.text!r}")
-            return -Fraction(num.text)
-        if t.kind == "op" and t.text == "(":
-            self.take()
-            sign = 1
-            if self.peek().kind == "op" and self.peek().text in "+-":
-                if self.take().text == "-":
-                    sign = -1
-            num = self.take()
-            if num.kind != "int":
-                raise ExprError(f"malformed exponent in {self.text!r}")
-            value = Fraction(num.text)
-            if self.peek().kind == "op" and self.peek().text == "/":
+        value = Fraction(sign * self.integer())
+        if paren:
+            if self.peek() == "/":
                 self.take()
-                den = self.take()
-                if den.kind != "int":
-                    raise ExprError(f"malformed exponent in {self.text!r}")
-                value = value / Fraction(den.text)
-            self.expect_op(")")
-            return sign * value
-        raise ExprError(f"malformed exponent in {self.text!r}")
+                value = value / self.integer()
+            self.expect(")")
+        return value
 
-    # -- exact helpers -------------------------------------------------------
 
-    def _divide(self, num: PuiseuxPoly, den: PuiseuxPoly) -> PuiseuxPoly:
-        inv = self._invert(den)
-        return num * inv
+def _parse(text: str, var: str, ring: _Ring):
+    try:
+        return _Parser(text, var, ring).parse()
+    except (TowerError, ZeroDivisionError) as exc:
+        raise ExprError(f"cannot evaluate {text!r}: {exc}") from exc
 
-    def _invert(self, p: PuiseuxPoly) -> PuiseuxPoly:
-        if p.is_zero():
-            raise ExprError(f"division by zero in {self.text!r}")
-        if p.term_count() != 1:
-            raise ExprError(
-                f"can only divide by single-term values, got {p.render()!r} in {self.text!r}"
-            )
-        ((k, c),) = p.terms
-        return PuiseuxPoly.from_terms(self.tower, p.ram, [(-k, c.inverse())])
 
-    def _poly_power(self, p: PuiseuxPoly, exp: Fraction) -> PuiseuxPoly:
-        if exp.denominator != 1:
-            raise ExprError(f"fractional power of a compound expression in {self.text!r}")
-        e = int(exp)
-        if e < 0:
-            return self._poly_power(self._invert(p), Fraction(-e))
-        out = PuiseuxPoly.const(self.tower, 1)
-        for _ in range(e):
-            out = out * p
-        return out
+# -- the two rings -------------------------------------------------------------
+
+
+def _ratfunc_var_power(exp: Fraction) -> RatFunc:
+    if exp.denominator != 1:
+        raise ExprError(f"fractional power {exp} of the variable")
+    return RatFunc.variable() ** int(exp)
+
+
+def _no_symbols(name: str, exp: Fraction):
+    raise ExprError(f"unknown symbol {name!r}")
+
+
+_RATFUNC = _Ring(RatFunc.const, _ratfunc_var_power, _no_symbols, operator.truediv, operator.pow)
+
+
+def parse_ratfunc(text: str, var: str = "t") -> RatFunc:
+    """Parse an expression in one variable into a reduced rational function.
+
+    Accepts + - * / ^ with integer exponents and parentheses, e.g.
+    "-2*t/5 - 1/(4*t^2)".
+    """
+    return _parse(text, var, _RATFUNC)
+
+
+def _puiseux_ring(tower: TowerSpec, symbols: SymbolResolver | None) -> _Ring:
+    def symbol(name: str, exp: Fraction) -> PuiseuxPoly:
+        if symbols is None:
+            raise ExprError(f"no symbol table supplied, cannot resolve {name!r}")
+        return PuiseuxPoly.const(tower, symbols(name, exp))
+
+    def power(p: PuiseuxPoly, e: int) -> PuiseuxPoly:
+        return int_power(p.inverse() if e < 0 else p, abs(e), PuiseuxPoly.const(tower, 1))
+
+    return _Ring(
+        lambda n: PuiseuxPoly.const(tower, n),
+        lambda exp: PuiseuxPoly.monomial(tower, 1, exp),
+        symbol,
+        lambda num, den: num * den.inverse(),
+        power,
+    )
 
 
 def parse_puiseux(
@@ -257,19 +267,4 @@ def parse_puiseux(
     symbols: SymbolResolver | None = None,
 ) -> PuiseuxPoly:
     """Parse ``text`` into an exact Puiseux polynomial in ``var``."""
-    try:
-        return _Parser(text, tower, var, symbols).parse()
-    except (TowerError, ZeroDivisionError) as exc:
-        raise ExprError(f"cannot evaluate {text!r}: {exc}") from exc
-
-
-def parse_matrix(
-    rows: list[list[str]],
-    tower: TowerSpec,
-    var: str = "t",
-    symbols: SymbolResolver | None = None,
-):
-    """Parse a nested list of entry strings into a tuple-of-tuples matrix."""
-    return tuple(
-        tuple(parse_puiseux(entry, tower, var, symbols) for entry in row) for row in rows
-    )
+    return _parse(text, var, _puiseux_ring(tower, symbols))

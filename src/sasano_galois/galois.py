@@ -50,14 +50,6 @@ class ScalarODE2:
         )
 
 
-def _divide_by_monomial(p: PuiseuxPoly, mono: PuiseuxPoly) -> PuiseuxPoly:
-    if mono.term_count() != 1:
-        raise GaloisError("division only by single-term coefficients stays exact")
-    k, c = mono.terms[0]
-    inv = PuiseuxPoly.monomial(mono.tower, c.inverse(), Fraction(-k, mono.ram))
-    return p * inv
-
-
 def system_to_scalar(system: DiffSystem) -> ScalarODE2:
     """Eliminate the second component of a 2x2 first-order system.
 
@@ -71,7 +63,10 @@ def system_to_scalar(system: DiffSystem) -> ScalarODE2:
     n10, n11 = system.entry(1, 0), system.entry(1, 1)
     if n01.is_zero():
         raise GaloisError("upper-right entry vanishes; cannot eliminate")
-    ratio = _divide_by_monomial(n01.derivative(), n01)
+    try:
+        ratio = n01.derivative() * n01.inverse()
+    except TowerError as exc:
+        raise GaloisError(f"division only by single-term coefficients stays exact: {exc}") from exc
     p = n00 + n11 + ratio
     q = n00.derivative() + n01 * n10 - n00 * n11 - n00 * ratio
     return ScalarODE2(system.var, -p, -q)
@@ -320,8 +315,10 @@ def classify_block(block: DiffSystem, label: str, pullback: int = 6) -> BlockCla
     two natural-number conventions must agree, otherwise the input sits
     on a boundary this test cannot decide and an error is raised.
     """
-    pulled = eta_pullback(block, pullback)
-    ode = system_to_scalar(pulled)
+    return _classify_scalar(system_to_scalar(eta_pullback(block, pullback)), label)
+
+
+def _classify_scalar(ode: ScalarODE2, label: str) -> BlockClassification:
     wh = normalize_whittaker(ode)
     flags_a = stokes_triviality(wh.kappa, wh.mu, include_zero=True)
     flags_b = stokes_triviality(wh.kappa, wh.mu, include_zero=False)
@@ -361,13 +358,11 @@ def classify_blocks(blocks, pullback: int = 6, order: int = 10) -> GaloisOutcome
     certs = []
     diag: list[int] = []
     for idx, block in enumerate(blocks, start=1):
-        label = f"block {idx}"
-        pulled = eta_pullback(block, pullback)
-        ode = system_to_scalar(pulled)
+        ode = system_to_scalar(eta_pullback(block, pullback))
         cert = certify_apparent(ode, pullback, order)
         certs.append(cert)
         diag.extend(cert.lifted_exponents)
-        results.append(classify_block(block, label, pullback))
+        results.append(_classify_scalar(ode, f"block {idx}"))
     outcome = morales_ramis_verdict(tuple(results), tuple(certs))
     return GaloisOutcome(
         blocks=tuple(results),

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algnum import AlgNum, TowerError, TowerSpec
+from .algnum import AlgNum, TowerError, TowerSpec, join_terms
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ class PuiseuxPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        ram = _lcm(self.ram, other.ram)
+        ram = math.lcm(self.ram, other.ram)
         a = self._lift(ram)
         for k, c in other._lift(ram).items():
             if k in a:
@@ -142,7 +142,7 @@ class PuiseuxPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        ram = _lcm(self.ram, other.ram)
+        ram = math.lcm(self.ram, other.ram)
         a = self._lift(ram)
         b = other._lift(ram)
         acc: dict[int, AlgNum] = {}
@@ -158,6 +158,15 @@ class PuiseuxPoly:
 
     __rmul__ = __mul__
 
+    def inverse(self) -> PuiseuxPoly:
+        """Exact inverse of a single term: (c x^e)^-1 = c^-1 x^-e."""
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of the zero polynomial")
+        if len(self.terms) != 1:
+            raise TowerError(f"only single-term values invert exactly, got {self.render()!r}")
+        ((k, c),) = self.terms
+        return PuiseuxPoly(self.tower, self.ram, ((-k, c.inverse()),))
+
     def scale(self, c) -> PuiseuxPoly:
         if isinstance(c, (int, Fraction)):
             c = AlgNum.from_rational(self.tower, c)
@@ -166,7 +175,7 @@ class PuiseuxPoly:
     def shift(self, exponent: Fraction | int) -> PuiseuxPoly:
         """Multiply by x^exponent."""
         e = Fraction(exponent)
-        ram = _lcm(self.ram, e.denominator)
+        ram = math.lcm(self.ram, e.denominator)
         off = e.numerator * (ram // e.denominator)
         return PuiseuxPoly.from_terms(self.tower, ram, [(k + off, c) for k, c in self._lift(ram).items()])
 
@@ -247,29 +256,20 @@ class PuiseuxPoly:
         return total
 
     def render(self, var: str = "x") -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for k, c in reversed(self.terms):
-            e = Fraction(k, self.ram)
-            cs = str(c)
-            coeff = cs if ("+" not in cs and ("-" not in cs[1:])) else f"({cs})"
-            if e == 0:
-                parts.append(coeff)
-            else:
-                p = var if e == 1 else (f"{var}^{e.numerator}" if e.denominator == 1 else f"{var}^({e})")
-                parts.append(p if coeff == "1" else (f"-{p}" if coeff == "-1" else f"{coeff}*{p}"))
-        return " + ".join(parts).replace("+ -", "- ")
+        def power(e: Fraction) -> str:
+            if e == 1:
+                return var
+            return f"{var}^{e}" if e.denominator == 1 else f"{var}^({e})"
+
+        return join_terms(
+            (str(c), power(Fraction(k, self.ram)) if k else "") for k, c in reversed(self.terms)
+        )
 
     def __str__(self):
         return self.render()
 
     def __repr__(self):
         return f"PuiseuxPoly({self.render()})"
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
 
 
 @dataclass(frozen=True)
@@ -295,9 +295,6 @@ class AlgPoly:
             acc = acc * x + c
         return acc
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def __eq__(self, other):
         if not isinstance(other, AlgPoly):
             return NotImplemented
@@ -307,21 +304,11 @@ class AlgPoly:
         return hash(self.coeffs)
 
     def render(self, var: str = "x") -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[e]
-            if c.is_zero():
-                continue
-            cs = str(c)
-            coeff = cs if ("+" not in cs and ("-" not in cs[1:])) else f"({cs})"
-            if e == 0:
-                parts.append(coeff)
-            else:
-                p = var if e == 1 else f"{var}^{e}"
-                parts.append(p if coeff == "1" else (f"-{p}" if coeff == "-1" else f"{coeff}*{p}"))
-        return " + ".join(parts).replace("+ -", "- ")
+        return join_terms(
+            (str(c), var if e == 1 else f"{var}^{e}" if e else "")
+            for e, c in reversed(list(enumerate(self.coeffs)))
+            if not c.is_zero()
+        )
 
     def __repr__(self):
         return f"AlgPoly({self.render()})"

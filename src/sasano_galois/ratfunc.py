@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .algnum import int_power
+
 
 @dataclass(frozen=True)
 class Poly:
@@ -80,16 +82,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> Poly:
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly.make([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return int_power(self, n, Poly.make([1]))
 
     def divmod(self, other: Poly) -> tuple[Poly, Poly]:
         if other.is_zero():
@@ -129,24 +122,29 @@ class Poly:
         return acc
 
     def render(self, var: str = "t") -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                body = str(abs(c))
-            else:
-                mag = abs(c)
-                head = "" if mag == 1 else f"{mag}*"
-                body = f"{head}{var}" + (f"^{k}" if k > 1 else "")
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return join_signed(
+            (c, var if k == 1 else f"{var}^{k}" if k else "")
+            for k, c in reversed(list(enumerate(self.coeffs)))
+            if c != 0
+        )
+
+
+def join_signed(terms) -> str:
+    """Render a sum of (Fraction coefficient, monomial text) pairs.
+
+    Each term shows its magnitude (a unit magnitude is dropped before a
+    monomial; an empty monomial is the constant term) and the sign goes in
+    front: "3*t^2 - t + 1".  No terms render as "0".
+    """
+    out = ""
+    for c, mono in terms:
+        mag = abs(c)
+        body = (mono if mag == 1 else f"{mag}*{mono}") if mono else str(mag)
+        if out:
+            out += (" + " if c > 0 else " - ") + body
+        else:
+            out = body if c > 0 else f"-{body}"
+    return out or "0"
 
 
 def _as_poly(x) -> Poly:
@@ -263,117 +261,3 @@ def _as_ratfunc(x) -> RatFunc:
     if isinstance(x, Poly):
         return RatFunc.make(x)
     return RatFunc.const(Fraction(x))
-
-
-# -- parsing -------------------------------------------------------------------
-
-
-class ParseError(ValueError):
-    pass
-
-
-def _tokenize(text: str) -> list[str]:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            out.append(text[i:j])
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(text[i:j])
-            i = j
-        elif ch in "+-*/^()":
-            out.append(ch)
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}")
-    return out
-
-
-class _RatParser:
-    def __init__(self, tokens: list[str], var: str):
-        self.tokens = tokens
-        self.pos = 0
-        self.var = var
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of expression")
-        self.pos += 1
-        return tok
-
-    def expr(self) -> RatFunc:
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
-
-    def term(self) -> RatFunc:
-        node = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.factor()
-            node = node * rhs if op == "*" else node / rhs
-        return node
-
-    def factor(self) -> RatFunc:
-        tok = self.peek()
-        if tok in ("+", "-"):
-            self.take()
-            val = self.factor()
-            return val if tok == "+" else -val
-        return self.power()
-
-    def power(self) -> RatFunc:
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            sign = 1
-            if self.peek() in ("+", "-"):
-                sign = -1 if self.take() == "-" else 1
-            tok = self.take()
-            if not tok.isdigit():
-                raise ParseError(f"expected integer exponent, got {tok!r}")
-            return base ** (sign * int(tok))
-        return base
-
-    def atom(self) -> RatFunc:
-        tok = self.take()
-        if tok == "(":
-            node = self.expr()
-            if self.take() != ")":
-                raise ParseError("missing closing parenthesis")
-            return node
-        if tok.isdigit():
-            return RatFunc.const(int(tok))
-        if tok == self.var:
-            return RatFunc.variable()
-        raise ParseError(f"unknown symbol {tok!r}")
-
-
-def parse_ratfunc(text: str, var: str = "t") -> RatFunc:
-    """Parse an expression in one variable into a reduced rational function.
-
-    Accepts + - * / ^ with integer exponents and parentheses, e.g.
-    "-2*t/5 - 1/(4*t^2)".
-    """
-    parser = _RatParser(_tokenize(text), var)
-    node = parser.expr()
-    if parser.peek() is not None:
-        raise ParseError(f"trailing input at token {parser.peek()!r}")
-    return node

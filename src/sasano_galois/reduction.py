@@ -36,15 +36,15 @@ from .diffsys import (
     DiffSystem,
     block_split,
     change_variable_power,
+    diagonal_matrix,
     eigen_decompose_distinct,
     gauge_constant,
     gauge_shear,
-    identity_matrix,
     leading_data,
     mat_mul,
     system_numeric,
 )
-from .exprparse import SymbolResolver, chain_symbols, parse_puiseux
+from .exprparse import chain_symbols, parse_puiseux
 from .puiseux import PuiseuxPoly
 
 
@@ -150,9 +150,6 @@ class ReductionTrace:
     def systems(self) -> list[DiffSystem]:
         return [self.steps[0].before] + [s.after for s in self.steps]
 
-    def stage_names(self) -> list[str]:
-        return ["variational"] + [s.stage for s in self.steps]
-
 
 # -- the script --------------------------------------------------------------------
 
@@ -170,6 +167,14 @@ def _compare_stage(name: str, got: DiffSystem, expected: DiffSystem) -> None:
                     f"{got.entry(i, j).render(got.var)}, reference says "
                     f"{expected.entry(i, j).render(expected.var)}"
                 )
+
+
+def _gauge(stage: str, system: DiffSystem, t: AlgMatrix, t_inv: AlgMatrix) -> DiffSystem:
+    """Constant gauge whose stored inverse must invert T; a failure names the stage."""
+    try:
+        return gauge_constant(system, t, t_inv)
+    except TowerError as exc:
+        raise ReductionError(f"stage {stage}: {exc}") from exc
 
 
 def run_canonical_chain(nve: DiffSystem, config: ChainConfig | None = None) -> ReductionTrace:
@@ -196,7 +201,7 @@ def run_canonical_chain(nve: DiffSystem, config: ChainConfig | None = None) -> R
     steps: list[GaugeStep] = []
     t1 = fixture_constant_matrix(fixtures["gauges"]["t1"], c)
     t1_inv = fixture_constant_matrix(fixtures["gauges"]["t1_inv"], c)
-    sys2 = gauge_constant(nve, t1, t1_inv)
+    sys2 = _gauge("leading_nilpotent", nve, t1, t1_inv)
     check("leading_nilpotent", sys2)
     steps.append(
         GaugeStep("constant", "leading_nilpotent", nve, sys2, matrix=t1, matrix_inv=t1_inv)
@@ -232,7 +237,7 @@ def run_canonical_chain(nve: DiffSystem, config: ChainConfig | None = None) -> R
 
     t2 = fixture_constant_matrix(fixtures["gauges"]["t2"], c)
     t2_inv = fixture_constant_matrix(fixtures["gauges"]["t2_inv"], c)
-    sys5 = gauge_constant(sys4, t2, t2_inv)
+    sys5 = _gauge("jordan_gauge", sys4, t2, t2_inv)
     check("jordan_gauge", sys5)
     steps.append(GaugeStep("constant", "jordan_gauge", sys4, sys5, matrix=t2, matrix_inv=t2_inv))
 
@@ -257,7 +262,7 @@ def run_canonical_chain(nve: DiffSystem, config: ChainConfig | None = None) -> R
         if lead != lead_ref:
             raise ReductionError("stage unit_shear: leading matrix differs from reference")
     t3, t3_inv = eigen_decompose_distinct(lead, c.eigenvalues)
-    sys7 = gauge_constant(sys6, t3, t3_inv)
+    sys7 = _gauge("decoupled", sys6, t3, t3_inv)
     check("decoupled", sys7)
     steps.append(GaugeStep("constant", "decoupled", sys6, sys7, matrix=t3, matrix_inv=t3_inv))
 
@@ -286,16 +291,9 @@ def _check_printed_gauge(
     """
     t3p = fixture_constant_matrix(fixtures["gauges"]["t3"], c)
     t3p_inv = fixture_constant_matrix(fixtures["gauges"]["t3_inv"], c)
-    n = len(t3p)
-    diag = mat_mul(t3p_inv, mat_mul(lead, t3p))
-    for i in range(n):
-        for j in range(n):
-            want = c.eigenvalues[i] if i == j else AlgNum.from_rational(c.tower, 0)
-            if diag[i][j] != want:
-                raise ReductionError(
-                    f"printed eigenvector gauge does not diagonalize the leading matrix at ({i + 1},{j + 1})"
-                )
-    alt = gauge_constant(sys6, t3p, t3p_inv)
+    if mat_mul(t3p_inv, mat_mul(lead, t3p)) != diagonal_matrix(c.tower, c.eigenvalues):
+        raise ReductionError("printed eigenvector gauge does not diagonalize the leading matrix")
+    alt = _gauge("decoupled (printed gauge)", sys6, t3p, t3p_inv)
     _compare_stage("decoupled (printed gauge)", alt, sys7)
 
 
@@ -336,15 +334,8 @@ def verify_trace_consistency(trace: ReductionTrace, precision: int = 30) -> Cons
     except TowerError as exc:
         raise ReductionError(f"final stage is not block-diagonal: {exc}") from exc
     r, lead = leading_data(trace.final)
-    n = trace.final.dim
-    zero = AlgNum.from_rational(trace.final.tower, 0)
-    for i in range(n):
-        for j in range(n):
-            want = trace.eigenvalues[i] if i == j else zero
-            if lead[i][j] != want:
-                raise ReductionError(
-                    "final stage leading matrix is not the configured diagonal"
-                )
+    if lead != diagonal_matrix(trace.final.tower, trace.eigenvalues):
+        raise ReductionError("final stage leading matrix is not the configured diagonal")
     checks.append(("structure", f"2+2 block split, diagonal leading matrix at exponent {r}"))
 
     _inverse_walk(trace)
@@ -358,16 +349,13 @@ def verify_trace_consistency(trace: ReductionTrace, precision: int = 30) -> Cons
 
 
 def _inverse_walk(trace: ReductionTrace) -> None:
-    tower = trace.config.constants.tower
     current = trace.final
     if current is not trace.steps[-1].after:
         _compare_stage("final", current, trace.steps[-1].after)
     for step in reversed(trace.steps):
         _compare_stage(f"{step.stage} (forward record)", current, step.after)
         if step.kind == "constant":
-            if mat_mul(step.matrix_inv, step.matrix) != identity_matrix(tower, current.dim):
-                raise ReductionError(f"step {step.stage}: stored inverse fails to invert")
-            undone = gauge_constant(current, step.matrix_inv, step.matrix)
+            undone = _gauge(f"{step.stage} (undone)", current, step.matrix_inv, step.matrix)
         elif step.kind == "shear":
             g = step.shear_exponents[1] if len(step.shear_exponents) > 1 else Fraction(0)
             undone = gauge_shear(current, -g)
@@ -405,16 +393,15 @@ def _compose_at(trace: ReductionTrace, tau0, precision: int) -> float:
         if step.kind == "constant":
             tnum = [[e.embed(precision) for e in row] for row in step.matrix]
             tinv = [[e.embed(precision) for e in row] for row in step.matrix_inv]
-            value = _nmul(tinv, _nmul(value, tnum))
+            value = mat_mul(tinv, mat_mul(value, tnum))
         elif step.kind == "shear":
             g = step.shear_exponents[1] if len(step.shear_exponents) > 1 else Fraction(0)
+            k = g * index  # entry (i, j) gains root^((j - i) k)
+            if k.denominator != 1:
+                raise ReductionError("shear exponent incompatible with branch root")
             n = len(value)
+            value = [[value[i][j] * root ** int((j - i) * k) for j in range(n)] for i in range(n)]
             for i in range(n):
-                for j in range(n):
-                    e = (j - i) * g * index
-                    if e.denominator != 1:
-                        raise ReductionError("shear exponent incompatible with branch root")
-                    value[i][j] = value[i][j] * root ** int(e)
                 corr = i * g
                 value[i][i] = value[i][i] - (mp.mpf(corr.numerator) / corr.denominator) / point
         elif step.kind == "variable":
@@ -435,9 +422,3 @@ def _compose_at(trace: ReductionTrace, tau0, precision: int) -> float:
             worst = max(worst, float(err))
     return worst
 
-
-def _nmul(a, b):
-    n, inner, m = len(a), len(b), len(b[0])
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(m)] for i in range(n)
-    ]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any
 
 import mpmath as mp
@@ -21,7 +20,6 @@ from .algnum import AlgNum, algnum_to_json, tower_to_json
 from .diffsys import DiffSystem, char_poly, leading_data
 from .galois import GaloisError, GaloisOutcome, classify_blocks
 from .reduction import (
-    ChainConfig,
     ConsistencyReport,
     ReductionError,
     ReductionTrace,

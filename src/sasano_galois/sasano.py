@@ -18,14 +18,15 @@ reduction chain.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .algnum import AlgNum, TowerError, TowerSpec
+from .algnum import AlgNum, TowerError, TowerSpec, int_power
 from .diffsys import DiffSystem
 from .puiseux import PuiseuxPoly
-from .ratfunc import Poly, RatFunc
+from .ratfunc import Poly, RatFunc, join_signed
 
 VARS = ("x", "y", "z", "w", "t", "F", "a0", "a1", "a2")
 _INDEX = {name: k for k, name in enumerate(VARS)}
@@ -89,16 +90,7 @@ class PolyExpr:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> PolyExpr:
-        if n < 0:
-            raise ValueError("negative power of a polynomial expression")
-        result = PolyExpr.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return int_power(self, n, PolyExpr.const(1))
 
     def diff(self, name: str) -> PolyExpr:
         k = _INDEX[name]
@@ -143,27 +135,10 @@ class PolyExpr:
         return total
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.terms:
-            syms = []
-            for k, exp in enumerate(e):
-                if exp == 1:
-                    syms.append(VARS[k])
-                elif exp > 1:
-                    syms.append(f"{VARS[k]}^{exp}")
-            body = "*".join(syms)
-            mag = abs(c)
-            if body:
-                head = body if mag == 1 else f"{mag}*{body}"
-            else:
-                head = str(mag)
-            if not parts:
-                parts.append(head if c > 0 else f"-{head}")
-            else:
-                parts.append(f"+ {head}" if c > 0 else f"- {head}")
-        return " ".join(parts)
+        return join_signed(
+            (c, "*".join(VARS[k] if exp == 1 else f"{VARS[k]}^{exp}" for k, exp in enumerate(e) if exp))
+            for e, c in self.terms
+        )
 
 
 def _as_polyexpr(x) -> PolyExpr:
@@ -225,12 +200,10 @@ def _reference_field() -> tuple[PolyExpr, ...]:
     )
 
 
-def build_extended_system(params: Sequence | None = None) -> tuple[PolyExpr, ...]:
-    """Equations of motion on (x, y, z, w, t, F) from the extended Hamiltonian.
-
-    With params=None the field stays symbolic in (a0, a1); otherwise the
-    parameter symbols are substituted after the relation check.
-    """
+@functools.cache
+def _symbolic_field() -> tuple[PolyExpr, ...]:
+    # Derived once per process: the symplectic pairing of the extended
+    # Hamiltonian, checked against the hand-expanded reference.
     h = extended_hamiltonian()
     field = (
         h.diff("y"),
@@ -242,6 +215,16 @@ def build_extended_system(params: Sequence | None = None) -> tuple[PolyExpr, ...
     )
     if field != _reference_field():
         raise AssertionError("symplectic pairing produced an unexpected field")
+    return field
+
+
+def build_extended_system(params: Sequence | None = None) -> tuple[PolyExpr, ...]:
+    """Equations of motion on (x, y, z, w, t, F) from the extended Hamiltonian.
+
+    With params=None the field stays symbolic in (a0, a1); otherwise the
+    parameter symbols are substituted after the relation check.
+    """
+    field = _symbolic_field()
     if params is None:
         return field
     a0, a1, a2 = check_params(params)

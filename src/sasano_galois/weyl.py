@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .diffsys import mat_mul
 from .ratfunc import RatFunc
 from .sasano import check_params, solution_energy, verify_solution
 
@@ -80,12 +81,6 @@ def act_on_params(name: str, params: ParamTriple) -> ParamTriple:
     return ParamTriple.make(new)
 
 
-def _mat_mul3(a, b):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)) for i in range(3)
-    )
-
-
 def word_matrix(word: Iterable[str]):
     """Matrix of the parameter action of a word (applied left to right)."""
     acc = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -93,7 +88,7 @@ def word_matrix(word: Iterable[str]):
         m = PARAM_MATRICES.get(name)
         if m is None:
             raise WeylError(f"unknown generator {name!r}")
-        acc = _mat_mul3(m, acc)
+        acc = mat_mul(m, acc)
     return acc
 
 
@@ -154,6 +149,15 @@ def _divisor(name: str, x, y, z, w, t):
     raise WeylError(f"unknown generator {name!r}")
 
 
+def _reflect(name: str, x, y, z, w, shift):
+    """The generator's formulas, with shift = parameter / divisor."""
+    if name == "s0":
+        return x, y, z + shift, w
+    if name == "s1":
+        return x, y - shift, z, w - 2 * shift * z
+    return x + 2 * shift * y - shift * shift, y - shift, z + shift, w
+
+
 def apply_generator(name: str, state: SolutionState) -> SolutionState:
     """One Backlund step on a checked solution; the image is re-verified.
 
@@ -171,15 +175,8 @@ def apply_generator(name: str, state: SolutionState) -> SolutionState:
         raise WeylError(
             f"divisor of {name} vanishes along the solution but its parameter is {alpha} != 0"
         )
-    new_params = act_on_params(name, state.params)
-    if name == "s0":
-        return SolutionState.make(x, y, z + RatFunc.const(alpha) / div, w, new_params)
-    if name == "s1":
-        shift = RatFunc.const(alpha) / div
-        return SolutionState.make(x, y - shift, z, w - shift * z * 2, new_params)
     shift = RatFunc.const(alpha) / div
-    new_x = x + shift * y * 2 - shift * shift
-    return SolutionState.make(new_x, y - shift, z + shift, w, new_params)
+    return SolutionState.make(*_reflect(name, x, y, z, w, shift), act_on_params(name, state.params))
 
 
 def apply_word(word: Iterable[str], state: SolutionState) -> SolutionState:
@@ -211,14 +208,7 @@ def _point_step(name: str, point, params: ParamTriple, t_val: Fraction):
     div = _divisor(name, x, y, z, w, t_val)
     if div == 0:
         raise ZeroDivisionError(name)
-    new_params = act_on_params(name, params)
-    if name == "s0":
-        return (x, y, z + alpha / div, w), new_params
-    if name == "s1":
-        shift = alpha / div
-        return (x, y - shift, z, w - 2 * shift * z), new_params
-    shift = alpha / div
-    return (x + 2 * shift * y - shift * shift, y - shift, z + shift, w), new_params
+    return _reflect(name, x, y, z, w, alpha / div), act_on_params(name, params)
 
 
 def _random_params(rng: random.Random) -> ParamTriple:

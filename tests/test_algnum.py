@@ -14,7 +14,6 @@ from sasano_galois.algnum import (
     algnum_to_json,
     canonical_constants,
     canonical_tower,
-    numeric_embed,
     rational_recognize,
     sqrt_in_tower,
     tower_from_json,

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import copy
+import hashlib
 import json
 
 import pytest
 
+from sasano_galois import reduction
 from sasano_galois.cli import main
 
 S0_IMAGE = {
@@ -43,6 +46,7 @@ def test_verify_seed_malformed_params(tmp_path, capsys):
     assert run(tmp_path, "verify-seed", "--params", "1/2,oops,1/8") == 2
     assert run(tmp_path, "verify-seed", "--params", "1/2,1/8") == 2
     assert run(tmp_path, "verify-seed", "--params", "1,1,1") == 2
+    assert run(tmp_path, "verify-seed", "--params", "1/0,0,1/2") == 2
     assert "input error" in capsys.readouterr().err
 
 
@@ -66,6 +70,14 @@ def test_verify_seed_solution_file_errors(tmp_path):
     assert run(tmp_path, "verify-seed", "--solution-file", str(not_json)) == 2
 
     assert run(tmp_path, "verify-seed", "--solution-file", str(tmp_path / "absent.json")) == 2
+
+
+@pytest.mark.parametrize("component", ["1/0", "(t-t)^-1"])
+def test_verify_seed_zero_division_is_input_error(tmp_path, capsys, component):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(dict(S0_IMAGE, x=component)))
+    assert run(tmp_path, "verify-seed", "--solution-file", str(path)) == 2
+    assert "input error" in capsys.readouterr().err
 
 
 def test_prove_full(tmp_path, capsys):
@@ -118,6 +130,56 @@ def test_reports_byte_stable(tmp_path):
     assert (tmp_path / "a" / "proof.md").read_bytes() == (
         tmp_path / "b" / "proof.md"
     ).read_bytes()
+
+
+# sha256 of the reports with the default --precision 20 and --format both.
+# Any drift in parsing, exact arithmetic or rendering changes these bytes;
+# they change only with a deliberate, documented change to the reports.
+GOLDEN = (
+    (
+        ("prove",),
+        {
+            "proof.json": "3195219c15d21f791e67ed71e02fa07fde33bf422db6ca3606f15a4d8b8aaefd",
+            "proof.md": "35026f8b5b6fc42ab857279ca51590a4512e825f4668d416c4365489cb510643",
+        },
+    ),
+    (
+        ("prove", "--alpha-wasow"),
+        {
+            "proof.json": "6e942697b06685da0ab242bf39072df1670906ad3d24c1dbb3a3680851f26146",
+            "proof.md": "fe8dd939e3a9dffb99e7508ea1bfbdbe95dfd36283328c3b355b67d6d392c3c6",
+        },
+    ),
+    (
+        ("orbit", "--depth", "2", "--check-matsuda"),
+        {
+            "orbit.jsonl": "bc286a5e677b4ca515739dfb002b99d227c56deade8d29c466bd4cdd6f3cc5a3",
+            "orbit_summary.json": "286fc14a08586a8c26441c1069a00cb352c09e77202214c519cab614c88799d2",
+            "orbit_summary.md": "60a9f62d1ba62f572b0629783bfb6751f7c5c0578373be5f54f58df6817308df",
+        },
+    ),
+)
+
+
+@pytest.mark.parametrize("argv, digests", GOLDEN, ids=["prove", "prove-wasow", "orbit-depth-2"])
+def test_reports_match_golden_digests(tmp_path, argv, digests):
+    assert run(tmp_path, *argv) == 0
+    got = {
+        name: hashlib.sha256((tmp_path / "reports" / name).read_bytes()).hexdigest()
+        for name in digests
+    }
+    assert got == digests
+
+
+def test_corrupt_gauge_inverse_gives_fail_section(tmp_path, monkeypatch):
+    fixtures = copy.deepcopy(reduction.load_fixtures())
+    fixtures["gauges"]["t1_inv"][0][0] = "1/3"
+    monkeypatch.setattr(reduction, "load_fixtures", lambda: fixtures)
+    assert run(tmp_path, "prove") == 1
+    data = read_json(tmp_path, "proof")
+    last = data["sections"][-1]
+    assert (last["name"], last["status"]) == ("reduction trace", "fail")
+    assert "leading_nilpotent" in last["steps"][0]["values"]["error"]
 
 
 def test_precision_guard(tmp_path):

@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from sasano_galois.algnum import AlgNum, canonical_constants, wasow_constants
-from sasano_galois.exprparse import ExprError, chain_symbols, parse_matrix, parse_puiseux
+from sasano_galois.exprparse import ExprError, chain_symbols, parse_puiseux, parse_ratfunc
 from sasano_galois.puiseux import PuiseuxPoly
+from sasano_galois.sasano import ratfunc_to_puiseux
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +73,7 @@ def test_eigenvalue_symbols(cc, resolver):
 
 def test_matrix_parse_shape(cc, resolver):
     rows = [["1", "0"], ["t", "-t^2"]]
-    m = parse_matrix(rows, cc.tower, "t", resolver)
+    m = [[parse_puiseux(entry, cc.tower, "t", resolver) for entry in row] for row in rows]
     assert len(m) == 2 and len(m[0]) == 2
     assert m[1][1] == PuiseuxPoly.monomial(cc.tower, -1, 2)
 
@@ -106,3 +107,66 @@ def test_integer_power_of_sum(cc):
     p = parse_puiseux("(t+1)^2", cc.tower)
     q = parse_puiseux("t^2 + 2*t + 1", cc.tower)
     assert p == q
+
+
+# Strings in the grammar both rings share: each value is a Laurent
+# polynomial in t, so it has one meaning in Q(t) and among Puiseux
+# polynomials.
+SHARED = (
+    "1 + 2*t^2",
+    "2 - 3*t*4",
+    "2*3^2",
+    "-2^2",
+    "-t^2",
+    "--t + +3",
+    "3 - -t",
+    "2/4",
+    "t^-1",
+    "t^+2",
+    "t^(2)",
+    "t^(-3)",
+    "1/t/t",
+    "t*t^-1",
+    "(2*t)^(-2)",
+    "-2*t/5 - 1/(4*t^2)",
+    "((t + 1)*(t - 1))^2",
+    "-((t - 2)^3)/7 + (((1)))",
+    "12 *t ^ 2- t ",
+)
+
+MALFORMED = (
+    "",
+    "t +",
+    "*t",
+    "(1 + t",
+    "1 + 2 )",
+    "t t",
+    "t^",
+    "t^t",
+    "t^(1/)",
+    "1 @ 2",
+    "u + 1",
+    "1/0",
+    "(t-t)^-1",
+    "t^(1/0)",
+)
+
+
+@pytest.mark.parametrize("text", SHARED)
+def test_shared_grammar_agrees_across_rings(cc, text):
+    rat = parse_ratfunc(text)
+    assert ratfunc_to_puiseux(rat, cc.tower) == parse_puiseux(text, cc.tower)
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_malformed_text_raises_one_error_class(cc, text):
+    with pytest.raises(ExprError):
+        parse_ratfunc(text)
+    with pytest.raises(ExprError):
+        parse_puiseux(text, cc.tower)
+
+
+def test_fractional_power_of_t_is_not_rational(cc):
+    assert parse_puiseux("t^(1/2)", cc.tower).ram == 2
+    with pytest.raises(ExprError, match="fractional power"):
+        parse_ratfunc("t^(1/2)")

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from sasano_galois.ratfunc import ParseError, Poly, RatFunc, parse_ratfunc
+from sasano_galois.exprparse import ExprError, parse_ratfunc
+from sasano_galois.ratfunc import Poly, RatFunc
 
 T = RatFunc.variable()
 
@@ -97,15 +98,15 @@ class TestParser:
         assert parse_ratfunc("t^-1") == RatFunc.make(1, Poly.variable())
 
     def test_errors(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ExprError):
             parse_ratfunc("t +")
-        with pytest.raises(ParseError):
+        with pytest.raises(ExprError):
             parse_ratfunc("(1 + t")
-        with pytest.raises(ParseError):
+        with pytest.raises(ExprError):
             parse_ratfunc("u + 1")
-        with pytest.raises(ParseError):
+        with pytest.raises(ExprError):
             parse_ratfunc("t^t")
-        with pytest.raises(ParseError):
+        with pytest.raises(ExprError):
             parse_ratfunc("1 @ 2")
 
     def test_round_trip_render(self):

@@ -6,7 +6,8 @@ import pytest
 
 from sasano_galois.algnum import TowerError
 from sasano_galois.puiseux import PuiseuxPoly
-from sasano_galois.ratfunc import RatFunc, parse_ratfunc
+from sasano_galois.exprparse import parse_ratfunc
+from sasano_galois.ratfunc import RatFunc
 from sasano_galois.sasano import (
     PolyExpr,
     build_extended_system,

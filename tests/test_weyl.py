@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from sasano_galois.ratfunc import RatFunc, parse_ratfunc
+from sasano_galois.exprparse import parse_ratfunc
+from sasano_galois.ratfunc import RatFunc
 from sasano_galois.weyl import (
     GENERATORS,
     ParamTriple,
