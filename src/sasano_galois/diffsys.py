@@ -255,9 +255,7 @@ def system_from_entries(tower: TowerSpec, var: str, entries) -> DiffSystem:
 
 
 def lift_matrix(tower: TowerSpec, a: AlgMatrix) -> PolyMatrix:
-    return tuple(
-        tuple(PuiseuxPoly.const(tower, 1).scale(e) for e in row) for row in a
-    )
+    return tuple(tuple(PuiseuxPoly.const(tower, e) for e in row) for row in a)
 
 
 def pmat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:

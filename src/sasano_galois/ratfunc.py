@@ -1,19 +1,113 @@
 """Exact rational functions of one variable over the rationals.
 
 Solutions of the Hamiltonian system and their transforms live in Q(t),
-so this module keeps every operation exact: polynomials are dense
-coefficient tuples of Fractions, rational functions reduce by gcd and
-carry a monic denominator, and evaluation raises at poles instead of
-returning garbage.
+so this module keeps every operation exact.  A polynomial is a dense
+tuple of Fraction coefficients; a rational function is a coprime pair of
+them with a monic denominator, so equal values have equal
+representations, and evaluation raises at poles instead of returning
+garbage.
+
+The kernels behind that interface work in Z[t]: a product, a division
+or a gcd clears the operands' denominators once, runs on integer lists
+(convolution, fraction-free pseudo-division, and the primitive
+polynomial remainder sequence of Brown, J. ACM 18 (1971)) and turns the
+result back into Fractions once.  A rational function is reduced by one
+gcd when it is built; a power of a reduced one needs none.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .algnum import int_power
+
+
+# -- integer kernels -------------------------------------------------------------
+# An integer polynomial is a list of ints, ascending, with no trailing zeros.
+# Tuples, coefficient tuples and star-arguments alike, are built from lists
+# here, never from generators: tuple() over a generator allocates ten slots
+# and resizes, so each such tuple is freed onto another size's free list,
+# and those free lists grew the peak memory of a depth-6 orbit by ~2 MiB.
+
+
+_ZERO = Fraction(0)
+
+
+def _clear(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators over the least common denominator, and that denominator."""
+    den = math.lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _from_ints(ints: Sequence[int], den: int = 1) -> Poly:
+    """The polynomial (sum of ints[k] t^k) / den; ints has no trailing zeros."""
+    return Poly(tuple([Fraction(c, den) if c else _ZERO for c in ints]))
+
+
+def _conv(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    if len(a) < len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            for i, x in enumerate(a, j):
+                out[i] += x * y
+    return out
+
+
+def _pdiv(a: list[int], b: list[int]) -> tuple[int, list[int], list[int]]:
+    """Fraction-free division: (m, q, r) with m*a = q*b + r and deg r < deg b.
+
+    Each step scales the remainder only by the part of b's leading
+    coefficient that the step needs, so m divides a power of it.
+    """
+    r = list(a)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    m = 1
+    lead, nb = b[-1], len(b)
+    while len(r) >= nb:
+        k = len(r) - nb
+        g = math.gcd(r[-1], lead)
+        u, c = lead // g, r[-1] // g
+        if u != 1:
+            r = [u * x for x in r]
+            q = [u * x for x in q]
+            m *= u
+        q[k] = c
+        r.pop()
+        for i in range(nb - 1):
+            r[k + i] -= c * b[i]
+        while r and r[-1] == 0:
+            r.pop()
+    return m, q, r
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """a over its content, with a positive leading coefficient."""
+    if not a:
+        return a
+    g = math.gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return a if g == 1 else [x // g for x in a]
+
+
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd in Z[t] by the primitive remainder sequence; [] for 0, 0."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive(_pdiv(a, b)[2])
+    return a
+
+
+# -- polynomials and rational functions --------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -51,15 +145,23 @@ class Poly:
 
     def __add__(self, other) -> Poly:
         other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (Fraction(0),) * (n - len(self.coeffs))
-        b = other.coeffs + (Fraction(0),) * (n - len(other.coeffs))
-        return Poly.make([x + y for x, y in zip(a, b)])
+        a, da = _clear(self.coeffs)
+        b, db = _clear(other.coeffs)
+        den = math.lcm(da, db)
+        ua, ub = den // da, den // db
+        if len(a) < len(b):
+            a, b, ua, ub = b, a, ub, ua
+        out = [x * ua for x in a]
+        for i, y in enumerate(b):
+            out[i] += y * ub
+        while out and out[-1] == 0:
+            out.pop()
+        return _from_ints(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly(tuple([-c for c in self.coeffs]))
 
     def __sub__(self, other) -> Poly:
         return self + (-_as_poly(other))
@@ -69,15 +171,9 @@ class Poly:
 
     def __mul__(self, other) -> Poly:
         other = _as_poly(other)
-        if self.is_zero() or other.is_zero():
-            return Poly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly.make(out)
+        a, da = _clear(self.coeffs)
+        b, db = _clear(other.coeffs)
+        return _from_ints(_conv(a, b), da * db)
 
     __rmul__ = __mul__
 
@@ -87,30 +183,17 @@ class Poly:
     def divmod(self, other: Poly) -> tuple[Poly, Poly]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
-        rem = list(self.coeffs)
-        dlead = other.leading()
-        dn = len(other.coeffs)
-        while len(rem) >= dn:
-            c = rem[-1] / dlead
-            k = len(rem) - dn
-            q[k] = c
-            for i, b in enumerate(other.coeffs):
-                rem[k + i] -= c * b
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if not rem:
-                break
-        return Poly.make(q), Poly.make(rem)
+        a, da = _clear(self.coeffs)
+        b, db = _clear(other.coeffs)
+        # self = a/da and other = b/db, so m*a = q*b + r gives
+        # self = (q*db/(m*da)) * other + r/(m*da).
+        m, q, r = _pdiv(a, b)
+        return _from_ints([c * db for c in q], m * da), _from_ints(r, m * da)
 
     def gcd(self, other: Poly) -> Poly:
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        if a.is_zero():
-            return a
-        lead_inv = 1 / a.leading()
-        return Poly.make([c * lead_inv for c in a.coeffs])
+        """Monic greatest common divisor; zero only for two zeros."""
+        g = _int_gcd(_clear(self.coeffs)[0], _clear(other.coeffs)[0])
+        return _from_ints(g, g[-1]) if g else Poly(())
 
     def derivative(self) -> Poly:
         return Poly.make([k * c for k, c in enumerate(self.coeffs)][1:])
@@ -169,13 +252,20 @@ class RatFunc:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
             return RatFunc(Poly(()), Poly.make([1]))
-        g = num.gcd(den)
-        if g.degree() > 0:
-            num = num.divmod(g)[0]
-            den = den.divmod(g)[0]
-        lead_inv = 1 / den.leading()
-        num = Poly.make([c * lead_inv for c in num.coeffs])
-        den = Poly.make([c * lead_inv for c in den.coeffs])
+        if num.degree() > 0 and den.degree() > 0:
+            g = num.gcd(den)
+            if g.degree() > 0:
+                num = num.divmod(g)[0]
+                den = den.divmod(g)[0]
+        return RatFunc._monic(num, den)
+
+    @staticmethod
+    def _monic(num: Poly, den: Poly) -> RatFunc:
+        """num/den for a coprime pair, scaled to a monic denominator."""
+        lead = den.leading()
+        if lead != 1:
+            num = Poly(tuple([c / lead for c in num.coeffs]))
+            den = Poly(tuple([c / lead for c in den.coeffs]))
         return RatFunc(num, den)
 
     @staticmethod
@@ -230,9 +320,14 @@ class RatFunc:
         return _as_ratfunc(other) / self
 
     def __pow__(self, n: int) -> RatFunc:
+        # Powers of a coprime pair stay coprime, and a power of a monic
+        # denominator is monic, so no gcd is needed.
+        base = self
         if n < 0:
-            return (RatFunc.const(1) / self) ** (-n)
-        return RatFunc.make(self.num**n, self.den**n)
+            if self.is_zero():
+                raise ZeroDivisionError("division by the zero rational function")
+            base, n = RatFunc._monic(self.den, self.num), -n
+        return RatFunc(base.num**n, base.den**n)
 
     def derivative(self) -> RatFunc:
         return RatFunc.make(

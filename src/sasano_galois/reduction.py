@@ -44,7 +44,7 @@ from .diffsys import (
     mat_mul,
     system_numeric,
 )
-from .exprparse import chain_symbols, parse_puiseux
+from .exprparse import ExprError, chain_symbols, parse_puiseux
 from .puiseux import PuiseuxPoly
 
 
@@ -72,10 +72,13 @@ def fixture_system(stage: dict, constants: ChainConstants) -> DiffSystem:
     resolver = chain_symbols(constants)
     var = stage["var"]
     pref = PuiseuxPoly.monomial(constants.tower, 1, Fraction(stage["prefactor"]))
-    rows = tuple(
-        tuple(parse_puiseux(text, constants.tower, var, resolver) * pref for text in row)
-        for row in stage["rows"]
-    )
+    try:
+        rows = tuple(
+            tuple(parse_puiseux(text, constants.tower, var, resolver) * pref for text in row)
+            for row in stage["rows"]
+        )
+    except ExprError as exc:
+        raise ReductionError(f"fixture stage {stage['name']}: {exc}") from exc
     return DiffSystem(var, rows)
 
 
@@ -85,8 +88,10 @@ def fixture_constant_matrix(rows: list[list[str]], constants: ChainConstants) ->
     for row in rows:
         parsed = []
         for text in row:
-            p = parse_puiseux(text, constants.tower, "t", resolver)
-            parsed.append(p.constant_value())
+            try:
+                parsed.append(parse_puiseux(text, constants.tower, "t", resolver).constant_value())
+            except (ExprError, TowerError) as exc:
+                raise ReductionError(f"fixture constant {text!r}: {exc}") from exc
         out.append(tuple(parsed))
     return tuple(out)
 

@@ -119,26 +119,73 @@ class PolyExpr:
             out = out + term
         return out
 
+    def eval_scaled(self, values: CommonDenominator) -> tuple[Poly, Poly]:
+        """Evaluate over a common denominator L, unreduced: (N, L^k) with
+        value N / L^k, where k is the largest weight of a term."""
+        terms = []
+        for e, c in self.terms:
+            prod, weight = Poly.const(c), 0
+            for k, exp in enumerate(e):
+                if exp:
+                    num, w = values.power(VARS[k], exp)
+                    prod, weight = prod * num, weight + w
+            terms.append((prod, weight))
+        top = max((w for _, w in terms), default=0)
+        total = Poly(())
+        for prod, weight in terms:
+            total = total + (prod if weight == top else prod * values.den_power(top - weight))
+        return total, values.den_power(top)
+
     def eval_rat(self, assign: Mapping[str, RatFunc]) -> RatFunc:
         """Evaluate with rational-function values for every present symbol."""
-        total = RatFunc.const(0)
-        for e, c in self.terms:
-            val = RatFunc.const(c)
-            for k, exp in enumerate(e):
-                if exp == 0:
-                    continue
-                name = VARS[k]
-                if name not in assign:
-                    raise ValueError(f"no value supplied for symbol {name!r}")
-                val = val * assign[name] ** exp
-            total = total + val
-        return total
+        return RatFunc.make(*self.eval_scaled(CommonDenominator(assign)))
 
     def render(self) -> str:
         return join_signed(
             (c, "*".join(VARS[k] if exp == 1 else f"{VARS[k]}^{exp}" for k, exp in enumerate(e) if exp))
             for e, c in self.terms
         )
+
+
+class CommonDenominator:
+    """Rational-function values of some symbols over one common denominator.
+
+    L is the monic lcm of the values' denominators.  A polynomial value p
+    is kept as p with weight 0, any other value n/d as its scaled
+    numerator n*(L/d) with weight 1, so a product of values of total
+    weight k is (product of kept numerators) / L^k.  Powers of kept
+    numerators and of L are cached and shared by every expression
+    evaluated over the same values.
+    """
+
+    def __init__(self, values: Mapping[str, RatFunc]):
+        den = Poly.const(1)
+        for v in values.values():
+            if v.den.degree() > 0:
+                den = v.den if den.degree() == 0 else den * v.den.divmod(den.gcd(v.den))[0]
+        self.den = den
+        self._powers: dict[tuple[str, int], tuple[Poly, int]] = {}
+        for name, v in values.items():
+            if v.den.degree() > 0:
+                self._powers[name, 1] = (v.num * den.divmod(v.den)[0], 1)
+            else:
+                self._powers[name, 1] = (v.num, 0)
+        self._den_powers = [Poly.const(1), den]
+
+    def power(self, name: str, exp: int) -> tuple[Poly, int]:
+        """(kept numerator of ``name``)^exp and its weight."""
+        out = self._powers.get((name, exp))
+        if out is None:
+            base = self._powers.get((name, 1))
+            if base is None:
+                raise ValueError(f"no value supplied for symbol {name!r}")
+            out = self._powers[name, exp] = (base[0] ** exp, base[1] * exp)
+        return out
+
+    def den_power(self, k: int) -> Poly:
+        while len(self._den_powers) <= k:
+            self._den_powers.append(self._den_powers[-1] * self.den)
+        return self._den_powers[k]
 
 
 def _as_polyexpr(x) -> PolyExpr:
@@ -151,6 +198,7 @@ def _v(name: str) -> PolyExpr:
     return PolyExpr.var(name)
 
 
+@functools.cache
 def hamiltonian() -> PolyExpr:
     """The time-dependent Hamiltonian in the phase variables and parameters."""
     x, y, z, w, t = _v("x"), _v("y"), _v("z"), _v("w"), _v("t")
@@ -246,29 +294,57 @@ def seed_solution() -> tuple[dict[str, RatFunc], tuple[Fraction, Fraction, Fract
     return sol, params
 
 
-def solution_energy(sol: Mapping[str, RatFunc], params: Sequence) -> RatFunc:
-    """-H along the solution; the F component of a zero-energy lift."""
-    a0, a1, a2 = check_params(params)
-    assign = dict(sol)
-    assign["t"] = RatFunc.variable()
-    assign["a0"] = RatFunc.const(a0)
-    assign["a1"] = RatFunc.const(a1)
-    assign["a2"] = RatFunc.const(a2)
-    return -hamiltonian().eval_rat(assign)
+def scale_solution(sol: Mapping[str, RatFunc], params: Sequence) -> CommonDenominator:
+    """The solution, t and the parameters over one common denominator.
+
+    These are all the symbols the Hamiltonian and the symbolic equations
+    of motion read, so one instance serves both :func:`solution_energy`
+    and :func:`verify_solution` and nothing is substituted.
+    """
+    values = {name: sol[name] for name in ("x", "y", "z", "w")}
+    values["t"] = RatFunc.variable()
+    for name, a in zip(("a0", "a1", "a2"), check_params(params)):
+        values[name] = RatFunc.const(a)
+    return CommonDenominator(values)
 
 
-def verify_solution(sol: Mapping[str, RatFunc], params: Sequence) -> None:
-    """Check d(sol)/dt equals the field along sol, exactly; raise on failure."""
-    field = build_extended_system(params)
-    assign = {name: sol[name] for name in ("x", "y", "z", "w", "F")}
-    assign["t"] = RatFunc.variable()
+def solution_energy(
+    sol: Mapping[str, RatFunc], params: Sequence, values: CommonDenominator | None = None
+) -> RatFunc:
+    """-H along the solution; the F component of a zero-energy lift.
+
+    ``values`` may pass in ``scale_solution(sol, params)`` when it is
+    already at hand.
+    """
+    if values is None:
+        values = scale_solution(sol, params)
+    num, den = hamiltonian().eval_scaled(values)
+    return RatFunc.make(-num, den)
+
+
+def verify_solution(
+    sol: Mapping[str, RatFunc], params: Sequence, values: CommonDenominator | None = None
+) -> None:
+    """Check d(sol)/dt equals the field along sol, exactly; raise on failure.
+
+    Each equation is checked without a gcd.  With sol[name] = n/d the
+    derivative is (n'd - nd')/d^2, and the field row evaluates to N/L^k
+    over the common denominator L of ``values`` (``scale_solution(sol,
+    params)`` unless passed in).  Both denominators are nonzero
+    polynomials, so the two fractions are equal in Q(t) exactly when
+    (n'd - nd') L^k = N d^2 in Q[t]; that polynomial identity is compared
+    coefficient by coefficient in exact rationals.
+    """
+    if values is None:
+        values = scale_solution(sol, params)
+    field = build_extended_system()
     bad = []
     for idx, name in enumerate(PHASE_VARS):
         if name == "t":
             continue
-        lhs = sol[name].derivative()
-        rhs = field[idx].eval_rat(assign)
-        if lhs != rhs:
+        num, den = field[idx].eval_scaled(values)
+        n, d = sol[name].num, sol[name].den
+        if (n.derivative() * d - n * d.derivative()) * den != num * (d * d):
             bad.append(name)
     if bad:
         raise ValueError(f"not a solution: equations fail for {', '.join(bad)}")

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 from .diffsys import mat_mul
 from .ratfunc import RatFunc
-from .sasano import check_params, solution_energy, verify_solution
+from .sasano import check_params, scale_solution, solution_energy, verify_solution
 
 GENERATORS = ("s0", "s1", "s2")
 
@@ -114,10 +114,11 @@ class SolutionState:
     @staticmethod
     def make(x: RatFunc, y: RatFunc, z: RatFunc, w: RatFunc, params: ParamTriple) -> SolutionState:
         sol = {"x": x, "y": y, "z": z, "w": w}
-        f = solution_energy(sol, params.as_tuple())
+        values = scale_solution(sol, params.as_tuple())
+        f = solution_energy(sol, params.as_tuple(), values)
         sol["F"] = f
         try:
-            verify_solution(sol, params.as_tuple())
+            verify_solution(sol, params.as_tuple(), values)
         except ValueError as exc:
             raise WeylError(str(exc)) from exc
         return SolutionState(x, y, z, w, f, params)

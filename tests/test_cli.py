@@ -158,10 +158,20 @@ GOLDEN = (
             "orbit_summary.md": "60a9f62d1ba62f572b0629783bfb6751f7c5c0578373be5f54f58df6817308df",
         },
     ),
+    (
+        ("orbit", "--depth", "6", "--check-matsuda"),
+        {
+            "orbit.jsonl": "a0f3d65c6ea71375e6ded69f71e26d7b42d48d6504198b0f9444494b83e489e6",
+            "orbit_summary.json": "72e3f947670e6ed6720d3216d13d87cbc4ca06db66d3d523b7fc3f4e0bc1d231",
+            "orbit_summary.md": "c1dc9a276339f326e273d9e7e3e83a30f5a3544cad43fb488f98e7ba8db88a13",
+        },
+    ),
 )
 
 
-@pytest.mark.parametrize("argv, digests", GOLDEN, ids=["prove", "prove-wasow", "orbit-depth-2"])
+@pytest.mark.parametrize(
+    "argv, digests", GOLDEN, ids=["prove", "prove-wasow", "orbit-depth-2", "orbit-depth-6"]
+)
 def test_reports_match_golden_digests(tmp_path, argv, digests):
     assert run(tmp_path, *argv) == 0
     got = {
@@ -180,6 +190,17 @@ def test_corrupt_gauge_inverse_gives_fail_section(tmp_path, monkeypatch):
     last = data["sections"][-1]
     assert (last["name"], last["status"]) == ("reduction trace", "fail")
     assert "leading_nilpotent" in last["steps"][0]["values"]["error"]
+
+
+def test_unparsable_gauge_fixture_gives_fail_section(tmp_path, monkeypatch):
+    fixtures = copy.deepcopy(reduction.load_fixtures())
+    fixtures["gauges"]["t2"][0][0] = "1/(t+1)"
+    monkeypatch.setattr(reduction, "load_fixtures", lambda: fixtures)
+    assert run(tmp_path, "prove") == 1
+    data = read_json(tmp_path, "proof")
+    last = data["sections"][-1]
+    assert (last["name"], last["status"]) == ("reduction trace", "fail")
+    assert "1/(t+1)" in last["steps"][0]["values"]["error"]
 
 
 def test_precision_guard(tmp_path):

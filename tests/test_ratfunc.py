@@ -77,6 +77,21 @@ class TestRatFunc:
         f = T**-2
         assert f == RatFunc.make(1, Poly.make([0, 0, 1]))
 
+    def test_power_needs_no_reduction(self):
+        rng = random.Random(4242)
+        for _ in range(40):
+            f = rand_ratfunc(rng)
+            for n in range(-4, 5):
+                if n < 0 and f.is_zero():
+                    with pytest.raises(ZeroDivisionError):
+                        f**n
+                    continue
+                if n >= 0:
+                    expect = RatFunc.make(f.num**n, f.den**n)
+                else:
+                    expect = RatFunc.make(f.den**-n, f.num**-n)
+                assert f**n == expect
+
     def test_hashable(self):
         a = RatFunc.make(Poly.make([-1, 0, 1]), Poly.make([-1, 1]))
         b = RatFunc.make(Poly.make([1, 1]))
@@ -113,3 +128,63 @@ class TestParser:
         f = parse_ratfunc("(t^2 + 1)/(t - 1)")
         again = parse_ratfunc(f.render())
         assert f == again
+
+
+class TestSympyOracle:
+    """The integer kernels against sympy over QQ, on random polynomials up
+    to degree 20 with coefficients of up to 17-bit numerator and denominator."""
+
+    @staticmethod
+    def rand_poly(rng, deg):
+        bound = 1 << 17
+        return Poly.make([Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(deg + 1)])
+
+    @staticmethod
+    def to_sympy(p):
+        sp = pytest.importorskip("sympy")
+        return sp.Poly(list(reversed(p.coeffs)) or [0], sp.Symbol("t"), domain="QQ")
+
+    @staticmethod
+    def from_sympy(p):
+        return Poly.make([Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())])
+
+    def pairs(self, seed, count=25):
+        """Random pairs sharing a random common factor, plus edge cases."""
+        rng = random.Random(seed)
+        out = [(Poly.make([3]), self.rand_poly(rng, 4)), (Poly(()), self.rand_poly(rng, 3))]
+        for _ in range(count):
+            common = self.rand_poly(rng, rng.randint(0, 6))
+            a = self.rand_poly(rng, rng.randint(0, 14)) * common
+            b = self.rand_poly(rng, rng.randint(0, 14)) * common
+            out.append((a, b))
+        return out
+
+    def test_mul(self):
+        for a, b in self.pairs(11):
+            assert a * b == self.from_sympy(self.to_sympy(a) * self.to_sympy(b))
+
+    def test_divmod(self):
+        sp = pytest.importorskip("sympy")
+        for a, b in self.pairs(12):
+            if b.is_zero():
+                continue
+            q, r = sp.div(self.to_sympy(a), self.to_sympy(b))
+            assert a.divmod(b) == (self.from_sympy(q), self.from_sympy(r))
+
+    def test_gcd(self):
+        sp = pytest.importorskip("sympy")
+        for a, b in self.pairs(13):
+            g = sp.gcd(self.to_sympy(a), self.to_sympy(b))
+            assert a.gcd(b) == self.from_sympy(g.monic() if not g.is_zero else g)
+
+    def test_ratfunc_make(self):
+        sp = pytest.importorskip("sympy")
+        for a, b in self.pairs(14):
+            if b.is_zero():
+                continue
+            sa, sb = self.to_sympy(a), self.to_sympy(b)
+            g = sp.gcd(sa, sb)
+            num, den = sp.div(sa, g)[0], sp.div(sb, g)[0]
+            lead = den.LC()
+            f = RatFunc.make(a, b)
+            assert (f.num, f.den) == (self.from_sympy(num.quo_ground(lead)), self.from_sympy(den.monic()))

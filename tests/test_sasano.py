@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from sasano_galois.algnum import TowerError
 from sasano_galois.puiseux import PuiseuxPoly
 from sasano_galois.exprparse import parse_ratfunc
-from sasano_galois.ratfunc import RatFunc
+from sasano_galois.ratfunc import Poly, RatFunc
 from sasano_galois.sasano import (
+    VARS,
     PolyExpr,
     build_extended_system,
     check_params,
@@ -22,6 +24,7 @@ from sasano_galois.sasano import (
     variational_matrix,
     verify_solution,
 )
+from sasano_galois.weyl import enumerate_orbit
 
 V = PolyExpr.var
 
@@ -206,3 +209,57 @@ class TestLaurentConversion:
         f = parse_ratfunc("1/(t - 1)")
         with pytest.raises(TowerError):
             ratfunc_to_puiseux(f, tower)
+
+
+def depth_two_states():
+    return [node.state for node in enumerate_orbit(depth=2).nodes]
+
+
+def per_term_value(expr, assign):
+    """Reference evaluation: one reduced RatFunc product per term, summed."""
+    total = RatFunc.const(0)
+    for exps, c in expr.terms:
+        val = RatFunc.const(c)
+        for k, exp in enumerate(exps):
+            if exp:
+                val = val * assign[VARS[k]] ** exp
+        total = total + val
+    return total
+
+
+class TestCommonDenominator:
+    def test_eval_rat_matches_per_term_products(self):
+        for state in depth_two_states():
+            params = state.params.as_tuple()
+            assign = dict(state.as_solution(), t=RatFunc.variable())
+            assign.update(zip(("a0", "a1", "a2"), map(RatFunc.const, params)))
+            exprs = [hamiltonian(), *build_extended_system(), *build_extended_system(params)]
+            exprs += [f.diff(name) for f in build_extended_system(params) for name in ("x", "y", "z", "w")]
+            for expr in exprs:
+                assert expr.eval_rat(assign) == per_term_value(expr, assign)
+            assert solution_energy(state.as_solution(), params) == -per_term_value(hamiltonian(), assign)
+            assert state.f == -per_term_value(hamiltonian(), assign)
+
+    @pytest.mark.parametrize("kind", ["pole", "coefficient"])
+    def test_verify_rejects_perturbed_states(self, kind):
+        rng = random.Random(2718)
+        shift = RatFunc.make(1, Poly.make([-3, 1]))  # 1/(t - 3)
+        for state in depth_two_states():
+            sol, params = state.as_solution(), state.params.as_tuple()
+            verify_solution(sol, params)
+            for name, value in sol.items():
+                if kind == "pole":
+                    wrong = value + shift
+                else:
+                    # F enters the field only through F', so a constant
+                    # shift of F is still a solution (checked below); the
+                    # perturbed coefficient must move F by a nonconstant.
+                    size = max(len(value.num.coeffs), 1)
+                    k = rng.choice([
+                        k for k in range(size)
+                        if name != "F" or not RatFunc.make(Poly.make([0] * k + [1]), value.den).is_constant()
+                    ])
+                    wrong = value + RatFunc.make(Poly.make([0] * k + [rng.choice((1, -1))]), value.den)
+                with pytest.raises(ValueError, match="not a solution"):
+                    verify_solution(dict(sol, **{name: wrong}), params)
+            verify_solution(dict(sol, F=sol["F"] + 1), params)
