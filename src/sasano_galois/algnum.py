@@ -1,4 +1,4 @@
-"""Exact arithmetic in a fixed tower of algebraic field extensions.
+"""Exact arithmetic in a fixed tower of binomial field extensions.
 
 Every number that appears in the verification pipeline lives in one of two
 explicit towers over the rationals:
@@ -9,13 +9,15 @@ explicit towers over the rationals:
 * an alternate tower  Q(d)(s)(i)(b)  with  d^7 = 1/4,  s^2 = 5, used by the
   Wasow-style time normalization; total degree 56.
 
-Elements are dense nested coefficient vectors of exact rationals with
-respect to the tower basis, reduced canonically modulo the defining
-polynomials, so equality of values is equality of representations.  No
-general number-field machinery is attempted here: irreducibility of the
-defining polynomials is asserted by the fixed tower data (and was checked
-by hand); a numeric startup self-check guards against accidental
-degeneracies that would corrupt equality testing.
+Every level is a binomial  x^d = c  over the level below it, and every
+level above the rational base is quadratic.  An element is stored sparsely,
+as its nonzero coordinates in the tower basis  prod gen_j^e_j  (0 <= e_j <
+d_j): a sorted tuple of (exponent tuple, Fraction) pairs.  A product folds
+each exponent overflow through  gen_j^d_j = c_j,  so every value is reduced
+canonically and equality of values is equality of representations -- given
+that each defining binomial is irreducible.  That is not certified in code:
+the only guard that runs is the numeric ``TowerSpec.self_check``.  The dense
+nested coefficient layout survives only in the JSON encoding.
 
 Numbers are immutable and safe to share between threads.
 """
@@ -23,8 +25,10 @@ Numbers are immutable and safe to share between threads.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add as _add
 
 import mpmath
 from mpmath import mp
@@ -34,8 +38,12 @@ class TowerError(ValueError):
     """Raised for structurally invalid tower operations."""
 
 
-# A value is a Fraction at level -1 and a tuple of lower-level values at
-# level k >= 0.  Values are always full-length and canonically reduced.
+# A value is a sorted tuple of (exponent tuple, nonzero Fraction) pairs with
+# one exponent per level of its tower; () is zero.  The coefficients of a
+# level's defining polynomial are values of the tower below it, so over Q
+# they are () or ((), q).
+
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -43,9 +51,9 @@ class TowerLevel:
     """One extension step: a monic defining polynomial and a root choice.
 
     ``poly`` holds the coefficients of x^0 .. x^(deg-1) as values of the
-    *previous* level (the leading coefficient 1 is implicit).  ``approx``
-    is a decimal isolating approximation of the chosen root, used only to
-    seed numeric root polishing and branch selection.
+    *previous* level (the leading coefficient 1 is implicit); a tower
+    accepts only binomials x^deg - c.  ``approx`` is a decimal isolating
+    approximation of the chosen root, used for branch selection.
     """
 
     name: str
@@ -55,7 +63,7 @@ class TowerLevel:
 
 
 class TowerSpec:
-    """A fixed tower of field extensions of Q.
+    """A fixed tower of binomial field extensions of Q.
 
     The tower object owns all value-level arithmetic; ``AlgNum`` is a thin
     immutable wrapper.  Instances are meant to be process-wide singletons;
@@ -67,175 +75,108 @@ class TowerSpec:
             raise TowerError("tower needs at least one level")
         self.levels = tuple(levels)
         self.degrees = tuple(lv.degree for lv in levels)
-        self.dimension = 1
-        for d in self.degrees:
-            self.dimension *= d
-        self.top = len(levels) - 1
+        n = len(levels)
+        self._unit = (0,) * n
+        self._rel = []  # gen_j^d_j as a value of this tower
+        for j, lv in enumerate(self.levels):
+            if lv.degree < 1 or len(lv.poly) != lv.degree or not lv.poly[0] or any(lv.poly[1:]):
+                raise TowerError(f"level {lv.name!r} is not a binomial x^{lv.degree} = c with c != 0")
+            if j and lv.degree != 2:
+                raise TowerError(f"level {lv.name!r} above the rational base must be quadratic")
+            pad = (0,) * (n - j)
+            self._rel.append(tuple([(e + pad, -q) for e, q in lv.poly[0]]))
+        # Raw exponent sum -> reduced value; two threads filling one key store equal values.
+        self._fold: dict[tuple[int, ...], tuple] = {}
         self._root_cache: dict[int, list] = {}
+        self._monomials: dict[tuple, mpmath.mpc] = {}
         self._checked = False
 
     # -- construction of values ------------------------------------------
 
-    def zero_value(self, lvl: int):
-        if lvl < 0:
-            return Fraction(0)
-        z = self.zero_value(lvl - 1)
-        return tuple(z for _ in range(self.degrees[lvl]))
+    def rat_value(self, q: Fraction):
+        return ((self._unit, q),) if q else ()
 
-    def rat_value(self, lvl: int, q: Fraction):
-        if lvl < 0:
-            return q
-        lower = self.rat_value(lvl - 1, q)
-        zero = self.zero_value(lvl - 1)
-        return tuple(lower if k == 0 else zero for k in range(self.degrees[lvl]))
-
-    def monomial_value(self, exps: tuple[int, ...], coeff: Fraction = Fraction(1)):
+    def monomial_value(self, exps: tuple[int, ...], coeff: Fraction = _ONE):
         """Value of coeff * prod(gen_j ** exps[j]); each exps[j] < degree_j."""
-        v = coeff
-        for lvl, e in enumerate(exps):
-            d = self.degrees[lvl]
+        if len(exps) != len(self.degrees):
+            raise TowerError(f"monomial needs {len(self.degrees)} exponents, got {len(exps)}")
+        for lvl, (e, d) in enumerate(zip(exps, self.degrees)):
             if not 0 <= e < d:
                 raise TowerError(f"monomial exponent {e} out of range at level {lvl}")
-            zero = self.zero_value(lvl - 1)
-            v = tuple(v if k == e else zero for k in range(d))
-        return v
+        coeff = Fraction(coeff)
+        return ((tuple(exps), coeff),) if coeff else ()
 
     # -- ring operations ---------------------------------------------------
 
-    def is_zero(self, lvl: int, v) -> bool:
-        if lvl < 0:
-            return v == 0
-        return all(self.is_zero(lvl - 1, c) for c in v)
+    def add(self, a, b):
+        if not a:
+            return b
+        if not b:
+            return a
+        acc = dict(a)
+        for e, q in b:
+            acc[e] = acc[e] + q if e in acc else q
+        return _collect(acc)
 
-    def add(self, lvl: int, a, b):
-        if lvl < 0:
-            return a + b
-        return tuple(self.add(lvl - 1, x, y) for x, y in zip(a, b))
+    def neg(self, a):
+        return tuple([(e, -q) for e, q in a])
 
-    def neg(self, lvl: int, a):
-        if lvl < 0:
-            return -a
-        return tuple(self.neg(lvl - 1, x) for x in a)
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
 
-    def sub(self, lvl: int, a, b):
-        if lvl < 0:
-            return a - b
-        return tuple(self.sub(lvl - 1, x, y) for x, y in zip(a, b))
+    def rat_scale(self, q: Fraction, a):
+        return tuple([(e, q * c) for e, c in a]) if q else ()
 
-    def mul(self, lvl: int, a, b):
-        if lvl < 0:
-            return a * b
-        return self._reduce(lvl, self._pmul(lvl - 1, a, b))
+    def mul(self, a, b):
+        if not a or not b:
+            return ()
+        fold = self._fold
+        acc: dict = {}
+        for ea, qa in a:
+            for eb, qb in b:
+                key = tuple(map(_add, ea, eb))
+                q = qa * qb
+                for e, c in fold.get(key) or self._fold_monomial(key):
+                    t = q * c
+                    acc[e] = acc[e] + t if e in acc else t
+        return _collect(acc)
 
-    def _reduce(self, lvl: int, acc: list):
-        # fold x^e for e >= d via x^d = -(p_0 + p_1 x + ... + p_{d-1} x^{d-1})
-        d = self.degrees[lvl]
-        poly = self.levels[lvl].poly
-        for e in range(len(acc) - 1, d - 1, -1):
-            c = acc[e]
-            if self.is_zero(lvl - 1, c):
-                continue
-            base = e - d
-            for j, pj in enumerate(poly):
-                if self.is_zero(lvl - 1, pj):
-                    continue
-                acc[base + j] = self.sub(lvl - 1, acc[base + j], self.mul(lvl - 1, pj, c))
-            acc[e] = self.zero_value(lvl - 1)
-        return tuple(acc[:d])
+    def _fold_monomial(self, key: tuple[int, ...]):
+        """prod gen_j^key[j] with every exponent below its degree (cached)."""
+        for j in reversed(range(len(key))):
+            d = self.degrees[j]
+            if key[j] >= d:
+                low = key[:j] + (key[j] - d,) + key[j + 1 :]
+                folded = self.mul(((low, _ONE),), self._rel[j])
+                break
+        else:
+            folded = ((key, _ONE),)
+        self._fold[key] = folded
+        return folded
 
-    def rat_scale(self, lvl: int, q: Fraction, a):
-        if lvl < 0:
-            return q * a
-        return tuple(self.rat_scale(lvl - 1, q, c) for c in a)
+    def inv(self, a):
+        """Multiplicative inverse.
 
-    def inv(self, lvl: int, a):
-        """Multiplicative inverse via extended Euclid over the sublevel."""
-        if lvl < 0:
-            if a == 0:
-                raise ZeroDivisionError("division by zero in tower field")
-            return Fraction(1) / a
-        if self.is_zero(lvl, a):
+        On each quadratic level, a = a0 + a1*x has the inverse
+        (a0 - a1*x) / N with the norm N = a0^2 - c*a1^2 one level down;
+        the rational base level runs extended Euclid over Q.
+        """
+        if not a:
             raise ZeroDivisionError("division by zero in tower field")
-        sub = lvl - 1
-        one = self.rat_value(sub, Fraction(1)) if sub >= 0 else Fraction(1)
-        zero = self.zero_value(sub)
-
-        def trim(p):
-            p = list(p)
-            while p and self.is_zero(sub, p[-1]):
-                p.pop()
-            return p
-
-        def pmulc(p, c):
-            return [self.mul(sub, x, c) for x in p]
-
-        def psub(p, q):
-            n = max(len(p), len(q))
-            p = p + [zero] * (n - len(p))
-            q = q + [zero] * (n - len(q))
-            return trim([self.sub(sub, x, y) for x, y in zip(p, q)])
-
-        def pdivmod(num, den):
-            num = list(num)
-            dl = len(den) - 1
-            lead_inv = self.inv(sub, den[-1])
-            quot = [zero] * max(0, len(num) - dl)
-            while len(num) - 1 >= dl and num:
-                shift = len(num) - 1 - dl
-                factor = self.mul(sub, num[-1], lead_inv)
-                quot[shift] = factor
-                for j, dj in enumerate(den):
-                    num[shift + j] = self.sub(sub, num[shift + j], self.mul(sub, dj, factor))
-                num = trim(num)
-                if not num:
-                    break
-            return trim(quot), trim(num)
-
-        modulus = list(self.levels[lvl].poly) + [one]
-        r0, r1 = modulus, trim(a)
-        t0, t1 = [], [one]
-        while len(r1) > 1:
-            q, r = pdivmod(r0, r1)
-            r0, r1 = r1, r
-            qt1 = trim(self._pmul(sub, q, t1))
-            t0, t1 = t1, psub(t0, qt1)
-        if not r1:
-            raise TowerError("zero divisor encountered; tower data is corrupt")
-        c_inv = self.inv(sub, r1[0])
-        inv_poly = pmulc(t1, c_inv)
-        if len(inv_poly) < self.degrees[lvl]:
-            inv_poly = inv_poly + [zero] * (self.degrees[lvl] - len(inv_poly))
-        return self._reduce(lvl, list(inv_poly))
-
-    def _pmul(self, sub: int, p: list, q: list) -> list:
-        zero = self.zero_value(sub)
-        if not p or not q:
-            return []
-        acc = [zero] * (len(p) + len(q) - 1)
-        for i, ci in enumerate(p):
-            if self.is_zero(sub, ci):
-                continue
-            for j, cj in enumerate(q):
-                if self.is_zero(sub, cj):
-                    continue
-                acc[i + j] = self.add(sub, acc[i + j], self.mul(sub, ci, cj))
-        return acc
-
-    # -- coordinates -------------------------------------------------------
-
-    def coords(self, v) -> dict[tuple[int, ...], Fraction]:
-        """Nonzero coordinates of a top-level value, keyed by exponent tuple."""
-        out: dict[tuple[int, ...], Fraction] = {}
-
-        def walk(lvl: int, val, exps: tuple[int, ...]):
-            if lvl < 0:
-                if val != 0:
-                    out[exps] = val
-                return
-            for e, c in enumerate(val):
-                walk(lvl - 1, c, (e,) + exps)
-
-        walk(self.top, v, ())
+        conjugates = []
+        for lvl in reversed(range(1, len(self.levels))):
+            if any(e[lvl] for e, _ in a):
+                conj = tuple([(e, -q) if e[lvl] else (e, q) for e, q in a])
+                conjugates.append(conj)
+                a = self.mul(a, conj)
+        d, c = self.degrees[0], self._rel[0][0][1]
+        p = [Fraction(0)] * d
+        for e, q in a:
+            p[e[0]] = q
+        rest = self._unit[1:]
+        out = tuple([((k,) + rest, q) for k, q in enumerate(_inv_mod_binomial(p, d, c)) if q])
+        for conj in conjugates:
+            out = self.mul(out, conj)
         return out
 
     def basis_exponents(self):
@@ -243,84 +184,64 @@ class TowerSpec:
 
     # -- numerics ----------------------------------------------------------
 
+    def _level_roots(self, lvl: int, below: list):
+        """Every root of level ``lvl``'s binomial over the chosen roots ``below``, and its seed."""
+        level = self.levels[lvl]
+        c = _evaluate(self._rel[lvl], below)
+        seed = mpmath.mpc(mpmath.mpf(level.approx[0]), mpmath.mpf(level.approx[1]))
+        return [mpmath.root(c, level.degree, k) for k in range(level.degree)], seed
+
     def roots(self, dps: int) -> list:
-        """Polished numeric roots of every level at the given precision."""
-        cached = self._root_cache.get(dps)
-        if cached is not None:
-            return cached
-        with mp.workdps(dps + 15):
-            roots: list = []
-            for lvl, level in enumerate(self.levels):
-                coeffs = [self._eval_numeric(lvl - 1, c, roots) for c in level.poly]
-                coeffs = coeffs + [mpmath.mpc(1)]
-
-                def f(x, cs=tuple(coeffs)):
-                    acc = mpmath.mpc(0)
-                    for c in reversed(cs):
-                        acc = acc * x + c
-                    return acc
-
-                seed = mpmath.mpc(mpmath.mpf(level.approx[0]), mpmath.mpf(level.approx[1]))
-                root = mpmath.findroot(f, seed)
-                roots.append(root)
-        self._root_cache[dps] = roots
+        """Numeric roots of every level at the given precision."""
+        roots = self._root_cache.get(dps)
+        if roots is None:
+            roots = []
+            with mp.workdps(dps + 15):
+                for lvl in range(len(self.levels)):
+                    cands, seed = self._level_roots(lvl, roots)
+                    roots.append(min(cands, key=lambda r: abs(r - seed)))
+            self._root_cache[dps] = roots
         return roots
-
-    def _eval_numeric(self, lvl: int, v, roots: list):
-        if lvl < 0:
-            return mpmath.mpf(v.numerator) / v.denominator
-        acc = mpmath.mpc(0)
-        for c in reversed(v):
-            acc = acc * roots[lvl] + self._eval_numeric(lvl - 1, c, roots)
-        return acc
 
     def embed_value(self, v, precision: int = 20):
         if precision < 15:
             raise TowerError("numeric embedding needs precision >= 15 digits")
         self.self_check()
         roots = self.roots(precision)
+        cache = self._monomials
         with mp.workdps(precision + 15):
-            return self._eval_numeric(self.top, v, roots)
+            acc = mpmath.mpc(0)
+            for e, q in v:
+                mono = cache.get((precision, e))
+                if mono is None:
+                    mono = cache[(precision, e)] = _evaluate(((e, _ONE),), roots)
+                acc += mpmath.mpf(q.numerator) / q.denominator * mono
+            return acc
 
     def self_check(self) -> None:
         """Numeric guard run once per tower before any embedding.
 
-        Confirms each defining polynomial is squarefree, that the stored
-        approximation isolates exactly one of its roots, and that no root
-        coincides with a lower-level basis monomial (which would signal an
-        accidentally reducible extension and corrupt equality testing).
+        Each binomial x^d - c has c != 0 (checked at construction), so it
+        is squarefree.  This confirms that the stored approximation
+        isolates exactly one of its roots, and that no root coincides with
+        a lower-level basis monomial (which would signal an accidentally
+        reducible extension and corrupt equality testing).  It does not
+        prove irreducibility.
         """
         if self._checked:
             return
-        dps = 40
-        with mp.workdps(dps):
-            roots_so_far: list = []
-            probe_degrees: list[int] = []
+        with mp.workdps(40):
+            below: list = []
             for lvl, level in enumerate(self.levels):
-                coeffs = [self._eval_numeric(lvl - 1, c, roots_so_far) for c in level.poly]
-                coeffs = coeffs + [mpmath.mpc(1)]
-                all_roots = mpmath.polyroots(list(reversed(coeffs)), maxsteps=200, extraprec=80)
-                for ra, rb in itertools.combinations(all_roots, 2):
-                    if abs(ra - rb) < mpmath.mpf("1e-20"):
-                        raise TowerError(f"defining polynomial of level {level.name!r} is not squarefree")
-                seed = mpmath.mpc(mpmath.mpf(level.approx[0]), mpmath.mpf(level.approx[1]))
-                dists = sorted(abs(r - seed) for r in all_roots)
+                cands, seed = self._level_roots(lvl, below)
+                dists = sorted(abs(r - seed) for r in cands)
                 if dists[0] > mpmath.mpf("1e-3") or (len(dists) > 1 and dists[1] < 1000 * (dists[0] + mpmath.mpf("1e-35"))):
                     raise TowerError(f"approximation for level {level.name!r} does not isolate a root")
-                for exps in itertools.product(*(range(d) for d in probe_degrees)):
-                    probe = mpmath.mpc(1)
-                    for j, e in enumerate(exps):
-                        probe *= roots_so_far[j] ** e
-                    for r in all_roots:
-                        if abs(r - probe) < mpmath.mpf("1e-20"):
-                            raise TowerError(
-                                f"root of level {level.name!r} coincides with a lower-level element"
-                            )
-                root = mpmath.findroot(
-                    lambda x, cs=tuple(coeffs): sum(c * x**k for k, c in enumerate(cs)), seed
-                )
-                roots_so_far.append(root)
-                probe_degrees.append(level.degree)
+                for exps in itertools.product(*(range(d) for d in self.degrees[:lvl])):
+                    probe = _evaluate(((exps, _ONE),), below)
+                    if any(abs(r - probe) < mpmath.mpf("1e-20") for r in cands):
+                        raise TowerError(f"root of level {level.name!r} coincides with a lower-level element")
+                below.append(min(cands, key=lambda r: abs(r - seed)))
         self._checked = True
 
     # -- misc ----------------------------------------------------------------
@@ -337,18 +258,66 @@ class TowerSpec:
         return tuple(lv.name for lv in self.levels)
 
 
+def _collect(acc: dict):
+    return tuple(sorted([item for item in acc.items() if item[1]]))
+
+
+def _evaluate(value, roots: list):
+    """Numeric value of a tower value at the given level roots."""
+    acc = mpmath.mpc(0)
+    for e, q in value:
+        term = mpmath.mpf(q.numerator) / q.denominator
+        for r, k in zip(roots, e):
+            if k:
+                term *= r**k
+        acc += term
+    return acc
+
+
+def _trim(p: list) -> list:
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _inv_mod_binomial(p: list, d: int, c: Fraction) -> list:
+    """Coefficients of p^-1 modulo x^d - c over Q, by extended Euclid.
+
+    The invariant s_k * p = r_k (mod x^d - c) holds throughout; the loop
+    stops at a constant remainder, so s_k / r_k is the inverse.
+    """
+    r0, r1 = [-c] + [Fraction(0)] * (d - 1) + [_ONE], _trim(list(p))
+    s0, s1 = [], [_ONE]
+    while len(r1) > 1:
+        rem, quot = list(r0), [Fraction(0)] * (len(r0) - len(r1) + 1)
+        for k in reversed(range(len(quot))):
+            f = quot[k] = rem[k + len(r1) - 1] / r1[-1]
+            for j, y in enumerate(r1):
+                if f and y:
+                    rem[k + j] -= f * y
+        s = s0 + [Fraction(0)] * (len(quot) + len(s1) - 1 - len(s0))
+        for i, x in enumerate(quot):
+            for j, y in enumerate(s1):
+                if x and y:
+                    s[i + j] -= x * y
+        r0, r1, s0, s1 = r1, _trim(rem[: len(r1) - 1]), s1, _trim(s)
+    if not r1:
+        raise TowerError("zero divisor encountered; tower data is corrupt")
+    return [x / r1[0] for x in s1]
+
+
 def base_tower(name: str, degree: int, low_coeffs: list[Fraction], approx: tuple[str, str]) -> TowerSpec:
     """Tower with a single level x^degree + ... defined by rational coefficients."""
     if len(low_coeffs) != degree:
         raise TowerError("need exactly `degree` coefficients (monic leading 1 implicit)")
-    level = TowerLevel(name=name, degree=degree, poly=tuple(Fraction(c) for c in low_coeffs), approx=approx)
-    return TowerSpec((level,))
+    poly = tuple((((), Fraction(c)),) if c else () for c in low_coeffs)
+    return TowerSpec((TowerLevel(name=name, degree=degree, poly=poly, approx=approx),))
 
 
 class AlgNum:
     """An exact element of a fixed extension tower.
 
-    Thin immutable wrapper around a canonical nested coefficient vector.
+    Thin immutable wrapper around a canonical sparse coordinate tuple.
     Arithmetic is exact; ``==`` means equality of numbers.  Mixed
     arithmetic with ``int`` and ``Fraction`` coerces into the tower.
     """
@@ -367,7 +336,7 @@ class AlgNum:
 
     @staticmethod
     def from_rational(tower: TowerSpec, q) -> AlgNum:
-        return AlgNum(tower, tower.rat_value(tower.top, Fraction(q)))
+        return AlgNum(tower, tower.rat_value(Fraction(q)))
 
     @staticmethod
     def generator(tower: TowerSpec, level: int) -> AlgNum:
@@ -386,10 +355,11 @@ class AlgNum:
         return None
 
     def is_zero(self) -> bool:
-        return self.tower.is_zero(self.tower.top, self.value)
+        return not self.value
 
     def coords(self) -> dict[tuple[int, ...], Fraction]:
-        return self.tower.coords(self.value)
+        """Nonzero coordinates, keyed by exponent tuple."""
+        return dict(self.value)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -397,21 +367,18 @@ class AlgNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        t = self.tower
-        return AlgNum(t, t.add(t.top, self.value, o.value))
+        return AlgNum(self.tower, self.tower.add(self.value, o.value))
 
     __radd__ = __add__
 
     def __neg__(self):
-        t = self.tower
-        return AlgNum(t, t.neg(t.top, self.value))
+        return AlgNum(self.tower, self.tower.neg(self.value))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        t = self.tower
-        return AlgNum(t, t.sub(t.top, self.value, o.value))
+        return AlgNum(self.tower, self.tower.sub(self.value, o.value))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -421,19 +388,16 @@ class AlgNum:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            t = self.tower
-            return AlgNum(t, t.rat_scale(t.top, Fraction(other), self.value))
+            return AlgNum(self.tower, self.tower.rat_scale(Fraction(other), self.value))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        t = self.tower
-        return AlgNum(t, t.mul(t.top, self.value, o.value))
+        return AlgNum(self.tower, self.tower.mul(self.value, o.value))
 
     __rmul__ = __mul__
 
     def inverse(self) -> AlgNum:
-        t = self.tower
-        return AlgNum(t, t.inv(t.top, self.value))
+        return AlgNum(self.tower, self.tower.inv(self.value))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -468,7 +432,7 @@ class AlgNum:
         return h
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.value)
 
     # -- presentation --------------------------------------------------------
 
@@ -476,7 +440,7 @@ class AlgNum:
         names = self.tower.names()
         return join_terms(
             (str(q), "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e))
-            for exps, q in sorted(self.coords().items())
+            for exps, q in self.value
         )
 
     def __repr__(self):
@@ -523,12 +487,11 @@ def join_terms(terms) -> str:
 
 def rational_recognize(a: AlgNum) -> Fraction | None:
     """The exact rational value of ``a``, or None if it is irrational."""
-    coords = a.coords()
-    if not coords:
+    v = a.value
+    if not v:
         return Fraction(0)
-    zero_key = tuple(0 for _ in a.tower.degrees)
-    if set(coords) == {zero_key}:
-        return coords[zero_key]
+    if len(v) == 1 and not any(v[0][0]):
+        return v[0][1]
     return None
 
 
@@ -546,8 +509,6 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
 
 
 def _isqrt_exact(n: int) -> int | None:
-    import math
-
     r = math.isqrt(n)
     return r if r * r == n else None
 
@@ -557,9 +518,9 @@ def sqrt_in_tower(a: AlgNum) -> AlgNum:
 
     Searches for a representation sqrt(a) = m * (x + y*m2) where m, m2 are
     tower basis monomials with m2^2 rational and x, y rational.  This covers
-    every radicand the pipeline produces.  Raises TowerError when no such
-    root exists (the caller then knows a tower extension would be needed).
-    The branch is fixed numerically: nonnegative real part, and nonnegative
+    every radicand the pipeline produces.  Raises TowerError when the search
+    finds no such root; that does not show that the tower has none.  The
+    branch is fixed numerically: nonnegative real part, and nonnegative
     imaginary part on the imaginary axis.
     """
     tower = a.tower
@@ -604,7 +565,7 @@ def sqrt_in_tower(a: AlgNum) -> AlgNum:
             cand = m * (AlgNum.from_rational(tower, x) + m2 * y)
             if cand * cand == a:
                 return _principal_branch(cand)
-    raise TowerError(f"no square root of {a} in tower {tower.names()}; an extension would be required")
+    raise TowerError(f"the monomial search found no square root of {a} in tower {tower.names()}")
 
 
 def _principal_branch(root: AlgNum) -> AlgNum:
@@ -618,30 +579,45 @@ def _principal_branch(root: AlgNum) -> AlgNum:
 
 
 # ---------------------------------------------------------------------------
-# JSON encoding: nested arrays of "p/q" strings, outermost index = last
+# JSON encoding: dense nested arrays of "p/q" strings, outermost index = last
 # tower generator; the tower itself serializes alongside.
 
 
-def _value_to_json(lvl: int, v):
-    if lvl < 0:
-        return str(v)
-    return [_value_to_json(lvl - 1, c) for c in v]
+def _to_dense(degrees: tuple[int, ...], value):
+    coords = dict(value)
+
+    def build(lvl: int, suffix: tuple[int, ...]):
+        if lvl < 0:
+            return str(coords.get(suffix, 0))
+        return [build(lvl - 1, (e,) + suffix) for e in range(degrees[lvl])]
+
+    return build(len(degrees) - 1, ())
 
 
-def _value_from_json(tower: TowerSpec, lvl: int, data):
-    if lvl < 0:
-        return Fraction(data)
-    if len(data) != tower.degrees[lvl]:
-        raise TowerError("coefficient vector length does not match tower degree")
-    return tuple(_value_from_json(tower, lvl - 1, c) for c in data)
+def _from_dense(degrees: tuple[int, ...], data):
+    terms = []
+
+    def walk(lvl: int, node, suffix: tuple[int, ...]):
+        if lvl < 0:
+            q = Fraction(node)
+            if q:
+                terms.append((suffix, q))
+            return
+        if len(node) != degrees[lvl]:
+            raise TowerError("coefficient vector length does not match tower degree")
+        for e, c in enumerate(node):
+            walk(lvl - 1, c, (e,) + suffix)
+
+    walk(len(degrees) - 1, data, ())
+    return tuple(sorted(terms))
 
 
 def algnum_to_json(a: AlgNum):
-    return _value_to_json(a.tower.top, a.value)
+    return _to_dense(a.tower.degrees, a.value)
 
 
 def algnum_from_json(tower: TowerSpec, data) -> AlgNum:
-    return AlgNum(tower, _value_from_json(tower, tower.top, data))
+    return AlgNum(tower, _from_dense(tower.degrees, data))
 
 
 def tower_to_json(tower: TowerSpec):
@@ -650,7 +626,7 @@ def tower_to_json(tower: TowerSpec):
             {
                 "name": lv.name,
                 "degree": lv.degree,
-                "poly": [_value_to_json(idx - 1, c) for c in lv.poly],
+                "poly": [_to_dense(tower.degrees[:idx], c) for c in lv.poly],
                 "approx": [lv.approx[0], lv.approx[1]],
             }
             for idx, lv in enumerate(tower.levels)
@@ -660,19 +636,11 @@ def tower_to_json(tower: TowerSpec):
 
 def tower_from_json(data) -> TowerSpec:
     levels: list[TowerLevel] = []
-    spec: TowerSpec | None = None
-    for idx, lv in enumerate(data["levels"]):
-        if idx == 0:
-            coeffs = tuple(Fraction(c) for c in lv["poly"])
-        else:
-            assert spec is not None
-            coeffs = tuple(_value_from_json(spec, idx - 1, c) for c in lv["poly"])
-        levels.append(
-            TowerLevel(name=lv["name"], degree=lv["degree"], poly=coeffs, approx=(lv["approx"][0], lv["approx"][1]))
-        )
-        spec = TowerSpec(tuple(levels))
-    assert spec is not None
-    return spec
+    for lv in data["levels"]:
+        degrees = tuple(x.degree for x in levels)
+        poly = tuple(_from_dense(degrees, c) for c in lv["poly"])
+        levels.append(TowerLevel(name=lv["name"], degree=lv["degree"], poly=poly, approx=(lv["approx"][0], lv["approx"][1])))
+    return TowerSpec(tuple(levels))
 
 
 # ---------------------------------------------------------------------------

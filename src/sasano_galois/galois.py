@@ -215,8 +215,8 @@ def normalize_whittaker(ode: ScalarODE2, new_var: str = "zeta") -> WhittakerData
 
     The scale is s = 1/(2 sqrt(A)) with the principal square root taken
     inside the tower; then kappa = -B s and mu = sqrt(4C + 1)/2.  Raises
-    when A = 0 (no irregular part) or when a needed square root does not
-    exist in the tower (a field extension would be required).
+    when A = 0 (no irregular part) or when ``sqrt_in_tower`` finds no
+    needed square root in the tower.
     """
     a, b, c = _bracket(ode)
     tower = ode.c0.tower
@@ -225,14 +225,14 @@ def normalize_whittaker(ode: ScalarODE2, new_var: str = "zeta") -> WhittakerData
     try:
         root_a = sqrt_in_tower(a)
     except TowerError as exc:
-        raise GaloisError(f"sqrt of leading coefficient needs a tower extension: {exc}") from exc
+        raise GaloisError(f"no sqrt of the leading coefficient found in the tower: {exc}") from exc
     scale = (root_a * 2).inverse()
     kappa = -(b * scale)
     four_c = c * 4 + 1
     try:
         mu = sqrt_in_tower(four_c) / 2
     except TowerError as exc:
-        raise GaloisError(f"sqrt for the index needs a tower extension: {exc}") from exc
+        raise GaloisError(f"no sqrt for the index found in the tower: {exc}") from exc
     quarter = AlgNum.from_rational(tower, Fraction(1, 4))
     normal = (quarter, -kappa, c)
     rescaled = rescale_variable(ode, scale, new_var)

@@ -16,7 +16,7 @@ from typing import Any
 
 import mpmath as mp
 
-from .algnum import AlgNum, algnum_to_json, tower_to_json
+from .algnum import AlgNum, TowerError, algnum_to_json, tower_to_json
 from .diffsys import DiffSystem, char_poly, leading_data
 from .galois import GaloisError, GaloisOutcome, classify_blocks
 from .reduction import (
@@ -467,7 +467,11 @@ def build_proof(
         return finish()
     sections.append(model_section(state))
 
-    nve = seed_variational_system(config.constants.tower)
+    try:
+        nve = seed_variational_system(config.constants.tower)
+    except (TowerError, ValueError) as exc:
+        sections.append(failure_section("normal variational equations", "linearization along the seed", exc))
+        return finish()
     sections.append(nve_section(nve))
     if stop_after == "nve":
         return finish()

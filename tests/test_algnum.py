@@ -12,6 +12,7 @@ from sasano_galois.algnum import (
     TowerError,
     algnum_from_json,
     algnum_to_json,
+    base_tower,
     canonical_constants,
     canonical_tower,
     rational_recognize,
@@ -38,6 +39,52 @@ def oracle(digits):
 
 def gens(tower):
     return [AlgNum.generator(tower, k) for k in range(len(tower.levels))]
+
+
+TOWERS = {"canonical": canonical_tower, "wasow": wasow_tower}
+
+
+def sympy_relations(sp, names):
+    """The defining binomials gen^d = c of each tower, written out independently."""
+    syms = sp.symbols(" ".join(names))
+    if names == ("g", "i", "b"):
+        g, _, _ = syms
+        return syms, [(12, sp.Rational(5, 64)), (2, -1), (2, 48 * g**6 - 10)]
+    _, s, _, _ = syms
+    return syms, [(7, sp.Rational(1, 4)), (2, 5), (2, -1), (2, 6 * s - 10)]
+
+
+def sympy_reduce(sp, expr, syms, relations):
+    """Coordinates of ``expr`` after reducing gen_j^d_j = c_j, top level first."""
+    for j in reversed(range(len(syms))):
+        d, c = relations[j]
+        reduced = 0
+        for mon, coeff in sp.Poly(sp.expand(expr), *syms).terms():
+            q, r = divmod(mon[j], d)
+            low = mon[:j] + (r,) + mon[j + 1 :]
+            reduced += coeff * sp.Mul(*(x**e for x, e in zip(syms, low))) * c**q
+        expr = reduced
+    terms = sp.Poly(sp.expand(expr), *syms).terms()
+    return {mon: Fraction(int(c.p), int(c.q)) for mon, c in terms if c}
+
+
+def assert_canonical(a):
+    """No zero stored, terms sorted by exponent tuple, exponents in range."""
+    degrees = a.tower.degrees
+    keys = [e for e, _ in a.value]
+    assert all(q != 0 for _, q in a.value)
+    assert keys == sorted(set(keys))
+    assert all(len(e) == len(degrees) and all(0 <= k < d for k, d in zip(e, degrees)) for e in keys)
+
+
+def dense_shape(data, degrees):
+    """Check the nesting of a dense JSON value: outermost index = last generator."""
+    if not degrees:
+        assert isinstance(data, str)
+        return
+    assert isinstance(data, list) and len(data) == degrees[-1]
+    for child in data:
+        dense_shape(child, degrees[:-1])
 
 
 class TestDefiningRelations:
@@ -261,3 +308,147 @@ class TestPresentation:
         g = AlgNum.generator(tower, 0)
         assert hash(g * g) == hash(g**2)
         assert len({g, g**1, g + 0}) == 1
+
+
+@pytest.mark.parametrize("name", sorted(TOWERS))
+class TestSparseKernels:
+    """The sparse kernels on both towers, against oracles and ring laws."""
+
+    def test_products_match_sympy(self, name):
+        sp = pytest.importorskip("sympy")
+        tw = TOWERS[name]()
+        syms, relations = sympy_relations(sp, tw.names())
+        rng = random.Random(505)
+
+        def to_sympy(a):
+            return sum(
+                sp.Rational(q.numerator, q.denominator) * sp.Mul(*(x**e for x, e in zip(syms, exps)))
+                for exps, q in a.value
+            )
+
+        for _ in range(30):
+            a = random_algnum(tw, rng, terms=rng.randint(1, 4))
+            b = random_algnum(tw, rng, terms=rng.randint(1, 4))
+            assert (a * b).coords() == sympy_reduce(sp, to_sympy(a) * to_sympy(b), syms, relations)
+
+    def test_inverse(self, name):
+        tw = TOWERS[name]()
+        rng = random.Random(606)
+        for _ in range(20):
+            a = random_nonzero_algnum(tw, rng, terms=rng.randint(1, 4))
+            assert a * a.inverse() == 1
+            assert_canonical(a.inverse())
+
+    def test_inverse_dense_base_level(self, name):
+        # every coordinate of the rational base level set: the full Euclid path
+        tw = TOWERS[name]()
+        x = AlgNum.generator(tw, 0)
+        a = sum((x**k * Fraction(k * k - 3, k + 1) for k in range(tw.degrees[0])), AlgNum.from_rational(tw, 0))
+        assert len(a.coords()) == tw.degrees[0]
+        assert a * a.inverse() == 1
+
+    def test_ring_axioms_property(self, name):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        tw = TOWERS[name]()
+        term = st.tuples(
+            st.tuples(*(st.integers(0, d - 1) for d in tw.degrees)),
+            st.fractions(min_value=-9, max_value=9, max_denominator=9),
+        )
+        zero = AlgNum.from_rational(tw, 0)
+        elements = st.lists(term, max_size=4).map(
+            lambda ts: sum((AlgNum(tw, tw.monomial_value(e, q)) for e, q in ts), zero)
+        )
+
+        @hyp.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+        @hyp.given(elements, elements, elements)
+        def check(a, b, c):
+            assert (a * b) * c == a * (b * c)
+            assert a * b == b * a
+            assert a * (b + c) == a * b + a * c
+            assert_canonical(a * b)
+
+        check()
+
+    def test_embed_is_ring_homomorphism(self, name):
+        tw = TOWERS[name]()
+        rng = random.Random(707)
+        with mpmath.workdps(40):
+            tol = mpmath.mpf("1e-25")
+            for _ in range(20):
+                a = random_algnum(tw, rng, terms=rng.randint(1, 4))
+                b = random_algnum(tw, rng, terms=rng.randint(1, 4))
+                za, zb = a.embed(30), b.embed(30)
+                for exact, approx in (((a + b).embed(30), za + zb), ((a * b).embed(30), za * zb)):
+                    assert abs(exact - approx) <= tol * (1 + abs(exact))
+
+    def test_canonical_form(self, name):
+        tw = TOWERS[name]()
+        rng = random.Random(808)
+        for _ in range(20):
+            a = random_algnum(tw, rng, terms=rng.randint(1, 4))
+            b = random_algnum(tw, rng, terms=rng.randint(1, 4))
+            for v in (a, a + b, a - a, a * b, -a, a * Fraction(-2, 3), a * 0):
+                assert_canonical(v)
+            assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+            assert a * b == b * a and hash(a * b) == hash(b * a)
+        assert (AlgNum.generator(tw, 0) * 0).value == ()
+        assert tw.monomial_value((0,) * len(tw.degrees), Fraction(0)) == ()
+
+
+@pytest.mark.parametrize("name", sorted(TOWERS))
+class TestJsonBoundary:
+    def test_dense_nesting(self, name):
+        tw = TOWERS[name]()
+        rng = random.Random(909)
+        for _ in range(5):
+            a = random_algnum(tw, rng, terms=4)
+            data = algnum_to_json(a)
+            dense_shape(data, tw.degrees)
+            for exps, q in a.coords().items():
+                leaf = data
+                for e in reversed(exps):
+                    leaf = leaf[e]
+                assert leaf == str(q)
+            assert algnum_from_json(tw, data) == a
+
+    def test_tower_roundtrip(self, name):
+        tw = TOWERS[name]()
+        data = tower_to_json(tw)
+        rebuilt = tower_from_json(data)
+        assert tower_to_json(rebuilt) == data
+        assert rebuilt.names() == tw.names() and rebuilt.degrees == tw.degrees
+        rng = random.Random(1010)
+        for _ in range(5):
+            a, b = random_algnum(tw, rng), random_nonzero_algnum(tw, rng)
+            ra, rb = (algnum_from_json(rebuilt, algnum_to_json(x)) for x in (a, b))
+            assert algnum_to_json(ra * rb) == algnum_to_json(a * b)
+            assert algnum_to_json(ra / rb) == algnum_to_json(a / b)
+
+
+class TestTowerRejection:
+    def test_non_binomial_base(self):
+        with pytest.raises(TowerError):
+            base_tower("x", 2, [Fraction(1), Fraction(1)], ("-0.5", "0.866"))  # x^2 + x + 1
+
+    def test_zero_constant_term(self):
+        with pytest.raises(TowerError):
+            base_tower("x", 2, [Fraction(0), Fraction(0)], ("0", "0"))
+
+    def test_non_binomial_from_json(self, tower):
+        data = tower_to_json(tower)
+        data["levels"][0]["poly"][1] = "1"
+        with pytest.raises(TowerError):
+            tower_from_json(data)
+
+    def test_non_binomial_extension(self):
+        t0 = base_tower("x", 2, [Fraction(-2), Fraction(0)], ("1.414", "0"))
+        one = AlgNum.from_rational(t0, 1)
+        with pytest.raises(TowerError):
+            t0.extend("y", [one, one], 2, ("0", "1"))  # y^2 + y + 1
+
+    def test_upper_level_must_be_quadratic(self):
+        t0 = base_tower("x", 2, [Fraction(-2), Fraction(0)], ("1.414", "0"))
+        zero = AlgNum.from_rational(t0, 0)
+        with pytest.raises(TowerError):
+            t0.extend("y", [AlgNum.from_rational(t0, -3), zero, zero], 3, ("1.442", "0"))

@@ -8,7 +8,8 @@ import json
 
 import pytest
 
-from sasano_galois import reduction
+from sasano_galois import reduction, report
+from sasano_galois.algnum import TowerError
 from sasano_galois.cli import main
 
 S0_IMAGE = {
@@ -201,6 +202,18 @@ def test_unparsable_gauge_fixture_gives_fail_section(tmp_path, monkeypatch):
     last = data["sections"][-1]
     assert (last["name"], last["status"]) == ("reduction trace", "fail")
     assert "1/(t+1)" in last["steps"][0]["values"]["error"]
+
+
+def test_nve_failure_gives_fail_section(tmp_path, monkeypatch):
+    def broken(tower):
+        raise TowerError("denominator t - 1 is not a power of the variable")
+
+    monkeypatch.setattr(report, "seed_variational_system", broken)
+    assert run(tmp_path, "prove") == 1
+    data = read_json(tmp_path, "proof")
+    last = data["sections"][-1]
+    assert (last["name"], last["status"]) == ("normal variational equations", "fail")
+    assert "t - 1" in last["steps"][0]["values"]["error"]
 
 
 def test_precision_guard(tmp_path):
