@@ -263,12 +263,11 @@ def pmat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return mat_mul(a, b)
 
 
-def gauge_constant(system: DiffSystem, t: AlgMatrix, t_inv: AlgMatrix | None = None) -> DiffSystem:
-    """Apply X = T Y with constant invertible T; the new matrix is T^-1 M T."""
+def gauge_constant(system: DiffSystem, t: AlgMatrix, t_inv: AlgMatrix) -> DiffSystem:
+    """Apply X = T Y with constant invertible T and its inverse; the new
+    matrix is T^-1 M T."""
     tower = system.tower
-    if t_inv is None:
-        t_inv = mat_inv(t)
-    elif mat_mul(t_inv, t) != identity_matrix(tower, len(t)):
+    if mat_mul(t_inv, t) != identity_matrix(tower, len(t)):
         raise TowerError("supplied inverse does not invert the gauge matrix")
     lifted = pmat_mul(lift_matrix(tower, t_inv), pmat_mul(system.matrix, lift_matrix(tower, t)))
     return DiffSystem(system.var, lifted)

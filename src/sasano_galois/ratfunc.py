@@ -1,18 +1,18 @@
 """Exact rational functions of one variable over the rationals.
 
 Solutions of the Hamiltonian system and their transforms live in Q(t),
-so this module keeps every operation exact.  A polynomial is a dense
-tuple of Fraction coefficients; a rational function is a coprime pair of
-them with a monic denominator, so equal values have equal
-representations, and evaluation raises at poles instead of returning
-garbage.
+so this module keeps every operation exact.  A polynomial is stored once,
+as integer coefficients over one positive integer denominator; a rational
+function is a coprime pair of polynomials with a monic denominator, so
+equal values have equal representations, and evaluation raises at poles
+instead of returning garbage.
 
-The kernels behind that interface work in Z[t]: a product, a division
-or a gcd clears the operands' denominators once, runs on integer lists
-(convolution, fraction-free pseudo-division, and the primitive
-polynomial remainder sequence of Brown, J. ACM 18 (1971)) and turns the
-result back into Fractions once.  A rational function is reduced by one
-gcd when it is built; a power of a reduced one needs none.
+Arithmetic runs on the integer coefficients directly: convolution,
+fraction-free pseudo-division and the primitive polynomial remainder
+sequence of Brown, J. ACM 18 (1971).  Fractions enter only through
+``Poly.make`` and leave only through ``Poly.coeffs``.  A rational
+function is reduced by one gcd when it is built; a power of a reduced one
+needs none.
 """
 
 from __future__ import annotations
@@ -26,28 +26,30 @@ from .algnum import int_power
 
 
 # -- integer kernels -------------------------------------------------------------
-# An integer polynomial is a list of ints, ascending, with no trailing zeros.
+# An integer polynomial is a sequence of ints (a Poly's nums, or a list),
+# ascending, with no trailing zeros.
 # Tuples, coefficient tuples and star-arguments alike, are built from lists
 # here, never from generators: tuple() over a generator allocates ten slots
 # and resizes, so each such tuple is freed onto another size's free list,
 # and those free lists grew the peak memory of a depth-6 orbit by ~2 MiB.
 
 
-_ZERO = Fraction(0)
+def _reduced(nums: list[int], den: int = 1) -> Poly:
+    """The canonical Poly of (sum nums[k] t^k) / den for den != 0."""
+    while nums and nums[-1] == 0:
+        nums.pop()
+    if not nums:
+        return Poly(())
+    if den < 0:
+        nums, den = [-x for x in nums], -den
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums, den = [x // g for x in nums], den // g
+    return Poly(tuple(nums), den)
 
 
-def _clear(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators over the least common denominator, and that denominator."""
-    den = math.lcm(*[c.denominator for c in coeffs])
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-def _from_ints(ints: Sequence[int], den: int = 1) -> Poly:
-    """The polynomial (sum of ints[k] t^k) / den; ints has no trailing zeros."""
-    return Poly(tuple([Fraction(c, den) if c else _ZERO for c in ints]))
-
-
-def _conv(a: list[int], b: list[int]) -> list[int]:
+def _conv(a: Sequence[int], b: Sequence[int]) -> list[int]:
     if not a or not b:
         return []
     if len(a) < len(b):
@@ -60,7 +62,7 @@ def _conv(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _pdiv(a: list[int], b: list[int]) -> tuple[int, list[int], list[int]]:
+def _pdiv(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], list[int]]:
     """Fraction-free division: (m, q, r) with m*a = q*b + r and deg r < deg b.
 
     Each step scales the remainder only by the part of b's leading
@@ -87,7 +89,7 @@ def _pdiv(a: list[int], b: list[int]) -> tuple[int, list[int], list[int]]:
     return m, q, r
 
 
-def _primitive(a: list[int]) -> list[int]:
+def _primitive(a: Sequence[int]) -> Sequence[int]:
     """a over its content, with a positive leading coefficient."""
     if not a:
         return a
@@ -97,7 +99,7 @@ def _primitive(a: list[int]) -> list[int]:
     return a if g == 1 else [x // g for x in a]
 
 
-def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+def _int_gcd(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
     """Primitive gcd in Z[t] by the primitive remainder sequence; [] for 0, 0."""
     a, b = _primitive(a), _primitive(b)
     if len(a) < len(b):
@@ -112,16 +114,18 @@ def _int_gcd(a: list[int], b: list[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class Poly:
-    """Dense polynomial, ascending coefficients, no trailing zeros."""
+    """Dense polynomial (sum nums[k] t^k) / den in canonical form: ascending
+    integer coefficients with no trailing zeros, den > 0 and coprime to
+    their content, and zero as ``Poly(())`` with den 1."""
 
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int = 1
 
     @staticmethod
     def make(coeffs: Sequence) -> Poly:
         cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return Poly(tuple(cs))
+        den = math.lcm(*[c.denominator for c in cs])
+        return _reduced([c.numerator * (den // c.denominator) for c in cs], den)
 
     @staticmethod
     def const(c) -> Poly:
@@ -129,39 +133,36 @@ class Poly:
 
     @staticmethod
     def variable() -> Poly:
-        return Poly.make([0, 1])
+        return Poly((0, 1))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, ascending."""
+        return tuple([Fraction(c, self.den) for c in self.nums])
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def degree(self) -> int:
         """Degree, with the zero polynomial mapped to -1."""
-        return len(self.coeffs) - 1
-
-    def leading(self) -> Fraction:
-        if self.is_zero():
-            raise ZeroDivisionError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return len(self.nums) - 1
 
     def __add__(self, other) -> Poly:
         other = _as_poly(other)
-        a, da = _clear(self.coeffs)
-        b, db = _clear(other.coeffs)
-        den = math.lcm(da, db)
-        ua, ub = den // da, den // db
+        a, b = self.nums, other.nums
+        den = math.lcm(self.den, other.den)
+        ua, ub = den // self.den, den // other.den
         if len(a) < len(b):
             a, b, ua, ub = b, a, ub, ua
         out = [x * ua for x in a]
         for i, y in enumerate(b):
             out[i] += y * ub
-        while out and out[-1] == 0:
-            out.pop()
-        return _from_ints(out, den)
+        return _reduced(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        return Poly(tuple([-c for c in self.coeffs]))
+        return Poly(tuple([-c for c in self.nums]), self.den)
 
     def __sub__(self, other) -> Poly:
         return self + (-_as_poly(other))
@@ -171,38 +172,34 @@ class Poly:
 
     def __mul__(self, other) -> Poly:
         other = _as_poly(other)
-        a, da = _clear(self.coeffs)
-        b, db = _clear(other.coeffs)
-        return _from_ints(_conv(a, b), da * db)
+        return _reduced(_conv(self.nums, other.nums), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> Poly:
-        return int_power(self, n, Poly.make([1]))
+        return int_power(self, n, Poly((1,)))
 
     def divmod(self, other: Poly) -> tuple[Poly, Poly]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        a, da = _clear(self.coeffs)
-        b, db = _clear(other.coeffs)
-        # self = a/da and other = b/db, so m*a = q*b + r gives
-        # self = (q*db/(m*da)) * other + r/(m*da).
-        m, q, r = _pdiv(a, b)
-        return _from_ints([c * db for c in q], m * da), _from_ints(r, m * da)
+        # self = a/da and other = b/db (nums over den), so m*a = q*b + r
+        # gives self = (q*db/(m*da)) * other + r/(m*da).
+        m, q, r = _pdiv(self.nums, other.nums)
+        return _reduced([c * other.den for c in q], m * self.den), _reduced(r, m * self.den)
 
     def gcd(self, other: Poly) -> Poly:
         """Monic greatest common divisor; zero only for two zeros."""
-        g = _int_gcd(_clear(self.coeffs)[0], _clear(other.coeffs)[0])
-        return _from_ints(g, g[-1]) if g else Poly(())
+        g = _int_gcd(self.nums, other.nums)
+        return Poly(tuple(g), g[-1]) if g else Poly(())
 
     def derivative(self) -> Poly:
-        return Poly.make([k * c for k, c in enumerate(self.coeffs)][1:])
+        return _reduced([k * c for k, c in enumerate(self.nums)][1:], self.den)
 
     def __call__(self, t) -> Fraction:
         acc = Fraction(0)
-        for c in reversed(self.coeffs):
+        for c in reversed(self.nums):
             acc = acc * t + c
-        return acc
+        return acc / self.den
 
     def render(self, var: str = "t") -> str:
         return join_signed(
@@ -233,7 +230,7 @@ def join_signed(terms) -> str:
 def _as_poly(x) -> Poly:
     if isinstance(x, Poly):
         return x
-    return Poly.make([Fraction(x)])
+    return Poly.const(x)
 
 
 @dataclass(frozen=True)
@@ -251,7 +248,7 @@ class RatFunc:
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
-            return RatFunc(Poly(()), Poly.make([1]))
+            return RatFunc(Poly(()), Poly((1,)))
         if num.degree() > 0 and den.degree() > 0:
             g = num.gcd(den)
             if g.degree() > 0:
@@ -262,10 +259,10 @@ class RatFunc:
     @staticmethod
     def _monic(num: Poly, den: Poly) -> RatFunc:
         """num/den for a coprime pair, scaled to a monic denominator."""
-        lead = den.leading()
-        if lead != 1:
-            num = Poly(tuple([c / lead for c in num.coeffs]))
-            den = Poly(tuple([c / lead for c in den.coeffs]))
+        lead = den.nums[-1]  # the leading coefficient is lead / den.den
+        if lead != den.den:
+            num = _reduced([c * den.den for c in num.nums], num.den * lead)
+            den = _reduced(list(den.nums), lead)
         return RatFunc(num, den)
 
     @staticmethod
@@ -346,7 +343,7 @@ class RatFunc:
         ns = self.num.render(var)
         if self.den.degree() == 0:
             return ns
-        head = ns if self.num.degree() <= 0 and len([c for c in self.num.coeffs if c]) <= 1 else f"({ns})"
+        head = ns if self.num.degree() <= 0 else f"({ns})"
         return f"{head}/({self.den.render(var)})"
 
 

@@ -59,7 +59,7 @@ def test_verify_seed_solution_file(tmp_path):
     assert data["sections"][0]["status"] == "pass"
 
 
-def test_verify_seed_solution_file_errors(tmp_path):
+def test_verify_seed_solution_file_errors(tmp_path, capsys):
     missing = dict(S0_IMAGE)
     del missing["z"]
     bad_key = tmp_path / "missing.json"
@@ -71,6 +71,13 @@ def test_verify_seed_solution_file_errors(tmp_path):
     assert run(tmp_path, "verify-seed", "--solution-file", str(not_json)) == 2
 
     assert run(tmp_path, "verify-seed", "--solution-file", str(tmp_path / "absent.json")) == 2
+
+    for params in (5, None):
+        bad_params = tmp_path / "params.json"
+        bad_params.write_text(json.dumps(dict(S0_IMAGE, params=params)))
+        capsys.readouterr()
+        assert run(tmp_path, "verify-seed", "--solution-file", str(bad_params)) == 2
+        assert "input error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("component", ["1/0", "(t-t)^-1"])

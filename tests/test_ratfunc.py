@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,10 @@ def rand_ratfunc(rng):
     if den.is_zero():
         den = Poly.make([1])
     return RatFunc.make(num, den)
+
+
+def rand_poly(rng):
+    return Poly.make([Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(rng.randint(0, 5))])
 
 
 class TestPoly:
@@ -40,6 +45,55 @@ class TestPoly:
 
     def test_degree_of_zero(self):
         assert Poly.make([0, 0]).degree() == -1
+
+
+def assert_canonical(p):
+    """Integer coefficients over a positive denominator coprime to their
+    content, no trailing zero, and zero only as Poly(())."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int for c in p.nums)
+    if not p.nums:
+        assert p == Poly(()) and p.den == 1
+    else:
+        assert p.nums[-1] != 0
+        assert math.gcd(p.den, *p.nums) == 1
+
+
+class TestCanonicalForm:
+    def results(self, seed):
+        """Every Poly operation on random operands, cancellations included."""
+        rng = random.Random(seed)
+        for _ in range(30):
+            a, b = rand_poly(rng), rand_poly(rng)
+            yield a
+            yield from (a + b, a - b, b - b, (a + b) - b, -a, a * b, a * 0, a * Fraction(3, 4))
+            yield from (a.derivative(), Poly.const(Fraction(5, 6)).derivative(), a**3, a.gcd(b))
+            if not b.is_zero():
+                yield from a.divmod(b)
+                f = RatFunc.make(a, b)
+                yield from (f.num, f.den)
+                if not f.is_zero():
+                    yield from ((f**-2).num, (f**-2).den)
+
+    def test_every_result_is_canonical(self):
+        for p in self.results(808):
+            assert_canonical(p)
+
+    def test_make_round_trip(self):
+        for p in self.results(809):
+            assert Poly.make(p.coeffs) == p
+            assert all(type(c) is Fraction for c in p.coeffs)
+
+    def test_equal_values_compare_and_hash_equal(self):
+        a = Poly.make([Fraction(1, 2), 1])
+        b = Poly.make([2, 4]) * Fraction(1, 4)
+        c = Poly.make([6, 12]).divmod(Poly.make([12]))[0]
+        d = Poly.make([1, 0, 5]) + Poly.make([Fraction(-1, 2), 1, -5])
+        for other in (b, c, d):
+            assert other == a and hash(other) == hash(a)
+            assert (other.nums, other.den) == ((1, 2), 2)
+        zeros = (Poly.make([0, 0]), a - a, a * 0, Poly.const(7).derivative(), Poly.make([]))
+        assert all(z == Poly(()) and hash(z) == hash(Poly(())) for z in zeros)
 
 
 class TestRatFunc:
@@ -162,6 +216,30 @@ class TestSympyOracle:
     def test_mul(self):
         for a, b in self.pairs(11):
             assert a * b == self.from_sympy(self.to_sympy(a) * self.to_sympy(b))
+
+    def test_add_and_sub(self):
+        for a, b in self.pairs(15):
+            sa, sb = self.to_sympy(a), self.to_sympy(b)
+            assert a + b == self.from_sympy(sa + sb)
+            assert a - b == self.from_sympy(sa - sb)
+            assert b - a == self.from_sympy(sb - sa)
+            assert a - a == self.from_sympy(sa - sa)
+
+    def test_derivative(self):
+        for a, b in self.pairs(16):
+            for p in (a, b):
+                assert p.derivative() == self.from_sympy(self.to_sympy(p).diff())
+
+    def test_eval(self):
+        sp = pytest.importorskip("sympy")
+        rng = random.Random(17)
+        bound = 1 << 17
+        for a, b in self.pairs(17):
+            for p in (a, b):
+                x = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+                v = self.to_sympy(p).eval(sp.Rational(x.numerator, x.denominator))
+                assert p(x) == Fraction(int(v.p), int(v.q))
+                assert p(0) == (p.coeffs[0] if p.coeffs else 0)
 
     def test_divmod(self):
         sp = pytest.importorskip("sympy")
