@@ -99,9 +99,6 @@ class PuiseuxPoly:
                     return c
         return AlgNum.from_rational(self.tower, 0)
 
-    def term_count(self) -> int:
-        return len(self.terms)
-
     # -- arithmetic ---------------------------------------------------------
 
     def _lift(self, ram: int) -> dict[int, AlgNum]:

@@ -176,6 +176,10 @@ class Poly:
 
     __rmul__ = __mul__
 
+    def scale(self, c: Fraction) -> Poly:
+        """self * c, on the integer coefficients and the denominator."""
+        return _reduced([x * c.numerator for x in self.nums], self.den * c.denominator)
+
     def __pow__(self, n: int) -> Poly:
         return int_power(self, n, Poly((1,)))
 

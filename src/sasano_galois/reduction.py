@@ -152,9 +152,6 @@ class ReductionTrace:
     eigenvalues: tuple[AlgNum, ...]
     matched_stages: tuple[str, ...]
 
-    def systems(self) -> list[DiffSystem]:
-        return [self.steps[0].before] + [s.after for s in self.steps]
-
 
 # -- the script --------------------------------------------------------------------
 

@@ -119,26 +119,26 @@ class PolyExpr:
             out = out + term
         return out
 
-    def eval_scaled(self, values: CommonDenominator) -> tuple[Poly, Poly]:
-        """Evaluate over a common denominator L, unreduced: (N, L^k) with
-        value N / L^k, where k is the largest weight of a term."""
-        terms = []
+    def eval_scaled(self, values: CommonDenominator) -> tuple[Poly, int]:
+        """Evaluate over a common denominator L, unreduced: (N, k) with value
+        N / L^k, k the largest weight of a term.  Cached monomials are scaled
+        by each coefficient, and the sums of equal weight are brought to L^k
+        by Horner's rule, one product by L per weight."""
+        sums: dict[int, Poly] = {}
         for e, c in self.terms:
-            prod, weight = Poly.const(c), 0
-            for k, exp in enumerate(e):
-                if exp:
-                    num, w = values.power(VARS[k], exp)
-                    prod, weight = prod * num, weight + w
-            terms.append((prod, weight))
-        top = max((w for _, w in terms), default=0)
-        total = Poly(())
-        for prod, weight in terms:
-            total = total + (prod if weight == top else prod * values.den_power(top - weight))
-        return total, values.den_power(top)
+            mono, weight = values.monomial(e)
+            sums[weight] = sums.get(weight, Poly(())) + mono.scale(c)
+        top = max(sums, default=0)
+        total = sums.get(0, Poly(()))
+        for weight in range(1, top + 1):
+            total = total * values.den + sums.get(weight, Poly(()))
+        return total, top
 
     def eval_rat(self, assign: Mapping[str, RatFunc]) -> RatFunc:
         """Evaluate with rational-function values for every present symbol."""
-        return RatFunc.make(*self.eval_scaled(CommonDenominator(assign)))
+        values = CommonDenominator(assign)
+        num, k = self.eval_scaled(values)
+        return RatFunc.make(num, values.den_power(k))
 
     def render(self) -> str:
         return join_signed(
@@ -153,9 +153,9 @@ class CommonDenominator:
     L is the monic lcm of the values' denominators.  A polynomial value p
     is kept as p with weight 0, any other value n/d as its scaled
     numerator n*(L/d) with weight 1, so a product of values of total
-    weight k is (product of kept numerators) / L^k.  Powers of kept
-    numerators and of L are cached and shared by every expression
-    evaluated over the same values.
+    weight k is (product of kept numerators) / L^k.  Those products, one
+    per exponent vector, and the powers of L are cached and shared by
+    every expression evaluated over the same values.
     """
 
     def __init__(self, values: Mapping[str, RatFunc]):
@@ -170,6 +170,7 @@ class CommonDenominator:
                 self._powers[name, 1] = (v.num * den.divmod(v.den)[0], 1)
             else:
                 self._powers[name, 1] = (v.num, 0)
+        self._monomials = {(0,) * len(VARS): (Poly((1,)), 0)}
         self._den_powers = [Poly.const(1), den]
 
     def power(self, name: str, exp: int) -> tuple[Poly, int]:
@@ -180,6 +181,20 @@ class CommonDenominator:
             if base is None:
                 raise ValueError(f"no value supplied for symbol {name!r}")
             out = self._powers[name, exp] = (base[0] ** exp, base[1] * exp)
+        return out
+
+    def monomial(self, exps: tuple[int, ...]) -> tuple[Poly, int]:
+        """Product of kept numerators over ``exps`` (indexed like VARS) and
+        its weight: the prefix without the last symbol, times one power."""
+        out = self._monomials.get(exps)
+        if out is None:
+            k = max(i for i, e in enumerate(exps) if e)
+            prefix = exps[:k] + (0,) * (len(exps) - k)
+            p, w = self.power(VARS[k], exps[k])
+            if any(prefix):
+                head, hw = self.monomial(prefix)
+                p, w = head * p, hw + w
+            out = self._monomials[exps] = (p, w)
         return out
 
     def den_power(self, k: int) -> Poly:
@@ -318,8 +333,8 @@ def solution_energy(
     """
     if values is None:
         values = scale_solution(sol, params)
-    num, den = hamiltonian().eval_scaled(values)
-    return RatFunc.make(-num, den)
+    num, k = hamiltonian().eval_scaled(values)
+    return RatFunc.make(-num, values.den_power(k))
 
 
 def verify_solution(
@@ -327,13 +342,12 @@ def verify_solution(
 ) -> None:
     """Check d(sol)/dt equals the field along sol, exactly; raise on failure.
 
-    Each equation is checked without a gcd.  With sol[name] = n/d the
-    derivative is (n'd - nd')/d^2, and the field row evaluates to N/L^k
-    over the common denominator L of ``values`` (``scale_solution(sol,
-    params)`` unless passed in).  Both denominators are nonzero
-    polynomials, so the two fractions are equal in Q(t) exactly when
-    (n'd - nd') L^k = N d^2 in Q[t]; that polynomial identity is compared
-    coefficient by coefficient in exact rationals.
+    Each equation is checked without a gcd.  The field row is N/L^k over
+    the common denominator L of ``values`` (``scale_solution(sol, params)``
+    unless passed in), and x, y, z, w are m/L^j there, j in {0, 1}.  With
+    D = m'L - mL' (m' when j = 0), d/dt (m/L^j) = D/L^2j, so the equation
+    holds exactly when D L^(k-2j) = N, or D = N L^(2j-k) when k < 2j.
+    F = n/d is not among the values; its equation is (n'd - nd') L^k = N d^2.
     """
     if values is None:
         values = scale_solution(sol, params)
@@ -342,9 +356,18 @@ def verify_solution(
     for idx, name in enumerate(PHASE_VARS):
         if name == "t":
             continue
-        num, den = field[idx].eval_scaled(values)
-        n, d = sol[name].num, sol[name].den
-        if (n.derivative() * d - n * d.derivative()) * den != num * (d * d):
+        num, k = field[idx].eval_scaled(values)
+        if name == "F":
+            n, d = sol[name].num, sol[name].den
+            lhs, rhs = (n.derivative() * d - n * d.derivative()) * values.den_power(k), num * (d * d)
+        else:
+            m, j = values.power(name, 1)
+            lhs = m.derivative() * values.den - m * values.den.derivative() if j else m.derivative()
+            if k >= 2 * j:
+                lhs, rhs = lhs * values.den_power(k - 2 * j), num
+            else:
+                rhs = num * values.den_power(2 * j - k)
+        if lhs != rhs:
             bad.append(name)
     if bad:
         raise ValueError(f"not a solution: equations fail for {', '.join(bad)}")

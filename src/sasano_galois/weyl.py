@@ -8,12 +8,12 @@ Three involutions act on solutions and parameters at once:
 
 Together they realize an affine Weyl group: each generator squares to
 the identity, s0 and s2 commute, and both (s0 s1) and (s1 s2) have
-order four.  The relations are verified two independent ways, on the
-linear parameter action symbolically and on many random exact rational
-points of the full birational action.
+order four.  :func:`verify_group_relations` tests the relations on the
+parameter matrices exactly and on random rational points of the full
+action (50 per relation by default); it samples, and only the tests run it.
 
 Orbit enumeration starts from the rational seed solution, applies every
-generator breadth-first, re-verifies each image as an exact solution,
+generator breadth-first, verifies each new state as an exact solution once,
 and checks the arithmetic condition on the parameters (an integer pair
 (a, b) mod 5 falling in one of four admissible rows) at every node.
 """
@@ -77,7 +77,7 @@ def act_on_params(name: str, params: ParamTriple) -> ParamTriple:
     if m is None:
         raise WeylError(f"unknown generator {name!r}")
     vec = params.as_tuple()
-    new = tuple(sum(Fraction(mij) * vj for mij, vj in zip(row, vec)) for row in m)
+    new = [sum([mij * vj for mij, vj in zip(row, vec) if mij]) for row in m]
     return ParamTriple.make(new)
 
 
@@ -159,12 +159,15 @@ def _reflect(name: str, x, y, z, w, shift):
     return x + 2 * shift * y - shift * shift, y - shift, z + shift, w
 
 
-def apply_generator(name: str, state: SolutionState) -> SolutionState:
+def apply_generator(name: str, state: SolutionState, known: SolutionState | None = None) -> SolutionState:
     """One Backlund step on a checked solution; the image is re-verified.
 
     When the divisor vanishes identically the step is only defined for a
     vanishing parameter, where it is the identity; a vanishing divisor
-    with a nonzero parameter raises.
+    with a nonzero parameter raises.  An image equal in x, y, z, w and
+    parameters to ``known``, a checked state the caller holds, is
+    ``known`` itself: canonical forms make the equality exact, and
+    :meth:`SolutionState.make` reads only those inputs.
     """
     t = RatFunc.variable()
     x, y, z, w = state.x, state.y, state.z, state.w
@@ -177,7 +180,11 @@ def apply_generator(name: str, state: SolutionState) -> SolutionState:
             f"divisor of {name} vanishes along the solution but its parameter is {alpha} != 0"
         )
     shift = RatFunc.const(alpha) / div
-    return SolutionState.make(*_reflect(name, x, y, z, w, shift), act_on_params(name, state.params))
+    image = _reflect(name, x, y, z, w, shift)
+    params = act_on_params(name, state.params)
+    if known is not None and known.params == params and image == (known.x, known.y, known.z, known.w):
+        return known
+    return SolutionState.make(*image, params)
 
 
 def apply_word(word: Iterable[str], state: SolutionState) -> SolutionState:
@@ -349,11 +356,14 @@ def enumerate_orbit(
     Nodes are deduplicated by parameter triple (the first word reaching a
     triple is kept); up to ``audit_depth`` every duplicate hit is audited
     for state equality and reported instead of silently dropped.  Every
-    state in the orbit was verified as an exact solution when built.
+    state in the orbit was verified once, as an exact solution, when built
+    (a supplied ``start`` too).  Each step looks the parameter image up
+    first; an image equal to the kept state is that state, and any other
+    is verified (see :func:`apply_generator`), a failure landing in ``skipped``.
     """
     if depth < 0:
         raise WeylError("depth must be nonnegative")
-    root = start if start is not None else seed_state()
+    root = seed_state() if start is None else SolutionState.make(*start.components().values(), start.params)
     seen: dict[tuple[Fraction, Fraction, Fraction], OrbitNode] = {}
     nodes: list[OrbitNode] = []
     collisions: list[ParamCollision] = []
@@ -368,13 +378,13 @@ def enumerate_orbit(
             continue
         for name in GENERATORS:
             word = node.word + (name,)
+            key = act_on_params(name, node.state.params).as_tuple()
+            known = seen.get(key)
             try:
-                image = apply_generator(name, node.state)
+                image = apply_generator(name, node.state, known.state if known else None)
             except WeylError as exc:
                 skipped.append((word, str(exc)))
                 continue
-            key = image.params.as_tuple()
-            known = seen.get(key)
             if known is not None:
                 if node.depth + 1 <= audit_depth:
                     collisions.append(

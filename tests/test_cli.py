@@ -174,11 +174,21 @@ GOLDEN = (
             "orbit_summary.md": "c1dc9a276339f326e273d9e7e3e83a30f5a3544cad43fb488f98e7ba8db88a13",
         },
     ),
+    (
+        ("orbit", "--depth", "8", "--check-matsuda"),
+        {
+            "orbit.jsonl": "6b654fe3db7e5119dc21bd0b2040018e1949d1f112946d0996bd2a3ed1856ae9",
+            "orbit_summary.json": "4997fd0b9cdc6726a80c77b8a56498cf0dc2d8c3f416b4cd6743f410121ca49a",
+            "orbit_summary.md": "96810fd87a2a55b16a7f979b61d40ed67dd0d30e3e14e8ad151a1aaeea39a141",
+        },
+    ),
 )
 
 
 @pytest.mark.parametrize(
-    "argv, digests", GOLDEN, ids=["prove", "prove-wasow", "orbit-depth-2", "orbit-depth-6"]
+    "argv, digests",
+    GOLDEN,
+    ids=["prove", "prove-wasow", "orbit-depth-2", "orbit-depth-6", "orbit-depth-8"],
 )
 def test_reports_match_golden_digests(tmp_path, argv, digests):
     assert run(tmp_path, *argv) == 0

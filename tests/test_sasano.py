@@ -11,6 +11,7 @@ from sasano_galois.exprparse import parse_ratfunc
 from sasano_galois.ratfunc import Poly, RatFunc
 from sasano_galois.sasano import (
     VARS,
+    CommonDenominator,
     PolyExpr,
     build_extended_system,
     check_params,
@@ -263,3 +264,74 @@ class TestCommonDenominator:
                 with pytest.raises(ValueError, match="not a solution"):
                     verify_solution(dict(sol, **{name: wrong}), params)
             verify_solution(dict(sol, F=sol["F"] + 1), params)
+
+
+def random_polyexpr(rng, weights, symbols):
+    """A random PolyExpr whose terms take every total weight in ``weights``,
+    the weight of a monomial being its degree in ``symbols``."""
+    expr = PolyExpr.const(0)
+    while len(expr.terms) < 6 or term_weights(expr, symbols) != weights:
+        exps = {name: rng.randint(0, 2) for name in ("x", "y", "z", "w", "t", "a0", "a1")}
+        if sum(exps[name] for name in symbols) not in weights:
+            continue
+        term = PolyExpr.const(Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6)))
+        for name, exp in exps.items():
+            term = term * V(name) ** exp
+        expr = expr + term
+    return expr
+
+
+def term_weights(expr, symbols):
+    return {sum(e[VARS.index(name)] for name in symbols) for e, _ in expr.terms}
+
+
+class TestEvalScaled:
+    # x and y carry denominators (weight 1); z, w, t and the parameters are
+    # polynomials (weight 0).
+    ASSIGN = {
+        "x": parse_ratfunc("(t^2 - 3)/(2*t)"),
+        "y": parse_ratfunc("1/(t^2 + 1)"),
+        "z": parse_ratfunc("t^3/4 - 1"),
+        "w": parse_ratfunc("-2*t/5"),
+        "t": RatFunc.variable(),
+        "a0": RatFunc.const(Fraction(2, 5)),
+        "a1": RatFunc.const(Fraction(-3, 7)),
+    }
+
+    def evaluate(self, expr, assign):
+        values = CommonDenominator(assign)
+        num, k = expr.eval_scaled(values)
+        return RatFunc.make(num, values.den_power(k)), k
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_weight_gap(self, seed):
+        # weights {0, 2} only: Horner's rule must still multiply the weight-0
+        # sum by L twice
+        rng = random.Random(seed)
+        expr = random_polyexpr(rng, {0, 2}, ("x", "y"))
+        value, k = self.evaluate(expr, self.ASSIGN)
+        assert value == per_term_value(expr, self.ASSIGN)
+        assert k == 2
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_all_weight_zero(self, seed):
+        rng = random.Random(100 + seed)
+        expr = random_polyexpr(rng, {0}, ("x", "y"))
+        value, k = self.evaluate(expr, self.ASSIGN)
+        assert k == 0
+        assert value == per_term_value(expr, self.ASSIGN)
+        polys = {name: v for name, v in self.ASSIGN.items() if name not in ("x", "y")}
+        assert self.evaluate(expr, polys) == (value, 0)
+
+    def test_zero(self):
+        num, k = PolyExpr.const(0).eval_scaled(CommonDenominator(self.ASSIGN))
+        assert num.is_zero() and k == 0
+        assert PolyExpr.const(0).eval_rat(self.ASSIGN).is_zero()
+
+    def test_shared_monomials_are_cached(self):
+        values = CommonDenominator(self.ASSIGN)
+        xy2 = (1, 2) + (0,) * (len(VARS) - 2)
+        assert values.monomial(xy2) is values.monomial(xy2)
+        expected = self.ASSIGN["x"] * self.ASSIGN["y"] ** 2
+        mono, weight = values.monomial(xy2)
+        assert weight == 3 and RatFunc.make(mono, values.den_power(3)) == expected

@@ -175,3 +175,43 @@ def test_orbit_words_reproduce_states(seed):
         again = apply_word(node.word, seed)
         assert again.components() == node.state.components()
         assert again.params == node.state.params
+
+
+def test_orbit_rebuilds_supplied_start(seed):
+    # a raw state is not a checked one: the orbit must not vouch for it
+    bad = SolutionState(seed.x + 1, seed.y, seed.z, seed.w, seed.f, seed.params)
+    with pytest.raises(WeylError, match="not a solution"):
+        enumerate_orbit(bad, depth=1)
+    raw = SolutionState(seed.x, seed.y, seed.z, seed.w, RatFunc.const(0), seed.params)
+    assert enumerate_orbit(raw, depth=0).nodes[0].state == seed
+
+
+def test_orbit_verifies_each_state_once(monkeypatch):
+    calls = []
+    make = SolutionState.make
+
+    def counting(*args):
+        calls.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(SolutionState, "make", staticmethod(counting))
+    orbit = enumerate_orbit(depth=6)
+    assert orbit.node_count() == 57 and len(orbit.collisions) == 24
+    assert len(calls) == 57
+
+
+def test_known_state_returned_only_when_equal(seed):
+    image = apply_generator("s2", seed)
+    assert apply_generator("s2", seed, image) is image
+    one = RatFunc.const(1)
+    others = [
+        SolutionState(image.x + one, image.y, image.z, image.w, image.f, image.params),
+        SolutionState(image.x, image.y + one, image.z, image.w, image.f, image.params),
+        SolutionState(image.x, image.y, image.z + one, image.w, image.f, image.params),
+        SolutionState(image.x, image.y, image.z, image.w + one, image.f, image.params),
+        SolutionState(image.x, image.y, image.z, image.w, image.f, seed.params),
+    ]
+    for known in others:
+        got = apply_generator("s2", seed, known)
+        assert got is not known
+        assert got == image
