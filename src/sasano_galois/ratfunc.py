@@ -10,9 +10,10 @@ instead of returning garbage.
 Arithmetic runs on the integer coefficients directly: convolution,
 fraction-free pseudo-division and the primitive polynomial remainder
 sequence of Brown, J. ACM 18 (1971).  Fractions enter only through
-``Poly.make`` and leave only through ``Poly.coeffs``.  A rational
-function is reduced by one gcd when it is built; a power of a reduced one
-needs none.
+``Poly.make`` and leave only through ``Poly.coeffs``.  ``RatFunc.make``
+reduces an arbitrary pair by one gcd; + - * / of reduced operands take
+gcds only with a factor of a denominator (Henrici's sum and Knuth's
+cross-cancelled product, TAOCP vol. 2, 4.5.1), and powers need none.
 """
 
 from __future__ import annotations
@@ -237,6 +238,19 @@ def _as_poly(x) -> Poly:
     return Poly.const(x)
 
 
+_ONE = Poly((1,))
+
+
+def _cancel(p: Poly, q: Poly) -> tuple[Poly, Poly]:
+    """p and q divided by their monic gcd, which is taken only when both
+    are nonconstant; a monic q stays monic."""
+    if p.degree() > 0 and q.degree() > 0:
+        g = p.gcd(q)
+        if g.degree() > 0:
+            return p.divmod(g)[0], q.divmod(g)[0]
+    return p, q
+
+
 @dataclass(frozen=True)
 class RatFunc:
     """Reduced rational function; the denominator is monic and coprime to
@@ -252,13 +266,8 @@ class RatFunc:
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
-            return RatFunc(Poly(()), Poly((1,)))
-        if num.degree() > 0 and den.degree() > 0:
-            g = num.gcd(den)
-            if g.degree() > 0:
-                num = num.divmod(g)[0]
-                den = den.divmod(g)[0]
-        return RatFunc._monic(num, den)
+            return RatFunc(Poly(()), _ONE)
+        return RatFunc._monic(*_cancel(num, den))
 
     @staticmethod
     def _monic(num: Poly, den: Poly) -> RatFunc:
@@ -289,10 +298,19 @@ class RatFunc:
         return Fraction(0) if self.is_zero() else self.num.coeffs[0]
 
     def __add__(self, other) -> RatFunc:
+        # Henrici: with g = gcd(b, d), a/b + c/d = (a (d/g) + c (b/g)) / ((b/g) (d/g) g),
+        # and a common factor of that numerator and denominator divides g.
         other = _as_ratfunc(other)
-        return RatFunc.make(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        a, b, c, d = self.num, self.den, other.num, other.den
+        g = b.gcd(d) if b.degree() > 0 and d.degree() > 0 else _ONE
+        if g.degree() == 0:
+            return RatFunc(a * d + c * b, b * d)
+        b, d = b.divmod(g)[0], d.divmod(g)[0]
+        n = a * d + c * b
+        if n.is_zero():
+            return RatFunc(n, _ONE)
+        n, g = _cancel(n, g)
+        return RatFunc(n, b * d * g)
 
     __radd__ = __add__
 
@@ -306,8 +324,15 @@ class RatFunc:
         return _as_ratfunc(other) + (-self)
 
     def __mul__(self, other) -> RatFunc:
+        # Knuth: a/b * c/d = (a/g1)(c/g2) / ((b/g2)(d/g1)) with g1 = gcd(a, d)
+        # and g2 = gcd(c, b), which is reduced because a/b and c/d are.
         other = _as_ratfunc(other)
-        return RatFunc.make(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if a.is_zero() or c.is_zero():
+            return RatFunc(Poly(()), _ONE)
+        a, d = _cancel(a, d)
+        c, b = _cancel(c, b)
+        return RatFunc(a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -315,7 +340,7 @@ class RatFunc:
         other = _as_ratfunc(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc.make(self.num * other.den, self.den * other.num)
+        return self * RatFunc._monic(other.den, other.num)
 
     def __rtruediv__(self, other) -> RatFunc:
         return _as_ratfunc(other) / self

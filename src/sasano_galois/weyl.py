@@ -144,9 +144,9 @@ def _divisor(name: str, x, y, z, w, t):
     if name == "s0":
         return w
     if name == "s1":
-        return x + z * z
+        return x + z**2
     if name == "s2":
-        return x + y * y + w + t
+        return x + y**2 + w + t
     raise WeylError(f"unknown generator {name!r}")
 
 
@@ -156,10 +156,12 @@ def _reflect(name: str, x, y, z, w, shift):
         return x, y, z + shift, w
     if name == "s1":
         return x, y - shift, z, w - 2 * shift * z
-    return x + 2 * shift * y - shift * shift, y - shift, z + shift, w
+    return x + 2 * shift * y - shift**2, y - shift, z + shift, w
 
 
-def apply_generator(name: str, state: SolutionState, known: SolutionState | None = None) -> SolutionState:
+def apply_generator(
+    name: str, state: SolutionState, known: SolutionState | None = None, params: ParamTriple | None = None
+) -> SolutionState:
     """One Backlund step on a checked solution; the image is re-verified.
 
     When the divisor vanishes identically the step is only defined for a
@@ -167,7 +169,8 @@ def apply_generator(name: str, state: SolutionState, known: SolutionState | None
     with a nonzero parameter raises.  An image equal in x, y, z, w and
     parameters to ``known``, a checked state the caller holds, is
     ``known`` itself: canonical forms make the equality exact, and
-    :meth:`SolutionState.make` reads only those inputs.
+    :meth:`SolutionState.make` reads only those inputs.  A caller that has
+    ``act_on_params(name, state.params)`` passes it as ``params``.
     """
     t = RatFunc.variable()
     x, y, z, w = state.x, state.y, state.z, state.w
@@ -181,16 +184,11 @@ def apply_generator(name: str, state: SolutionState, known: SolutionState | None
         )
     shift = RatFunc.const(alpha) / div
     image = _reflect(name, x, y, z, w, shift)
-    params = act_on_params(name, state.params)
+    if params is None:
+        params = act_on_params(name, state.params)
     if known is not None and known.params == params and image == (known.x, known.y, known.z, known.w):
         return known
     return SolutionState.make(*image, params)
-
-
-def apply_word(word: Iterable[str], state: SolutionState) -> SolutionState:
-    for name in word:
-        state = apply_generator(name, state)
-    return state
 
 
 # -- group relations ------------------------------------------------------------------
@@ -364,12 +362,12 @@ def enumerate_orbit(
     if depth < 0:
         raise WeylError("depth must be nonnegative")
     root = seed_state() if start is None else SolutionState.make(*start.components().values(), start.params)
-    seen: dict[tuple[Fraction, Fraction, Fraction], OrbitNode] = {}
+    seen: dict[ParamTriple, OrbitNode] = {}
     nodes: list[OrbitNode] = []
     collisions: list[ParamCollision] = []
     skipped: list[tuple[tuple[str, ...], str]] = []
     first = OrbitNode((), 0, root, matsuda_check(root.params))
-    seen[root.params.as_tuple()] = first
+    seen[root.params] = first
     nodes.append(first)
     queue: deque[OrbitNode] = deque([first])
     while queue:
@@ -378,10 +376,10 @@ def enumerate_orbit(
             continue
         for name in GENERATORS:
             word = node.word + (name,)
-            key = act_on_params(name, node.state.params).as_tuple()
-            known = seen.get(key)
+            params = act_on_params(name, node.state.params)
+            known = seen.get(params)
             try:
-                image = apply_generator(name, node.state, known.state if known else None)
+                image = apply_generator(name, node.state, known.state if known else None, params)
             except WeylError as exc:
                 skipped.append((word, str(exc)))
                 continue
@@ -398,7 +396,7 @@ def enumerate_orbit(
                     )
                 continue
             child = OrbitNode(word, node.depth + 1, image, matsuda_check(image.params))
-            seen[key] = child
+            seen[params] = child
             nodes.append(child)
             queue.append(child)
     return OrbitResult(depth, tuple(nodes), tuple(collisions), tuple(skipped))

@@ -152,6 +152,111 @@ class TestRatFunc:
         assert hash(a) == hash(b)
 
 
+def unreduced(op, a, b):
+    """The textbook pair of a op b, reduced once by RatFunc.make."""
+    if op == "+":
+        return RatFunc.make(a.num * b.den + b.num * a.den, a.den * b.den)
+    if op == "-":
+        return RatFunc.make(a.num * b.den - b.num * a.den, a.den * b.den)
+    if op == "*":
+        return RatFunc.make(a.num * b.num, a.den * b.den)
+    return RatFunc.make(a.num * b.den, a.den * b.num)
+
+
+def reduced(op, a, b):
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    return a * b if op == "*" else a / b
+
+
+def assert_reduced(f):
+    """Canonical parts, coprime, a monic denominator, zero as 0/1."""
+    assert_canonical(f.num)
+    assert_canonical(f.den)
+    assert f.den.nums and f.den.nums[-1] == f.den.den
+    if f.is_zero():
+        assert f.den == Poly((1,))
+    else:
+        assert f.num.gcd(f.den) == Poly((1,))
+
+
+class TestReducedArithmetic:
+    """Henrici sums and Knuth products against RatFunc.make of the
+    unreduced pair, on operands whose denominators share factors."""
+
+    @staticmethod
+    def factor(rng, deg):
+        """A random polynomial of exact degree deg, possibly not monic."""
+        cs = [Fraction(rng.randint(-7, 7), rng.randint(1, 5)) for _ in range(deg)]
+        return Poly.make(cs + [Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))])
+
+    def operands(self, seed, count=40):
+        """Pairs n1/(p^2 q) and n2/(p r), with shared factors and multiplicity,
+        and the edge cases: constants, polynomials, negative leading terms."""
+        rng = random.Random(seed)
+        t = RatFunc.variable()
+        out = []
+        for _ in range(count):
+            p, q, r = (self.factor(rng, rng.randint(1, 3)) for _ in range(3))
+            n1, n2 = (self.factor(rng, rng.randint(0, 4)) for _ in range(2))
+            a, b = RatFunc.make(n1, p * p * q), RatFunc.make(n2, p * r)
+            out += [(a, b), (b, a), (a, a), (a, -a)]
+            out += [(a, RatFunc.const(Fraction(-3, 7))), (RatFunc.const(5), b), (a, RatFunc.const(0))]
+            out += [(a, RatFunc.make(n2)), (RatFunc.make(n1 * p), b), (RatFunc.make(n1), RatFunc.make(n2))]
+            # a numerator with a negative leading coefficient as the divisor
+            out.append((a, RatFunc.make(-(p * n2) - 1, q)))
+            # a + b = 1/p + 1/q + 1/r + t over p^2 q and p^2 r: the Henrici
+            # numerator keeps one factor p of g = p^2
+            left = RatFunc.make(n1, p * p) + RatFunc.make(1, q)
+            out.append((left, RatFunc.make(p - n1, p * p) + RatFunc.make(1, r) + t))
+        return out
+
+    def test_equal_to_make_of_the_unreduced_pair(self):
+        for a, b in self.operands(2027):
+            for op in "+-*/":
+                if op == "/" and b.is_zero():
+                    continue
+                got = reduced(op, a, b)
+                assert got == unreduced(op, a, b), (op, a.render(), b.render())
+                assert_reduced(got)
+
+    def test_cancellations(self):
+        rng = random.Random(31)
+        t = Poly.variable()
+        for _ in range(20):
+            p, q, r = (self.factor(rng, rng.randint(1, 3)) for _ in range(3))
+            a, b = RatFunc.make(self.factor(rng, 2), p * p * q), RatFunc.make(self.factor(rng, 2), p * r)
+            for zero in (a - a, a + (-a), (a + b) - b - a, a * 0, 0 * b):
+                assert zero == RatFunc.const(0)
+                assert_reduced(zero)
+            assert (a / a) == RatFunc.const(1) and (a * b) / b == a and (a + b) - b == a
+            # the shared factor p survives in the sum to multiplicity one
+            total = RatFunc.make(t, p * p) + RatFunc.make(p - t, p * p)
+            assert total == RatFunc.make(1, p)
+            assert_reduced(total)
+
+    def test_divisor_with_negative_leading_coefficient(self):
+        d = RatFunc.make(Poly.make([1, 0, -2]), Poly.make([0, 1]))  # (1 - 2t^2)/t
+        f = RatFunc.const(3) / d
+        assert (f.num, f.den) == (Poly.make([0, Fraction(-3, 2)]), Poly.make([Fraction(-1, 2), 0, 1]))
+        assert_reduced(f)
+        assert_reduced(T / d)
+
+    def test_sympy_cancel(self):
+        to_sympy, from_sympy = TestSympyOracle.to_sympy, TestSympyOracle.from_sympy
+        for a, b in self.operands(2028, count=15):
+            an, ad, bn, bd = to_sympy(a.num), to_sympy(a.den), to_sympy(b.num), to_sympy(b.den)
+            pairs = {"+": (an * bd + bn * ad, ad * bd), "-": (an * bd - bn * ad, ad * bd), "*": (an * bn, ad * bd)}
+            if not b.is_zero():
+                pairs["/"] = (an * bd, ad * bn)
+            for op, (n, d) in pairs.items():
+                n, d = n.cancel(d, include=True)
+                got = reduced(op, a, b)
+                assert (got.num, got.den) == (from_sympy(n.quo_ground(d.LC())), from_sympy(d.monic()))
+
+
 class TestParser:
     def test_seed_component(self):
         f = parse_ratfunc("-2*t/5 - 1/(4*t^2)")

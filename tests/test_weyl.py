@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from sasano_galois.exprparse import parse_ratfunc
+from sasano_galois import weyl
 from sasano_galois.ratfunc import RatFunc
 from sasano_galois.weyl import (
     GENERATORS,
@@ -15,7 +16,6 @@ from sasano_galois.weyl import (
     WeylError,
     act_on_params,
     apply_generator,
-    apply_word,
     enumerate_orbit,
     matsuda_check,
     seed_state,
@@ -27,6 +27,13 @@ from sasano_galois.weyl import (
 @pytest.fixture(scope="module")
 def seed():
     return seed_state()
+
+
+def apply_word(word, state):
+    """The generators of ``word`` applied to ``state`` left to right."""
+    for name in word:
+        state = apply_generator(name, state)
+    return state
 
 
 def test_param_triple_relation_enforced():
@@ -215,3 +222,58 @@ def test_known_state_returned_only_when_equal(seed):
         got = apply_generator("s2", seed, known)
         assert got is not known
         assert got == image
+
+
+def test_parameter_action_once_per_edge(monkeypatch):
+    calls = []
+    act = weyl.act_on_params
+
+    def counting(name, params):
+        calls.append(name)
+        return act(name, params)
+
+    monkeypatch.setattr(weyl, "act_on_params", counting)
+    orbit = enumerate_orbit(depth=6)
+    assert orbit.node_count() == 57 and len(orbit.collisions) == 24
+    assert len(calls) == 123
+
+
+def reference_step(name, x, y, z, w, alpha):
+    """The generator's image with every operation reduced by RatFunc.make."""
+
+    def add(a, b):
+        return RatFunc.make(a.num * b.den + b.num * a.den, a.den * b.den)
+
+    def mul(a, b):
+        return RatFunc.make(a.num * b.num, a.den * b.den)
+
+    def sub(a, b):
+        return add(a, -b)
+
+    t, two = RatFunc.variable(), RatFunc.const(2)
+    div = {"s0": w, "s1": add(x, mul(z, z)), "s2": add(add(add(x, mul(y, y)), w), t)}[name]
+    if div.is_zero():
+        return None
+    shift = RatFunc.make(div.den * alpha, div.num)
+    if name == "s0":
+        return x, y, add(z, shift), w
+    if name == "s1":
+        return x, sub(y, shift), z, sub(w, mul(mul(two, shift), z))
+    return sub(add(x, mul(mul(two, shift), y)), mul(shift, shift)), sub(y, shift), add(z, shift), w
+
+
+def test_backlund_steps_match_reference_arithmetic(seed):
+    t = RatFunc.variable()
+    steps = 0
+    for node in enumerate_orbit(seed, depth=3).nodes:
+        s = node.state
+        for name in GENERATORS:
+            alpha = s.params.as_tuple()[GENERATORS.index(name)]
+            expect = reference_step(name, s.x, s.y, s.z, s.w, alpha)
+            div = weyl._divisor(name, s.x, s.y, s.z, s.w, t)
+            if expect is None:
+                assert div.is_zero()
+                continue
+            assert weyl._reflect(name, s.x, s.y, s.z, s.w, alpha / div) == expect
+            steps += 1
+    assert steps == 51  # 17 nodes, no divisor vanishes
