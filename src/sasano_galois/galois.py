@@ -306,8 +306,8 @@ def component_from_stokes(flags: StokesFlags) -> str:
     return "SL2" if flags.both_nontrivial() else "undetermined"
 
 
-def classify_block(block: DiffSystem, label: str, pullback: int = 6) -> BlockClassification:
-    """Scalarize, pull back, normalize, and classify one 2x2 block.
+def _classify_scalar(ode: ScalarODE2, label: str) -> BlockClassification:
+    """Normalize and classify the scalar equation of one pulled-back block.
 
     The group is reported as SL2 exactly when both Stokes matrices are
     nontrivial (the exponential torus already forces the diagonal, and a
@@ -315,10 +315,6 @@ def classify_block(block: DiffSystem, label: str, pullback: int = 6) -> BlockCla
     two natural-number conventions must agree, otherwise the input sits
     on a boundary this test cannot decide and an error is raised.
     """
-    return _classify_scalar(system_to_scalar(eta_pullback(block, pullback)), label)
-
-
-def _classify_scalar(ode: ScalarODE2, label: str) -> BlockClassification:
     wh = normalize_whittaker(ode)
     flags_a = stokes_triviality(wh.kappa, wh.mu, include_zero=True)
     flags_b = stokes_triviality(wh.kappa, wh.mu, include_zero=False)

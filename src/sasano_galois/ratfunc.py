@@ -10,10 +10,11 @@ instead of returning garbage.
 Arithmetic runs on the integer coefficients directly: convolution,
 fraction-free pseudo-division and the primitive polynomial remainder
 sequence of Brown, J. ACM 18 (1971).  Fractions enter only through
-``Poly.make`` and leave only through ``Poly.coeffs``.  ``RatFunc.make``
-reduces an arbitrary pair by one gcd; + - * / of reduced operands take
-gcds only with a factor of a denominator (Henrici's sum and Knuth's
-cross-cancelled product, TAOCP vol. 2, 4.5.1), and powers need none.
+``Poly.make`` and ``RatFunc.const`` and leave only through
+``Poly.coeffs``.  ``RatFunc.make`` reduces an arbitrary pair by one gcd,
+and constants need none; + - * / of reduced operands take gcds only with
+a factor of a denominator (Henrici's sum and Knuth's cross-cancelled
+product, TAOCP vol. 2, 4.5.1), and powers need none.
 """
 
 from __future__ import annotations
@@ -280,11 +281,13 @@ class RatFunc:
 
     @staticmethod
     def const(c) -> RatFunc:
-        return RatFunc.make(Poly.const(c))
+        # a Fraction is already coprime with a positive denominator
+        c = Fraction(c)
+        return RatFunc(Poly((c.numerator,), c.denominator) if c else Poly(()), _ONE)
 
     @staticmethod
     def variable() -> RatFunc:
-        return RatFunc.make(Poly.variable())
+        return RatFunc(Poly.variable(), _ONE)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -380,5 +383,5 @@ def _as_ratfunc(x) -> RatFunc:
     if isinstance(x, RatFunc):
         return x
     if isinstance(x, Poly):
-        return RatFunc.make(x)
-    return RatFunc.const(Fraction(x))
+        return RatFunc(x, _ONE)
+    return RatFunc.const(x)

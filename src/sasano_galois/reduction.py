@@ -40,6 +40,7 @@ from .diffsys import (
     eigen_decompose_distinct,
     gauge_constant,
     gauge_shear,
+    identity_matrix,
     leading_data,
     mat_mul,
     system_numeric,
@@ -171,12 +172,17 @@ def _compare_stage(name: str, got: DiffSystem, expected: DiffSystem) -> None:
                 )
 
 
-def _gauge(stage: str, system: DiffSystem, t: AlgMatrix, t_inv: AlgMatrix) -> DiffSystem:
-    """Constant gauge whose stored inverse must invert T; a failure names the stage."""
-    try:
-        return gauge_constant(system, t, t_inv)
-    except TowerError as exc:
-        raise ReductionError(f"stage {stage}: {exc}") from exc
+def _check_inverse(stage: str, t: AlgMatrix, t_inv: AlgMatrix) -> tuple[AlgMatrix, AlgMatrix]:
+    """(T, T^-1) once T^-1 T = I (so T T^-1 = I too), a failure naming the
+    stage: each gauge pair is checked here once, as it enters the trace."""
+    if mat_mul(t_inv, t) != identity_matrix(t[0][0].tower, len(t)):
+        raise ReductionError(f"stage {stage}: supplied inverse does not invert the gauge matrix")
+    return t, t_inv
+
+
+def _fixture_gauge(stage: str, key: str, fixtures: dict, c: ChainConstants) -> tuple[AlgMatrix, AlgMatrix]:
+    t, t_inv = (fixture_constant_matrix(fixtures["gauges"][k], c) for k in (key, f"{key}_inv"))
+    return _check_inverse(stage, t, t_inv)
 
 
 def run_canonical_chain(nve: DiffSystem, config: ChainConfig | None = None) -> ReductionTrace:
@@ -201,9 +207,8 @@ def run_canonical_chain(nve: DiffSystem, config: ChainConfig | None = None) -> R
     check("variational", nve)
 
     steps: list[GaugeStep] = []
-    t1 = fixture_constant_matrix(fixtures["gauges"]["t1"], c)
-    t1_inv = fixture_constant_matrix(fixtures["gauges"]["t1_inv"], c)
-    sys2 = _gauge("leading_nilpotent", nve, t1, t1_inv)
+    t1, t1_inv = _fixture_gauge("leading_nilpotent", "t1", fixtures, c)
+    sys2 = gauge_constant(nve, t1, t1_inv)
     check("leading_nilpotent", sys2)
     steps.append(
         GaugeStep("constant", "leading_nilpotent", nve, sys2, matrix=t1, matrix_inv=t1_inv)
@@ -237,9 +242,8 @@ def run_canonical_chain(nve: DiffSystem, config: ChainConfig | None = None) -> R
         )
     )
 
-    t2 = fixture_constant_matrix(fixtures["gauges"]["t2"], c)
-    t2_inv = fixture_constant_matrix(fixtures["gauges"]["t2_inv"], c)
-    sys5 = _gauge("jordan_gauge", sys4, t2, t2_inv)
+    t2, t2_inv = _fixture_gauge("jordan_gauge", "t2", fixtures, c)
+    sys5 = gauge_constant(sys4, t2, t2_inv)
     check("jordan_gauge", sys5)
     steps.append(GaugeStep("constant", "jordan_gauge", sys4, sys5, matrix=t2, matrix_inv=t2_inv))
 
@@ -263,8 +267,8 @@ def run_canonical_chain(nve: DiffSystem, config: ChainConfig | None = None) -> R
         lead_ref = fixture_constant_matrix(fixtures["leading_unit_shear"], c)
         if lead != lead_ref:
             raise ReductionError("stage unit_shear: leading matrix differs from reference")
-    t3, t3_inv = eigen_decompose_distinct(lead, c.eigenvalues)
-    sys7 = _gauge("decoupled", sys6, t3, t3_inv)
+    t3, t3_inv = _check_inverse("decoupled", *eigen_decompose_distinct(lead, c.eigenvalues))
+    sys7 = gauge_constant(sys6, t3, t3_inv)
     check("decoupled", sys7)
     steps.append(GaugeStep("constant", "decoupled", sys6, sys7, matrix=t3, matrix_inv=t3_inv))
 
@@ -291,11 +295,10 @@ def _check_printed_gauge(
     Its columns differ from ours only by per-block scalars, so conjugating
     with it gives the identical system; both facts are checked exactly.
     """
-    t3p = fixture_constant_matrix(fixtures["gauges"]["t3"], c)
-    t3p_inv = fixture_constant_matrix(fixtures["gauges"]["t3_inv"], c)
+    t3p, t3p_inv = _fixture_gauge("decoupled (printed gauge)", "t3", fixtures, c)
     if mat_mul(t3p_inv, mat_mul(lead, t3p)) != diagonal_matrix(c.tower, c.eigenvalues):
         raise ReductionError("printed eigenvector gauge does not diagonalize the leading matrix")
-    alt = _gauge("decoupled (printed gauge)", sys6, t3p, t3p_inv)
+    alt = gauge_constant(sys6, t3p, t3p_inv)
     _compare_stage("decoupled (printed gauge)", alt, sys7)
 
 
@@ -357,7 +360,7 @@ def _inverse_walk(trace: ReductionTrace) -> None:
     for step in reversed(trace.steps):
         _compare_stage(f"{step.stage} (forward record)", current, step.after)
         if step.kind == "constant":
-            undone = _gauge(f"{step.stage} (undone)", current, step.matrix_inv, step.matrix)
+            undone = gauge_constant(current, step.matrix_inv, step.matrix)
         elif step.kind == "shear":
             g = step.shear_exponents[1] if len(step.shear_exponents) > 1 else Fraction(0)
             undone = gauge_shear(current, -g)

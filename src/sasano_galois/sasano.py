@@ -10,10 +10,11 @@ extended system autonomous, with equations of motion
     z' =  dH/dw,   w' = -dH/dz,
     t' =  dH/dF,   F' = -dH/dt.
 
-Everything here is exact: polynomials carry Fraction coefficients,
-solutions are rational functions of t, and the normal variational
-system is produced with algebraic-number entries ready for the
-reduction chain.
+Everything here is exact: polynomials carry Fraction coefficients and
+solutions are rational functions of t.  A solution reaches H, the field
+and its Jacobian one way only, as the values :func:`scale_solution` puts
+over one common denominator, and the normal variational system comes out
+with algebraic-number entries ready for the reduction chain.
 """
 
 from __future__ import annotations
@@ -103,22 +104,6 @@ class PolyExpr:
             acc[tuple(ne)] = acc.get(tuple(ne), Fraction(0)) + c * e[k]
         return PolyExpr._from_dict(acc)
 
-    def substitute(self, assign: Mapping[str, object]) -> PolyExpr:
-        """Replace some symbols by constants or other expressions."""
-        out = PolyExpr.const(0)
-        for e, c in self.terms:
-            term = PolyExpr.const(c)
-            for k, exp in enumerate(e):
-                if exp == 0:
-                    continue
-                name = VARS[k]
-                if name in assign:
-                    term = term * _as_polyexpr(assign[name]) ** exp
-                else:
-                    term = term * PolyExpr.var(name) ** exp
-            out = out + term
-        return out
-
     def eval_scaled(self, values: CommonDenominator) -> tuple[Poly, int]:
         """Evaluate over a common denominator L, unreduced: (N, k) with value
         N / L^k, k the largest weight of a term.  Cached monomials are scaled
@@ -133,12 +118,6 @@ class PolyExpr:
         for weight in range(1, top + 1):
             total = total * values.den + sums.get(weight, Poly(()))
         return total, top
-
-    def eval_rat(self, assign: Mapping[str, RatFunc]) -> RatFunc:
-        """Evaluate with rational-function values for every present symbol."""
-        values = CommonDenominator(assign)
-        num, k = self.eval_scaled(values)
-        return RatFunc.make(num, values.den_power(k))
 
     def render(self) -> str:
         return join_signed(
@@ -202,15 +181,17 @@ class CommonDenominator:
             self._den_powers.append(self._den_powers[-1] * self.den)
         return self._den_powers[k]
 
+    def evaluate(self, expr: PolyExpr) -> RatFunc:
+        """The value of ``expr``, reduced once: N / L^k by one gcd."""
+        num, k = expr.eval_scaled(self)
+        return RatFunc.make(num, self.den_power(k))
+
 
 def _as_polyexpr(x) -> PolyExpr:
-    if isinstance(x, PolyExpr):
-        return x
-    return PolyExpr.const(Fraction(x))
+    return x if isinstance(x, PolyExpr) else PolyExpr.const(x)
 
 
-def _v(name: str) -> PolyExpr:
-    return PolyExpr.var(name)
+_v = PolyExpr.var
 
 
 @functools.cache
@@ -281,40 +262,26 @@ def _symbolic_field() -> tuple[PolyExpr, ...]:
     return field
 
 
-def build_extended_system(params: Sequence | None = None) -> tuple[PolyExpr, ...]:
-    """Equations of motion on (x, y, z, w, t, F) from the extended Hamiltonian.
-
-    With params=None the field stays symbolic in (a0, a1); otherwise the
-    parameter symbols are substituted after the relation check.
-    """
-    field = _symbolic_field()
-    if params is None:
-        return field
-    a0, a1, a2 = check_params(params)
-    assign = {"a0": a0, "a1": a1, "a2": a2}
-    return tuple(f.substitute(assign) for f in field)
+def build_extended_system() -> tuple[PolyExpr, ...]:
+    """Equations of motion on (x, y, z, w, t, F), symbolic in the parameters."""
+    return _symbolic_field()
 
 
 def seed_solution() -> tuple[dict[str, RatFunc], tuple[Fraction, Fraction, Fraction]]:
-    """The rational seed: x = w = -2t/5, y = z = 0, F = 2t^2/5."""
-    t = RatFunc.variable()
-    sol = {
-        "x": t * Fraction(-2, 5),
-        "y": RatFunc.const(0),
-        "z": RatFunc.const(0),
-        "w": t * Fraction(-2, 5),
-        "F": t * t * Fraction(2, 5),
-    }
-    params = (Fraction(2, 5), Fraction(1, 5), Fraction(1, 10))
-    return sol, params
+    """The rational seed x = w = -2t/5, y = z = 0 at (a0, a1, a2) = (2/5, 1/5, 1/10);
+    its F is the energy lift (:func:`solution_energy`), 2t^2/5."""
+    x = RatFunc.variable() * Fraction(-2, 5)
+    zero = RatFunc.const(0)
+    return {"x": x, "y": zero, "z": zero, "w": x}, (Fraction(2, 5), Fraction(1, 5), Fraction(1, 10))
 
 
 def scale_solution(sol: Mapping[str, RatFunc], params: Sequence) -> CommonDenominator:
     """The solution, t and the parameters over one common denominator.
 
-    These are all the symbols the Hamiltonian and the symbolic equations
-    of motion read, so one instance serves both :func:`solution_energy`
-    and :func:`verify_solution` and nothing is substituted.
+    These are all the symbols the Hamiltonian, the symbolic equations of
+    motion and their Jacobian read, so one instance serves
+    :func:`solution_energy`, :func:`verify_solution` and
+    :func:`variational_matrix`, and nothing is substituted.
     """
     values = {name: sol[name] for name in ("x", "y", "z", "w")}
     values["t"] = RatFunc.variable()
@@ -323,42 +290,29 @@ def scale_solution(sol: Mapping[str, RatFunc], params: Sequence) -> CommonDenomi
     return CommonDenominator(values)
 
 
-def solution_energy(
-    sol: Mapping[str, RatFunc], params: Sequence, values: CommonDenominator | None = None
-) -> RatFunc:
-    """-H along the solution; the F component of a zero-energy lift.
-
-    ``values`` may pass in ``scale_solution(sol, params)`` when it is
-    already at hand.
-    """
-    if values is None:
-        values = scale_solution(sol, params)
-    num, k = hamiltonian().eval_scaled(values)
-    return RatFunc.make(-num, values.den_power(k))
+def solution_energy(values: CommonDenominator) -> RatFunc:
+    """-H along the solution held by ``values`` (:func:`scale_solution`);
+    the F component of a zero-energy lift."""
+    return -values.evaluate(hamiltonian())
 
 
-def verify_solution(
-    sol: Mapping[str, RatFunc], params: Sequence, values: CommonDenominator | None = None
-) -> None:
-    """Check d(sol)/dt equals the field along sol, exactly; raise on failure.
+def verify_solution(values: CommonDenominator, f: RatFunc) -> None:
+    """Check that x, y, z, w held by ``values`` and F = f solve the field
+    exactly; raise on failure.
 
     Each equation is checked without a gcd.  The field row is N/L^k over
-    the common denominator L of ``values`` (``scale_solution(sol, params)``
-    unless passed in), and x, y, z, w are m/L^j there, j in {0, 1}.  With
-    D = m'L - mL' (m' when j = 0), d/dt (m/L^j) = D/L^2j, so the equation
-    holds exactly when D L^(k-2j) = N, or D = N L^(2j-k) when k < 2j.
-    F = n/d is not among the values; its equation is (n'd - nd') L^k = N d^2.
+    the common denominator L of ``values``, and x, y, z, w are m/L^j there,
+    j in {0, 1}.  With D = m'L - mL' (m' when j = 0), d/dt (m/L^j) = D/L^2j,
+    so the equation holds exactly when D L^(k-2j) = N, or D = N L^(2j-k)
+    when k < 2j.  F = n/d is not among the values; its equation is
+    (n'd - nd') L^k = N d^2.
     """
-    if values is None:
-        values = scale_solution(sol, params)
     field = build_extended_system()
     bad = []
-    for idx, name in enumerate(PHASE_VARS):
-        if name == "t":
-            continue
-        num, k = field[idx].eval_scaled(values)
+    for name in ("x", "y", "z", "w", "F"):  # t' = 1 holds by construction
+        num, k = field[_INDEX[name]].eval_scaled(values)
         if name == "F":
-            n, d = sol[name].num, sol[name].den
+            n, d = f.num, f.den
             lhs, rhs = (n.derivative() * d - n * d.derivative()) * values.den_power(k), num * (d * d)
         else:
             m, j = values.power(name, 1)
@@ -373,20 +327,13 @@ def verify_solution(
         raise ValueError(f"not a solution: equations fail for {', '.join(bad)}")
 
 
-def variational_matrix(
-    sol: Mapping[str, RatFunc], params: Sequence
-) -> tuple[tuple[RatFunc, ...], ...]:
-    """Jacobian of the extended field along the solution, 6 x 6 exact."""
-    field = build_extended_system(params)
-    assign = {name: sol[name] for name in ("x", "y", "z", "w", "F")}
-    assign["t"] = RatFunc.variable()
-    rows = []
-    for f in field:
-        row = []
-        for name in PHASE_VARS:
-            row.append(f.diff(name).eval_rat(assign))
-        rows.append(tuple(row))
-    return tuple(rows)
+def variational_matrix(values: CommonDenominator) -> tuple[tuple[RatFunc, ...], ...]:
+    """Jacobian of the extended field along the solution held by ``values``
+    (:func:`scale_solution`), 6 x 6 exact: each symbolic entry evaluated
+    over those values.  The field does not read F, so F is not needed."""
+    return tuple(
+        tuple(values.evaluate(f.diff(name)) for name in PHASE_VARS) for f in build_extended_system()
+    )
 
 
 def ratfunc_to_puiseux(f: RatFunc, tower: TowerSpec) -> PuiseuxPoly:
@@ -436,7 +383,8 @@ def extract_nve(
 
 
 def seed_variational_system(tower: TowerSpec) -> DiffSystem:
-    """Normal variational system along the seed, ready for reduction."""
-    sol, params = seed_solution()
-    verify_solution(sol, params)
-    return extract_nve(variational_matrix(sol, params), tower)
+    """Normal variational system along the seed, ready for reduction: the
+    seed is verified and linearized over one :func:`scale_solution`."""
+    values = scale_solution(*seed_solution())
+    verify_solution(values, solution_energy(values))
+    return extract_nve(variational_matrix(values), tower)

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 from .diffsys import mat_mul
 from .ratfunc import RatFunc
-from .sasano import check_params, scale_solution, solution_energy, verify_solution
+from .sasano import check_params, scale_solution, seed_solution, solution_energy, verify_solution
 
 GENERATORS = ("s0", "s1", "s2")
 
@@ -113,12 +113,10 @@ class SolutionState:
 
     @staticmethod
     def make(x: RatFunc, y: RatFunc, z: RatFunc, w: RatFunc, params: ParamTriple) -> SolutionState:
-        sol = {"x": x, "y": y, "z": z, "w": w}
-        values = scale_solution(sol, params.as_tuple())
-        f = solution_energy(sol, params.as_tuple(), values)
-        sol["F"] = f
+        values = scale_solution({"x": x, "y": y, "z": z, "w": w}, params.as_tuple())
+        f = solution_energy(values)
         try:
-            verify_solution(sol, params.as_tuple(), values)
+            verify_solution(values, f)
         except ValueError as exc:
             raise WeylError(str(exc)) from exc
         return SolutionState(x, y, z, w, f, params)
@@ -131,10 +129,8 @@ class SolutionState:
 
 
 def seed_state() -> SolutionState:
-    t = RatFunc.variable()
-    params = ParamTriple.make((Fraction(2, 5), Fraction(1, 5), Fraction(1, 10)))
-    scaled = t * Fraction(-2, 5)
-    return SolutionState.make(scaled, RatFunc.const(0), RatFunc.const(0), scaled, params)
+    sol, params = seed_solution()
+    return SolutionState.make(sol["x"], sol["y"], sol["z"], sol["w"], ParamTriple.make(params))
 
 
 # -- the generators on solutions ----------------------------------------------------

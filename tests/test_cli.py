@@ -182,15 +182,46 @@ GOLDEN = (
             "orbit_summary.md": "96810fd87a2a55b16a7f979b61d40ed67dd0d30e3e14e8ad151a1aaeea39a141",
         },
     ),
+    (
+        ("verify-seed",),
+        {
+            "seed_check.json": "fc2f60a3f672e99a5f3d7166fe7556c5b1032681d5df43cfc096413beef8a973",
+            "seed_check.md": "8df512105fdd60ce854b7f6919eb3404a01034ceebc1aba985af1777e745a8f0",
+        },
+    ),
+    (
+        ("verify-seed", "--solution-file", S0_IMAGE),
+        {
+            "seed_check.json": "9794a9eb4949212169ed5778074ea68a942a032bfbdd5022354941cc5d6dc390",
+            "seed_check.md": "c03f5e1062c1ae842c84fb14413436ce1493f1aa1d29bfd9f8bb391771bbf905",
+        },
+    ),
+    (
+        ("prove", "--stop-after", "nve"),
+        {
+            "proof.json": "11783419810757d9f29a1d917fc753daa2ef22820dddc1aff31ce6e5b73664e9",
+            "proof.md": "2d12d6355a27afac599cb36c567a7a61fae03b254f19fc1221f7206ff1110426",
+        },
+    ),
 )
 
 
 @pytest.mark.parametrize(
     "argv, digests",
     GOLDEN,
-    ids=["prove", "prove-wasow", "orbit-depth-2", "orbit-depth-6", "orbit-depth-8"],
+    ids=[
+        "prove", "prove-wasow", "orbit-depth-2", "orbit-depth-6", "orbit-depth-8",
+        "verify-seed", "verify-seed-file", "prove-nve",
+    ],
 )
 def test_reports_match_golden_digests(tmp_path, argv, digests):
+    # a dict argument is a solution file, written out and passed by path
+    argv = list(argv)
+    for k, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            path = tmp_path / "solution.json"
+            path.write_text(json.dumps(arg))
+            argv[k] = str(path)
     assert run(tmp_path, *argv) == 0
     got = {
         name: hashlib.sha256((tmp_path / "reports" / name).read_bytes()).hexdigest()
@@ -208,6 +239,20 @@ def test_corrupt_gauge_inverse_gives_fail_section(tmp_path, monkeypatch):
     last = data["sections"][-1]
     assert (last["name"], last["status"]) == ("reduction trace", "fail")
     assert "leading_nilpotent" in last["steps"][0]["values"]["error"]
+
+
+@pytest.mark.parametrize(
+    "key, stage", [("t2_inv", "jordan_gauge"), ("t3_inv", "decoupled (printed gauge)")]
+)
+def test_corrupt_later_gauge_inverse_gives_fail_section(tmp_path, monkeypatch, key, stage):
+    fixtures = copy.deepcopy(reduction.load_fixtures())
+    fixtures["gauges"][key][0][0] = "1/3"
+    monkeypatch.setattr(reduction, "load_fixtures", lambda: fixtures)
+    assert run(tmp_path, "prove") == 1
+    data = read_json(tmp_path, "proof")
+    last = data["sections"][-1]
+    assert (last["name"], last["status"]) == ("reduction trace", "fail")
+    assert f"stage {stage}: supplied inverse" in last["steps"][0]["values"]["error"]
 
 
 def test_unparsable_gauge_fixture_gives_fail_section(tmp_path, monkeypatch):

@@ -16,7 +16,6 @@ from sasano_galois.galois import (
     ScalarODE2,
     StokesFlags,
     certify_apparent,
-    classify_block,
     classify_blocks,
     component_from_stokes,
     eta_pullback,
@@ -258,9 +257,9 @@ def test_verdict_needs_everything(trace):
 
 
 def test_classify_block_labels(trace):
-    one = classify_block(trace.blocks[0], "first")
-    assert one.label == "first"
-    assert one.group == "SL2"
+    outcome = classify_blocks(trace.blocks)
+    assert [b.label for b in outcome.blocks] == ["block 1", "block 2"]
+    assert [b.group for b in outcome.blocks] == ["SL2", "SL2"]
 
 
 def test_component_from_stokes():

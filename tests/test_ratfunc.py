@@ -257,6 +257,24 @@ class TestReducedArithmetic:
                 assert (got.num, got.den) == (from_sympy(n.quo_ground(d.LC())), from_sympy(d.monic()))
 
 
+def test_const_is_canonical_without_make(monkeypatch):
+    cases = (0, Fraction(-7, 3), 12, -4, Fraction(5, 2**64 + 1))
+    expected = [RatFunc.make(q) for q in cases]
+    variable = RatFunc.make(Poly.variable())
+
+    def no_make(*args):
+        raise AssertionError("RatFunc.make called")
+
+    monkeypatch.setattr(RatFunc, "make", staticmethod(no_make))
+    for q, want in zip(cases, expected):
+        got = RatFunc.const(q)
+        assert got == want and got.constant_value() == q
+        assert_reduced(got)
+    assert RatFunc.variable() == variable
+    assert_reduced(RatFunc.variable())
+    assert T * 2 - Poly.make([0, 1]) == T
+
+
 class TestParser:
     def test_seed_component(self):
         f = parse_ratfunc("-2*t/5 - 1/(4*t^2)")

@@ -8,7 +8,16 @@ from fractions import Fraction
 import pytest
 
 from sasano_galois.algnum import AlgNum, TowerError, canonical_constants, wasow_constants
-from sasano_galois.diffsys import DiffSystem, block_split, char_poly, leading_data, mat_mul
+from sasano_galois import reduction
+from sasano_galois.diffsys import (
+    DiffSystem,
+    block_split,
+    char_poly,
+    leading_data,
+    mat_from_rows,
+    mat_inv,
+    mat_mul,
+)
 from sasano_galois.puiseux import AlgPoly, PuiseuxPoly
 from sasano_galois.reduction import (
     ReductionError,
@@ -226,3 +235,27 @@ def test_round_trip_recovers_input(canonical_trace):
     fresh = seed_variational_system(canonical_trace.config.constants.tower)
     assert fresh.matrix == nve.matrix
     assert fresh.var == nve.var
+
+
+def test_constant_gauge_checks_inverse():
+    tower = canonical_constants().tower
+    t = mat_from_rows(tower, [[1, 2], [1, 3]])
+    with pytest.raises(ReductionError, match="stage s: supplied inverse"):
+        reduction._check_inverse("s", t, t)
+    assert reduction._check_inverse("s", t, mat_inv(t)) == (t, mat_inv(t))
+
+
+def test_each_gauge_inverse_checked_once(monkeypatch):
+    # t1, t2, the computed eigenvector pair and the printed t3: the inverse
+    # walk conjugates by the same pairs without checking them again
+    checked = []
+    check = reduction._check_inverse
+
+    def counting(stage, t, t_inv):
+        checked.append(stage)
+        return check(stage, t, t_inv)
+
+    monkeypatch.setattr(reduction, "_check_inverse", counting)
+    cfg = canonical_config()
+    verify_trace_consistency(run_canonical_chain(seed_variational_system(cfg.constants.tower), cfg))
+    assert checked == ["leading_nilpotent", "jordan_gauge", "decoupled", "decoupled (printed gauge)"]

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from sasano_galois import sasano
 from sasano_galois.algnum import TowerError
 from sasano_galois.puiseux import PuiseuxPoly
 from sasano_galois.exprparse import parse_ratfunc
 from sasano_galois.ratfunc import Poly, RatFunc
 from sasano_galois.sasano import (
+    PHASE_VARS,
     VARS,
     CommonDenominator,
     PolyExpr,
@@ -19,6 +21,7 @@ from sasano_galois.sasano import (
     extract_nve,
     hamiltonian,
     ratfunc_to_puiseux,
+    scale_solution,
     seed_solution,
     seed_variational_system,
     solution_energy,
@@ -28,6 +31,15 @@ from sasano_galois.sasano import (
 from sasano_galois.weyl import enumerate_orbit
 
 V = PolyExpr.var
+
+
+def seed_values():
+    return scale_solution(*seed_solution())
+
+
+def verify(sol, params):
+    """verify_solution on x, y, z, w and F of ``sol``."""
+    verify_solution(scale_solution(sol, params), sol["F"])
 
 
 class TestPolyExpr:
@@ -44,18 +56,13 @@ class TestPolyExpr:
         assert p.diff("y") == 4 * x * y
         assert p.diff("z").is_zero()
 
-    def test_substitute(self):
-        x, a1 = V("x"), V("a1")
-        p = x * a1 + a1**2
-        q = p.substitute({"a1": Fraction(1, 5)})
-        assert q == x * Fraction(1, 5) + Fraction(1, 25)
-
     def test_eval_rat_requires_all_symbols(self):
+        # evaluation to a RatFunc over CommonDenominator values
         p = V("x") * V("t")
         t = RatFunc.variable()
-        assert p.eval_rat({"x": t, "t": t}) == t * t
+        assert CommonDenominator({"x": t, "t": t}).evaluate(p) == t * t
         with pytest.raises(ValueError):
-            p.eval_rat({"x": t})
+            CommonDenominator({"x": t}).evaluate(p)
 
     def test_render(self):
         p = 2 * V("x") * V("y") ** 2 - V("w")
@@ -94,36 +101,33 @@ class TestField:
         assert f[5] == -2 * x
         assert f[2] == z**2 - w + x + 2 * y * z
 
-    def test_params_substituted(self):
-        f = build_extended_system((Fraction(2, 5), Fraction(1, 5), Fraction(1, 10)))
-        # a1 = 1/5 appears only in the x equation as the constant -2/5
-        assert f[0] == 4 * V("x") * V("y") + 2 * V("z") * V("w") - Fraction(2, 5)
-
     def test_bad_params_rejected(self):
+        sol, _ = seed_solution()
         with pytest.raises(ValueError):
-            build_extended_system((Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)))
+            scale_solution(sol, (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)))
 
     def test_seed_fails_under_other_admissible_params(self):
         sol, _ = seed_solution()
+        values = scale_solution(sol, (Fraction(1, 2), Fraction(1, 8), Fraction(1, 8)))
         with pytest.raises(ValueError):
-            verify_solution(sol, (Fraction(1, 2), Fraction(1, 8), Fraction(1, 8)))
+            verify_solution(values, solution_energy(values))
 
 
 class TestSeedSolution:
     def test_seed_verifies(self):
-        sol, params = seed_solution()
-        verify_solution(sol, params)
+        values = seed_values()
+        verify_solution(values, solution_energy(values))
 
     def test_seed_energy_matches_conjugate(self):
-        sol, params = seed_solution()
-        assert solution_energy(sol, params) == sol["F"]
+        t = RatFunc.variable()
+        assert solution_energy(seed_values()) == t * t * Fraction(2, 5)
 
     def test_tampered_solution_fails_with_component(self):
         sol, params = seed_solution()
-        bad = dict(sol)
+        bad = dict(sol, F=solution_energy(seed_values()))
         bad["y"] = RatFunc.const(Fraction(1, 7))
         with pytest.raises(ValueError, match="x"):
-            verify_solution(bad, params)
+            verify(bad, params)
 
     def test_transformed_solution_verifies(self):
         # Image of the seed under the third reflection: poles at t = 0
@@ -135,25 +139,22 @@ class TestSeedSolution:
             "z": parse_ratfunc("1/(2*t)"),
             "w": parse_ratfunc("-2*t/5"),
         }
-        sol["F"] = solution_energy(sol, params)
-        verify_solution(sol, params)
+        values = scale_solution(sol, params)
+        verify_solution(values, solution_energy(values))
 
 
 class TestVariational:
     def test_time_row_and_conjugate_column_vanish(self):
-        sol, params = seed_solution()
-        vm = variational_matrix(sol, params)
+        vm = variational_matrix(seed_values())
         assert all(e.is_zero() for e in vm[4])
         assert all(vm[i][5].is_zero() for i in range(6))
 
     def test_time_column_couples(self):
-        sol, params = seed_solution()
-        vm = variational_matrix(sol, params)
+        vm = variational_matrix(seed_values())
         assert vm[1][4] == RatFunc.const(-2)
 
     def test_conjugate_row_reads_first_equation(self):
-        sol, params = seed_solution()
-        vm = variational_matrix(sol, params)
+        vm = variational_matrix(seed_values())
         assert vm[5][0] == RatFunc.const(-2)
         assert all(vm[5][j].is_zero() for j in range(1, 6))
 
@@ -179,6 +180,18 @@ class TestNormalVariational:
         assert sys.entry(3, 2) == entry("4/5", 1)
         assert sys.entry(3, 3).is_zero()
         assert t1 is not None
+
+    def test_seed_is_scaled_once(self, tower, monkeypatch):
+        built = []
+
+        class Counting(CommonDenominator):
+            def __init__(self, values):
+                built.append(values)
+                super().__init__(values)
+
+        monkeypatch.setattr(sasano, "CommonDenominator", Counting)
+        seed_variational_system(tower)
+        assert len(built) == 1
 
     def test_rejects_coupled_time_row(self, tower):
         one = RatFunc.const(1)
@@ -230,15 +243,21 @@ def per_term_value(expr, assign):
 
 class TestCommonDenominator:
     def test_eval_rat_matches_per_term_products(self):
+        # H, the field and its Jacobian evaluated over scale_solution, against
+        # reduced per-term products with the parameters as RatFunc constants
         for state in depth_two_states():
             params = state.params.as_tuple()
+            values = scale_solution(state.components(), params)
             assign = dict(state.as_solution(), t=RatFunc.variable())
             assign.update(zip(("a0", "a1", "a2"), map(RatFunc.const, params)))
-            exprs = [hamiltonian(), *build_extended_system(), *build_extended_system(params)]
-            exprs += [f.diff(name) for f in build_extended_system(params) for name in ("x", "y", "z", "w")]
-            for expr in exprs:
-                assert expr.eval_rat(assign) == per_term_value(expr, assign)
-            assert solution_energy(state.as_solution(), params) == -per_term_value(hamiltonian(), assign)
+            field = build_extended_system()
+            for expr in (hamiltonian(), *field):
+                assert values.evaluate(expr) == per_term_value(expr, assign)
+            vm = variational_matrix(values)
+            for i, f in enumerate(field):
+                for j, name in enumerate(PHASE_VARS):
+                    assert vm[i][j] == per_term_value(f.diff(name), assign)
+            assert solution_energy(values) == -per_term_value(hamiltonian(), assign)
             assert state.f == -per_term_value(hamiltonian(), assign)
 
     @pytest.mark.parametrize("kind", ["pole", "coefficient"])
@@ -247,7 +266,7 @@ class TestCommonDenominator:
         shift = RatFunc.make(1, Poly.make([-3, 1]))  # 1/(t - 3)
         for state in depth_two_states():
             sol, params = state.as_solution(), state.params.as_tuple()
-            verify_solution(sol, params)
+            verify(sol, params)
             for name, value in sol.items():
                 if kind == "pole":
                     wrong = value + shift
@@ -262,8 +281,8 @@ class TestCommonDenominator:
                     ])
                     wrong = value + RatFunc.make(Poly.make([0] * k + [rng.choice((1, -1))]), value.den)
                 with pytest.raises(ValueError, match="not a solution"):
-                    verify_solution(dict(sol, **{name: wrong}), params)
-            verify_solution(dict(sol, F=sol["F"] + 1), params)
+                    verify(dict(sol, **{name: wrong}), params)
+            verify(dict(sol, F=sol["F"] + 1), params)
 
 
 def random_polyexpr(rng, weights, symbols):
@@ -326,7 +345,7 @@ class TestEvalScaled:
     def test_zero(self):
         num, k = PolyExpr.const(0).eval_scaled(CommonDenominator(self.ASSIGN))
         assert num.is_zero() and k == 0
-        assert PolyExpr.const(0).eval_rat(self.ASSIGN).is_zero()
+        assert CommonDenominator(self.ASSIGN).evaluate(PolyExpr.const(0)).is_zero()
 
     def test_shared_monomials_are_cached(self):
         values = CommonDenominator(self.ASSIGN)
