@@ -20,7 +20,7 @@ from .algnum import (
     wasow_constants,
     wasow_tower,
 )
-from .diffsys import DiffSystem, char_poly, system_from_entries
+from .diffsys import DiffSystem, char_poly
 from .exprparse import parse_ratfunc
 from .galois import (
     GaloisError,
@@ -85,7 +85,6 @@ __all__ = [
     "seed_variational_system",
     "sqrt_in_tower",
     "stokes_triviality",
-    "system_from_entries",
     "verify_group_relations",
     "verify_solution",
     "verify_trace_consistency",

@@ -24,6 +24,7 @@ Numbers are immutable and safe to share between threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -594,30 +595,8 @@ def _to_dense(degrees: tuple[int, ...], value):
     return build(len(degrees) - 1, ())
 
 
-def _from_dense(degrees: tuple[int, ...], data):
-    terms = []
-
-    def walk(lvl: int, node, suffix: tuple[int, ...]):
-        if lvl < 0:
-            q = Fraction(node)
-            if q:
-                terms.append((suffix, q))
-            return
-        if len(node) != degrees[lvl]:
-            raise TowerError("coefficient vector length does not match tower degree")
-        for e, c in enumerate(node):
-            walk(lvl - 1, c, (e,) + suffix)
-
-    walk(len(degrees) - 1, data, ())
-    return tuple(sorted(terms))
-
-
 def algnum_to_json(a: AlgNum):
     return _to_dense(a.tower.degrees, a.value)
-
-
-def algnum_from_json(tower: TowerSpec, data) -> AlgNum:
-    return AlgNum(tower, _from_dense(tower.degrees, data))
 
 
 def tower_to_json(tower: TowerSpec):
@@ -634,15 +613,6 @@ def tower_to_json(tower: TowerSpec):
     }
 
 
-def tower_from_json(data) -> TowerSpec:
-    levels: list[TowerLevel] = []
-    for lv in data["levels"]:
-        degrees = tuple(x.degree for x in levels)
-        poly = tuple(_from_dense(degrees, c) for c in lv["poly"])
-        levels.append(TowerLevel(name=lv["name"], degree=lv["degree"], poly=poly, approx=(lv["approx"][0], lv["approx"][1])))
-    return TowerSpec(tuple(levels))
-
-
 # ---------------------------------------------------------------------------
 # The two towers used by the pipeline.
 
@@ -651,52 +621,43 @@ _BETA_APPROX = ("1.84835274366088957810426637215", "0")
 _DELTA_APPROX = ("0.82033535600763793117028468287", "0")
 _SQRT5_APPROX = ("2.23606797749978969640917366873", "0")
 
-_canonical: TowerSpec | None = None
-_wasow: TowerSpec | None = None
-
-
+@functools.cache
 def canonical_tower() -> TowerSpec:
     """Q(g)(i)(b): g^12 = 5/64, i^2 = -1, b^2 = 48 g^6 - 10; degree 48."""
-    global _canonical
-    if _canonical is None:
-        t0 = base_tower("g", 12, [Fraction(-5, 64)] + [Fraction(0)] * 11, _GAMMA_APPROX)
-        t1 = t0.extend("i", [AlgNum.from_rational(t0, 1), AlgNum.from_rational(t0, 0)], 2, ("0", "1"))
-        g1 = AlgNum.generator(t1, 0)
-        c0 = AlgNum.from_rational(t1, 10) - g1**6 * 48
-        t2 = t1.extend("b", [c0, AlgNum.from_rational(t1, 0)], 2, _BETA_APPROX)
-        t2.self_check()
-        _canonical = t2
-    return _canonical
+    t0 = base_tower("g", 12, [Fraction(-5, 64)] + [Fraction(0)] * 11, _GAMMA_APPROX)
+    t1 = t0.extend("i", [AlgNum.from_rational(t0, 1), AlgNum.from_rational(t0, 0)], 2, ("0", "1"))
+    g1 = AlgNum.generator(t1, 0)
+    c0 = AlgNum.from_rational(t1, 10) - g1**6 * 48
+    t2 = t1.extend("b", [c0, AlgNum.from_rational(t1, 0)], 2, _BETA_APPROX)
+    t2.self_check()
+    return t2
 
 
+@functools.cache
 def wasow_tower() -> TowerSpec:
     """Q(d)(s)(i)(b): d^7 = 1/4, s^2 = 5, i^2 = -1, b^2 = 6s - 10; degree 56."""
-    global _wasow
-    if _wasow is None:
-        t0 = base_tower("d", 7, [Fraction(-1, 4)] + [Fraction(0)] * 6, _DELTA_APPROX)
-        t1 = t0.extend("s", [AlgNum.from_rational(t0, -5), AlgNum.from_rational(t0, 0)], 2, _SQRT5_APPROX)
-        t2 = t1.extend("i", [AlgNum.from_rational(t1, 1), AlgNum.from_rational(t1, 0)], 2, ("0", "1"))
-        s = AlgNum.generator(t2, 1)
-        c0 = AlgNum.from_rational(t2, 10) - s * 6
-        t3 = t2.extend("b", [c0, AlgNum.from_rational(t2, 0)], 2, _BETA_APPROX)
-        t3.self_check()
-        _wasow = t3
-    return _wasow
+    t0 = base_tower("d", 7, [Fraction(-1, 4)] + [Fraction(0)] * 6, _DELTA_APPROX)
+    t1 = t0.extend("s", [AlgNum.from_rational(t0, -5), AlgNum.from_rational(t0, 0)], 2, _SQRT5_APPROX)
+    t2 = t1.extend("i", [AlgNum.from_rational(t1, 1), AlgNum.from_rational(t1, 0)], 2, ("0", "1"))
+    s = AlgNum.generator(t2, 1)
+    c0 = AlgNum.from_rational(t2, 10) - s * 6
+    t3 = t2.extend("b", [c0, AlgNum.from_rational(t2, 0)], 2, _BETA_APPROX)
+    t3.self_check()
+    return t3
 
 
 @dataclass(frozen=True)
 class ChainConstants:
     """The exact numbers a reduction run needs, tied to one tower.
 
-    ``alpha`` is the time-rescaling constant with alpha^3 rational;
-    ``alpha_quarter_root`` is its exact fourth root (the substitution
+    ``alpha_quarter_root`` is the exact fourth root of the time-rescaling
+    constant alpha, whose cube is rational (the substitution
     t = alpha * tau^4 produces quarter powers of alpha).  ``eigenvalues``
     are the four leading eigenvalues of the decoupled stage in the fixed
     order (-i*m, +i*m, -p, +p).
     """
 
     tower: TowerSpec
-    alpha: AlgNum
     alpha_quarter_root: AlgNum
     sqrt5: AlgNum
     imag_unit: AlgNum
@@ -705,53 +666,43 @@ class ChainConstants:
     eigenvalues: tuple[AlgNum, AlgNum, AlgNum, AlgNum]
 
 
-_canonical_constants: ChainConstants | None = None
-_wasow_constants: ChainConstants | None = None
-
-
+@functools.cache
 def canonical_constants() -> ChainConstants:
-    global _canonical_constants
-    if _canonical_constants is None:
-        t = canonical_tower()
-        g = AlgNum.generator(t, 0)
-        i = AlgNum.generator(t, 1)
-        b = AlgNum.generator(t, 2)
-        sqrt5 = g**6 * 8
-        sqrt_plus = g**6 * 32 / b
-        lam2 = i * b / 2
-        lam4 = sqrt_plus / 2
-        _canonical_constants = ChainConstants(
-            tower=t,
-            alpha=g**4,
-            alpha_quarter_root=g,
-            sqrt5=sqrt5,
-            imag_unit=i,
-            sqrt_minus=b,
-            sqrt_plus=sqrt_plus,
-            eigenvalues=(-lam2, lam2, -lam4, lam4),
-        )
-    return _canonical_constants
+    t = canonical_tower()
+    g = AlgNum.generator(t, 0)
+    i = AlgNum.generator(t, 1)
+    b = AlgNum.generator(t, 2)
+    sqrt5 = g**6 * 8
+    sqrt_plus = g**6 * 32 / b
+    lam2 = i * b / 2
+    lam4 = sqrt_plus / 2
+    return ChainConstants(
+        tower=t,
+        alpha_quarter_root=g,
+        sqrt5=sqrt5,
+        imag_unit=i,
+        sqrt_minus=b,
+        sqrt_plus=sqrt_plus,
+        eigenvalues=(-lam2, lam2, -lam4, lam4),
+    )
 
 
+@functools.cache
 def wasow_constants() -> ChainConstants:
-    global _wasow_constants
-    if _wasow_constants is None:
-        t = wasow_tower()
-        d = AlgNum.generator(t, 0)
-        s = AlgNum.generator(t, 1)
-        i = AlgNum.generator(t, 2)
-        b = AlgNum.generator(t, 3)
-        sqrt_plus = s * 4 / b  # sqrt(6 sqrt5 + 10) = sqrt(80)/b
-        lam2 = i * b * d**6 * 4 / s
-        lam4 = d**6 * 16 / b
-        _wasow_constants = ChainConstants(
-            tower=t,
-            alpha=d**4,
-            alpha_quarter_root=d,
-            sqrt5=s,
-            imag_unit=i,
-            sqrt_minus=b,
-            sqrt_plus=sqrt_plus,
-            eigenvalues=(-lam2, lam2, -lam4, lam4),
-        )
-    return _wasow_constants
+    t = wasow_tower()
+    d = AlgNum.generator(t, 0)
+    s = AlgNum.generator(t, 1)
+    i = AlgNum.generator(t, 2)
+    b = AlgNum.generator(t, 3)
+    sqrt_plus = s * 4 / b  # sqrt(6 sqrt5 + 10) = sqrt(80)/b
+    lam2 = i * b * d**6 * 4 / s
+    lam4 = d**6 * 16 / b
+    return ChainConstants(
+        tower=t,
+        alpha_quarter_root=d,
+        sqrt5=s,
+        imag_unit=i,
+        sqrt_minus=b,
+        sqrt_plus=sqrt_plus,
+        eigenvalues=(-lam2, lam2, -lam4, lam4),
+    )

@@ -94,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_reports(report: ProofReport, outdir: Path, fmt: str, stem: str) -> list[Path]:
-    outdir.mkdir(parents=True, exist_ok=True)
     written = []
     if fmt in ("json", "both"):
         path = outdir / f"{stem}.json"
@@ -179,7 +178,6 @@ def cmd_orbit(args) -> int:
     orbit = enumerate_orbit(depth=args.depth)
     report = build_orbit_report(orbit, check_rows=args.check_matsuda)
     outdir = Path(args.report_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     export = outdir / "orbit.jsonl"
     export.write_text(orbit_jsonl(orbit))
     written = _write_reports(report, outdir, args.format, "orbit_summary")
@@ -194,6 +192,11 @@ def main(argv=None) -> int:
         parser.error("precision must be at least 15")
     if getattr(args, "depth", 0) < 0:
         parser.error("depth must be nonnegative")
+    try:
+        Path(args.report_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, or a file on the path
+        print(f"input error: report directory {args.report_dir}: {exc}", file=sys.stderr)
+        return 2
     if args.command == "verify-seed":
         return cmd_verify_seed(args)
     if args.command == "prove":

@@ -7,7 +7,7 @@ the output coefficients stay exact:
 
 * constant gauges X = T Y with an algebraic matrix T,
 * diagonal power gauges ("shears") T = diag(1, x^g, x^(2g), ...),
-* substitutions x = c * u^q with positive rational q,
+* substitutions x = r^m * u^q with positive rational q,
 * leading-coefficient extraction at the growing end of the variable,
 * exact eigen-decomposition for matrices with distinct known eigenvalues.
 
@@ -37,20 +37,6 @@ def diagonal_matrix(tower: TowerSpec, diag: Sequence[AlgNum]) -> AlgMatrix:
 
 def identity_matrix(tower: TowerSpec, n: int) -> AlgMatrix:
     return diagonal_matrix(tower, [AlgNum.from_rational(tower, 1)] * n)
-
-
-def mat_from_rows(tower: TowerSpec, rows: Sequence[Sequence]) -> AlgMatrix:
-    """Coerce a nested sequence of ints / Fractions / AlgNums to a matrix."""
-    out = []
-    for row in rows:
-        coerced = []
-        for e in row:
-            if isinstance(e, AlgNum):
-                coerced.append(e)
-            else:
-                coerced.append(AlgNum.from_rational(tower, Fraction(e)))
-        out.append(tuple(coerced))
-    return tuple(out)
 
 
 def mat_add(a: AlgMatrix, b: AlgMatrix) -> AlgMatrix:
@@ -235,25 +221,6 @@ class DiffSystem:
         return "\n".join(lines)
 
 
-def system_from_entries(tower: TowerSpec, var: str, entries) -> DiffSystem:
-    """Build a system from nested PuiseuxPoly / AlgNum / Fraction entries."""
-    rows = []
-    for row in entries:
-        out = []
-        for e in row:
-            if isinstance(e, PuiseuxPoly):
-                out.append(e)
-            elif isinstance(e, AlgNum):
-                out.append(PuiseuxPoly.const(tower, 1).scale(e))
-            else:
-                out.append(PuiseuxPoly.const(tower, Fraction(e)))
-        rows.append(tuple(out))
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise TowerError("system matrix must be square")
-    return DiffSystem(var, tuple(rows))
-
-
 def lift_matrix(tower: TowerSpec, a: AlgMatrix) -> PolyMatrix:
     return tuple(tuple(PuiseuxPoly.const(tower, e) for e in row) for row in a)
 
@@ -293,31 +260,21 @@ def gauge_shear(system: DiffSystem, g: Fraction) -> DiffSystem:
 
 
 def change_variable_power(
-    system: DiffSystem,
-    new_var: str,
-    scale: AlgNum,
-    power: Fraction,
-    scale_root: AlgNum,
-    root_index: int = 1,
+    system: DiffSystem, new_var: str, root: AlgNum, index: int, power: Fraction
 ) -> DiffSystem:
-    """Substitute x = scale * u^power, with the chain-rule prefactor.
+    """Substitute x = root^index * u^power, with the chain-rule prefactor.
 
-    dX/du = phi'(u) M(phi(u)) X for phi(u) = scale * u^power, so every
-    entry is expanded by substitution and multiplied by the monomial
-    scale * power * u^(power - 1).
+    dX/du = phi'(u) M(phi(u)) X for phi(u) = scale * u^power with
+    scale = root^index, so every entry is expanded by substitution and
+    multiplied by the monomial scale * power * u^(power - 1).
     """
     power = Fraction(power)
-    tower = system.tower
-    dphi = PuiseuxPoly.monomial(tower, scale * power, power - 1)
-    rows = []
-    for row in system.matrix:
-        rows.append(
-            tuple(
-                e.substitute_power(scale, power, scale_root, root_index) * dphi
-                for e in row
-            )
-        )
-    return DiffSystem(new_var, tuple(rows))
+    dphi = PuiseuxPoly.monomial(system.tower, root**index * power, power - 1)
+    rows = tuple(
+        tuple(e.substitute_power(root, index, power) * dphi for e in row)
+        for row in system.matrix
+    )
+    return DiffSystem(new_var, rows)
 
 
 def leading_data(system: DiffSystem) -> tuple[Fraction, AlgMatrix]:

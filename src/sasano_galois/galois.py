@@ -75,7 +75,7 @@ def system_to_scalar(system: DiffSystem) -> ScalarODE2:
 def eta_pullback(system: DiffSystem, order: int = 6, new_var: str = "eta") -> DiffSystem:
     """Substitute tau = eta^(1/order); exact since exponents are multiples."""
     one = AlgNum.from_rational(system.tower, 1)
-    return change_variable_power(system, new_var, one, Fraction(1, order), one, 1)
+    return change_variable_power(system, new_var, one, 1, Fraction(1, order))
 
 
 # -- the regular singular point ------------------------------------------------
@@ -204,9 +204,8 @@ class WhittakerData:
 
 def rescale_variable(ode: ScalarODE2, scale: AlgNum, new_var: str) -> ScalarODE2:
     """Substitute x = scale * y exactly: c1 -> scale*c1(scale y), c0 -> scale^2*c0(scale y)."""
-    one_idx = 1
-    c1 = ode.c1.substitute_power(scale, Fraction(1), scale, one_idx).scale(scale)
-    c0 = ode.c0.substitute_power(scale, Fraction(1), scale, one_idx).scale(scale * scale)
+    c1 = ode.c1.substitute_power(scale, 1, Fraction(1)).scale(scale)
+    c0 = ode.c0.substitute_power(scale, 1, Fraction(1)).scale(scale * scale)
     return ScalarODE2(new_var, c1, c0)
 
 

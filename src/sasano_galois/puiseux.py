@@ -205,37 +205,25 @@ class PuiseuxPoly:
             out.append((k - self.ram, c * Fraction(k, self.ram)))
         return PuiseuxPoly.from_terms(self.tower, self.ram, out)
 
-    def substitute_power(
-        self,
-        scale: AlgNum,
-        power: Fraction,
-        scale_root: AlgNum,
-        root_index: int = 1,
-    ) -> PuiseuxPoly:
-        """Expand p(x) under x = scale * u^power into a polynomial in u.
+    def substitute_power(self, root: AlgNum, index: int, power: Fraction) -> PuiseuxPoly:
+        """Expand p(x) under x = root^index * u^power into a polynomial in u.
 
-        ``scale_root`` must satisfy scale_root^root_index == scale exactly,
-        and root_index must be a multiple of every exponent denominator in
-        p, so the fractional powers scale^(k/ram) stay inside the tower.
+        ``index`` must be a multiple of every exponent denominator in p, so
+        the fractional powers (root^index)^(k/ram) stay inside the tower.
         """
         power = Fraction(power)
         if power <= 0:
             raise TowerError("substitution power must be positive")
-        root_index = int(root_index)
-        if root_index <= 0:
+        if index <= 0:
             raise TowerError("root index must be a positive integer")
-        if scale_root**root_index != scale:
-            raise TowerError("scale_root^root_index must equal scale exactly")
-        if root_index % self.ram != 0:
-            raise TowerError(
-                f"need a root of index divisible by {self.ram}, got {root_index}"
-            )
-        step = root_index // self.ram
+        if index % self.ram != 0:
+            raise TowerError(f"need a root of index divisible by {self.ram}, got {index}")
+        step = index // self.ram
         ram = self.ram * power.denominator
         out = []
         for k, c in self.terms:
             n = step * k
-            coeff = c * scale_root**n if n >= 0 else c * (scale_root.inverse() ** (-n))
+            coeff = c * root**n if n >= 0 else c * (root.inverse() ** (-n))
             out.append((k * power.numerator, coeff))
         return PuiseuxPoly.from_terms(self.tower, ram, out)
 

@@ -4,25 +4,28 @@ The pipeline applies six transformations to the fourth-order system:
 
 1. a constant gauge bringing the leading matrix to nilpotent form,
 2. a diagonal shear with step 1/4,
-3. the ramified time substitution t = alpha * tau^4,
+3. the ramified time substitution t = alpha * tau^4, with alpha = root^4,
 4. a constant gauge regrouping the leading matrix into a Jordan-like block,
 5. a diagonal shear with step 1,
 6. an exact eigenvector gauge decoupling the system into two 2x2 blocks.
 
-Every intermediate matrix is compared entry-exactly against frozen
-reference matrices (data/fixtures.json); the run aborts on the first
-mismatch, naming the stage and entry.  The resulting trace carries each
-step with its invertibility witness, so the whole walk can be replayed
-backwards exactly and cross-checked numerically at sample points.
+These are Wasow's constant gauges, shears and ramifications (Asymptotic
+Expansions for Ordinary Differential Equations, 1965), recorded as
+:class:`ConstantGauge`, :class:`Shear` and :class:`Substitution`; the
+inverse of each move is a move of the same kind.  Every produced matrix is
+compared entry-exactly with the frozen references in data/fixtures.json;
+the run aborts on the first mismatch, naming the stage and entry.  The
+trace keeps each move with the systems before and after it, so the inverse
+moves replay the walk backwards exactly.
 
-The chain is a data-driven script, so the same runner executes both the
-default normalization (alpha^3 = 5/64, which makes the final eigenvalues
-as simple as possible) and the Wasow-style normalization alpha^(7/4) = 1/4
-carried by a different coefficient tower.
+The same six-call script runs the default normalization (alpha^3 = 5/64,
+the simplest final eigenvalues) and the Wasow-style normalization
+alpha^(7/4) = 1/4 on another tower.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,16 +59,10 @@ class ReductionError(ValueError):
 # -- frozen reference data -----------------------------------------------------
 
 
-_fixture_cache: dict | None = None
-
-
+@functools.cache
 def load_fixtures() -> dict:
     """The frozen reference matrices, parsed from the packaged JSON file."""
-    global _fixture_cache
-    if _fixture_cache is None:
-        text = resources.files("sasano_galois").joinpath("data/fixtures.json").read_text()
-        _fixture_cache = json.loads(text)
-    return _fixture_cache
+    return json.loads(resources.files("sasano_galois").joinpath("data/fixtures.json").read_text())
 
 
 def fixture_system(stage: dict, constants: ChainConstants) -> DiffSystem:
@@ -127,20 +124,68 @@ def wasow_config() -> ChainConfig:
 
 
 @dataclass(frozen=True)
-class GaugeStep:
-    """One recorded transformation with enough data to invert it exactly."""
+class ConstantGauge:
+    """X = T Y for constant T with checked inverse T^-1; undone by swapping the two."""
 
-    kind: str  # constant | shear | variable
-    stage: str  # name of the stage the step produces
+    kind = "constant"
+    t: AlgMatrix
+    t_inv: AlgMatrix
+
+    def apply(self, system: DiffSystem) -> DiffSystem:
+        return gauge_constant(system, self.t, self.t_inv)
+
+    def inverse(self, var: str) -> ConstantGauge:
+        return ConstantGauge(self.t_inv, self.t)
+
+
+@dataclass(frozen=True)
+class Shear:
+    """The diagonal power gauge diag(1, x^g, x^(2g), ...); undone by -g."""
+
+    kind = "shear"
+    g: Fraction
+
+    def apply(self, system: DiffSystem) -> DiffSystem:
+        return gauge_shear(system, self.g)
+
+    def inverse(self, var: str) -> Shear:
+        return Shear(-self.g)
+
+
+@dataclass(frozen=True)
+class Substitution:
+    """x = root^index * u^power with u named ``var``; undone by
+    u = root^(-index/power) * x^(1/power), exact when index/power is an integer."""
+
+    kind = "variable"
+    var: str
+    root: AlgNum
+    index: int
+    power: Fraction
+
+    def apply(self, system: DiffSystem) -> DiffSystem:
+        return change_variable_power(system, self.var, self.root, self.index, self.power)
+
+    def inverse(self, var: str) -> Substitution:
+        ratio = self.index / self.power
+        if ratio.denominator != 1:
+            raise ReductionError(
+                f"substitution to {self.var} cannot be inverted exactly: index/power = {ratio}"
+            )
+        return Substitution(var, self.root.inverse(), int(ratio), 1 / self.power)
+
+
+Move = ConstantGauge | Shear | Substitution
+
+
+@dataclass(frozen=True)
+class GaugeStep:
+    """One recorded move: ``stage`` names the system it produces."""
+
+    stage: str
+    move: Move
     before: DiffSystem
     after: DiffSystem
-    matrix: AlgMatrix | None = None
-    matrix_inv: AlgMatrix | None = None
-    shear_exponents: tuple[Fraction, ...] | None = None
-    scale: AlgNum | None = None
-    power: Fraction | None = None
-    scale_root: AlgNum | None = None
-    root_index: int | None = None
 
 
 @dataclass(frozen=True)
@@ -199,66 +244,25 @@ def run_canonical_chain(nve: DiffSystem, config: ChainConfig | None = None) -> R
     fixtures = load_fixtures()
     stage_refs = {s["name"]: s for s in fixtures["stages"]}
     matched: list[str] = []
+    steps: list[GaugeStep] = []
 
     def check(name: str, system: DiffSystem) -> None:
         _compare_stage(name, system, fixture_system(stage_refs[name], c))
         matched.append(name)
 
+    def advance(stage: str, move: Move) -> DiffSystem:
+        before = steps[-1].after if steps else nve
+        after = move.apply(before)
+        check(stage, after)
+        steps.append(GaugeStep(stage, move, before, after))
+        return after
+
     check("variational", nve)
-
-    steps: list[GaugeStep] = []
-    t1, t1_inv = _fixture_gauge("leading_nilpotent", "t1", fixtures, c)
-    sys2 = gauge_constant(nve, t1, t1_inv)
-    check("leading_nilpotent", sys2)
-    steps.append(
-        GaugeStep("constant", "leading_nilpotent", nve, sys2, matrix=t1, matrix_inv=t1_inv)
-    )
-
-    g1 = Fraction(-1, 4)
-    sys3 = gauge_shear(sys2, g1)
-    check("quarter_shear", sys3)
-    steps.append(
-        GaugeStep(
-            "shear",
-            "quarter_shear",
-            sys2,
-            sys3,
-            shear_exponents=tuple(i * g1 for i in range(sys2.dim)),
-        )
-    )
-
-    sys4 = change_variable_power(sys3, "tau", c.alpha, Fraction(4), c.alpha_quarter_root, 4)
-    check("ramified_time", sys4)
-    steps.append(
-        GaugeStep(
-            "variable",
-            "ramified_time",
-            sys3,
-            sys4,
-            scale=c.alpha,
-            power=Fraction(4),
-            scale_root=c.alpha_quarter_root,
-            root_index=4,
-        )
-    )
-
-    t2, t2_inv = _fixture_gauge("jordan_gauge", "t2", fixtures, c)
-    sys5 = gauge_constant(sys4, t2, t2_inv)
-    check("jordan_gauge", sys5)
-    steps.append(GaugeStep("constant", "jordan_gauge", sys4, sys5, matrix=t2, matrix_inv=t2_inv))
-
-    g2 = Fraction(-1)
-    sys6 = gauge_shear(sys5, g2)
-    check("unit_shear", sys6)
-    steps.append(
-        GaugeStep(
-            "shear",
-            "unit_shear",
-            sys5,
-            sys6,
-            shear_exponents=tuple(i * g2 for i in range(sys5.dim)),
-        )
-    )
+    advance("leading_nilpotent", ConstantGauge(*_fixture_gauge("leading_nilpotent", "t1", fixtures, c)))
+    advance("quarter_shear", Shear(Fraction(-1, 4)))
+    advance("ramified_time", Substitution("tau", c.alpha_quarter_root, 4, Fraction(4)))
+    advance("jordan_gauge", ConstantGauge(*_fixture_gauge("jordan_gauge", "t2", fixtures, c)))
+    sys6 = advance("unit_shear", Shear(Fraction(-1)))
 
     r, lead = leading_data(sys6)
     if r != 5:
@@ -267,10 +271,8 @@ def run_canonical_chain(nve: DiffSystem, config: ChainConfig | None = None) -> R
         lead_ref = fixture_constant_matrix(fixtures["leading_unit_shear"], c)
         if lead != lead_ref:
             raise ReductionError("stage unit_shear: leading matrix differs from reference")
-    t3, t3_inv = _check_inverse("decoupled", *eigen_decompose_distinct(lead, c.eigenvalues))
-    sys7 = gauge_constant(sys6, t3, t3_inv)
-    check("decoupled", sys7)
-    steps.append(GaugeStep("constant", "decoupled", sys6, sys7, matrix=t3, matrix_inv=t3_inv))
+    t3 = _check_inverse("decoupled", *eigen_decompose_distinct(lead, c.eigenvalues))
+    sys7 = advance("decoupled", ConstantGauge(*t3))
 
     if cfg.compare_decoupling_gauge:
         _check_printed_gauge(sys6, sys7, lead, fixtures, c)
@@ -355,26 +357,9 @@ def verify_trace_consistency(trace: ReductionTrace, precision: int = 30) -> Cons
 
 def _inverse_walk(trace: ReductionTrace) -> None:
     current = trace.final
-    if current is not trace.steps[-1].after:
-        _compare_stage("final", current, trace.steps[-1].after)
     for step in reversed(trace.steps):
         _compare_stage(f"{step.stage} (forward record)", current, step.after)
-        if step.kind == "constant":
-            undone = gauge_constant(current, step.matrix_inv, step.matrix)
-        elif step.kind == "shear":
-            g = step.shear_exponents[1] if len(step.shear_exponents) > 1 else Fraction(0)
-            undone = gauge_shear(current, -g)
-        elif step.kind == "variable":
-            # x = s u^p with s = r^m inverts to u = r^(-m/p) x^(1/p).
-            ratio = Fraction(step.root_index) / step.power
-            if ratio.denominator != 1:
-                raise ReductionError(f"step {step.stage}: cannot invert the substitution exactly")
-            inv_scale = step.scale_root.inverse() ** int(ratio)
-            undone = change_variable_power(
-                current, step.before.var, inv_scale, 1 / step.power, inv_scale, 1
-            )
-        else:  # pragma: no cover - script only emits the three kinds
-            raise ReductionError(f"unknown step kind {step.kind!r}")
+        undone = step.move.inverse(step.before.var).apply(current)
         _compare_stage(f"{step.stage} (undone)", undone, step.before)
         current = step.before
 
@@ -394,31 +379,28 @@ def _compose_at(trace: ReductionTrace, tau0, precision: int) -> float:
     value = system_numeric(trace.steps[0].before, t_quarter, 4, precision)
     point = t_quarter**4
     root, index = t_quarter, 4
-    for step in trace.steps:
-        if step.kind == "constant":
-            tnum = [[e.embed(precision) for e in row] for row in step.matrix]
-            tinv = [[e.embed(precision) for e in row] for row in step.matrix_inv]
+    for move in (step.move for step in trace.steps):
+        if isinstance(move, ConstantGauge):
+            tnum = [[e.embed(precision) for e in row] for row in move.t]
+            tinv = [[e.embed(precision) for e in row] for row in move.t_inv]
             value = mat_mul(tinv, mat_mul(value, tnum))
-        elif step.kind == "shear":
-            g = step.shear_exponents[1] if len(step.shear_exponents) > 1 else Fraction(0)
-            k = g * index  # entry (i, j) gains root^((j - i) k)
+        elif isinstance(move, Shear):
+            k = move.g * index  # entry (i, j) gains root^((j - i) k)
             if k.denominator != 1:
                 raise ReductionError("shear exponent incompatible with branch root")
             n = len(value)
             value = [[value[i][j] * root ** int((j - i) * k) for j in range(n)] for i in range(n)]
             for i in range(n):
-                corr = i * g
+                corr = i * move.g
                 value[i][i] = value[i][i] - (mp.mpf(corr.numerator) / corr.denominator) / point
-        elif step.kind == "variable":
-            exp = step.power - 1
+        else:
+            exp = move.power - 1
             if exp.denominator != 1:
                 raise ReductionError("fractional substitution power in numeric walk")
-            rat = mp.mpf(step.power.numerator) / step.power.denominator
-            dphi = step.scale.embed(precision) * rat * tau0 ** int(exp)
+            rat = mp.mpf(move.power.numerator) / move.power.denominator
+            dphi = (move.root**move.index).embed(precision) * rat * tau0 ** int(exp)
             value = [[e * dphi for e in row] for row in value]
             point, root, index = tau0, tau0, 1
-        else:  # pragma: no cover
-            raise ReductionError(f"unknown step kind {step.kind!r}")
     expected = system_numeric(trace.final, tau0, 1, precision)
     worst = 0.0
     for i in range(len(value)):

@@ -23,6 +23,7 @@ from .reduction import (
     ConsistencyReport,
     ReductionError,
     ReductionTrace,
+    Substitution,
     canonical_config,
     run_canonical_chain,
     verify_trace_consistency,
@@ -196,18 +197,18 @@ def reduction_section(
 ) -> ReportSection:
     steps = []
     for gs in trace.steps:
-        detail: list[tuple[str, Any]] = [("transformation", gs.kind)]
-        if gs.kind == "variable":
+        move = gs.move
+        detail: list[tuple[str, Any]] = [("transformation", move.kind)]
+        if isinstance(move, Substitution):
             detail.append(("old variable", gs.before.var))
             detail.append(("new variable", gs.after.var))
-            detail.append(("power", str(gs.power)))
-            if gs.scale is not None:
-                detail.append(("scale", algnum_payload(gs.scale, digits)))
+            detail.append(("power", str(move.power)))
+            detail.append(("scale", algnum_payload(move.root**move.index, digits)))
         detail.append(("system", matrix_payload(gs.after)))
         steps.append(
             CertificateStep(
                 claim=f'stage "{gs.stage}" reproduced entrywise',
-                basis=_KIND_BASIS[gs.kind],
+                basis=_KIND_BASIS[move.kind],
                 values=tuple(detail),
             )
         )
@@ -329,8 +330,7 @@ def components_section(outcome: GaloisOutcome) -> ReportSection:
     return ReportSection(name="galois components", status=status, steps=tuple(steps))
 
 
-def verdict_section(outcome: GaloisOutcome, prerequisites_pass: bool) -> ReportSection:
-    verdict = outcome.verdict if prerequisites_pass else "Inconclusive"
+def verdict_section(verdict: str, prerequisites_pass: bool) -> ReportSection:
     step = CertificateStep(
         claim=f"final verdict: {verdict}",
         basis=(
@@ -502,7 +502,7 @@ def build_proof(
 
     prerequisites = all(s.status == "pass" for s in sections)
     verdict = outcome.verdict if prerequisites else "Inconclusive"
-    sections.append(verdict_section(outcome, prerequisites))
+    sections.append(verdict_section(verdict, prerequisites))
 
     orbit = enumerate_orbit(depth=orbit_depth)
     sections.append(orbit_section(orbit, check_rows=True))

@@ -156,7 +156,7 @@ def _reflect(name: str, x, y, z, w, shift):
 
 
 def apply_generator(
-    name: str, state: SolutionState, known: SolutionState | None = None, params: ParamTriple | None = None
+    name: str, state: SolutionState, known: SolutionState | None, params: ParamTriple
 ) -> SolutionState:
     """One Backlund step on a checked solution; the image is re-verified.
 
@@ -165,8 +165,8 @@ def apply_generator(
     with a nonzero parameter raises.  An image equal in x, y, z, w and
     parameters to ``known``, a checked state the caller holds, is
     ``known`` itself: canonical forms make the equality exact, and
-    :meth:`SolutionState.make` reads only those inputs.  A caller that has
-    ``act_on_params(name, state.params)`` passes it as ``params``.
+    :meth:`SolutionState.make` reads only those inputs.  ``params`` is
+    ``act_on_params(name, state.params)``, which the caller computes once.
     """
     t = RatFunc.variable()
     x, y, z, w = state.x, state.y, state.z, state.w
@@ -180,8 +180,6 @@ def apply_generator(
         )
     shift = RatFunc.const(alpha) / div
     image = _reflect(name, x, y, z, w, shift)
-    if params is None:
-        params = act_on_params(name, state.params)
     if known is not None and known.params == params and image == (known.x, known.y, known.z, known.w):
         return known
     return SolutionState.make(*image, params)

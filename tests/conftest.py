@@ -5,7 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from sasano_galois.algnum import AlgNum, TowerSpec, canonical_tower, wasow_tower
+from sasano_galois.algnum import (
+    AlgNum,
+    TowerError,
+    TowerLevel,
+    TowerSpec,
+    canonical_tower,
+    wasow_tower,
+)
+from sasano_galois.diffsys import AlgMatrix, DiffSystem
+from sasano_galois.puiseux import PuiseuxPoly
 
 
 @pytest.fixture(scope="session")
@@ -33,3 +42,65 @@ def random_nonzero_algnum(tw: TowerSpec, rng: random.Random, terms: int = 3) -> 
         a = random_algnum(tw, rng, terms)
         if not a.is_zero():
             return a
+
+
+# -- builders and JSON decoders: test input and round-trip oracles -------------
+
+
+def mat_from_rows(tower: TowerSpec, rows) -> AlgMatrix:
+    """Coerce a nested sequence of ints / Fractions / AlgNums to a matrix."""
+    return tuple(
+        tuple(e if isinstance(e, AlgNum) else AlgNum.from_rational(tower, Fraction(e)) for e in row)
+        for row in rows
+    )
+
+
+def system_from_entries(tower: TowerSpec, var: str, entries) -> DiffSystem:
+    """Build a system from nested PuiseuxPoly / AlgNum / Fraction entries."""
+    rows = []
+    for row in entries:
+        out = []
+        for e in row:
+            if isinstance(e, PuiseuxPoly):
+                out.append(e)
+            elif isinstance(e, AlgNum):
+                out.append(PuiseuxPoly.const(tower, 1).scale(e))
+            else:
+                out.append(PuiseuxPoly.const(tower, Fraction(e)))
+        rows.append(tuple(out))
+    if any(len(r) != len(rows) for r in rows):
+        raise TowerError("system matrix must be square")
+    return DiffSystem(var, tuple(rows))
+
+
+def _from_dense(degrees: tuple[int, ...], data):
+    """Sparse tower coordinates from the nested lists of ``algnum_to_json``."""
+    terms = []
+
+    def walk(lvl: int, node, suffix: tuple[int, ...]):
+        if lvl < 0:
+            q = Fraction(node)
+            if q:
+                terms.append((suffix, q))
+            return
+        if len(node) != degrees[lvl]:
+            raise TowerError("coefficient vector length does not match tower degree")
+        for e, c in enumerate(node):
+            walk(lvl - 1, c, (e,) + suffix)
+
+    walk(len(degrees) - 1, data, ())
+    return tuple(sorted(terms))
+
+
+def algnum_from_json(tower: TowerSpec, data) -> AlgNum:
+    return AlgNum(tower, _from_dense(tower.degrees, data))
+
+
+def tower_from_json(data) -> TowerSpec:
+    levels: list[TowerLevel] = []
+    for lv in data["levels"]:
+        degrees = tuple(x.degree for x in levels)
+        poly = tuple(_from_dense(degrees, c) for c in lv["poly"])
+        approx = (lv["approx"][0], lv["approx"][1])
+        levels.append(TowerLevel(name=lv["name"], degree=lv["degree"], poly=poly, approx=approx))
+    return TowerSpec(tuple(levels))

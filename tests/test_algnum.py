@@ -6,18 +6,16 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from conftest import random_algnum, random_nonzero_algnum
+from conftest import algnum_from_json, random_algnum, random_nonzero_algnum, tower_from_json
 from sasano_galois.algnum import (
     AlgNum,
     TowerError,
-    algnum_from_json,
     algnum_to_json,
     base_tower,
     canonical_constants,
     canonical_tower,
     rational_recognize,
     sqrt_in_tower,
-    tower_from_json,
     tower_to_json,
     wasow_constants,
     wasow_tower,
@@ -123,7 +121,7 @@ class TestDefiningRelations:
 
     def test_wasow_eigenvalues_annihilate_their_quartic(self):
         c = wasow_constants()
-        a = c.alpha**3
+        a = c.alpha_quarter_root**12
         for lam in c.eigenvalues:
             assert lam**4 - lam**2 * (a * 64) - a * a * Fraction(4096, 5) == 0
 

@@ -140,7 +140,8 @@ def test_reports_byte_stable(tmp_path):
     ).read_bytes()
 
 
-# sha256 of the reports with the default --precision 20 and --format both.
+# sha256 of the reports with --format both and, unless a row sets it, the
+# default --precision 20.
 # Any drift in parsing, exact arithmetic or rendering changes these bytes;
 # they change only with a deliberate, documented change to the reports.
 GOLDEN = (
@@ -156,6 +157,20 @@ GOLDEN = (
         {
             "proof.json": "6e942697b06685da0ab242bf39072df1670906ad3d24c1dbb3a3680851f26146",
             "proof.md": "fe8dd939e3a9dffb99e7508ea1bfbdbe95dfd36283328c3b355b67d6d392c3c6",
+        },
+    ),
+    (
+        ("--precision", "40", "prove"),
+        {
+            "proof.json": "32b6245187f71cabb6f170ea68a0d78cfbbff55cafba045d89e9865f2907a07a",
+            "proof.md": "fcfb74448c43314d0460a76a4a54ffe81a0138630689b8929c6c20f0bad0ecda",
+        },
+    ),
+    (
+        ("--precision", "15", "prove", "--alpha-wasow"),
+        {
+            "proof.json": "420b3294e5cf1b3a90856c62da507ced85dc7703d32f0098c90d0d3c15655bcd",
+            "proof.md": "175fabaf7b134ed89c54f165ac222e217ca4ca57b4b1aa24fb43d722e94fc1a2",
         },
     ),
     (
@@ -210,7 +225,8 @@ GOLDEN = (
     "argv, digests",
     GOLDEN,
     ids=[
-        "prove", "prove-wasow", "orbit-depth-2", "orbit-depth-6", "orbit-depth-8",
+        "prove", "prove-wasow", "prove-precision-40", "prove-wasow-precision-15",
+        "orbit-depth-2", "orbit-depth-6", "orbit-depth-8",
         "verify-seed", "verify-seed-file", "prove-nve",
     ],
 )
@@ -276,6 +292,18 @@ def test_nve_failure_gives_fail_section(tmp_path, monkeypatch):
     last = data["sections"][-1]
     assert (last["name"], last["status"]) == ("normal variational equations", "fail")
     assert "t - 1" in last["steps"][0]["values"]["error"]
+
+
+@pytest.mark.parametrize(
+    "argv", [("verify-seed",), ("prove", "--stop-after", "nve"), ("orbit", "--depth", "0")]
+)
+@pytest.mark.parametrize("target", ["file", "file/sub"])
+def test_unusable_report_dir_is_input_error(tmp_path, capsys, argv, target):
+    (tmp_path / "file").write_text("not a directory")
+    assert main(["--report-dir", str(tmp_path / target), *argv]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err
+    assert "Traceback" not in err
 
 
 def test_precision_guard(tmp_path):

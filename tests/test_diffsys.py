@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from conftest import random_algnum
+from conftest import mat_from_rows, random_algnum, system_from_entries
 from sasano_galois.algnum import AlgNum, TowerError, canonical_constants
 from sasano_galois.diffsys import (
     DiffSystem,
@@ -18,11 +18,9 @@ from sasano_galois.diffsys import (
     gauge_shear,
     identity_matrix,
     leading_data,
-    mat_from_rows,
     mat_inv,
     mat_mul,
     nullspace_line,
-    system_from_entries,
     system_numeric,
 )
 from sasano_galois.puiseux import AlgPoly, PuiseuxPoly
@@ -238,16 +236,14 @@ class TestVariableChange:
     def test_power_four_with_scale(self, tower):
         c = canonical_constants()
         sys = system_from_entries(tower, "t", [[mono(tower, Fraction(3, 5), -1)]])
-        out = change_variable_power(
-            sys, "u", c.alpha, Fraction(4), c.alpha_quarter_root, 4
-        )
+        out = change_variable_power(sys, "u", c.alpha_quarter_root, 4, Fraction(4))
         assert out.var == "u"
         assert out.entry(0, 0) == mono(tower, Fraction(12, 5), -1)
 
     def test_square_substitution_on_root(self, tower):
         one = AlgNum.from_rational(tower, 1)
         sys = system_from_entries(tower, "x", [[mono(tower, 1, Fraction(1, 2))]])
-        out = change_variable_power(sys, "u", one, Fraction(2), one, 2)
+        out = change_variable_power(sys, "u", one, 2, Fraction(2))
         assert out.entry(0, 0) == mono(tower, 2, 2)
 
 

@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import system_from_entries
 from sasano_galois.algnum import AlgNum, canonical_constants, rational_recognize
-from sasano_galois.diffsys import DiffSystem, system_from_entries
 from sasano_galois.exprparse import chain_symbols, parse_puiseux
 from sasano_galois.galois import (
     GaloisError,

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import mat_from_rows
 from sasano_galois.algnum import AlgNum, TowerError, canonical_constants, wasow_constants
 from sasano_galois import reduction
 from sasano_galois.diffsys import (
@@ -14,13 +15,14 @@ from sasano_galois.diffsys import (
     block_split,
     char_poly,
     leading_data,
-    mat_from_rows,
     mat_inv,
     mat_mul,
 )
 from sasano_galois.puiseux import AlgPoly, PuiseuxPoly
 from sasano_galois.reduction import (
+    GaugeStep,
     ReductionError,
+    Substitution,
     canonical_config,
     load_fixtures,
     run_canonical_chain,
@@ -57,7 +59,7 @@ def test_canonical_chain_matches_every_reference(canonical_trace):
     assert canonical_trace.leading_exponent == Fraction(5)
     assert len(canonical_trace.steps) == 6
     assert [b.dim for b in canonical_trace.blocks] == [2, 2]
-    kinds = [s.kind for s in canonical_trace.steps]
+    kinds = [s.move.kind for s in canonical_trace.steps]
     assert kinds == ["constant", "shear", "variable", "constant", "shear", "constant"]
 
 
@@ -146,7 +148,7 @@ def test_printed_gauge_is_column_rescaled_ours(canonical_trace):
     c = canonical_trace.config.constants
     fixtures = load_fixtures()
     t3p = fixture_constant_matrix(fixtures["gauges"]["t3"], c)
-    mine = canonical_trace.steps[5].matrix
+    mine = canonical_trace.steps[5].move.t
     ratios = [t3p[0][j] / mine[0][j] for j in range(4)]
     for i in range(4):
         for j in range(4):
@@ -194,15 +196,39 @@ def test_mismatch_error_names_stage_and_entry():
         run_canonical_chain(bad, cfg)
 
 
-def test_perturbed_scale_fails_numeric_check(canonical_trace):
+def test_perturbed_substitution_root_fails_numeric_check(canonical_trace):
     step = canonical_trace.steps[2]
-    assert step.kind == "variable"
-    tweaked = dataclasses.replace(step, scale=step.scale + Fraction(1, 10**6))
+    root = step.move.root + Fraction(1, 10**6)
+    tweaked = dataclasses.replace(step, move=dataclasses.replace(step.move, root=root))
     steps = list(canonical_trace.steps)
     steps[2] = tweaked
     tampered = dataclasses.replace(canonical_trace, steps=tuple(steps))
-    with pytest.raises(ReductionError, match="numeric"):
+    with pytest.raises(ReductionError):
         verify_trace_consistency(tampered)
+    # the floating-point walk notices on its own, independently of the exact one
+    assert reduction._numeric_composition(tampered, 30) > 1e-9
+
+
+def test_gauge_step_records_stage_and_move_only():
+    assert [f.name for f in dataclasses.fields(GaugeStep)] == ["stage", "move", "before", "after"]
+
+
+def test_each_move_inverts_to_its_own_kind(canonical_trace, wasow_trace):
+    for step in canonical_trace.steps + wasow_trace.steps:
+        back = step.move.inverse(step.before.var)
+        assert type(back) is type(step.move)
+        assert back.inverse(step.after.var) == step.move
+        assert back.apply(step.after) == step.before
+
+
+def test_substitution_inverse_needs_integral_index_over_power():
+    # x = r * u^4 inverts to u = r^(-1/4) x^(1/4), a root the tower need not hold
+    r = canonical_constants().alpha_quarter_root
+    with pytest.raises(ReductionError, match="cannot be inverted exactly"):
+        Substitution("u", r, 1, Fraction(4)).inverse("x")
+    assert Substitution("u", r, 8, Fraction(4)).inverse("x") == Substitution(
+        "x", r.inverse(), 2, Fraction(1, 4)
+    )
 
 
 def test_perturbed_final_entry_fails_exactly(canonical_trace):

@@ -32,7 +32,7 @@ def seed():
 def apply_word(word, state):
     """The generators of ``word`` applied to ``state`` left to right."""
     for name in word:
-        state = apply_generator(name, state)
+        state = apply_generator(name, state, None, act_on_params(name, state.params))
     return state
 
 
@@ -76,21 +76,21 @@ def test_seed_state_is_verified(seed):
 
 
 def test_apply_s0_on_seed(seed):
-    image = apply_generator("s0", seed)
+    image = apply_word(("s0",), seed)
     assert image.z == parse_ratfunc("-1/t")
     assert image.x == seed.x and image.w == seed.w and image.y == seed.y
     assert image.params.as_tuple() == (Fraction(-2, 5), Fraction(3, 5), Fraction(1, 10))
 
 
 def test_apply_s1_on_seed(seed):
-    image = apply_generator("s1", seed)
+    image = apply_word(("s1",), seed)
     assert image.y == parse_ratfunc("1/(2*t)")
     assert image.w == seed.w  # z = 0 kills the w shift
     assert image.params.as_tuple() == (Fraction(4, 5), Fraction(-1, 5), Fraction(3, 10))
 
 
 def test_apply_s2_on_seed(seed):
-    image = apply_generator("s2", seed)
+    image = apply_word(("s2",), seed)
     assert image.y == parse_ratfunc("-1/(2*t)")
     assert image.z == parse_ratfunc("1/(2*t)")
     assert image.x == parse_ratfunc("(-8*t^3 - 5)/(20*t^2)")
@@ -100,7 +100,7 @@ def test_apply_s2_on_seed(seed):
 
 def test_generators_are_involutions_on_seed(seed):
     for name in GENERATORS:
-        back = apply_generator(name, apply_generator(name, seed))
+        back = apply_word((name, name), seed)
         assert back.components() == seed.components()
         assert back.params == seed.params
 
@@ -112,10 +112,10 @@ def test_zero_divisor_identity_or_error():
     t = RatFunc.variable()
     zero = RatFunc.const(0)
     benign = SolutionState(t, zero, zero, zero, zero, ParamTriple.make((0, "1/4", "1/4")))
-    assert apply_generator("s0", benign) is benign
+    assert apply_word(("s0",), benign) is benign
     hostile = SolutionState(t, zero, zero, zero, zero, ParamTriple.make((1, 0, 0)))
     with pytest.raises(WeylError, match="divisor"):
-        apply_generator("s0", hostile)
+        apply_word(("s0",), hostile)
 
 
 def test_relations_hold():
@@ -208,8 +208,9 @@ def test_orbit_verifies_each_state_once(monkeypatch):
 
 
 def test_known_state_returned_only_when_equal(seed):
-    image = apply_generator("s2", seed)
-    assert apply_generator("s2", seed, image) is image
+    image = apply_word(("s2",), seed)
+    params = act_on_params("s2", seed.params)
+    assert apply_generator("s2", seed, image, params) is image
     one = RatFunc.const(1)
     others = [
         SolutionState(image.x + one, image.y, image.z, image.w, image.f, image.params),
@@ -219,7 +220,7 @@ def test_known_state_returned_only_when_equal(seed):
         SolutionState(image.x, image.y, image.z, image.w, image.f, seed.params),
     ]
     for known in others:
-        got = apply_generator("s2", seed, known)
+        got = apply_generator("s2", seed, known, params)
         assert got is not known
         assert got == image
 
