@@ -14,6 +14,7 @@ from .algnum import (
     AlgNum,
     TowerError,
     TowerSpec,
+    VerificationError,
     canonical_constants,
     canonical_tower,
     sqrt_in_tower,
@@ -65,6 +66,7 @@ __all__ = [
     "ReductionTrace",
     "TowerError",
     "TowerSpec",
+    "VerificationError",
     "build_proof",
     "canonical_config",
     "canonical_constants",

@@ -35,31 +35,34 @@ import mpmath
 from mpmath import mp
 
 
-class TowerError(ValueError):
+class VerificationError(ValueError):
+    """Base of every engine error: a check that failed or data that does not
+    read.  Each report builder catches it once and emits a fail section."""
+
+
+class TowerError(VerificationError):
     """Raised for structurally invalid tower operations."""
 
 
 # A value is a sorted tuple of (exponent tuple, nonzero Fraction) pairs with
-# one exponent per level of its tower; () is zero.  The coefficients of a
-# level's defining polynomial are values of the tower below it, so over Q
-# they are () or ((), q).
+# one exponent per level of its tower; () is zero.  The constant c of a
+# level's binomial is a value of the tower below it, so over Q it is ((), q).
 
 _ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
 class TowerLevel:
-    """One extension step: a monic defining polynomial and a root choice.
+    """One extension step x^degree = c and a root choice.
 
-    ``poly`` holds the coefficients of x^0 .. x^(deg-1) as values of the
-    *previous* level (the leading coefficient 1 is implicit); a tower
-    accepts only binomials x^deg - c.  ``approx`` is a decimal isolating
-    approximation of the chosen root, used for branch selection.
+    ``c`` is a nonzero value of the *previous* level.  ``approx`` is a
+    decimal isolating approximation of the chosen root, used for branch
+    selection.
     """
 
     name: str
     degree: int
-    poly: tuple
+    c: tuple
     approx: tuple  # (real_str, imag_str)
 
 
@@ -80,12 +83,12 @@ class TowerSpec:
         self._unit = (0,) * n
         self._rel = []  # gen_j^d_j as a value of this tower
         for j, lv in enumerate(self.levels):
-            if lv.degree < 1 or len(lv.poly) != lv.degree or not lv.poly[0] or any(lv.poly[1:]):
+            if lv.degree < 1 or not lv.c:
                 raise TowerError(f"level {lv.name!r} is not a binomial x^{lv.degree} = c with c != 0")
             if j and lv.degree != 2:
                 raise TowerError(f"level {lv.name!r} above the rational base must be quadratic")
             pad = (0,) * (n - j)
-            self._rel.append(tuple([(e + pad, -q) for e, q in lv.poly[0]]))
+            self._rel.append(tuple([(e + pad, q) for e, q in lv.c]))
         # Raw exponent sum -> reduced value; two threads filling one key store equal values.
         self._fold: dict[tuple[int, ...], tuple] = {}
         self._root_cache: dict[int, list] = {}
@@ -247,14 +250,6 @@ class TowerSpec:
 
     # -- misc ----------------------------------------------------------------
 
-    def extend(self, name: str, poly_coeffs: list[AlgNum], degree: int, approx: tuple[str, str]) -> TowerSpec:
-        """New tower with one more level; coefficients are numbers of *this* tower."""
-        for c in poly_coeffs:
-            if c.tower is not self:
-                raise TowerError("defining coefficients must belong to the base tower")
-        level = TowerLevel(name=name, degree=degree, poly=tuple(c.value for c in poly_coeffs), approx=approx)
-        return TowerSpec(self.levels + (level,))
-
     def names(self) -> tuple[str, ...]:
         return tuple(lv.name for lv in self.levels)
 
@@ -305,14 +300,6 @@ def _inv_mod_binomial(p: list, d: int, c: Fraction) -> list:
     if not r1:
         raise TowerError("zero divisor encountered; tower data is corrupt")
     return [x / r1[0] for x in s1]
-
-
-def base_tower(name: str, degree: int, low_coeffs: list[Fraction], approx: tuple[str, str]) -> TowerSpec:
-    """Tower with a single level x^degree + ... defined by rational coefficients."""
-    if len(low_coeffs) != degree:
-        raise TowerError("need exactly `degree` coefficients (monic leading 1 implicit)")
-    poly = tuple((((), Fraction(c)),) if c else () for c in low_coeffs)
-    return TowerSpec((TowerLevel(name=name, degree=degree, poly=poly, approx=approx),))
 
 
 class AlgNum:
@@ -599,13 +586,18 @@ def algnum_to_json(a: AlgNum):
     return _to_dense(a.tower.degrees, a.value)
 
 
+def _binomial_coeffs(level: TowerLevel):
+    """The coefficients of x^0 .. x^(degree-1) in x^degree - c."""
+    return [tuple([(e, -q) for e, q in level.c])] + [()] * (level.degree - 1)
+
+
 def tower_to_json(tower: TowerSpec):
     return {
         "levels": [
             {
                 "name": lv.name,
                 "degree": lv.degree,
-                "poly": [_to_dense(tower.degrees[:idx], c) for c in lv.poly],
+                "poly": [_to_dense(tower.degrees[:idx], c) for c in _binomial_coeffs(lv)],
                 "approx": [lv.approx[0], lv.approx[1]],
             }
             for idx, lv in enumerate(tower.levels)
@@ -621,29 +613,32 @@ _BETA_APPROX = ("1.84835274366088957810426637215", "0")
 _DELTA_APPROX = ("0.82033535600763793117028468287", "0")
 _SQRT5_APPROX = ("2.23606797749978969640917366873", "0")
 
+
+def _checked_tower(*levels: TowerLevel) -> TowerSpec:
+    tower = TowerSpec(levels)
+    tower.self_check()
+    return tower
+
+
 @functools.cache
 def canonical_tower() -> TowerSpec:
     """Q(g)(i)(b): g^12 = 5/64, i^2 = -1, b^2 = 48 g^6 - 10; degree 48."""
-    t0 = base_tower("g", 12, [Fraction(-5, 64)] + [Fraction(0)] * 11, _GAMMA_APPROX)
-    t1 = t0.extend("i", [AlgNum.from_rational(t0, 1), AlgNum.from_rational(t0, 0)], 2, ("0", "1"))
-    g1 = AlgNum.generator(t1, 0)
-    c0 = AlgNum.from_rational(t1, 10) - g1**6 * 48
-    t2 = t1.extend("b", [c0, AlgNum.from_rational(t1, 0)], 2, _BETA_APPROX)
-    t2.self_check()
-    return t2
+    return _checked_tower(
+        TowerLevel("g", 12, (((), Fraction(5, 64)),), _GAMMA_APPROX),
+        TowerLevel("i", 2, (((0,), Fraction(-1)),), ("0", "1")),
+        TowerLevel("b", 2, (((0, 0), Fraction(-10)), ((6, 0), Fraction(48))), _BETA_APPROX),
+    )
 
 
 @functools.cache
 def wasow_tower() -> TowerSpec:
     """Q(d)(s)(i)(b): d^7 = 1/4, s^2 = 5, i^2 = -1, b^2 = 6s - 10; degree 56."""
-    t0 = base_tower("d", 7, [Fraction(-1, 4)] + [Fraction(0)] * 6, _DELTA_APPROX)
-    t1 = t0.extend("s", [AlgNum.from_rational(t0, -5), AlgNum.from_rational(t0, 0)], 2, _SQRT5_APPROX)
-    t2 = t1.extend("i", [AlgNum.from_rational(t1, 1), AlgNum.from_rational(t1, 0)], 2, ("0", "1"))
-    s = AlgNum.generator(t2, 1)
-    c0 = AlgNum.from_rational(t2, 10) - s * 6
-    t3 = t2.extend("b", [c0, AlgNum.from_rational(t2, 0)], 2, _BETA_APPROX)
-    t3.self_check()
-    return t3
+    return _checked_tower(
+        TowerLevel("d", 7, (((), Fraction(1, 4)),), _DELTA_APPROX),
+        TowerLevel("s", 2, (((0,), Fraction(5)),), _SQRT5_APPROX),
+        TowerLevel("i", 2, (((0, 0), Fraction(-1)),), ("0", "1")),
+        TowerLevel("b", 2, (((0, 0, 0), Fraction(-10)), ((0, 1, 0), Fraction(6))), _BETA_APPROX),
+    )
 
 
 @dataclass(frozen=True)

@@ -39,14 +39,14 @@ import re
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple
 
-from .algnum import AlgNum, ChainConstants, TowerError, TowerSpec, int_power
+from .algnum import AlgNum, ChainConstants, TowerError, TowerSpec, VerificationError, int_power
 from .puiseux import PuiseuxPoly
 from .ratfunc import RatFunc
 
 SymbolResolver = Callable[[str, Fraction], AlgNum]
 
 
-class ExprError(ValueError):
+class ExprError(VerificationError):
     """Raised for malformed expression text, unknown symbols or inexact operations."""
 
 
@@ -211,6 +211,8 @@ class _Parser:
 
 
 def _parse(text: str, var: str, ring: _Ring):
+    if not isinstance(text, str):
+        raise ExprError(f"expected expression text, got {text!r}")
     try:
         return _Parser(text, var, ring).parse()
     except (TowerError, ZeroDivisionError) as exc:

@@ -24,12 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algnum import AlgNum, TowerError, rational_recognize, sqrt_in_tower
+from .algnum import AlgNum, TowerError, VerificationError, rational_recognize, sqrt_in_tower
 from .diffsys import DiffSystem, change_variable_power
 from .puiseux import PuiseuxPoly
 
 
-class GaloisError(ValueError):
+class GaloisError(VerificationError):
     """Raised when a block falls outside the supported normal forms."""
 
 

@@ -220,11 +220,11 @@ class PuiseuxPoly:
             raise TowerError(f"need a root of index divisible by {self.ram}, got {index}")
         step = index // self.ram
         ram = self.ram * power.denominator
-        out = []
-        for k, c in self.terms:
-            n = step * k
-            coeff = c * root**n if n >= 0 else c * (root.inverse() ** (-n))
-            out.append((k * power.numerator, coeff))
+        inv = root.inverse() if self.terms and self.terms[0][0] < 0 else None  # terms ascend
+        out = [
+            (k * power.numerator, c * (root ** (step * k) if k >= 0 else inv ** (-step * k)))
+            for k, c in self.terms
+        ]
         return PuiseuxPoly.from_terms(self.tower, ram, out)
 
     # -- numerics / presentation --------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algnum import int_power
+from .algnum import int_power, join_terms
 
 
 # -- integer kernels -------------------------------------------------------------
@@ -208,29 +208,11 @@ class Poly:
         return acc / self.den
 
     def render(self, var: str = "t") -> str:
-        return join_signed(
-            (c, var if k == 1 else f"{var}^{k}" if k else "")
+        return join_terms(
+            (str(c), var if k == 1 else f"{var}^{k}" if k else "")
             for k, c in reversed(list(enumerate(self.coeffs)))
             if c != 0
         )
-
-
-def join_signed(terms) -> str:
-    """Render a sum of (Fraction coefficient, monomial text) pairs.
-
-    Each term shows its magnitude (a unit magnitude is dropped before a
-    monomial; an empty monomial is the constant term) and the sign goes in
-    front: "3*t^2 - t + 1".  No terms render as "0".
-    """
-    out = ""
-    for c, mono in terms:
-        mag = abs(c)
-        body = (mono if mag == 1 else f"{mag}*{mono}") if mono else str(mag)
-        if out:
-            out += (" + " if c > 0 else " - ") + body
-        else:
-            out = body if c > 0 else f"-{body}"
-    return out or "0"
 
 
 def _as_poly(x) -> Poly:

@@ -33,7 +33,14 @@ from importlib import resources
 
 from mpmath import mp
 
-from .algnum import AlgNum, ChainConstants, TowerError, canonical_constants, wasow_constants
+from .algnum import (
+    AlgNum,
+    ChainConstants,
+    TowerError,
+    VerificationError,
+    canonical_constants,
+    wasow_constants,
+)
 from .diffsys import (
     AlgMatrix,
     DiffSystem,
@@ -52,7 +59,7 @@ from .exprparse import ExprError, chain_symbols, parse_puiseux
 from .puiseux import PuiseuxPoly
 
 
-class ReductionError(ValueError):
+class ReductionError(VerificationError):
     """Raised when a stage disagrees with its reference or a check fails."""
 
 
@@ -65,18 +72,34 @@ def load_fixtures() -> dict:
     return json.loads(resources.files("sasano_galois").joinpath("data/fixtures.json").read_text())
 
 
+def _fixture_table(tables: dict, key: str, what: str):
+    """``tables[key]``, or a ReductionError naming the missing table."""
+    if key not in tables:
+        raise ReductionError(f"fixture {what} {key} is missing")
+    return tables[key]
+
+
+def _square(rows: list, what: str) -> list:
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise ReductionError(f"fixture {what} is not a square matrix")
+    return rows
+
+
 def fixture_system(stage: dict, constants: ChainConstants) -> DiffSystem:
     """Build the canonical-form system M = var^prefactor * printed matrix."""
     resolver = chain_symbols(constants)
-    var = stage["var"]
-    pref = PuiseuxPoly.monomial(constants.tower, 1, Fraction(stage["prefactor"]))
+    name, var = stage["name"], stage["var"]
+    try:
+        pref = PuiseuxPoly.monomial(constants.tower, 1, Fraction(stage["prefactor"]))
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ReductionError(f"fixture stage {name}: prefactor {stage['prefactor']!r}: {exc}") from exc
     try:
         rows = tuple(
             tuple(parse_puiseux(text, constants.tower, var, resolver) * pref for text in row)
-            for row in stage["rows"]
+            for row in _square(stage["rows"], f"stage {name}")
         )
     except ExprError as exc:
-        raise ReductionError(f"fixture stage {stage['name']}: {exc}") from exc
+        raise ReductionError(f"fixture stage {name}: {exc}") from exc
     return DiffSystem(var, rows)
 
 
@@ -99,7 +122,7 @@ def fixture_constant_matrix(rows: list[list[str]], constants: ChainConstants) ->
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """One named run of the reduction script.
+    """One run of the reduction script: its constants and its checks.
 
     ``compare_decoupling_gauge`` switches on the comparisons that are
     specific to the default normalization (the printed eigenvector gauge
@@ -107,17 +130,16 @@ class ChainConfig:
     the same structural facts but against its own exact eigenvalues.
     """
 
-    label: str
     constants: ChainConstants
     compare_decoupling_gauge: bool
 
 
 def canonical_config() -> ChainConfig:
-    return ChainConfig("canonical", canonical_constants(), True)
+    return ChainConfig(canonical_constants(), True)
 
 
 def wasow_config() -> ChainConfig:
-    return ChainConfig("wasow", wasow_constants(), False)
+    return ChainConfig(wasow_constants(), False)
 
 
 # -- trace records ----------------------------------------------------------------
@@ -226,19 +248,22 @@ def _check_inverse(stage: str, t: AlgMatrix, t_inv: AlgMatrix) -> tuple[AlgMatri
 
 
 def _fixture_gauge(stage: str, key: str, fixtures: dict, c: ChainConstants) -> tuple[AlgMatrix, AlgMatrix]:
-    t, t_inv = (fixture_constant_matrix(fixtures["gauges"][k], c) for k in (key, f"{key}_inv"))
+    t, t_inv = (
+        fixture_constant_matrix(_square(_fixture_table(fixtures["gauges"], k, "gauge"), f"gauge {k}"), c)
+        for k in (key, f"{key}_inv")
+    )
     return _check_inverse(stage, t, t_inv)
 
 
-def run_canonical_chain(nve: DiffSystem, config: ChainConfig | None = None) -> ReductionTrace:
+def run_canonical_chain(nve: DiffSystem, config: ChainConfig) -> ReductionTrace:
     """Run the six-step reduction script on the 4x4 variational system.
 
     Each produced stage is compared entry-exactly with the frozen
-    reference matrix for that stage; any disagreement raises
-    :class:`ReductionError` naming the stage and entry.
+    reference matrix for that stage; any disagreement, or a fixture table
+    that is missing or does not read, raises :class:`ReductionError`
+    naming the stage and entry or the table.
     """
-    cfg = config or canonical_config()
-    c = cfg.constants
+    c = config.constants
     if nve.tower is not c.tower:
         raise ReductionError("system tower does not match the configured constants")
     fixtures = load_fixtures()
@@ -247,7 +272,7 @@ def run_canonical_chain(nve: DiffSystem, config: ChainConfig | None = None) -> R
     steps: list[GaugeStep] = []
 
     def check(name: str, system: DiffSystem) -> None:
-        _compare_stage(name, system, fixture_system(stage_refs[name], c))
+        _compare_stage(name, system, fixture_system(_fixture_table(stage_refs, name, "stage"), c))
         matched.append(name)
 
     def advance(stage: str, move: Move) -> DiffSystem:
@@ -267,19 +292,20 @@ def run_canonical_chain(nve: DiffSystem, config: ChainConfig | None = None) -> R
     r, lead = leading_data(sys6)
     if r != 5:
         raise ReductionError(f"stage unit_shear: leading exponent is {r}, expected 5")
-    if cfg.compare_decoupling_gauge:
-        lead_ref = fixture_constant_matrix(fixtures["leading_unit_shear"], c)
+    if config.compare_decoupling_gauge:
+        lead_rows = _square(fixtures["leading_unit_shear"], "leading_unit_shear")
+        lead_ref = fixture_constant_matrix(lead_rows, c)
         if lead != lead_ref:
             raise ReductionError("stage unit_shear: leading matrix differs from reference")
     t3 = _check_inverse("decoupled", *eigen_decompose_distinct(lead, c.eigenvalues))
     sys7 = advance("decoupled", ConstantGauge(*t3))
 
-    if cfg.compare_decoupling_gauge:
+    if config.compare_decoupling_gauge:
         _check_printed_gauge(sys6, sys7, lead, fixtures, c)
 
     blocks = tuple(block_split(sys7, (2, 2)))
     return ReductionTrace(
-        config=cfg,
+        config=config,
         steps=tuple(steps),
         final=sys7,
         blocks=blocks,

@@ -16,12 +16,13 @@ from typing import Any
 
 import mpmath as mp
 
-from .algnum import AlgNum, TowerError, algnum_to_json, tower_to_json
+from .algnum import AlgNum, VerificationError, algnum_to_json, tower_to_json
 from .diffsys import DiffSystem, char_poly, leading_data
-from .galois import GaloisError, GaloisOutcome, classify_blocks
+from .galois import GaloisOutcome, classify_blocks
+from .ratfunc import RatFunc
 from .reduction import (
+    ChainConfig,
     ConsistencyReport,
-    ReductionError,
     ReductionTrace,
     Substitution,
     canonical_config,
@@ -30,7 +31,7 @@ from .reduction import (
     wasow_config,
 )
 from .sasano import seed_variational_system
-from .weyl import OrbitResult, SolutionState, WeylError, enumerate_orbit, seed_state
+from .weyl import OrbitResult, ParamTriple, SolutionState, enumerate_orbit, seed_state
 
 SECTION_ORDER = (
     "model check",
@@ -407,13 +408,12 @@ def orbit_section(orbit: OrbitResult, check_rows: bool = True) -> ReportSection:
 # -- top-level drivers -------------------------------------------------------------
 
 
-def build_seed_report(state: SolutionState | None, error: Exception | None = None) -> ProofReport:
+def build_seed_report(components: dict[str, RatFunc], params: ParamTriple) -> ProofReport:
     """Report for a single solution check; exactly one model section."""
-    if state is not None:
-        section = model_section(state)
-    else:
-        assert error is not None
-        section = failure_section("model check", "exact verification of the candidate", error)
+    try:
+        section = model_section(SolutionState.make(**components, params=params))
+    except VerificationError as exc:
+        section = failure_section("model check", "exact verification of the candidate", exc)
     return ProofReport(
         title="solution check for the coupled Hamiltonian system",
         normalization=None,
@@ -443,69 +443,54 @@ def build_proof(
 
     ``stop_after`` truncates the pipeline after the named phase (one of
     "nve", "reduction", "classify"); the report then ends with the last
-    completed section.  Pipeline failures become fail sections instead of
-    exceptions, so a report is always produced.
+    completed section.  Any :class:`VerificationError` ends the report in
+    the fail section of the running phase, so a report is always produced.
+    The tower loads in the nve phase; a report that ends before it has
+    loaded carries no tower.
     """
-    config = wasow_config() if wasow else canonical_config()
-    title = "differential Galois certificate for the Sasano Hamiltonian system"
     sections: list[ReportSection] = []
+    config: ChainConfig | None = None
     verdict: str | None = None
 
     def finish() -> ProofReport:
         return ProofReport(
-            title=title,
-            normalization=config.label,
-            tower=tower_to_json(config.constants.tower),
+            title="differential Galois certificate for the Sasano Hamiltonian system",
+            normalization="wasow" if wasow else "canonical",
+            tower=None if config is None else tower_to_json(config.constants.tower),
             sections=tuple(sections),
             verdict=verdict,
         )
 
+    # (section, basis) of the fail section the running phase would end in
+    phase = ("model check", "seed solution verification")
     try:
-        state = seed_state()
-    except WeylError as exc:
-        sections.append(failure_section("model check", "seed solution verification", exc))
-        return finish()
-    sections.append(model_section(state))
-
-    try:
+        sections.append(model_section(seed_state()))
+        phase = ("normal variational equations", "linearization along the seed")
+        config = wasow_config() if wasow else canonical_config()
         nve = seed_variational_system(config.constants.tower)
-    except (TowerError, ValueError) as exc:
-        sections.append(failure_section("normal variational equations", "linearization along the seed", exc))
-        return finish()
-    sections.append(nve_section(nve))
-    if stop_after == "nve":
-        return finish()
-
-    try:
+        sections.append(nve_section(nve))
+        if stop_after == "nve":
+            return finish()
+        phase = ("reduction trace", "staged gauge reduction")
         trace = run_canonical_chain(nve, config)
-        consistency = verify_trace_consistency(trace)
-    except ReductionError as exc:
-        sections.append(failure_section("reduction trace", "staged gauge reduction", exc))
-        return finish()
-    sections.append(reduction_section(trace, consistency, digits))
-    if stop_after == "reduction":
-        return finish()
-
-    try:
+        sections.append(reduction_section(trace, verify_trace_consistency(trace), digits))
+        if stop_after == "reduction":
+            return finish()
+        phase = ("apparent singularity", "block classification")
         outcome = classify_blocks(trace.blocks)
-    except GaloisError as exc:
-        sections.append(
-            failure_section("apparent singularity", "block classification", exc)
-        )
-        return finish()
-    sections.append(apparent_section(outcome, digits))
-    sections.append(whittaker_section(outcome, digits))
-    sections.append(stokes_section(outcome))
-    sections.append(components_section(outcome))
-    if stop_after == "classify":
-        return finish()
-
-    prerequisites = all(s.status == "pass" for s in sections)
-    verdict = outcome.verdict if prerequisites else "Inconclusive"
-    sections.append(verdict_section(verdict, prerequisites))
-
-    orbit = enumerate_orbit(depth=orbit_depth)
-    sections.append(orbit_section(orbit, check_rows=True))
+        sections.append(apparent_section(outcome, digits))
+        sections.append(whittaker_section(outcome, digits))
+        sections.append(stokes_section(outcome))
+        sections.append(components_section(outcome))
+        if stop_after == "classify":
+            return finish()
+        prerequisites = all(s.status == "pass" for s in sections)
+        verdict = outcome.verdict if prerequisites else "Inconclusive"
+        sections.append(verdict_section(verdict, prerequisites))
+        phase = ("orbit summary", "orbit enumeration")
+        sections.append(orbit_section(enumerate_orbit(depth=orbit_depth), check_rows=True))
+    except VerificationError as exc:
+        sections.append(failure_section(*phase, exc))
     return finish()
 
 

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .algnum import AlgNum, TowerError, TowerSpec, int_power
+from .algnum import AlgNum, TowerError, TowerSpec, VerificationError, int_power, join_terms
 from .diffsys import DiffSystem
 from .puiseux import PuiseuxPoly
-from .ratfunc import Poly, RatFunc, join_signed
+from .ratfunc import Poly, RatFunc
 
 VARS = ("x", "y", "z", "w", "t", "F", "a0", "a1", "a2")
 _INDEX = {name: k for k, name in enumerate(VARS)}
@@ -120,8 +120,8 @@ class PolyExpr:
         return total, top
 
     def render(self) -> str:
-        return join_signed(
-            (c, "*".join(VARS[k] if exp == 1 else f"{VARS[k]}^{exp}" for k, exp in enumerate(e) if exp))
+        return join_terms(
+            (str(c), "*".join(VARS[k] if exp == 1 else f"{VARS[k]}^{exp}" for k, exp in enumerate(e) if exp))
             for e, c in self.terms
         )
 
@@ -158,7 +158,7 @@ class CommonDenominator:
         if out is None:
             base = self._powers.get((name, 1))
             if base is None:
-                raise ValueError(f"no value supplied for symbol {name!r}")
+                raise VerificationError(f"no value supplied for symbol {name!r}")
             out = self._powers[name, exp] = (base[0] ** exp, base[1] * exp)
         return out
 
@@ -220,10 +220,10 @@ def extended_hamiltonian() -> PolyExpr:
 def check_params(params: Sequence) -> tuple[Fraction, Fraction, Fraction]:
     """Validate the affine parameter relation a0 + 2 a1 + 2 a2 = 1."""
     if len(params) != 3:
-        raise ValueError("expected three parameters (a0, a1, a2)")
+        raise VerificationError("expected three parameters (a0, a1, a2)")
     a0, a1, a2 = (Fraction(p) for p in params)
     if a0 + 2 * a1 + 2 * a2 != 1:
-        raise ValueError(
+        raise VerificationError(
             f"parameters must satisfy a0 + 2*a1 + 2*a2 = 1, got {a0 + 2 * a1 + 2 * a2}"
         )
     return a0, a1, a2
@@ -324,7 +324,7 @@ def verify_solution(values: CommonDenominator, f: RatFunc) -> None:
         if lhs != rhs:
             bad.append(name)
     if bad:
-        raise ValueError(f"not a solution: equations fail for {', '.join(bad)}")
+        raise VerificationError(f"not a solution: equations fail for {', '.join(bad)}")
 
 
 def variational_matrix(values: CommonDenominator) -> tuple[tuple[RatFunc, ...], ...]:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .algnum import VerificationError
 from .diffsys import mat_mul
 from .ratfunc import RatFunc
 from .sasano import check_params, scale_solution, seed_solution, solution_energy, verify_solution
@@ -33,7 +34,7 @@ from .sasano import check_params, scale_solution, seed_solution, solution_energy
 GENERATORS = ("s0", "s1", "s2")
 
 
-class WeylError(ValueError):
+class WeylError(VerificationError):
     """Raised for invalid parameters or an undefined transformation."""
 
 
@@ -117,7 +118,7 @@ class SolutionState:
         f = solution_energy(values)
         try:
             verify_solution(values, f)
-        except ValueError as exc:
+        except VerificationError as exc:
             raise WeylError(str(exc)) from exc
         return SolutionState(x, y, z, w, f, params)
 
@@ -308,6 +309,10 @@ def matsuda_check(params: ParamTriple) -> MatsudaResult:
 # -- orbit enumeration ------------------------------------------------------------------
 
 
+# Words up to this length that reach a kept parameter triple are audited.
+AUDIT_DEPTH = 4
+
+
 @dataclass(frozen=True)
 class OrbitNode:
     word: tuple[str, ...]
@@ -338,15 +343,11 @@ class OrbitResult:
         return len(self.nodes)
 
 
-def enumerate_orbit(
-    start: SolutionState | None = None,
-    depth: int = 6,
-    audit_depth: int = 4,
-) -> OrbitResult:
+def enumerate_orbit(start: SolutionState | None = None, depth: int = 6) -> OrbitResult:
     """Breadth-first orbit of the seed under the three generators.
 
     Nodes are deduplicated by parameter triple (the first word reaching a
-    triple is kept); up to ``audit_depth`` every duplicate hit is audited
+    triple is kept); up to ``AUDIT_DEPTH`` every duplicate hit is audited
     for state equality and reported instead of silently dropped.  Every
     state in the orbit was verified once, as an exact solution, when built
     (a supplied ``start`` too).  Each step looks the parameter image up
@@ -378,7 +379,7 @@ def enumerate_orbit(
                 skipped.append((word, str(exc)))
                 continue
             if known is not None:
-                if node.depth + 1 <= audit_depth:
+                if node.depth + 1 <= AUDIT_DEPTH:
                     collisions.append(
                         ParamCollision(
                             params=image.params,

@@ -97,10 +97,14 @@ def algnum_from_json(tower: TowerSpec, data) -> AlgNum:
 
 
 def tower_from_json(data) -> TowerSpec:
+    """Rebuild a tower from ``tower_to_json``; each ``poly`` must be x^degree - c."""
     levels: list[TowerLevel] = []
     for lv in data["levels"]:
         degrees = tuple(x.degree for x in levels)
-        poly = tuple(_from_dense(degrees, c) for c in lv["poly"])
+        poly = [_from_dense(degrees, c) for c in lv["poly"]]
+        if len(poly) != lv["degree"] or any(poly[1:]):
+            raise TowerError(f"level {lv['name']!r} is not a binomial")
+        c = tuple((e, -q) for e, q in poly[0])
         approx = (lv["approx"][0], lv["approx"][1])
-        levels.append(TowerLevel(name=lv["name"], degree=lv["degree"], poly=poly, approx=approx))
+        levels.append(TowerLevel(name=lv["name"], degree=lv["degree"], c=c, approx=approx))
     return TowerSpec(tuple(levels))

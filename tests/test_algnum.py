@@ -10,8 +10,9 @@ from conftest import algnum_from_json, random_algnum, random_nonzero_algnum, tow
 from sasano_galois.algnum import (
     AlgNum,
     TowerError,
+    TowerLevel,
+    TowerSpec,
     algnum_to_json,
-    base_tower,
     canonical_constants,
     canonical_tower,
     rational_recognize,
@@ -425,13 +426,9 @@ class TestJsonBoundary:
 
 
 class TestTowerRejection:
-    def test_non_binomial_base(self):
-        with pytest.raises(TowerError):
-            base_tower("x", 2, [Fraction(1), Fraction(1)], ("-0.5", "0.866"))  # x^2 + x + 1
-
     def test_zero_constant_term(self):
         with pytest.raises(TowerError):
-            base_tower("x", 2, [Fraction(0), Fraction(0)], ("0", "0"))
+            TowerSpec((TowerLevel("x", 2, (), ("0", "0")),))
 
     def test_non_binomial_from_json(self, tower):
         data = tower_to_json(tower)
@@ -439,14 +436,7 @@ class TestTowerRejection:
         with pytest.raises(TowerError):
             tower_from_json(data)
 
-    def test_non_binomial_extension(self):
-        t0 = base_tower("x", 2, [Fraction(-2), Fraction(0)], ("1.414", "0"))
-        one = AlgNum.from_rational(t0, 1)
-        with pytest.raises(TowerError):
-            t0.extend("y", [one, one], 2, ("0", "1"))  # y^2 + y + 1
-
     def test_upper_level_must_be_quadratic(self):
-        t0 = base_tower("x", 2, [Fraction(-2), Fraction(0)], ("1.414", "0"))
-        zero = AlgNum.from_rational(t0, 0)
+        x = TowerLevel("x", 2, (((), Fraction(2)),), ("1.414", "0"))
         with pytest.raises(TowerError):
-            t0.extend("y", [AlgNum.from_rational(t0, -3), zero, zero], 3, ("1.442", "0"))
+            TowerSpec((x, TowerLevel("y", 3, (((0,), Fraction(3)),), ("1.442", "0"))))

@@ -1,0 +1,126 @@
+"""Fault injection: a corrupted fixture, tower or square-root search ends the
+canonical pipeline in a named fail section, never in a traceback."""
+
+from __future__ import annotations
+
+import copy
+import functools
+import json
+
+import pytest
+
+from sasano_galois import algnum, galois, reduction
+from sasano_galois.algnum import TowerError
+from sasano_galois.cli import main
+from sasano_galois.report import build_proof, report_to_markdown
+
+STAGES = [stage["name"] for stage in reduction.load_fixtures()["stages"]]
+GAUGES = ["t1", "t1_inv", "t2", "t2_inv", "t3", "t3_inv"]
+
+# (table, name, change, value): one entry of data/fixtures.json changed.
+CASES = (
+    [("stage", n, "entry", v) for n in STAGES for v in ("1/3", "", 7, None)]
+    + [("stage", n, "prefactor", "x") for n in STAGES]
+    + [("stage", n, "var", "q") for n in STAGES]
+    + [("stage", n, "drop", None) for n in STAGES]
+    + [("gauge", k, "entry", v) for k in GAUGES for v in ("1/3", "", 7, "tau")]
+    + [("gauge", k, "short row", None) for k in GAUGES]
+    + [("gauge", k, "drop", None) for k in GAUGES]
+    + [("leading_unit_shear", None, "entry", v) for v in ("1/3", 7)]
+)
+
+
+def corrupt(fixtures: dict, table: str, name: str | None, change: str, value) -> None:
+    if table == "stage":
+        stage = next(s for s in fixtures["stages"] if s["name"] == name)
+        if change == "drop":
+            fixtures["stages"].remove(stage)
+        elif change == "entry":
+            stage["rows"][0][0] = value
+        else:
+            stage[change] = value
+    elif table == "gauge":
+        if change == "drop":
+            del fixtures["gauges"][name]
+        elif change == "entry":
+            fixtures["gauges"][name][0][0] = value
+        else:
+            fixtures["gauges"][name][0].pop()
+    else:
+        fixtures[table][0][0] = value
+
+
+def case_id(case) -> str:
+    table, name, change, value = case
+    label = "-".join(x.replace(" ", "-") for x in (table, name, change) if x)
+    return label if change in ("drop", "short row") else f"{label}={value if value != '' else 'empty'}"
+
+
+@pytest.fixture
+def corrupted(monkeypatch):
+    def install(*case):
+        fixtures = copy.deepcopy(reduction.load_fixtures())
+        corrupt(fixtures, *case)
+        monkeypatch.setattr(reduction, "load_fixtures", lambda: fixtures)
+
+    return install
+
+
+def test_every_fixture_table_is_covered():
+    fixtures = reduction.load_fixtures()
+    assert len(STAGES) == 7 and sorted(fixtures["gauges"]) == sorted(GAUGES)
+    assert len(CASES) == 87
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case_id(c) for c in CASES])
+def test_corrupt_fixture_ends_in_reduction_fail_section(corrupted, case):
+    corrupted(*case)
+    proof = build_proof(stop_after="reduction")
+    assert [s.status for s in proof.sections] == ["pass", "pass", "fail"]
+    last = proof.sections[-1]
+    assert last.name == "reduction trace"
+    assert dict(last.steps[0].values)["error"]
+    assert proof.verdict is None and proof.tower is not None
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        ("stage", "ramified_time", "entry", 7),
+        ("gauge", "t2", "short row", None),
+        ("gauge", "t3", "drop", None),
+    ],
+    ids=case_id,
+)
+def test_corrupt_fixture_exits_1_through_cli(tmp_path, capsys, corrupted, case):
+    corrupted(*case)
+    assert main(["--report-dir", str(tmp_path), "prove"]) == 1
+    data = json.loads((tmp_path / "proof.json").read_text())
+    last = data["sections"][-1]
+    assert (last["name"], last["status"]) == ("reduction trace", "fail")
+    assert "reduction trace: fail" in capsys.readouterr().out
+
+
+def test_missing_square_root_ends_in_apparent_fail_section(tmp_path, monkeypatch):
+    def no_root(a):
+        raise TowerError(f"the monomial search found no square root of {a}")
+
+    monkeypatch.setattr(galois, "sqrt_in_tower", no_root)
+    proof = build_proof()
+    assert proof.sections[-1].name == "apparent singularity"
+    assert "## apparent singularity [fail]" in report_to_markdown(proof)
+    assert main(["--report-dir", str(tmp_path), "prove"]) == 1
+
+
+def test_corrupt_tower_approximation_ends_in_nve_fail_section(tmp_path, monkeypatch):
+    # Fresh caches stand in for the cached singletons while the corrupt tower
+    # is in force; monkeypatch restores the originals (and their caches).
+    singletons = ((algnum, "canonical_tower"), (algnum, "canonical_constants"), (reduction, "canonical_constants"))
+    for module, name in singletons:
+        monkeypatch.setattr(module, name, functools.cache(getattr(module, name).__wrapped__))
+    monkeypatch.setattr(algnum, "_GAMMA_APPROX", ("0.5", "0"))
+    proof = build_proof()
+    assert "## normal variational equations [fail]" in report_to_markdown(proof)
+    assert "does not isolate a root" in dict(proof.sections[-1].steps[0].values)["error"]
+    assert proof.normalization == "canonical" and proof.tower is None
+    assert main(["--report-dir", str(tmp_path), "prove"]) == 1

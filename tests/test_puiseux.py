@@ -106,6 +106,20 @@ class TestCalculus:
         back = fwd.substitute_power(c.alpha_quarter_root.inverse(), 1, Fraction(1, 4))
         assert back == p
 
+    def test_substitute_inverts_the_root_once(self, tower, monkeypatch):
+        c = canonical_constants()
+        root = c.alpha_quarter_root
+        p = x_pow(tower, -3) + x_pow(tower, Fraction(-1, 2)) * 5 + x_pow(tower, -1) + 2
+        terms = [PuiseuxPoly(tower, p.ram, (t,)).substitute_power(root, 4, Fraction(4)) for t in p.terms]
+        inverted = []
+        inverse = AlgNum.inverse
+        monkeypatch.setattr(AlgNum, "inverse", lambda a: inverted.append(a) or inverse(a))
+        assert p.substitute_power(root, 4, Fraction(4)) == sum(terms[1:], terms[0])
+        assert inverted == [root]
+        inverted.clear()
+        (x_pow(tower, 2) + 1).substitute_power(root, 4, Fraction(4))
+        assert inverted == []
+
     def test_substitute_validates_root(self, tower):
         c = canonical_constants()
         p = x_pow(tower, Fraction(1, 4))

@@ -24,7 +24,7 @@ from sasano_galois.weyl import (
     MatsudaResult,
     OrbitNode,
     OrbitResult,
-    WeylError,
+    ParamTriple,
     enumerate_orbit,
     seed_state,
 )
@@ -122,10 +122,12 @@ def test_format_numeric():
 
 
 def test_seed_report_failure_section():
-    report = build_seed_report(None, WeylError("equation for y fails"))
+    seed = seed_state()
+    other = ParamTriple.make((Fraction(1, 2), Fraction(1, 8), Fraction(1, 8)))
+    report = build_seed_report(seed.components(), other)
     assert not report.all_pass()
     assert report.sections[0].status == "fail"
-    assert "equation for y fails" in dict(report.sections[0].steps[0].values)["error"]
+    assert "not a solution" in dict(report.sections[0].steps[0].values)["error"]
 
 
 def test_orbit_jsonl_schema():
