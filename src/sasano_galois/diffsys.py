@@ -266,12 +266,15 @@ def change_variable_power(
 
     dX/du = phi'(u) M(phi(u)) X for phi(u) = scale * u^power with
     scale = root^index, so every entry is expanded by substitution and
-    multiplied by the monomial scale * power * u^(power - 1).
+    multiplied by the monomial scale * power * u^(power - 1).  The root is
+    inverted once, for all entries, when some entry has a negative exponent.
     """
     power = Fraction(power)
     dphi = PuiseuxPoly.monomial(system.tower, root**index * power, power - 1)
+    negative = any(e.terms and e.terms[0][0] < 0 for row in system.matrix for e in row)
+    inv = root.inverse() if negative else None
     rows = tuple(
-        tuple(e.substitute_power(root, index, power) * dphi for e in row)
+        tuple(e.substitute_power(root, index, power, inv) * dphi for e in row)
         for row in system.matrix
     )
     return DiffSystem(new_var, rows)

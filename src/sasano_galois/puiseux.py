@@ -205,11 +205,14 @@ class PuiseuxPoly:
             out.append((k - self.ram, c * Fraction(k, self.ram)))
         return PuiseuxPoly.from_terms(self.tower, self.ram, out)
 
-    def substitute_power(self, root: AlgNum, index: int, power: Fraction) -> PuiseuxPoly:
+    def substitute_power(
+        self, root: AlgNum, index: int, power: Fraction, inv: AlgNum | None = None
+    ) -> PuiseuxPoly:
         """Expand p(x) under x = root^index * u^power into a polynomial in u.
 
         ``index`` must be a multiple of every exponent denominator in p, so
         the fractional powers (root^index)^(k/ram) stay inside the tower.
+        ``inv`` is 1/root, inverted here when not given and a term needs it.
         """
         power = Fraction(power)
         if power <= 0:
@@ -220,7 +223,8 @@ class PuiseuxPoly:
             raise TowerError(f"need a root of index divisible by {self.ram}, got {index}")
         step = index // self.ram
         ram = self.ram * power.denominator
-        inv = root.inverse() if self.terms and self.terms[0][0] < 0 else None  # terms ascend
+        if inv is None and self.terms and self.terms[0][0] < 0:  # terms ascend
+            inv = root.inverse()
         out = [
             (k * power.numerator, c * (root ** (step * k) if k >= 0 else inv ** (-step * k)))
             for k, c in self.terms

@@ -202,10 +202,15 @@ class Poly:
         return _reduced([k * c for k, c in enumerate(self.nums)][1:], self.den)
 
     def __call__(self, t) -> Fraction:
-        acc = Fraction(0)
+        # Horner's rule on the integers: with t = p/q and degree n, the
+        # accumulator ends as q^n times the numerator sum and scale as q^(n+1).
+        t = Fraction(t)
+        p, q = t.numerator, t.denominator
+        acc, scale = 0, 1
         for c in reversed(self.nums):
-            acc = acc * t + c
-        return acc / self.den
+            acc = acc * p + c * scale
+            scale *= q
+        return Fraction(acc * q, self.den * scale)
 
     def render(self, var: str = "t") -> str:
         return join_terms(

@@ -327,6 +327,30 @@ def verify_solution(values: CommonDenominator, f: RatFunc) -> None:
         raise VerificationError(f"not a solution: equations fail for {', '.join(bad)}")
 
 
+def verify_zero_energy(values: CommonDenominator, f: RatFunc) -> None:
+    """Check that F = f is the zero-energy lift, H + F = 0, at one exact
+    point; raise on failure.
+
+    Along a solution that passes :func:`verify_solution`, d/dt (H + F) is
+    dH/dt + F' = 2x - 2x = 0, so H + F is a constant and its value at one
+    point decides it.  That point t0 is the least integer >= 0 at which
+    neither L nor the denominator of f vanishes; H is evaluated there over
+    the values of ``values`` at t0.
+    """
+    t0 = 0
+    while values.den(t0) == 0 or f.den(t0) == 0:
+        t0 += 1
+    den = values.den(t0)
+    point = {}
+    for name in VARS:
+        if name != "F":
+            num, j = values.power(name, 1)
+            point[name] = RatFunc.const(num(t0) / den**j)
+    total = CommonDenominator(point).evaluate(hamiltonian()).constant_value() + f(t0)
+    if total != 0:
+        raise VerificationError(f"F is not the zero-energy lift: H + F = {total} at t0 = {t0}")
+
+
 def variational_matrix(values: CommonDenominator) -> tuple[tuple[RatFunc, ...], ...]:
     """Jacobian of the extended field along the solution held by ``values``
     (:func:`scale_solution`), 6 x 6 exact: each symbolic entry evaluated
@@ -384,7 +408,6 @@ def extract_nve(
 
 def seed_variational_system(tower: TowerSpec) -> DiffSystem:
     """Normal variational system along the seed, ready for reduction: the
-    seed is verified and linearized over one :func:`scale_solution`."""
-    values = scale_solution(*seed_solution())
-    verify_solution(values, solution_energy(values))
-    return extract_nve(variational_matrix(values), tower)
+    seed is linearized over one :func:`scale_solution`.  It is verified by
+    the model check (``weyl.seed_state``), not again here."""
+    return extract_nve(variational_matrix(scale_solution(*seed_solution())), tower)

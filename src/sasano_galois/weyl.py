@@ -12,10 +12,15 @@ order four.  :func:`verify_group_relations` tests the relations on the
 parameter matrices exactly and on random rational points of the full
 action (50 per relation by default); it samples, and only the tests run it.
 
+On the extended phase space each generator also maps the conjugate F of
+t, to F - shift for s2 and to F for s0 and s1, and so preserves K = H + F;
+an image's F is transported that way rather than recomputed.
+
 Orbit enumeration starts from the rational seed solution, applies every
-generator breadth-first, verifies each new state as an exact solution once,
-and checks the arithmetic condition on the parameters (an integer pair
-(a, b) mod 5 falling in one of four admissible rows) at every node.
+generator breadth-first, verifies each new state as an exact solution once
+(its transported F by the F row and one exact point of H + F = 0), and
+checks the arithmetic condition on the parameters (an integer pair (a, b)
+mod 5 falling in one of four admissible rows) at every node.
 """
 
 from __future__ import annotations
@@ -29,7 +34,9 @@ from typing import Iterable, Sequence
 from .algnum import VerificationError
 from .diffsys import mat_mul
 from .ratfunc import RatFunc
-from .sasano import check_params, scale_solution, seed_solution, solution_energy, verify_solution
+from .sasano import (
+    check_params, scale_solution, seed_solution, solution_energy, verify_solution, verify_zero_energy,
+)
 
 GENERATORS = ("s0", "s1", "s2")
 
@@ -98,11 +105,12 @@ def word_matrix(word: Iterable[str]):
 
 @dataclass(frozen=True)
 class SolutionState:
-    """An exact rational solution together with its parameters.
+    """An exact rational solution, its parameters and the conjugate F of t.
 
-    Construction through :meth:`make` recomputes the conjugate variable F
-    as the zero-energy lift and verifies all equations of motion, so a
-    state that exists is always a checked solution.
+    :meth:`make` takes the F that a generator transported, or computes
+    F = -H for a root of the orbit, and verifies all equations of motion,
+    whose F row fixes F up to a constant, and H + F = 0 at one exact point;
+    so a state that exists is always a checked zero-energy solution.
     """
 
     x: RatFunc
@@ -113,11 +121,15 @@ class SolutionState:
     params: ParamTriple
 
     @staticmethod
-    def make(x: RatFunc, y: RatFunc, z: RatFunc, w: RatFunc, params: ParamTriple) -> SolutionState:
+    def make(
+        x: RatFunc, y: RatFunc, z: RatFunc, w: RatFunc, params: ParamTriple, f: RatFunc | None = None
+    ) -> SolutionState:
         values = scale_solution({"x": x, "y": y, "z": z, "w": w}, params.as_tuple())
-        f = solution_energy(values)
+        if f is None:
+            f = solution_energy(values)
         try:
             verify_solution(values, f)
+            verify_zero_energy(values, f)
         except VerificationError as exc:
             raise WeylError(str(exc)) from exc
         return SolutionState(x, y, z, w, f, params)
@@ -163,10 +175,13 @@ def apply_generator(
 
     When the divisor vanishes identically the step is only defined for a
     vanishing parameter, where it is the identity; a vanishing divisor
-    with a nonzero parameter raises.  An image equal in x, y, z, w and
-    parameters to ``known``, a checked state the caller holds, is
-    ``known`` itself: canonical forms make the equality exact, and
-    :meth:`SolutionState.make` reads only those inputs.  ``params`` is
+    with a nonzero parameter raises.  The image's F is transported, not
+    recomputed: it is ``state.f - shift`` for s2 and ``state.f`` for s0
+    and s1, as the generator preserves K = H + F, and
+    :meth:`SolutionState.make` certifies it.  An image equal in x, y, z, w
+    and parameters to ``known``, a checked state the caller holds, is
+    ``known`` itself: canonical forms make the equality exact, and a
+    solution has one zero-energy lift.  ``params`` is
     ``act_on_params(name, state.params)``, which the caller computes once.
     """
     t = RatFunc.variable()
@@ -183,7 +198,7 @@ def apply_generator(
     image = _reflect(name, x, y, z, w, shift)
     if known is not None and known.params == params and image == (known.x, known.y, known.z, known.w):
         return known
-    return SolutionState.make(*image, params)
+    return SolutionState.make(*image, params, state.f - shift if name == "s2" else state.f)
 
 
 # -- group relations ------------------------------------------------------------------
@@ -350,7 +365,8 @@ def enumerate_orbit(start: SolutionState | None = None, depth: int = 6) -> Orbit
     triple is kept); up to ``AUDIT_DEPTH`` every duplicate hit is audited
     for state equality and reported instead of silently dropped.  Every
     state in the orbit was verified once, as an exact solution, when built
-    (a supplied ``start`` too).  Each step looks the parameter image up
+    (a supplied ``start`` too, whose F is recomputed as -H; every other
+    F is transported).  Each step looks the parameter image up
     first; an image equal to the kept state is that state, and any other
     is verified (see :func:`apply_generator`), a failure landing in ``skipped``.
     """

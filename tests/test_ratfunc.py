@@ -43,6 +43,17 @@ class TestPoly:
         assert p.derivative() == Poly.make([0, 6])
         assert p(Fraction(1, 2)) == Fraction(2, 5) + Fraction(3, 4)
 
+    def test_eval_matches_fraction_horner(self):
+        rng = random.Random(1313)
+        for _ in range(200):
+            p = Poly.make([Fraction(rng.randint(-99, 99), rng.randint(1, 12)) for _ in range(rng.randint(0, 9))])
+            t = Fraction(rng.randint(-30, 30), rng.randint(1, 7))
+            expect = Fraction(0)
+            for c in reversed(p.coeffs):
+                expect = expect * t + c
+            assert p(t) == expect
+            assert p(t.numerator) == p(Fraction(t.numerator))
+
     def test_degree_of_zero(self):
         assert Poly.make([0, 0]).degree() == -1
 

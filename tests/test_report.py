@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
+from sasano_galois import sasano, weyl
 from sasano_galois.algnum import AlgNum, canonical_constants
 from sasano_galois.report import (
     SECTION_ORDER,
@@ -108,6 +110,36 @@ def test_wasow_proof(wasow_proof):
     assert wasow_proof.verdict == "NotIntegrable"
     assert wasow_proof.normalization == "wasow"
     assert wasow_proof.all_pass()
+
+
+def test_prove_verifies_the_seed_before_the_orbit_once(monkeypatch):
+    calls = []
+    verify = sasano.verify_solution
+
+    def counting(*args):
+        calls.append(args)
+        return verify(*args)
+
+    for module in (sasano, weyl):
+        monkeypatch.setattr(module, "verify_solution", counting)
+    assert build_proof().verdict == "NotIntegrable"
+    # the model check's seed, then the 9 orbit nodes to depth 2 (the root rebuilt)
+    assert len(calls) == 10
+
+
+def test_prove_inverts_each_substitution_root_once(monkeypatch):
+    callers = []
+    inverse = AlgNum.inverse
+
+    def counting(a):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return inverse(a)
+
+    monkeypatch.setattr(AlgNum, "inverse", counting)
+    assert build_proof().verdict == "NotIntegrable"
+    # 4 matrix substitutions (2 in the chain and its inverse walk, 2 pulling
+    # back eta) and 4 scalar ones in rescale_variable, one inversion each
+    assert sum(c in ("change_variable_power", "substitute_power") for c in callers) == 8
 
 
 def test_format_numeric():

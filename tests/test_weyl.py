@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from sasano_galois.algnum import VerificationError
 from sasano_galois.exprparse import parse_ratfunc
 from sasano_galois import weyl
-from sasano_galois.ratfunc import RatFunc
+from sasano_galois.ratfunc import Poly, RatFunc
+from sasano_galois.sasano import scale_solution, solution_energy, verify_zero_energy
 from sasano_galois.weyl import (
     GENERATORS,
     ParamTriple,
@@ -201,10 +203,47 @@ def test_orbit_verifies_each_state_once(monkeypatch):
         calls.append(args)
         return make(*args)
 
+    checked, energies = [], []
+    point_check, energy = weyl.verify_zero_energy, weyl.solution_energy
     monkeypatch.setattr(SolutionState, "make", staticmethod(counting))
+    monkeypatch.setattr(weyl, "verify_zero_energy", lambda *a: checked.append(a) or point_check(*a))
+    monkeypatch.setattr(weyl, "solution_energy", lambda v: energies.append(v) or energy(v))
     orbit = enumerate_orbit(depth=6)
     assert orbit.node_count() == 57 and len(orbit.collisions) == 24
-    assert len(calls) == 57
+    assert len(calls) == 57 and len(checked) == 57
+    # only the root computes -H; every image carries its F over
+    assert len(energies) == 1
+
+
+def test_transported_energy_is_the_energy_lift():
+    orbit = enumerate_orbit(depth=8)
+    assert orbit.node_count() == 97 and not orbit.skipped
+    for node in orbit.nodes:
+        state = node.state
+        assert state.f == solution_energy(scale_solution(state.components(), state.params.as_tuple()))
+
+
+def test_unshifted_energy_fails_the_f_row(seed):
+    image = apply_word(("s2",), seed)
+    assert image.f == seed.f - RatFunc.const(seed.params.a2) / (seed.x + seed.y**2 + seed.w + RatFunc.variable())
+    with pytest.raises(WeylError, match="not a solution: equations fail for F$"):
+        SolutionState.make(image.x, image.y, image.z, image.w, image.params, seed.f)
+
+
+def test_energy_off_by_a_constant_fails_the_point_check(seed):
+    # F + 1 still solves F' = -2x, so only the point check can reject it
+    one = RatFunc.const(1)
+    with pytest.raises(WeylError, match=r"zero-energy lift: H \+ F = 1 at t0 = 0$"):
+        SolutionState.make(seed.x, seed.y, seed.z, seed.w, seed.params, seed.f + one)
+    # the s2 image has poles at t = 0, so the point moves to t = 1
+    image = apply_word(("s2",), seed)
+    with pytest.raises(WeylError, match=r"H \+ F = 1 at t0 = 1$"):
+        SolutionState.make(image.x, image.y, image.z, image.w, image.params, image.f + one)
+    # and past a pole of F itself at t = 1, to t = 2
+    values = scale_solution(image.components(), image.params.as_tuple())
+    pole = RatFunc.make(1, Poly.make([-1, 1]))  # 1/(t - 1)
+    with pytest.raises(VerificationError, match=r"H \+ F = 1 at t0 = 2$"):
+        verify_zero_energy(values, image.f + pole)
 
 
 def test_known_state_returned_only_when_equal(seed):
