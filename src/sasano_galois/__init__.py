@@ -6,91 +6,42 @@ system to a pair of Whittaker equations through an exact gauge chain, and
 classifies the differential Galois groups of the factors.  All arithmetic
 runs over a fixed algebraic number field represented as a tower of
 radical extensions, so every intermediate matrix entry is exact.
+
+Importing the package loads none of its modules: each public name below
+imports its submodule on first access (PEP 562).
 """
 
 from __future__ import annotations
 
-from .algnum import (
-    AlgNum,
-    TowerError,
-    TowerSpec,
-    VerificationError,
-    canonical_constants,
-    canonical_tower,
-    sqrt_in_tower,
-    wasow_constants,
-    wasow_tower,
-)
-from .diffsys import DiffSystem, char_poly
-from .exprparse import parse_ratfunc
-from .galois import (
-    GaloisError,
-    GaloisOutcome,
-    classify_blocks,
-    morales_ramis_verdict,
-    normalize_whittaker,
-    stokes_triviality,
-)
-from .puiseux import AlgPoly, PuiseuxPoly
-from .ratfunc import RatFunc
-from .reduction import (
-    ReductionError,
-    ReductionTrace,
-    canonical_config,
-    run_canonical_chain,
-    verify_trace_consistency,
-    wasow_config,
-)
-from .report import ProofReport, build_proof, report_to_json, report_to_markdown
-from .sasano import hamiltonian, seed_solution, seed_variational_system, verify_solution
-from .weyl import (
-    WeylError,
-    enumerate_orbit,
-    matsuda_check,
-    seed_state,
-    verify_group_relations,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgNum",
-    "AlgPoly",
-    "DiffSystem",
-    "GaloisError",
-    "GaloisOutcome",
-    "ProofReport",
-    "PuiseuxPoly",
-    "RatFunc",
-    "ReductionError",
-    "ReductionTrace",
-    "TowerError",
-    "TowerSpec",
-    "VerificationError",
-    "build_proof",
-    "canonical_config",
-    "canonical_constants",
-    "canonical_tower",
-    "char_poly",
-    "classify_blocks",
-    "enumerate_orbit",
-    "hamiltonian",
-    "matsuda_check",
-    "morales_ramis_verdict",
-    "normalize_whittaker",
-    "parse_ratfunc",
-    "report_to_json",
-    "report_to_markdown",
-    "run_canonical_chain",
-    "seed_solution",
-    "seed_state",
-    "seed_variational_system",
-    "sqrt_in_tower",
-    "stokes_triviality",
-    "verify_group_relations",
-    "verify_solution",
-    "verify_trace_consistency",
-    "wasow_config",
-    "wasow_constants",
-    "wasow_tower",
-]
+# Public name -> the submodule that defines it.
+_EXPORTS = {
+    "AlgNum": "algnum", "TowerError": "algnum", "TowerSpec": "algnum", "VerificationError": "algnum",
+    "canonical_constants": "algnum", "canonical_tower": "algnum", "sqrt_in_tower": "algnum",
+    "wasow_constants": "algnum", "wasow_tower": "algnum",
+    "DiffSystem": "diffsys", "char_poly": "diffsys",
+    "parse_ratfunc": "exprparse",
+    "GaloisError": "galois", "GaloisOutcome": "galois", "classify_blocks": "galois",
+    "morales_ramis_verdict": "galois", "normalize_whittaker": "galois", "stokes_triviality": "galois",
+    "AlgPoly": "puiseux", "PuiseuxPoly": "puiseux",
+    "RatFunc": "ratfunc",
+    "ReductionError": "reduction", "ReductionTrace": "reduction", "canonical_config": "reduction",
+    "run_canonical_chain": "reduction", "verify_trace_consistency": "reduction", "wasow_config": "reduction",
+    "ProofReport": "report", "build_proof": "report", "report_to_json": "report", "report_to_markdown": "report",
+    "hamiltonian": "sasano", "seed_solution": "sasano", "seed_variational_system": "sasano",
+    "verify_solution": "sasano",
+    "WeylError": "weyl", "enumerate_orbit": "weyl", "matsuda_check": "weyl", "seed_state": "weyl",
+    "verify_group_relations": "weyl",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

@@ -19,7 +19,8 @@ that each defining binomial is irreducible.  That is not certified in code:
 the only guard that runs is the numeric ``TowerSpec.self_check``.  The dense
 nested coefficient layout survives only in the JSON encoding.
 
-Numbers are immutable and safe to share between threads.
+Numbers are immutable and safe to share between threads.  The numeric
+functions import mpmath on first use, so exact work never loads it.
 """
 
 from __future__ import annotations
@@ -27,12 +28,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add as _add
-
-import mpmath
-from mpmath import mp
+from typing import NamedTuple
 
 
 class VerificationError(ValueError):
@@ -51,8 +49,7 @@ class TowerError(VerificationError):
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class TowerLevel:
+class TowerLevel(NamedTuple):
     """One extension step x^degree = c and a root choice.
 
     ``c`` is a nonzero value of the *previous* level.  ``approx`` is a
@@ -92,7 +89,7 @@ class TowerSpec:
         # Raw exponent sum -> reduced value; two threads filling one key store equal values.
         self._fold: dict[tuple[int, ...], tuple] = {}
         self._root_cache: dict[int, list] = {}
-        self._monomials: dict[tuple, mpmath.mpc] = {}
+        self._monomials: dict = {}  # (precision, exponents) -> mpmath.mpc
         self._checked = False
 
     # -- construction of values ------------------------------------------
@@ -190,6 +187,8 @@ class TowerSpec:
 
     def _level_roots(self, lvl: int, below: list):
         """Every root of level ``lvl``'s binomial over the chosen roots ``below``, and its seed."""
+        import mpmath
+
         level = self.levels[lvl]
         c = _evaluate(self._rel[lvl], below)
         seed = mpmath.mpc(mpmath.mpf(level.approx[0]), mpmath.mpf(level.approx[1]))
@@ -199,8 +198,10 @@ class TowerSpec:
         """Numeric roots of every level at the given precision."""
         roots = self._root_cache.get(dps)
         if roots is None:
+            import mpmath
+
             roots = []
-            with mp.workdps(dps + 15):
+            with mpmath.mp.workdps(dps + 15):
                 for lvl in range(len(self.levels)):
                     cands, seed = self._level_roots(lvl, roots)
                     roots.append(min(cands, key=lambda r: abs(r - seed)))
@@ -210,10 +211,12 @@ class TowerSpec:
     def embed_value(self, v, precision: int = 20):
         if precision < 15:
             raise TowerError("numeric embedding needs precision >= 15 digits")
+        import mpmath
+
         self.self_check()
         roots = self.roots(precision)
         cache = self._monomials
-        with mp.workdps(precision + 15):
+        with mpmath.mp.workdps(precision + 15):
             acc = mpmath.mpc(0)
             for e, q in v:
                 mono = cache.get((precision, e))
@@ -234,7 +237,9 @@ class TowerSpec:
         """
         if self._checked:
             return
-        with mp.workdps(40):
+        import mpmath
+
+        with mpmath.mp.workdps(40):
             below: list = []
             for lvl, level in enumerate(self.levels):
                 cands, seed = self._level_roots(lvl, below)
@@ -260,6 +265,8 @@ def _collect(acc: dict):
 
 def _evaluate(value, roots: list):
     """Numeric value of a tower value at the given level roots."""
+    import mpmath
+
     acc = mpmath.mpc(0)
     for e, q in value:
         term = mpmath.mpf(q.numerator) / q.denominator
@@ -557,6 +564,8 @@ def sqrt_in_tower(a: AlgNum) -> AlgNum:
 
 
 def _principal_branch(root: AlgNum) -> AlgNum:
+    import mpmath
+
     z = root.embed(30)
     tol = mpmath.mpf("1e-25")
     if z.real < -tol:
@@ -641,8 +650,7 @@ def wasow_tower() -> TowerSpec:
     )
 
 
-@dataclass(frozen=True)
-class ChainConstants:
+class ChainConstants(NamedTuple):
     """The exact numbers a reduction run needs, tied to one tower.
 
     ``alpha_quarter_root`` is the exact fourth root of the time-rescaling

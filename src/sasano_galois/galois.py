@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algnum import AlgNum, TowerError, VerificationError, rational_recognize, sqrt_in_tower
 from .diffsys import DiffSystem, change_variable_power
@@ -36,8 +37,7 @@ class GaloisError(VerificationError):
 # -- scalar reduction ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScalarODE2:
+class ScalarODE2(NamedTuple):
     """u'' + c1 u' + c0 u = 0 with Laurent-Puiseux coefficients."""
 
     var: str
@@ -106,8 +106,7 @@ def indicial_exponents(ode: ScalarODE2) -> tuple[AlgNum, AlgNum]:
     return rho1, rho2
 
 
-@dataclass(frozen=True)
-class ApparentCertificate:
+class ApparentCertificate(NamedTuple):
     """Witness that a regular singular point lifts to an apparent one.
 
     ``exponents`` are the indicial roots in the base variable;
@@ -188,8 +187,7 @@ def certify_apparent(ode: ScalarODE2, pullback: int = 6, order: int = 10) -> App
 # -- the irregular point -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WhittakerData:
+class WhittakerData(NamedTuple):
     """Exact normal form data: x = scale * zeta turns the input into
 
     w'' = (1/4 - kappa/zeta + (mu^2 - 1/4)/zeta^2) w.
@@ -247,8 +245,7 @@ def normalize_whittaker(ode: ScalarODE2, new_var: str = "zeta") -> WhittakerData
 # -- Stokes data and the verdict -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StokesFlags:
+class StokesFlags(NamedTuple):
     """Triviality of the two Stokes matrices by the Martinet-Ramis test."""
 
     mu1_trivial: bool
@@ -324,8 +321,7 @@ def _classify_scalar(ode: ScalarODE2, label: str) -> BlockClassification:
     )
 
 
-@dataclass(frozen=True)
-class GaloisOutcome:
+class GaloisOutcome(NamedTuple):
     blocks: tuple[BlockClassification, ...]
     apparent: tuple[ApparentCertificate, ...]
     lifted_diagonal: tuple[int, ...]

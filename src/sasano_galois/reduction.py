@@ -30,8 +30,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-
-from mpmath import mp
+from typing import NamedTuple
 
 from .algnum import (
     AlgNum,
@@ -120,8 +119,7 @@ def fixture_constant_matrix(rows: list[list[str]], constants: ChainConstants) ->
 # -- chain configuration ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainConfig:
+class ChainConfig(NamedTuple):
     """One run of the reduction script: its constants and its checks.
 
     ``compare_decoupling_gauge`` switches on the comparisons that are
@@ -145,8 +143,7 @@ def wasow_config() -> ChainConfig:
 # -- trace records ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstantGauge:
+class ConstantGauge(NamedTuple):
     """X = T Y for constant T with checked inverse T^-1; undone by swapping the two."""
 
     kind = "constant"
@@ -160,8 +157,7 @@ class ConstantGauge:
         return ConstantGauge(self.t_inv, self.t)
 
 
-@dataclass(frozen=True)
-class Shear:
+class Shear(NamedTuple):
     """The diagonal power gauge diag(1, x^g, x^(2g), ...); undone by -g."""
 
     kind = "shear"
@@ -333,8 +329,7 @@ def _check_printed_gauge(
 # -- consistency verification -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     checks: tuple[tuple[str, str], ...]  # (name, detail)
 
     def names(self) -> tuple[str, ...]:
@@ -342,7 +337,9 @@ class ConsistencyReport:
 
 
 def _sample_points():
-    return (mp.mpf(2), mp.mpf(3), mp.mpc(1, 1), mp.mpf(5) / 2, mp.mpf(4))
+    import mpmath
+
+    return (mpmath.mpf(2), mpmath.mpf(3), mpmath.mpc(1, 1), mpmath.mpf(5) / 2, mpmath.mpf(4))
 
 
 def verify_trace_consistency(trace: ReductionTrace, precision: int = 30) -> ConsistencyReport:
@@ -391,25 +388,34 @@ def _inverse_walk(trace: ReductionTrace) -> None:
 
 
 def _numeric_composition(trace: ReductionTrace, precision: int) -> float:
+    import mpmath
+
     worst = 0.0
-    with mp.workdps(precision):
+    with mpmath.mp.workdps(precision):
+        # The moves with each constant gauge embedded once for every point.
+        moves = [
+            ConstantGauge(*([[e.embed(precision) for e in row] for row in m] for m in (move.t, move.t_inv)))
+            if isinstance(move, ConstantGauge)
+            else move
+            for move in (step.move for step in trace.steps)
+        ]
         for tau0 in _sample_points():
-            worst = max(worst, _compose_at(trace, tau0, precision))
+            worst = max(worst, _compose_at(trace, moves, tau0, precision))
     return worst
 
 
-def _compose_at(trace: ReductionTrace, tau0, precision: int) -> float:
+def _compose_at(trace: ReductionTrace, moves: list, tau0, precision: int) -> float:
+    import mpmath
+
     c = trace.config.constants
     root_alpha = c.alpha_quarter_root.embed(precision)
     t_quarter = root_alpha * tau0  # branch of t^(1/4) with t = alpha * tau^4
     value = system_numeric(trace.steps[0].before, t_quarter, 4, precision)
     point = t_quarter**4
     root, index = t_quarter, 4
-    for move in (step.move for step in trace.steps):
+    for move in moves:
         if isinstance(move, ConstantGauge):
-            tnum = [[e.embed(precision) for e in row] for row in move.t]
-            tinv = [[e.embed(precision) for e in row] for row in move.t_inv]
-            value = mat_mul(tinv, mat_mul(value, tnum))
+            value = mat_mul(move.t_inv, mat_mul(value, move.t))
         elif isinstance(move, Shear):
             k = move.g * index  # entry (i, j) gains root^((j - i) k)
             if k.denominator != 1:
@@ -418,12 +424,12 @@ def _compose_at(trace: ReductionTrace, tau0, precision: int) -> float:
             value = [[value[i][j] * root ** int((j - i) * k) for j in range(n)] for i in range(n)]
             for i in range(n):
                 corr = i * move.g
-                value[i][i] = value[i][i] - (mp.mpf(corr.numerator) / corr.denominator) / point
+                value[i][i] = value[i][i] - (mpmath.mpf(corr.numerator) / corr.denominator) / point
         else:
             exp = move.power - 1
             if exp.denominator != 1:
                 raise ReductionError("fractional substitution power in numeric walk")
-            rat = mp.mpf(move.power.numerator) / move.power.denominator
+            rat = mpmath.mpf(move.power.numerator) / move.power.denominator
             dphi = (move.root**move.index).embed(precision) * rat * tau0 ** int(exp)
             value = [[e * dphi for e in row] for row in value]
             point, root, index = tau0, tau0, 1

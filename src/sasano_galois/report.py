@@ -11,10 +11,7 @@ functions of the input, so repeated runs produce identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any
-
-import mpmath as mp
+from typing import Any, NamedTuple
 
 from .algnum import AlgNum, VerificationError, algnum_to_json, tower_to_json
 from .diffsys import DiffSystem, char_poly, leading_data
@@ -53,10 +50,12 @@ STATUSES = ("pass", "fail", "inconclusive")
 
 def format_numeric(a: AlgNum, digits: int = 20) -> str:
     """Fixed-precision decimal rendering of a tower element."""
-    with mp.workdps(digits + 10):
-        z = mp.mpc(a.embed(digits + 10))
-        re = mp.nstr(z.real, digits)
-        im = mp.nstr(z.imag, digits)
+    import mpmath
+
+    with mpmath.mp.workdps(digits + 10):
+        z = mpmath.mpc(a.embed(digits + 10))
+        re = mpmath.nstr(z.real, digits)
+        im = mpmath.nstr(z.imag, digits)
     if im in ("0.0", "-0.0"):
         return re
     if re in ("0.0", "-0.0"):
@@ -85,8 +84,7 @@ def matrix_payload(system: DiffSystem) -> dict[str, Any]:
 # -- report structure --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CertificateStep:
+class CertificateStep(NamedTuple):
     """One verified claim with the values that witness it."""
 
     claim: str
@@ -97,8 +95,7 @@ class CertificateStep:
         return {"claim": self.claim, "basis": self.basis, "values": dict(self.values)}
 
 
-@dataclass(frozen=True)
-class ReportSection:
+class ReportSection(NamedTuple):
     name: str
     status: str  # pass | fail | inconclusive
     steps: tuple[CertificateStep, ...]
@@ -111,8 +108,7 @@ class ReportSection:
         }
 
 
-@dataclass(frozen=True)
-class ProofReport:
+class ProofReport(NamedTuple):
     title: str
     normalization: str | None
     tower: dict | None

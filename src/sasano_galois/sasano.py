@@ -20,6 +20,7 @@ with algebraic-number entries ready for the reduction chain.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -119,6 +120,30 @@ class PolyExpr:
             total = total * values.den + sums.get(weight, Poly(()))
         return total, top
 
+    def eval_at(self, point: Sequence[Fraction]) -> Fraction:
+        """The exact value at a point, one number per symbol of VARS.
+
+        The point is brought to one integer denominator q and the
+        coefficients to their lcm m; the terms of each degree are summed
+        on the integers and brought to q^top by Horner's rule, and one
+        Fraction is built at the end."""
+        q = math.lcm(*[v.denominator for v in point])
+        nums = [v.numerator * (q // v.denominator) for v in point]
+        m = math.lcm(*[c.denominator for _, c in self.terms])
+        sums: dict[int, int] = {}
+        for e, c in self.terms:
+            acc = c.numerator * (m // c.denominator)
+            for v, k in zip(nums, e):
+                if k:
+                    acc *= v**k
+            degree = sum(e)
+            sums[degree] = sums.get(degree, 0) + acc
+        top = max(sums, default=0)
+        total = 0
+        for degree in range(top + 1):
+            total = total * q + sums.get(degree, 0)
+        return Fraction(total, m * q**top)
+
     def render(self) -> str:
         return join_terms(
             (str(c), "*".join(VARS[k] if exp == 1 else f"{VARS[k]}^{exp}" for k, exp in enumerate(e) if exp))
@@ -212,6 +237,7 @@ def hamiltonian() -> PolyExpr:
     )
 
 
+@functools.cache
 def extended_hamiltonian() -> PolyExpr:
     """Autonomous form on the extended phase space: H + F."""
     return hamiltonian() + _v("F")
@@ -334,19 +360,21 @@ def verify_zero_energy(values: CommonDenominator, f: RatFunc) -> None:
     Along a solution that passes :func:`verify_solution`, d/dt (H + F) is
     dH/dt + F' = 2x - 2x = 0, so H + F is a constant and its value at one
     point decides it.  That point t0 is the least integer >= 0 at which
-    neither L nor the denominator of f vanishes; H is evaluated there over
-    the values of ``values`` at t0.
+    neither L nor the denominator of f vanishes; H + F is evaluated there
+    at the kept numerators' values over L(t0)^j and at f(t0).
     """
     t0 = 0
     while values.den(t0) == 0 or f.den(t0) == 0:
         t0 += 1
     den = values.den(t0)
-    point = {}
+    point = []
     for name in VARS:
-        if name != "F":
+        if name == "F":
+            point.append(f(t0))
+        else:
             num, j = values.power(name, 1)
-            point[name] = RatFunc.const(num(t0) / den**j)
-    total = CommonDenominator(point).evaluate(hamiltonian()).constant_value() + f(t0)
+            point.append(num(t0) / den**j)
+    total = extended_hamiltonian().eval_at(point)
     if total != 0:
         raise VerificationError(f"F is not the zero-energy lift: H + F = {total} at t0 = {t0}")
 

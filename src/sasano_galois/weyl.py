@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .algnum import VerificationError
 from .diffsys import mat_mul
@@ -48,8 +47,7 @@ class WeylError(VerificationError):
 # -- parameters -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParamTriple:
+class ParamTriple(NamedTuple):
     """(a0, a1, a2) with a0 + 2 a1 + 2 a2 = 1, checked on construction."""
 
     a0: Fraction
@@ -103,8 +101,7 @@ def word_matrix(word: Iterable[str]):
 # -- solution states --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SolutionState:
+class SolutionState(NamedTuple):
     """An exact rational solution, its parameters and the conjugate F of t.
 
     :meth:`make` takes the F that a generator transported, or computes
@@ -241,8 +238,7 @@ def _random_point(rng: random.Random):
     return (q(), q(), q(), q())
 
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(NamedTuple):
     name: str
     word: tuple[str, ...]
     matrix_identity: bool
@@ -290,8 +286,7 @@ def verify_group_relations(samples: int = 50, seed: int = 1105) -> tuple[Relatio
 # -- the arithmetic condition on parameters --------------------------------------------
 
 
-@dataclass(frozen=True)
-class MatsudaResult:
+class MatsudaResult(NamedTuple):
     """Reduced pair (a, b) = (5 a2 - 1/2, 5 a1 - 1) mod 5 and its table row."""
 
     integral: bool
@@ -328,16 +323,14 @@ def matsuda_check(params: ParamTriple) -> MatsudaResult:
 AUDIT_DEPTH = 4
 
 
-@dataclass(frozen=True)
-class OrbitNode:
+class OrbitNode(NamedTuple):
     word: tuple[str, ...]
     depth: int
     state: SolutionState
     matsuda: MatsudaResult
 
 
-@dataclass(frozen=True)
-class ParamCollision:
+class ParamCollision(NamedTuple):
     """Two distinct words reaching the same parameter triple."""
 
     params: ParamTriple
@@ -347,8 +340,7 @@ class ParamCollision:
     states_equal: bool
 
 
-@dataclass(frozen=True)
-class OrbitResult:
+class OrbitResult(NamedTuple):
     depth: int
     nodes: tuple[OrbitNode, ...]
     collisions: tuple[ParamCollision, ...]

@@ -185,6 +185,24 @@ def test_consistency_report_wasow(wasow_trace):
     assert report.names() == ("structure", "inverse-walk", "numeric")
 
 
+def test_numeric_audit_embeds_each_constant_gauge_once(monkeypatch, canonical_trace):
+    # the three 4x4 gauge pairs once (96), and at each of the 5 sample points
+    # the root of alpha, the substitution scale and the 20 coefficients of
+    # the first and the final system (5 * 22): 206, where embedding the
+    # gauges at every point took 590 and found the same worst error
+    calls = []
+    embed = AlgNum.embed
+
+    def counting(a, precision=20):
+        calls.append(precision)
+        return embed(a, precision)
+
+    monkeypatch.setattr(AlgNum, "embed", counting)
+    report = verify_trace_consistency(canonical_trace)
+    assert report.checks[-1] == ("numeric", "5 sample points, worst relative error 4.516e-28")
+    assert len(calls) == 206
+
+
 def test_mismatch_error_names_stage_and_entry():
     cfg = canonical_config()
     nve = seed_variational_system(cfg.constants.tower)

@@ -64,6 +64,19 @@ class TestPolyExpr:
         with pytest.raises(ValueError):
             CommonDenominator({"x": t}).evaluate(p)
 
+    def test_eval_at_matches_per_term_fractions(self):
+        rng = random.Random(7)
+        exprs = (extended_hamiltonian(), *build_extended_system(), PolyExpr.const(0), PolyExpr.const(Fraction(-3, 4)))
+        for expr in exprs:
+            for _ in range(5):
+                point = [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in VARS]
+                expected = Fraction(0)
+                for exps, c in expr.terms:
+                    for v, k in zip(point, exps):
+                        c *= v**k
+                    expected += c
+                assert expr.eval_at(point) == expected
+
     def test_render(self):
         p = 2 * V("x") * V("y") ** 2 - V("w")
         assert p.render() == "-w + 2*x*y^2"

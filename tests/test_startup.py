@@ -1,0 +1,110 @@
+"""What importing the package costs, and the public surface it keeps.
+
+The import-boundary tests run in fresh interpreters, since this process
+has long since loaded every module.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import sasano_galois
+from sasano_galois import algnum, galois, reduction, report, weyl
+from sasano_galois.diffsys import DiffSystem
+from sasano_galois.puiseux import AlgPoly, PuiseuxPoly
+from sasano_galois.ratfunc import Poly, RatFunc
+from sasano_galois.sasano import PolyExpr
+
+SRC = Path(sasano_galois.__file__).resolve().parents[1]
+README = SRC.parent / "README.md"
+
+
+def _fresh(code: str):
+    """Run ``code`` in a new interpreter that imports this source tree; the
+    JSON value it prints last."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+_LOADED = "print(json.dumps([m for m in sorted(sys.modules) if m.startswith('sasano_galois.') or m == 'mpmath']))"
+
+
+def test_package_root_loads_no_submodule():
+    assert _fresh(f"import json, sys\nimport sasano_galois\n{_LOADED}") == []
+
+
+def test_orbit_runs_without_mpmath(tmp_path):
+    loaded = _fresh(
+        "import json, sys\n"
+        "from sasano_galois import cli, reduction\n"
+        "imported = 'mpmath' in sys.modules\n"
+        f"code = cli.main(['--report-dir', {str(tmp_path)!r}, 'orbit', '--depth', '2'])\n"
+        "print(json.dumps([imported, code, 'mpmath' in sys.modules]))"
+    )
+    assert loaded == [False, 0, False]
+
+
+def test_configuration_load_imports_mpmath():
+    loaded = _fresh(
+        f"import json, sys\nfrom sasano_galois.reduction import canonical_config\ncanonical_config()\n{_LOADED}"
+    )
+    assert "mpmath" in loaded
+
+
+def test_every_export_resolves():
+    assert sasano_galois.__all__ == sorted(set(sasano_galois.__all__))
+    for name in sasano_galois.__all__:
+        assert getattr(sasano_galois, name).__name__ == name
+    with pytest.raises(AttributeError):
+        sasano_galois.no_such_name
+
+
+def test_readme_library_snippet(capsys):
+    text = README.read_text()
+    snippet = re.search(r"## Library\s+```python\n(.*?)```", text, re.S).group(1)
+    exec(compile(snippet, str(README), "exec"), {})
+    assert capsys.readouterr().out.split() == ["NotIntegrable", "NotIntegrable"]
+
+
+# -- records ----------------------------------------------------------------------
+
+RECORDS = (
+    algnum.TowerLevel, algnum.ChainConstants,
+    galois.ScalarODE2, galois.ApparentCertificate, galois.WhittakerData, galois.StokesFlags, galois.GaloisOutcome,
+    reduction.ChainConfig, reduction.ConstantGauge, reduction.Shear, reduction.ConsistencyReport,
+    report.CertificateStep, report.ReportSection, report.ProofReport,
+    weyl.ParamTriple, weyl.SolutionState, weyl.RelationCheck, weyl.MatsudaResult,
+    weyl.OrbitNode, weyl.ParamCollision, weyl.OrbitResult,
+)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_rejects_assignment(cls):
+    record = cls(*[None] * len(cls._fields))
+    for field in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1)
+
+
+VALUE_TYPES = (Poly, RatFunc, PuiseuxPoly, AlgPoly, DiffSystem, PolyExpr)
+
+
+@pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
+def test_value_type_is_not_a_tuple(cls):
+    assert not issubclass(cls, tuple)
+
+
+def test_equal_param_triples_hash_equal():
+    a = weyl.ParamTriple.make(("2/5", "1/5", "1/10"))
+    b = weyl.ParamTriple.make((Fraction(4, 10), Fraction(1, 5), Fraction(1, 10)))
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
