@@ -94,26 +94,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_reports(report: ProofReport, outdir: Path, fmt: str, stem: str) -> list[Path]:
+def _publish(report: ProofReport, args, stem: str, files: tuple[tuple[str, str], ...] = ()) -> int:
+    """Write ``files`` (name, text) and the report renderings under the
+    report directory, print the outcome, and return the exit code.
+
+    A report path that cannot be written (a directory, say) is an input
+    error, like an unusable report directory.
+    """
+    if args.format in ("json", "both"):
+        files += ((f"{stem}.json", report_to_json(report)),)
+    if args.format in ("md", "both"):
+        files += ((f"{stem}.md", report_to_markdown(report)),)
     written = []
-    if fmt in ("json", "both"):
-        path = outdir / f"{stem}.json"
-        path.write_text(report_to_json(report))
-        written.append(path)
-    if fmt in ("md", "both"):
-        path = outdir / f"{stem}.md"
-        path.write_text(report_to_markdown(report))
-        written.append(path)
-    return written
-
-
-def _print_outcome(report: ProofReport, written: list[Path]) -> None:
+    try:
+        for name, text in files:
+            path = Path(args.report_dir) / name
+            path.write_text(text)
+            written.append(path)
+    except OSError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
     for section in report.sections:
         print(f"{section.name}: {section.status}")
     if report.verdict is not None:
         print(f"verdict: {report.verdict}")
     for path in written:
         print(f"wrote {path}")
+    return 0 if report.all_pass() else 1
 
 
 def _parse_params(text: str) -> ParamTriple:
@@ -148,14 +155,10 @@ def cmd_verify_seed(args) -> int:
             params = ParamTriple.make(values)
         if args.params is not None:
             params = _parse_params(args.params)
-    except (OSError, ValueError, ZeroDivisionError) as exc:  # Fraction("1/0") raises the last
+    except (OSError, ValueError, ZeroDivisionError, RecursionError) as exc:  # 1/0, deep nesting
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-
-    report = build_seed_report(funcs, params)
-    written = _write_reports(report, Path(args.report_dir), args.format, "seed_check")
-    _print_outcome(report, written)
-    return 0 if report.all_pass() else 1
+    return _publish(build_seed_report(funcs, params), args, "seed_check")
 
 
 def cmd_prove(args) -> int:
@@ -165,20 +168,13 @@ def cmd_prove(args) -> int:
         orbit_depth=args.depth,
         digits=args.precision,
     )
-    written = _write_reports(report, Path(args.report_dir), args.format, "proof")
-    _print_outcome(report, written)
-    return 0 if report.all_pass() else 1
+    return _publish(report, args, "proof")
 
 
 def cmd_orbit(args) -> int:
     orbit = enumerate_orbit(depth=args.depth)
     report = build_orbit_report(orbit, check_rows=args.check_matsuda)
-    outdir = Path(args.report_dir)
-    export = outdir / "orbit.jsonl"
-    export.write_text(orbit_jsonl(orbit))
-    written = _write_reports(report, outdir, args.format, "orbit_summary")
-    _print_outcome(report, [export] + written)
-    return 0 if report.all_pass() else 1
+    return _publish(report, args, "orbit_summary", (("orbit.jsonl", orbit_jsonl(orbit)),))
 
 
 def main(argv=None) -> int:

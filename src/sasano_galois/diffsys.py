@@ -9,7 +9,9 @@ the output coefficients stay exact:
 * diagonal power gauges ("shears") T = diag(1, x^g, x^(2g), ...),
 * substitutions x = r^m * u^q with positive rational q,
 * leading-coefficient extraction at the growing end of the variable,
-* exact eigen-decomposition for matrices with distinct known eigenvalues.
+* characteristic polynomials by the trace recursion,
+* exact eigen-decomposition for matrices with distinct known eigenvalues,
+  from the spectral projectors alone (no elimination).
 
 Matrices are tuples of tuples to keep the dataclasses hashable.
 """
@@ -43,10 +45,6 @@ def mat_add(a: AlgMatrix, b: AlgMatrix) -> AlgMatrix:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_sub(a: AlgMatrix, b: AlgMatrix) -> AlgMatrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_scale(a: AlgMatrix, c) -> AlgMatrix:
     return tuple(tuple(x * c for x in row) for row in a)
 
@@ -77,65 +75,6 @@ def mat_trace(a: AlgMatrix) -> AlgNum:
     return acc
 
 
-def mat_rref(a: AlgMatrix) -> tuple[list[list[AlgNum]], list[int]]:
-    """Reduced row echelon form with exact pivoting; returns (rows, pivot cols)."""
-    rows = [list(r) for r in a]
-    n, m = len(rows), len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(m):
-        pr = next((k for k in range(r, n) if not rows[k][c].is_zero()), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [e * inv for e in rows[r]]
-        for k in range(n):
-            if k != r and not rows[k][c].is_zero():
-                f = rows[k][c]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    return rows, pivots
-
-
-def mat_inv(a: AlgMatrix) -> AlgMatrix:
-    n = len(a)
-    tower = a[0][0].tower
-    ident = identity_matrix(tower, n)
-    aug = tuple(tuple(a[i]) + tuple(ident[i]) for i in range(n))
-    rows, pivots = mat_rref(aug)
-    if pivots != list(range(n)):
-        raise TowerError("matrix is singular, cannot invert")
-    return tuple(tuple(rows[i][n:]) for i in range(n))
-
-
-def nullspace_line(a: AlgMatrix) -> tuple[AlgNum, ...]:
-    """The kernel vector of a matrix with nullity exactly one.
-
-    Scaled so the first nonzero entry is 1.  Raises if the nullity is not
-    one.
-    """
-    tower = a[0][0].tower
-    m = len(a[0])
-    rows, pivots = mat_rref(a)
-    free = [c for c in range(m) if c not in pivots]
-    if len(free) != 1:
-        raise TowerError(f"expected a one-dimensional kernel, nullity is {len(free)}")
-    j0 = free[0]
-    one = AlgNum.from_rational(tower, 1)
-    zero = AlgNum.from_rational(tower, 0)
-    v = [zero] * m
-    v[j0] = one
-    for r, pc in enumerate(pivots):
-        v[pc] = -rows[r][j0]
-    lead = next(e for e in v if not e.is_zero())
-    scale = lead.inverse()
-    return tuple(e * scale for e in v)
-
-
 def char_poly(a: AlgMatrix) -> AlgPoly:
     """Characteristic polynomial det(L*I - a) via the trace recursion.
 
@@ -156,15 +95,30 @@ def char_poly(a: AlgMatrix) -> AlgPoly:
     return AlgPoly.make(tower, list(reversed(cs)) + [one])
 
 
+def _projector_times(m: AlgMatrix, others: Sequence[AlgNum], vec: tuple) -> tuple:
+    """The product of (m - mu*I) over ``others``, applied to a column vector."""
+    for mu in others:
+        mv = mat_mul(m, tuple(zip(vec)))
+        vec = tuple(r[0] - mu * x for r, x in zip(mv, vec))
+    return vec
+
+
 def eigen_decompose_distinct(
     a: AlgMatrix, eigenvalues: Sequence[AlgNum]
 ) -> tuple[AlgMatrix, AlgMatrix]:
     """Exact diagonalization given the full list of distinct eigenvalues.
 
-    Each eigenvector is the one-dimensional kernel of a - lam*I, scaled so
-    its first entry is 1 (the matrices this runs on are companion-like, so
-    the first entry never vanishes).  Returns (T, T^-1) with
-    T^-1 a T = diag(eigenvalues), verified exactly before returning.
+    For each eigenvalue lam, P = prod_{mu != lam} (a - mu*I) is a multiple
+    of the Frobenius covariant v w^T of Sylvester's formula, v and w the
+    right and left eigenvectors (Horn & Johnson, Topics in Matrix
+    Analysis, 1991, ch. 6).  Matrix-vector products with P give both
+    without elimination: w = e0^T P, and v = P e_k for the first k with
+    w_k != 0, scaled so its first entry (w_k) is 1.  A zero w means the
+    eigenvector has a zero first entry (never, on the companion-like
+    matrices this runs on).  Left and right eigenvectors of distinct
+    eigenvalues are orthogonal, so w / (w . v) is the matching row of
+    T^-1.  Returns (T, T^-1) with T^-1 a T = diag(eigenvalues), verified
+    exactly before returning.
     """
     n = len(a)
     if len(eigenvalues) != n:
@@ -174,20 +128,25 @@ def eigen_decompose_distinct(
             if eigenvalues[i] == eigenvalues[j]:
                 raise TowerError("eigenvalues must be pairwise distinct")
     tower = a[0][0].tower
-    p = char_poly(a)
-    for lam in eigenvalues:
-        if not p(lam).is_zero():
-            raise TowerError(f"{lam} is not a root of the characteristic polynomial")
-    ident = identity_matrix(tower, n)
-    cols = []
-    for lam in eigenvalues:
-        v = nullspace_line(mat_sub(a, mat_scale(ident, lam)))
-        if v[0].is_zero():
+    unit = identity_matrix(tower, n)
+    a_t = tuple(zip(*a))
+    cols, rows = [], []
+    for i, lam in enumerate(eigenvalues):
+        others = [mu for j, mu in enumerate(eigenvalues) if j != i]
+        w = _projector_times(a_t, others, unit[0])
+        k = next((j for j, x in enumerate(w) if not x.is_zero()), None)
+        if k is None:
             raise TowerError("eigenvector has zero first entry, cannot normalize")
+        v = _projector_times(a, others, unit[k])
         scale = v[0].inverse()
-        cols.append(tuple(e * scale for e in v))
-    t = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    t_inv = mat_inv(t)
+        v = tuple(x * scale for x in v)
+        pairing = mat_mul((w,), tuple(zip(v)))[0][0]
+        if pairing.is_zero():
+            raise TowerError(f"{lam} is not a simple eigenvalue of the matrix")
+        cols.append(v)
+        rows.append(tuple(x * pairing.inverse() for x in w))
+    t = tuple(zip(*cols))
+    t_inv = tuple(rows)
     if mat_mul(t_inv, mat_mul(a, t)) != diagonal_matrix(tower, eigenvalues):
         raise TowerError("conjugation by the eigenvectors does not give diag(eigenvalues)")
     return t, t_inv

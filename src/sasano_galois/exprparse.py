@@ -217,6 +217,8 @@ def _parse(text: str, var: str, ring: _Ring):
         return _Parser(text, var, ring).parse()
     except (TowerError, ZeroDivisionError) as exc:
         raise ExprError(f"cannot evaluate {text!r}: {exc}") from exc
+    except RecursionError as exc:
+        raise ExprError(f"nesting too deep in {text!r}") from exc
 
 
 # -- the two rings -------------------------------------------------------------

@@ -21,7 +21,6 @@ until a report asks for decimal approximations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -282,10 +281,8 @@ def stokes_triviality(kappa: AlgNum, mu: AlgNum, include_zero: bool = True) -> S
     return StokesFlags(mu1_trivial=mu1, mu2_trivial=mu2)
 
 
-@dataclass(frozen=True)
-class BlockClassification:
+class BlockClassification(NamedTuple):
     label: str
-    ode: ScalarODE2
     whittaker: WhittakerData
     stokes: StokesFlags
     group: str  # "SL2" | "undetermined"
@@ -316,9 +313,7 @@ def _classify_scalar(ode: ScalarODE2, label: str) -> BlockClassification:
     flags_b = stokes_triviality(wh.kappa, wh.mu, include_zero=False)
     if flags_a.both_nontrivial() != flags_b.both_nontrivial():
         raise GaloisError("Stokes test sits on a convention boundary; cannot classify")
-    return BlockClassification(
-        label=label, ode=ode, whittaker=wh, stokes=flags_a, group=component_from_stokes(flags_a)
-    )
+    return BlockClassification(label, wh, flags_a, component_from_stokes(flags_a))
 
 
 class GaloisOutcome(NamedTuple):

@@ -88,6 +88,20 @@ def test_verify_seed_zero_division_is_input_error(tmp_path, capsys, component):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [json.dumps(dict(S0_IMAGE, x="(" * 2000 + "t" + ")" * 2000)), "[" * 100_000 + "]" * 100_000],
+    ids=["nested-parentheses", "nested-json-array"],
+)
+def test_deeply_nested_solution_file_is_input_error(tmp_path, capsys, content):
+    path = tmp_path / "deep.json"
+    path.write_text(content)
+    assert run(tmp_path, "verify-seed", "--solution-file", str(path)) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err
+    assert "Traceback" not in err
+
+
 def test_prove_full(tmp_path, capsys):
     assert run(tmp_path, "prove", "--depth", "1") == 0
     out = capsys.readouterr().out
@@ -303,6 +317,18 @@ def test_unusable_report_dir_is_input_error(tmp_path, capsys, argv, target):
     assert main(["--report-dir", str(tmp_path / target), *argv]) == 2
     err = capsys.readouterr().err
     assert "input error" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [(("prove", "--stop-after", "nve"), "proof.json"), (("orbit", "--depth", "0"), "orbit.jsonl")],
+)
+def test_report_path_that_is_a_directory_is_input_error(tmp_path, capsys, argv, name):
+    (tmp_path / "reports" / name).mkdir(parents=True)
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and name in err
     assert "Traceback" not in err
 
 

@@ -18,9 +18,7 @@ from sasano_galois.diffsys import (
     gauge_shear,
     identity_matrix,
     leading_data,
-    mat_inv,
     mat_mul,
-    nullspace_line,
     system_numeric,
 )
 from sasano_galois.puiseux import AlgPoly, PuiseuxPoly
@@ -77,43 +75,6 @@ def char_poly_oracle(tower, a):
         for i in range(len(a))
     ]
     return AlgPoly.make(tower, _det_cofactor(tower, m))
-
-
-class TestMatrixAlgebra:
-    def test_inverse_round_trip(self, tower):
-        rng = random.Random(404)
-        for _ in range(3):
-            a = rand_matrix(tower, rng, 3)
-            try:
-                ainv = mat_inv(a)
-            except TowerError:
-                continue
-            assert mat_mul(a, ainv) == identity_matrix(tower, 3)
-            assert mat_mul(ainv, a) == identity_matrix(tower, 3)
-
-    def test_singular_raises(self, tower):
-        a = mat_from_rows(tower, [[1, 2], [2, 4]])
-        with pytest.raises(TowerError):
-            mat_inv(a)
-
-    def test_nullspace_line(self, tower):
-        a = mat_from_rows(tower, [[1, 2, 3], [0, 1, 4], [1, 3, 7]])
-        v = nullspace_line(a)
-        assert v[0] == 1
-        n = len(a)
-        for i in range(n):
-            acc = AlgNum.from_rational(tower, 0)
-            for j in range(n):
-                acc = acc + a[i][j] * v[j]
-            assert acc.is_zero()
-
-    def test_nullspace_wrong_nullity(self, tower):
-        a = mat_from_rows(tower, [[1, 2], [3, 4]])
-        with pytest.raises(TowerError):
-            nullspace_line(a)
-        b = mat_from_rows(tower, [[0, 0], [0, 0]])
-        with pytest.raises(TowerError):
-            nullspace_line(b)
 
 
 class TestCharPoly:
@@ -173,6 +134,31 @@ class TestEigenDecomposition:
         )
         assert w == expect
 
+    def test_companion_matrix_gives_vandermonde_columns(self, tower):
+        # The companion matrix of prod (x - lam_i) has the eigenvector
+        # (1, lam, lam^2, lam^3) for each root lam.
+        rng = random.Random(707)
+        for _ in range(3):
+            lams = []
+            while len(lams) < 4:
+                q = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                if q not in lams:
+                    lams.append(q)
+            coeffs = [Fraction(1)]  # prod (x - lam_i), highest degree first
+            for lam in lams:
+                coeffs = [a - lam * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+            companion = [[int(j == i + 1) for j in range(4)] for i in range(3)]
+            companion.append([-coeffs[4 - j] for j in range(4)])
+            a = mat_from_rows(tower, companion)
+            eigs = tuple(AlgNum.from_rational(tower, lam) for lam in lams)
+            t, t_inv = eigen_decompose_distinct(a, eigs)
+            for j, lam in enumerate(lams):
+                assert [t[i][j] for i in range(4)] == [lam**i for i in range(4)]
+            assert mat_mul(t_inv, t) == identity_matrix(tower, 4)
+            assert mat_mul(t_inv, mat_mul(a, t)) == mat_from_rows(
+                tower, [[lam if i == j else 0 for j, lam in enumerate(lams)] for i in range(4)]
+            )
+
     def test_rejects_wrong_eigenvalues(self, tower):
         a = mat_from_rows(tower, [[1, 0], [0, 2]])
         two = AlgNum.from_rational(tower, 2)
@@ -182,6 +168,10 @@ class TestEigenDecomposition:
         one = AlgNum.from_rational(tower, 1)
         with pytest.raises(TowerError):
             eigen_decompose_distinct(a, (one, three))
+        # the right and left "eigenvectors" for 1 pair to zero
+        jordan = mat_from_rows(tower, [[0, 1], [0, 0]])
+        with pytest.raises(TowerError, match="not a simple eigenvalue"):
+            eigen_decompose_distinct(jordan, (AlgNum.from_rational(tower, 0), one))
 
 
 def mono(tower, c, e):
@@ -192,7 +182,7 @@ class TestGauges:
     def test_constant_gauge_round_trip(self, tower):
         rng = random.Random(606)
         t = mat_from_rows(tower, [[1, 2], [1, 3]])
-        t_inv = mat_inv(t)
+        t_inv = mat_from_rows(tower, [[3, -2], [-1, 1]])
         sys = system_from_entries(
             tower,
             "x",

@@ -170,3 +170,8 @@ def test_fractional_power_of_t_is_not_rational(cc):
     assert parse_puiseux("t^(1/2)", cc.tower).ram == 2
     with pytest.raises(ExprError, match="fractional power"):
         parse_ratfunc("t^(1/2)")
+
+
+def test_deep_nesting_raises_expr_error():
+    with pytest.raises(ExprError, match="nesting too deep"):
+        parse_ratfunc("(" * 2000 + "t" + ")" * 2000)

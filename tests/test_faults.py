@@ -124,3 +124,29 @@ def test_corrupt_tower_approximation_ends_in_nve_fail_section(tmp_path, monkeypa
     assert "does not isolate a root" in dict(proof.sections[-1].steps[0].values)["error"]
     assert proof.normalization == "canonical" and proof.tower is None
     assert main(["--report-dir", str(tmp_path), "prove"]) == 1
+
+
+def test_wrong_eigenvalue_ends_in_reduction_fail_section(monkeypatch):
+    c = reduction.canonical_constants()
+    lam1, *rest = c.eigenvalues
+    monkeypatch.setattr(reduction, "canonical_constants", lambda: c._replace(eigenvalues=(lam1 + 1, *rest)))
+    proof = build_proof(stop_after="reduction")
+    assert [s.status for s in proof.sections] == ["pass", "pass", "fail"]
+    assert proof.sections[-1].name == "reduction trace"
+    assert "diag(eigenvalues)" in dict(proof.sections[-1].steps[0].values)["error"]
+
+
+def test_printed_gauge_not_block_scaled_ends_in_reduction_fail_section(monkeypatch):
+    # Column 0 of t3 doubled and row 0 of t3_inv halved: still an inverse
+    # pair that diagonalizes the leading matrix, but it rescales the two
+    # columns of the first block differently.
+    fixtures = copy.deepcopy(reduction.load_fixtures())
+    t3, t3_inv = fixtures["gauges"]["t3"], fixtures["gauges"]["t3_inv"]
+    for row in t3:
+        row[0] = f"2*({row[0]})"
+    t3_inv[0] = [f"({e})/2" for e in t3_inv[0]]
+    monkeypatch.setattr(reduction, "load_fixtures", lambda: fixtures)
+    proof = build_proof(stop_after="reduction")
+    assert [s.status for s in proof.sections] == ["pass", "pass", "fail"]
+    assert proof.sections[-1].name == "reduction trace"
+    assert "stage decoupled (printed gauge)" in dict(proof.sections[-1].steps[0].values)["error"]

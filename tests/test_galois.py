@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -248,7 +247,7 @@ def test_classify_blocks_outcome(trace):
 
 def test_verdict_needs_everything(trace):
     outcome = classify_blocks(trace.blocks)
-    weakened = replace(outcome.blocks[0], group="undetermined")
+    weakened = outcome.blocks[0]._replace(group="undetermined")
     assert (
         morales_ramis_verdict((weakened, outcome.blocks[1]), outcome.apparent)
         == "Inconclusive"

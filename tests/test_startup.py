@@ -79,7 +79,8 @@ def test_readme_library_snippet(capsys):
 
 RECORDS = (
     algnum.TowerLevel, algnum.ChainConstants,
-    galois.ScalarODE2, galois.ApparentCertificate, galois.WhittakerData, galois.StokesFlags, galois.GaloisOutcome,
+    galois.ScalarODE2, galois.ApparentCertificate, galois.WhittakerData, galois.StokesFlags,
+    galois.BlockClassification, galois.GaloisOutcome,
     reduction.ChainConfig, reduction.ConstantGauge, reduction.Shear, reduction.ConsistencyReport,
     report.CertificateStep, report.ReportSection, report.ProofReport,
     weyl.ParamTriple, weyl.SolutionState, weyl.RelationCheck, weyl.MatsudaResult,
