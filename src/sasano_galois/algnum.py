@@ -10,14 +10,15 @@ explicit towers over the rationals:
   Wasow-style time normalization; total degree 56.
 
 Every level is a binomial  x^d = c  over the level below it, and every
-level above the rational base is quadratic.  An element is stored sparsely,
-as its nonzero coordinates in the tower basis  prod gen_j^e_j  (0 <= e_j <
-d_j): a sorted tuple of (exponent tuple, Fraction) pairs.  A product folds
-each exponent overflow through  gen_j^d_j = c_j,  so every value is reduced
-canonically and equality of values is equality of representations -- given
-that each defining binomial is irreducible.  That is not certified in code:
-the only guard that runs is the numeric ``TowerSpec.self_check``.  The dense
-nested coefficient layout survives only in the JSON encoding.
+level above the rational base is quadratic.  An ``AlgNum`` is stored
+sparsely, as its nonzero coordinates in the tower basis  prod gen_j^e_j
+(0 <= e_j < d_j): a sorted tuple of (exponent tuple, Fraction) pairs.  The
+tower's product kernel folds each exponent overflow through  gen_j^d_j =
+c_j,  so every value is reduced canonically and equality of values is
+equality of representations -- given that each defining binomial is
+irreducible.  That is not certified in code: the only guard that runs is
+the numeric ``TowerSpec.self_check``.  The dense nested coefficient layout
+survives only in the JSON encoding.
 
 Numbers are immutable and safe to share between threads.  The numeric
 functions import mpmath on first use, so exact work never loads it.
@@ -66,9 +67,10 @@ class TowerLevel(NamedTuple):
 class TowerSpec:
     """A fixed tower of binomial field extensions of Q.
 
-    The tower object owns all value-level arithmetic; ``AlgNum`` is a thin
-    immutable wrapper.  Instances are meant to be process-wide singletons;
-    numbers from different instances never mix.
+    It holds the levels, the fold table, the raw ``mul`` and ``inv``
+    kernels on bare values and the numerics; ``AlgNum`` does the rest.
+    Instances are meant to be process-wide singletons; numbers from
+    different instances never mix.
     """
 
     def __init__(self, levels: tuple[TowerLevel, ...]):
@@ -92,10 +94,7 @@ class TowerSpec:
         self._monomials: dict = {}  # (precision, exponents) -> mpmath.mpc
         self._checked = False
 
-    # -- construction of values ------------------------------------------
-
-    def rat_value(self, q: Fraction):
-        return ((self._unit, q),) if q else ()
+    # -- values and their product and inverse kernels ---------------------
 
     def monomial_value(self, exps: tuple[int, ...], coeff: Fraction = _ONE):
         """Value of coeff * prod(gen_j ** exps[j]); each exps[j] < degree_j."""
@@ -106,27 +105,6 @@ class TowerSpec:
                 raise TowerError(f"monomial exponent {e} out of range at level {lvl}")
         coeff = Fraction(coeff)
         return ((tuple(exps), coeff),) if coeff else ()
-
-    # -- ring operations ---------------------------------------------------
-
-    def add(self, a, b):
-        if not a:
-            return b
-        if not b:
-            return a
-        acc = dict(a)
-        for e, q in b:
-            acc[e] = acc[e] + q if e in acc else q
-        return _collect(acc)
-
-    def neg(self, a):
-        return tuple([(e, -q) for e, q in a])
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def rat_scale(self, q: Fraction, a):
-        return tuple([(e, q * c) for e, c in a]) if q else ()
 
     def mul(self, a, b):
         if not a or not b:
@@ -312,7 +290,8 @@ def _inv_mod_binomial(p: list, d: int, c: Fraction) -> list:
 class AlgNum:
     """An exact element of a fixed extension tower.
 
-    Thin immutable wrapper around a canonical sparse coordinate tuple.
+    An immutable canonical sparse coordinate tuple; sums and rational
+    scaling act on it here, products and inverses in the tower's kernels.
     Arithmetic is exact; ``==`` means equality of numbers.  Mixed
     arithmetic with ``int`` and ``Fraction`` coerces into the tower.
     """
@@ -331,7 +310,8 @@ class AlgNum:
 
     @staticmethod
     def from_rational(tower: TowerSpec, q) -> AlgNum:
-        return AlgNum(tower, tower.rat_value(Fraction(q)))
+        q = Fraction(q)
+        return AlgNum(tower, ((tower._unit, q),) if q else ())
 
     @staticmethod
     def generator(tower: TowerSpec, level: int) -> AlgNum:
@@ -362,18 +342,23 @@ class AlgNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return AlgNum(self.tower, self.tower.add(self.value, o.value))
+        if not o.value:
+            return self
+        acc = dict(self.value)
+        for e, q in o.value:
+            acc[e] = acc[e] + q if e in acc else q
+        return AlgNum(self.tower, _collect(acc))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgNum(self.tower, self.tower.neg(self.value))
+        return AlgNum(self.tower, tuple([(e, -q) for e, q in self.value]))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return AlgNum(self.tower, self.tower.sub(self.value, o.value))
+        return self + -o
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -383,7 +368,8 @@ class AlgNum:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return AlgNum(self.tower, self.tower.rat_scale(Fraction(other), self.value))
+            q = Fraction(other)
+            return AlgNum(self.tower, tuple([(e, q * c) for e, c in self.value]) if q else ())
         o = self._coerce(other)
         if o is None:
             return NotImplemented

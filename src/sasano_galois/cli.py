@@ -139,7 +139,7 @@ def _load_solution_file(path: str) -> tuple[dict, ParamTriple]:
     for name in ("x", "y", "z", "w"):
         if name not in data:
             raise ValueError(f"solution file is missing the component {name!r}")
-        funcs[name] = parse_ratfunc(str(data[name]), var="t")
+        funcs[name] = parse_ratfunc(str(data[name]))
     if not isinstance(data.get("params"), list) or len(data["params"]) != 3:
         raise ValueError("solution file needs a three-element params list")
     params = ParamTriple.make(tuple(Fraction(str(q)) for q in data["params"]))

@@ -41,14 +41,6 @@ def identity_matrix(tower: TowerSpec, n: int) -> AlgMatrix:
     return diagonal_matrix(tower, [AlgNum.from_rational(tower, 1)] * n)
 
 
-def mat_add(a: AlgMatrix, b: AlgMatrix) -> AlgMatrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a: AlgMatrix, c) -> AlgMatrix:
-    return tuple(tuple(x * c for x in row) for row in a)
-
-
 def mat_mul(a, b):
     """Matrix product for entries with ``+`` and ``*``.
 
@@ -79,18 +71,19 @@ def char_poly(a: AlgMatrix) -> AlgPoly:
     """Characteristic polynomial det(L*I - a) via the trace recursion.
 
     The Faddeev-LeVerrier scheme needs only matrix products and exact
-    division by small integers, both available in the tower.
+    division by small integers, both available in the tower:
+    M_k = a M_(k-1) + c_k I with c_k = -tr(a M_(k-1)) / k.
     """
     n = len(a)
     tower = a[0][0].tower
-    ident = identity_matrix(tower, n)
-    mk = ident
+    mk = identity_matrix(tower, n)
     cs = []
     for k in range(1, n + 1):
-        am = mat_mul(a, mk)
-        ck = -(mat_trace(am) / k)
+        mk = [list(row) for row in mat_mul(a, mk)]
+        ck = -(mat_trace(mk) / k)
         cs.append(ck)
-        mk = mat_add(am, mat_scale(ident, ck))
+        for i in range(n):
+            mk[i][i] = mk[i][i] + ck
     one = AlgNum.from_rational(tower, 1)
     return AlgPoly.make(tower, list(reversed(cs)) + [one])
 
@@ -172,12 +165,6 @@ class DiffSystem:
 
     def entry(self, i: int, j: int) -> PuiseuxPoly:
         return self.matrix[i][j]
-
-    def render(self) -> str:
-        lines = []
-        for row in self.matrix:
-            lines.append("[" + ",  ".join(e.render(self.var) for e in row) + "]")
-        return "\n".join(lines)
 
 
 def lift_matrix(tower: TowerSpec, a: AlgMatrix) -> PolyMatrix:

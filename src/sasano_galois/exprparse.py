@@ -237,13 +237,13 @@ def _no_symbols(name: str, exp: Fraction):
 _RATFUNC = _Ring(RatFunc.const, _ratfunc_var_power, _no_symbols, operator.truediv, operator.pow)
 
 
-def parse_ratfunc(text: str, var: str = "t") -> RatFunc:
-    """Parse an expression in one variable into a reduced rational function.
+def parse_ratfunc(text: str) -> RatFunc:
+    """Parse an expression in the variable t into a reduced rational function.
 
     Accepts + - * / ^ with integer exponents and parentheses, e.g.
     "-2*t/5 - 1/(4*t^2)".
     """
-    return _parse(text, var, _RATFUNC)
+    return _parse(text, "t", _RATFUNC)
 
 
 def _puiseux_ring(tower: TowerSpec, symbols: SymbolResolver | None) -> _Ring:

@@ -28,6 +28,9 @@ from .algnum import AlgNum, TowerError, VerificationError, rational_recognize, s
 from .diffsys import DiffSystem, change_variable_power
 from .puiseux import PuiseuxPoly
 
+# The cover eta = tau^COVER that turns the origin into an apparent singularity.
+COVER = 6
+
 
 class GaloisError(VerificationError):
     """Raised when a block falls outside the supported normal forms."""
@@ -42,11 +45,6 @@ class ScalarODE2(NamedTuple):
     var: str
     c1: PuiseuxPoly
     c0: PuiseuxPoly
-
-    def render(self) -> str:
-        return (
-            f"u'' + ({self.c1.render(self.var)}) u' + ({self.c0.render(self.var)}) u = 0"
-        )
 
 
 def system_to_scalar(system: DiffSystem) -> ScalarODE2:
@@ -71,10 +69,10 @@ def system_to_scalar(system: DiffSystem) -> ScalarODE2:
     return ScalarODE2(system.var, -p, -q)
 
 
-def eta_pullback(system: DiffSystem, order: int = 6, new_var: str = "eta") -> DiffSystem:
-    """Substitute tau = eta^(1/order); exact since exponents are multiples."""
+def eta_pullback(system: DiffSystem) -> DiffSystem:
+    """Substitute tau = eta^(1/COVER); exact since exponents are multiples."""
     one = AlgNum.from_rational(system.tower, 1)
-    return change_variable_power(system, new_var, one, 1, Fraction(1, order))
+    return change_variable_power(system, "eta", one, 1, Fraction(1, COVER))
 
 
 # -- the regular singular point ------------------------------------------------
@@ -136,7 +134,7 @@ def _bracket(ode: ScalarODE2) -> tuple[AlgNum, AlgNum, AlgNum]:
     return a, b, c
 
 
-def certify_apparent(ode: ScalarODE2, pullback: int = 6, order: int = 10) -> ApparentCertificate:
+def certify_apparent(ode: ScalarODE2, pullback: int = COVER, order: int = 10) -> ApparentCertificate:
     """Prove the origin apparent after the pullback x = y^pullback.
 
     Three facts are established exactly:
@@ -206,7 +204,7 @@ def rescale_variable(ode: ScalarODE2, scale: AlgNum, new_var: str) -> ScalarODE2
     return ScalarODE2(new_var, c1, c0)
 
 
-def normalize_whittaker(ode: ScalarODE2, new_var: str = "zeta") -> WhittakerData:
+def normalize_whittaker(ode: ScalarODE2) -> WhittakerData:
     """Scale u'' = (A + B/x + C/x^2) u into Whittaker form, exactly.
 
     The scale is s = 1/(2 sqrt(A)) with the principal square root taken
@@ -231,7 +229,7 @@ def normalize_whittaker(ode: ScalarODE2, new_var: str = "zeta") -> WhittakerData
         raise GaloisError(f"no sqrt for the index found in the tower: {exc}") from exc
     quarter = AlgNum.from_rational(tower, Fraction(1, 4))
     normal = (quarter, -kappa, c)
-    rescaled = rescale_variable(ode, scale, new_var)
+    rescaled = rescale_variable(ode, scale, "zeta")
     check = _bracket(rescaled)
     if check != normal:
         raise GaloisError("scaling self-check failed to land on the normal form")
@@ -338,14 +336,14 @@ def morales_ramis_verdict(
     return "Inconclusive"
 
 
-def classify_blocks(blocks, pullback: int = 6, order: int = 10) -> GaloisOutcome:
-    """Run the whole classification over the decoupled blocks."""
+def classify_blocks(blocks) -> GaloisOutcome:
+    """Classify each decoupled block on the ``COVER``-fold cover (apparent through order 10)."""
     results = []
     certs = []
     diag: list[int] = []
     for idx, block in enumerate(blocks, start=1):
-        ode = system_to_scalar(eta_pullback(block, pullback))
-        cert = certify_apparent(ode, pullback, order)
+        ode = system_to_scalar(eta_pullback(block))
+        cert = certify_apparent(ode)
         certs.append(cert)
         diag.extend(cert.lifted_exponents)
         results.append(_classify_scalar(ode, f"block {idx}"))

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import NamedTuple
@@ -172,8 +171,7 @@ class Shear(NamedTuple):
         return Shear(-self.g)
 
 
-@dataclass(frozen=True)
-class Substitution:
+class Substitution(NamedTuple):
     """x = root^index * u^power with u named ``var``; undone by
     u = root^(-index/power) * x^(1/power), exact when index/power is an integer."""
 
@@ -198,8 +196,7 @@ class Substitution:
 Move = ConstantGauge | Shear | Substitution
 
 
-@dataclass(frozen=True)
-class GaugeStep:
+class GaugeStep(NamedTuple):
     """One recorded move: ``stage`` names the system it produces."""
 
     stage: str
@@ -208,8 +205,7 @@ class GaugeStep:
     after: DiffSystem
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     config: ChainConfig
     steps: tuple[GaugeStep, ...]
     final: DiffSystem
@@ -343,7 +339,7 @@ def _sample_points():
     return (mpmath.mpf(2), mpmath.mpf(3), mpmath.mpc(1, 1), mpmath.mpf(5) / 2, mpmath.mpf(4))
 
 
-def verify_trace_consistency(trace: ReductionTrace, precision: int = 30) -> ConsistencyReport:
+def verify_trace_consistency(trace: ReductionTrace) -> ConsistencyReport:
     """Replay the trace backwards exactly and cross-check it numerically.
 
     Three independent checks, each raising :class:`ReductionError` on
@@ -353,7 +349,7 @@ def verify_trace_consistency(trace: ReductionTrace, precision: int = 30) -> Cons
       matrix is diagonal with the configured distinct eigenvalues;
     * exact inverse walk: undoing every step recovers the stage before it,
       down to the original variational system;
-    * numeric: at five sample points the composed floating-point
+    * numeric: at five sample points the composed 30-digit floating-point
       transformation of the first stage agrees entrywise with the exact
       final matrix to relative error 1e-9 (branches fixed by evaluating
       the quarter root of t as root(alpha) * tau).
@@ -372,7 +368,7 @@ def verify_trace_consistency(trace: ReductionTrace, precision: int = 30) -> Cons
     _inverse_walk(trace)
     checks.append(("inverse-walk", f"{len(trace.steps)} steps undone exactly"))
 
-    worst = _numeric_composition(trace, precision)
+    worst = _numeric_composition(trace, 30)
     if worst > 1e-9:
         raise ReductionError(f"numeric cross-check error {worst} exceeds 1e-9")
     checks.append(("numeric", f"5 sample points, worst relative error {worst:.3e}"))

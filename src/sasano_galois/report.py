@@ -110,10 +110,10 @@ class ReportSection(NamedTuple):
 
 class ProofReport(NamedTuple):
     title: str
-    normalization: str | None
-    tower: dict | None
     sections: tuple[ReportSection, ...]
-    verdict: str | None
+    normalization: str | None = None
+    tower: dict | None = None
+    verdict: str | None = None
 
     def all_pass(self) -> bool:
         return all(s.status == "pass" for s in self.sections)
@@ -211,6 +211,9 @@ def reduction_section(
         )
     r, lead = leading_data(trace.final)
     cp = char_poly(lead)
+    for lam in trace.eigenvalues:
+        if not cp(lam).is_zero():
+            raise VerificationError(f"eigenvalue {lam} is not a root of the characteristic polynomial")
     eig_values: list[tuple[str, Any]] = [
         (f"lambda{i}", algnum_payload(lam, digits))
         for i, lam in enumerate(trace.eigenvalues, start=1)
@@ -410,22 +413,12 @@ def build_seed_report(components: dict[str, RatFunc], params: ParamTriple) -> Pr
         section = model_section(SolutionState.make(**components, params=params))
     except VerificationError as exc:
         section = failure_section("model check", "exact verification of the candidate", exc)
-    return ProofReport(
-        title="solution check for the coupled Hamiltonian system",
-        normalization=None,
-        tower=None,
-        sections=(section,),
-        verdict=None,
-    )
+    return ProofReport(title="solution check for the coupled Hamiltonian system", sections=(section,))
 
 
 def build_orbit_report(orbit: OrbitResult, check_rows: bool) -> ProofReport:
     return ProofReport(
-        title=f"reflection orbit audit to depth {orbit.depth}",
-        normalization=None,
-        tower=None,
-        sections=(orbit_section(orbit, check_rows),),
-        verdict=None,
+        title=f"reflection orbit audit to depth {orbit.depth}", sections=(orbit_section(orbit, check_rows),)
     )
 
 

@@ -319,7 +319,7 @@ def matsuda_check(params: ParamTriple) -> MatsudaResult:
 # -- orbit enumeration ------------------------------------------------------------------
 
 
-# Words up to this length that reach a kept parameter triple are audited.
+# Words up to this length that reach a kept triple with its kept state are recorded.
 AUDIT_DEPTH = 4
 
 
@@ -350,21 +350,21 @@ class OrbitResult(NamedTuple):
         return len(self.nodes)
 
 
-def enumerate_orbit(start: SolutionState | None = None, depth: int = 6) -> OrbitResult:
-    """Breadth-first orbit of the seed under the three generators.
+def enumerate_orbit(depth: int = 6) -> OrbitResult:
+    """Breadth-first orbit of :func:`seed_state` under the three generators.
 
     Nodes are deduplicated by parameter triple (the first word reaching a
-    triple is kept); up to ``AUDIT_DEPTH`` every duplicate hit is audited
-    for state equality and reported instead of silently dropped.  Every
-    state in the orbit was verified once, as an exact solution, when built
-    (a supplied ``start`` too, whose F is recomputed as -H; every other
-    F is transported).  Each step looks the parameter image up
-    first; an image equal to the kept state is that state, and any other
+    triple is kept).  Every duplicate hit whose image differs from the kept
+    state is recorded as a collision, at any depth; one whose image is the
+    kept state is recorded up to ``AUDIT_DEPTH``.  Every state in the orbit
+    was verified once, as an exact solution, when built (the seed's F is
+    -H, every other F is transported).  Each step looks the parameter image
+    up first; an image equal to the kept state is that state, and any other
     is verified (see :func:`apply_generator`), a failure landing in ``skipped``.
     """
     if depth < 0:
         raise WeylError("depth must be nonnegative")
-    root = seed_state() if start is None else SolutionState.make(*start.components().values(), start.params)
+    root = seed_state()
     seen: dict[ParamTriple, OrbitNode] = {}
     nodes: list[OrbitNode] = []
     collisions: list[ParamCollision] = []
@@ -387,7 +387,7 @@ def enumerate_orbit(start: SolutionState | None = None, depth: int = 6) -> Orbit
                 skipped.append((word, str(exc)))
                 continue
             if known is not None:
-                if node.depth + 1 <= AUDIT_DEPTH:
+                if image is not known.state or node.depth + 1 <= AUDIT_DEPTH:
                     collisions.append(
                         ParamCollision(
                             params=image.params,

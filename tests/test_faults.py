@@ -9,9 +9,10 @@ import json
 
 import pytest
 
-from sasano_galois import algnum, galois, reduction
-from sasano_galois.algnum import TowerError
+from sasano_galois import algnum, galois, reduction, report
+from sasano_galois.algnum import AlgNum, TowerError
 from sasano_galois.cli import main
+from sasano_galois.puiseux import AlgPoly
 from sasano_galois.report import build_proof, report_to_markdown
 
 STAGES = [stage["name"] for stage in reduction.load_fixtures()["stages"]]
@@ -150,3 +151,24 @@ def test_printed_gauge_not_block_scaled_ends_in_reduction_fail_section(monkeypat
     assert [s.status for s in proof.sections] == ["pass", "pass", "fail"]
     assert proof.sections[-1].name == "reduction trace"
     assert "stage decoupled (printed gauge)" in dict(proof.sections[-1].steps[0].values)["error"]
+
+
+def poly_with_roots(tower, roots) -> AlgPoly:
+    """The monic polynomial prod (l - r) over ``roots``."""
+    coeffs = [AlgNum.from_rational(tower, 1)]
+    for r in roots:
+        coeffs = [low - r * c for low, c in zip([0, *coeffs], [*coeffs, 0])]
+    return AlgPoly.make(tower, coeffs)
+
+
+def test_eigenvalue_off_the_characteristic_polynomial_ends_in_reduction_fail_section(tmp_path, monkeypatch):
+    c = reduction.canonical_constants()
+    lam1, *rest = c.eigenvalues
+    monkeypatch.setattr(report, "char_poly", lambda lead: poly_with_roots(c.tower, c.eigenvalues))
+    assert build_proof(stop_after="reduction").all_pass()
+    monkeypatch.setattr(report, "char_poly", lambda lead: poly_with_roots(c.tower, (lam1 + 1, *rest)))
+    proof = build_proof(stop_after="reduction")
+    assert [s.status for s in proof.sections] == ["pass", "pass", "fail"]
+    assert proof.sections[-1].name == "reduction trace"
+    assert "is not a root of the characteristic polynomial" in dict(proof.sections[-1].steps[0].values)["error"]
+    assert main(["--report-dir", str(tmp_path), "prove"]) == 1

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -216,10 +215,10 @@ def test_mismatch_error_names_stage_and_entry():
 def test_perturbed_substitution_root_fails_numeric_check(canonical_trace):
     step = canonical_trace.steps[2]
     root = step.move.root + Fraction(1, 10**6)
-    tweaked = dataclasses.replace(step, move=dataclasses.replace(step.move, root=root))
+    tweaked = step._replace(move=step.move._replace(root=root))
     steps = list(canonical_trace.steps)
     steps[2] = tweaked
-    tampered = dataclasses.replace(canonical_trace, steps=tuple(steps))
+    tampered = canonical_trace._replace(steps=tuple(steps))
     with pytest.raises(ReductionError):
         verify_trace_consistency(tampered)
     # the floating-point walk notices on its own, independently of the exact one
@@ -227,7 +226,7 @@ def test_perturbed_substitution_root_fails_numeric_check(canonical_trace):
 
 
 def test_gauge_step_records_stage_and_move_only():
-    assert [f.name for f in dataclasses.fields(GaugeStep)] == ["stage", "move", "before", "after"]
+    assert list(GaugeStep._fields) == ["stage", "move", "before", "after"]
 
 
 def test_each_move_inverts_to_its_own_kind(canonical_trace, wasow_trace):
@@ -254,14 +253,14 @@ def test_perturbed_final_entry_fails_exactly(canonical_trace):
     rows = [list(r) for r in canonical_trace.final.matrix]
     rows[1][1] = rows[1][1] + bump
     bad_final = DiffSystem(canonical_trace.final.var, tuple(tuple(r) for r in rows))
-    tampered = dataclasses.replace(canonical_trace, final=bad_final)
+    tampered = canonical_trace._replace(final=bad_final)
     with pytest.raises(ReductionError):
         verify_trace_consistency(tampered)
 
 
 def test_truncated_trace_fails_block_invariant(canonical_trace):
     steps = canonical_trace.steps[:3]
-    tampered = dataclasses.replace(canonical_trace, steps=steps, final=steps[-1].after)
+    tampered = canonical_trace._replace(steps=steps, final=steps[-1].after)
     with pytest.raises(ReductionError, match="block"):
         verify_trace_consistency(tampered)
 

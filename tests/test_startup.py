@@ -81,7 +81,8 @@ RECORDS = (
     algnum.TowerLevel, algnum.ChainConstants,
     galois.ScalarODE2, galois.ApparentCertificate, galois.WhittakerData, galois.StokesFlags,
     galois.BlockClassification, galois.GaloisOutcome,
-    reduction.ChainConfig, reduction.ConstantGauge, reduction.Shear, reduction.ConsistencyReport,
+    reduction.ChainConfig, reduction.ConstantGauge, reduction.Shear, reduction.Substitution,
+    reduction.GaugeStep, reduction.ReductionTrace, reduction.ConsistencyReport,
     report.CertificateStep, report.ReportSection, report.ProofReport,
     weyl.ParamTriple, weyl.SolutionState, weyl.RelationCheck, weyl.MatsudaResult,
     weyl.OrbitNode, weyl.ParamCollision, weyl.OrbitResult,

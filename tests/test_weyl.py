@@ -10,6 +10,7 @@ from sasano_galois.algnum import VerificationError
 from sasano_galois.exprparse import parse_ratfunc
 from sasano_galois import weyl
 from sasano_galois.ratfunc import Poly, RatFunc
+from sasano_galois.report import orbit_section
 from sasano_galois.sasano import scale_solution, solution_energy, verify_zero_energy
 from sasano_galois.weyl import (
     GENERATORS,
@@ -156,17 +157,17 @@ def test_matsuda_rows():
 
 
 def test_orbit_depth_zero_and_one(seed):
-    orbit0 = enumerate_orbit(seed, depth=0)
+    orbit0 = enumerate_orbit(depth=0)
     assert orbit0.node_count() == 1
     assert orbit0.nodes[0].word == ()
-    orbit1 = enumerate_orbit(seed, depth=1)
+    orbit1 = enumerate_orbit(depth=1)
     assert orbit1.node_count() == 4
     words = {n.word for n in orbit1.nodes}
     assert words == {(), ("s0",), ("s1",), ("s2",)}
 
 
 def test_orbit_depth_three_all_checked(seed):
-    orbit = enumerate_orbit(seed, depth=3)
+    orbit = enumerate_orbit(depth=3)
     assert orbit.node_count() > 4
     for node in orbit.nodes:
         # states were verified on construction; the arithmetic condition
@@ -179,20 +180,30 @@ def test_orbit_depth_three_all_checked(seed):
 
 
 def test_orbit_words_reproduce_states(seed):
-    orbit = enumerate_orbit(seed, depth=2)
+    orbit = enumerate_orbit(depth=2)
     for node in orbit.nodes:
         again = apply_word(node.word, seed)
         assert again.components() == node.state.components()
         assert again.params == node.state.params
 
 
-def test_orbit_rebuilds_supplied_start(seed):
-    # a raw state is not a checked one: the orbit must not vouch for it
-    bad = SolutionState(seed.x + 1, seed.y, seed.z, seed.w, seed.f, seed.params)
-    with pytest.raises(WeylError, match="not a solution"):
-        enumerate_orbit(bad, depth=1)
-    raw = SolutionState(seed.x, seed.y, seed.z, seed.w, RatFunc.const(0), seed.params)
-    assert enumerate_orbit(raw, depth=0).nodes[0].state == seed
+def test_differing_collision_is_recorded_past_the_audit_depth(monkeypatch):
+    # With no audited depth, an image that differs from the kept state must
+    # still be recorded: here the first collision hands back its parent.
+    real = weyl.apply_generator
+    wrong = []
+
+    def parent_at_first_collision(name, state, known, params):
+        if known is not None and known is not state and not wrong:
+            wrong.append(name)
+            return state
+        return real(name, state, known, params)
+
+    monkeypatch.setattr(weyl, "AUDIT_DEPTH", 0)
+    monkeypatch.setattr(weyl, "apply_generator", parent_at_first_collision)
+    orbit = enumerate_orbit(depth=2)
+    assert wrong and [c.states_equal for c in orbit.collisions] == [False]
+    assert orbit_section(orbit).status == "fail"
 
 
 def test_orbit_verifies_each_state_once(monkeypatch):
@@ -305,7 +316,7 @@ def reference_step(name, x, y, z, w, alpha):
 def test_backlund_steps_match_reference_arithmetic(seed):
     t = RatFunc.variable()
     steps = 0
-    for node in enumerate_orbit(seed, depth=3).nodes:
+    for node in enumerate_orbit(depth=3).nodes:
         s = node.state
         for name in GENERATORS:
             alpha = s.params.as_tuple()[GENERATORS.index(name)]
