@@ -26,7 +26,7 @@ _EXPORTS = {
     "parse_ratfunc": "exprparse",
     "GaloisError": "galois", "GaloisOutcome": "galois", "classify_blocks": "galois",
     "morales_ramis_verdict": "galois", "normalize_whittaker": "galois", "stokes_triviality": "galois",
-    "AlgPoly": "puiseux", "PuiseuxPoly": "puiseux",
+    "PuiseuxPoly": "puiseux",
     "RatFunc": "ratfunc",
     "ReductionError": "reduction", "ReductionTrace": "reduction", "canonical_config": "reduction",
     "run_canonical_chain": "reduction", "verify_trace_consistency": "reduction", "wasow_config": "reduction",

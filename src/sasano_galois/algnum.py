@@ -296,12 +296,11 @@ class AlgNum:
     arithmetic with ``int`` and ``Fraction`` coerces into the tower.
     """
 
-    __slots__ = ("tower", "value", "_hash")
+    __slots__ = ("tower", "value")
 
     def __init__(self, tower: TowerSpec, value):
         object.__setattr__(self, "tower", tower)
         object.__setattr__(self, "value", value)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("AlgNum is immutable")
@@ -406,11 +405,7 @@ class AlgNum:
         return self.value == o.value
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((id(self.tower), self.value))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((id(self.tower), self.value))
 
     def __bool__(self):
         return bool(self.value)

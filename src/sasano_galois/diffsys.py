@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algnum import AlgNum, TowerError, TowerSpec
-from .puiseux import AlgPoly, PuiseuxPoly
+from .puiseux import PuiseuxPoly
 
 AlgMatrix = tuple[tuple[AlgNum, ...], ...]
 PolyMatrix = tuple[tuple[PuiseuxPoly, ...], ...]
@@ -60,19 +60,13 @@ def mat_mul(a, b):
     return tuple(out)
 
 
-def mat_trace(a: AlgMatrix) -> AlgNum:
-    acc = a[0][0]
-    for i in range(1, len(a)):
-        acc = acc + a[i][i]
-    return acc
-
-
-def char_poly(a: AlgMatrix) -> AlgPoly:
+def char_poly(a: AlgMatrix) -> PuiseuxPoly:
     """Characteristic polynomial det(L*I - a) via the trace recursion.
 
     The Faddeev-LeVerrier scheme needs only matrix products and exact
     division by small integers, both available in the tower:
-    M_k = a M_(k-1) + c_k I with c_k = -tr(a M_(k-1)) / k.
+    M_k = a M_(k-1) + c_k I with c_k = -tr(a M_(k-1)) / k.  The result is
+    a ``PuiseuxPoly`` with ``ram == 1``; calling it evaluates it.
     """
     n = len(a)
     tower = a[0][0].tower
@@ -80,12 +74,11 @@ def char_poly(a: AlgMatrix) -> AlgPoly:
     cs = []
     for k in range(1, n + 1):
         mk = [list(row) for row in mat_mul(a, mk)]
-        ck = -(mat_trace(mk) / k)
+        ck = -(sum((mk[i][i] for i in range(1, n)), mk[0][0]) / k)
         cs.append(ck)
         for i in range(n):
             mk[i][i] = mk[i][i] + ck
-    one = AlgNum.from_rational(tower, 1)
-    return AlgPoly.make(tower, list(reversed(cs)) + [one])
+    return PuiseuxPoly.from_terms(tower, 1, enumerate([*reversed(cs), 1]))
 
 
 def _projector_times(m: AlgMatrix, others: Sequence[AlgNum], vec: tuple) -> tuple:

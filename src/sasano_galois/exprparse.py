@@ -136,7 +136,13 @@ class _Parser:
         tok = self.take()
         if not tok[:1].isdecimal():
             raise self.error("malformed exponent")
-        return int(tok)
+        return self.literal(tok)
+
+    def literal(self, tok: str) -> int:
+        try:
+            return int(tok)
+        except ValueError:  # longer than sys.get_int_max_str_digits()
+            raise self.error(f"integer literal of {len(tok)} digits is too long") from None
 
     # -- grammar -------------------------------------------------------------
 
@@ -175,7 +181,7 @@ class _Parser:
             base = self.expr()
             self.expect(")")
         elif tok[:1].isdecimal():
-            base = self.ring.const(int(tok))
+            base = self.ring.const(self.literal(tok))
         elif not tok or tok in "+-*/^)":
             raise self.error(f"unexpected token {tok!r}")
         else:

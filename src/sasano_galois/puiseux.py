@@ -3,7 +3,9 @@
 A value represents a finite sum  sum_k  c_k * x^(k/ram)  with integer keys
 ``k`` (negative allowed) and a fixed ramification index ``ram``.  Everything
 in the reduction chain is such a finite sum; no power series truncation is
-ever required, so arithmetic here is exact and closed.
+ever required, so arithmetic here is exact and closed.  With ``ram == 1`` a
+value is a Laurent polynomial, such as a characteristic polynomial, and
+calling it evaluates it at a tower number.
 """
 
 from __future__ import annotations
@@ -52,8 +54,6 @@ class PuiseuxPoly:
 
     @staticmethod
     def const(tower: TowerSpec, c) -> PuiseuxPoly:
-        if isinstance(c, (int, Fraction)):
-            c = AlgNum.from_rational(tower, c)
         return PuiseuxPoly.from_terms(tower, 1, [(0, c)])
 
     @staticmethod
@@ -231,7 +231,21 @@ class PuiseuxPoly:
         ]
         return PuiseuxPoly.from_terms(self.tower, ram, out)
 
-    # -- numerics / presentation --------------------------------------------
+    # -- evaluation / presentation -------------------------------------------
+
+    def __call__(self, x: AlgNum) -> AlgNum:
+        """Exact value at the tower number ``x`` by Horner's rule over the terms.
+
+        Needs ``ram == 1``; negative integer exponents are powers of 1/x.
+        """
+        if self.ram != 1:
+            raise TowerError(f"cannot evaluate exponents k/{self.ram} at a tower number")
+        if not self.terms:
+            return AlgNum.from_rational(self.tower, 0)
+        (k, acc), *rest = reversed(self.terms)
+        for j, c in rest:
+            acc, k = acc * x ** (k - j) + c, j
+        return acc * x**k if k else acc
 
     def eval_numeric(self, x_root, precision: int = 20):
         """Numeric value given a chosen numeric root x^(1/ram).
@@ -260,44 +274,3 @@ class PuiseuxPoly:
     def __repr__(self):
         return f"PuiseuxPoly({self.render()})"
 
-
-@dataclass(frozen=True)
-class AlgPoly:
-    """Dense univariate polynomial over tower numbers (ascending coefficients)."""
-
-    tower: TowerSpec
-    coeffs: tuple[AlgNum, ...]
-
-    @staticmethod
-    def make(tower: TowerSpec, coeffs) -> AlgPoly:
-        cs = [c if isinstance(c, AlgNum) else AlgNum.from_rational(tower, c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        return AlgPoly(tower, tuple(cs))
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x: AlgNum) -> AlgNum:
-        acc = AlgNum.from_rational(self.tower, 0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def render(self, var: str = "x") -> str:
-        return join_terms(
-            (str(c), var if e == 1 else f"{var}^{e}" if e else "")
-            for e, c in reversed(list(enumerate(self.coeffs)))
-            if not c.is_zero()
-        )
-
-    def __repr__(self):
-        return f"AlgPoly({self.render()})"

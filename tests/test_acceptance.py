@@ -27,7 +27,7 @@ from sasano_galois.galois import (
     stokes_triviality,
     system_to_scalar,
 )
-from sasano_galois.puiseux import AlgPoly, PuiseuxPoly
+from sasano_galois.puiseux import PuiseuxPoly
 from sasano_galois.reduction import (
     canonical_config,
     load_fixtures,
@@ -103,7 +103,7 @@ def test_criterion_2_reduction_chain_and_spectrum():
     assert r == Fraction(5)
     poly = char_poly(lead)
     tower = cc.tower
-    reference = AlgPoly.make(tower, [-5, 0, -5, 0, 1])
+    reference = PuiseuxPoly.from_terms(tower, 1, enumerate([-5, 0, -5, 0, 1]))
     assert poly == reference
     for q in (Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-3)):
         qn = AlgNum.from_rational(tower, q)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -175,3 +176,13 @@ def test_fractional_power_of_t_is_not_rational(cc):
 def test_deep_nesting_raises_expr_error():
     with pytest.raises(ExprError, match="nesting too deep"):
         parse_ratfunc("(" * 2000 + "t" + ")" * 2000)
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no limit on integer string conversion")
+@pytest.mark.parametrize("prefix", ["", "t^"])
+def test_integer_literal_past_the_digit_limit_raises_expr_error(cc, prefix):
+    text = prefix + "1" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(ExprError, match="too long"):
+        parse_ratfunc(text)
+    with pytest.raises(ExprError, match="too long"):
+        parse_puiseux(text, cc.tower)

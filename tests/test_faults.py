@@ -6,13 +6,14 @@ from __future__ import annotations
 import copy
 import functools
 import json
+import sys
 
 import pytest
 
 from sasano_galois import algnum, galois, reduction, report
 from sasano_galois.algnum import AlgNum, TowerError
 from sasano_galois.cli import main
-from sasano_galois.puiseux import AlgPoly
+from sasano_galois.puiseux import PuiseuxPoly
 from sasano_galois.report import build_proof, report_to_markdown
 
 STAGES = [stage["name"] for stage in reduction.load_fixtures()["stages"]]
@@ -102,6 +103,16 @@ def test_corrupt_fixture_exits_1_through_cli(tmp_path, capsys, corrupted, case):
     assert "reduction trace: fail" in capsys.readouterr().out
 
 
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no limit on integer string conversion")
+def test_overlong_integer_literal_ends_in_reduction_fail_section(tmp_path, corrupted):
+    corrupted("stage", STAGES[0], "entry", "1" * (sys.get_int_max_str_digits() + 1))
+    proof = build_proof(stop_after="reduction")
+    assert [s.status for s in proof.sections] == ["pass", "pass", "fail"]
+    assert proof.sections[-1].name == "reduction trace"
+    assert "too long" in dict(proof.sections[-1].steps[0].values)["error"]
+    assert main(["--report-dir", str(tmp_path), "prove"]) == 1
+
+
 def test_missing_square_root_ends_in_apparent_fail_section(tmp_path, monkeypatch):
     def no_root(a):
         raise TowerError(f"the monomial search found no square root of {a}")
@@ -153,12 +164,12 @@ def test_printed_gauge_not_block_scaled_ends_in_reduction_fail_section(monkeypat
     assert "stage decoupled (printed gauge)" in dict(proof.sections[-1].steps[0].values)["error"]
 
 
-def poly_with_roots(tower, roots) -> AlgPoly:
+def poly_with_roots(tower, roots) -> PuiseuxPoly:
     """The monic polynomial prod (l - r) over ``roots``."""
     coeffs = [AlgNum.from_rational(tower, 1)]
     for r in roots:
         coeffs = [low - r * c for low, c in zip([0, *coeffs], [*coeffs, 0])]
-    return AlgPoly.make(tower, coeffs)
+    return PuiseuxPoly.from_terms(tower, 1, enumerate(coeffs))
 
 
 def test_eigenvalue_off_the_characteristic_polynomial_ends_in_reduction_fail_section(tmp_path, monkeypatch):

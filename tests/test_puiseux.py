@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from sasano_galois.algnum import AlgNum, TowerError, canonical_constants
-from sasano_galois.puiseux import AlgPoly, PuiseuxPoly
+from sasano_galois.puiseux import PuiseuxPoly
 
 
 def x_pow(tower, e):
@@ -146,13 +146,25 @@ class TestRendering:
         assert PuiseuxPoly.zero(tower).render() == "0"
 
 
-class TestAlgPoly:
-    def test_eval_and_trim(self, tower):
-        p = AlgPoly.make(tower, [-5, 0, -5, 0, 1])
-        lam = canonical_constants().eigenvalues[1]
-        assert p(lam).is_zero()
-        assert AlgPoly.make(tower, [1, 0, 0]).degree() == 0
+class TestEvaluation:
+    def test_eigenvalue_is_a_root(self, tower):
+        p = PuiseuxPoly.from_terms(tower, 1, enumerate([-5, 0, -5, 0, 1]))
+        for lam in canonical_constants().eigenvalues:
+            assert p(lam).is_zero()
+        assert not p(AlgNum.from_rational(tower, 1)).is_zero()
 
-    def test_render(self, tower):
-        p = AlgPoly.make(tower, [-5, 0, -5, 0, 1])
+    def test_laurent_terms_at_a_tower_number(self, tower):
+        s5 = canonical_constants().sqrt5
+        p = x_pow(tower, -2).scale(3) + x_pow(tower, 1) - 7
+        assert p(s5) == Fraction(3, 5) + s5 - 7
+        assert x_pow(tower, -1)(s5) * s5 == 1
+        assert (x_pow(tower, 3) + x_pow(tower, 1))(s5) == s5 * 6
+        assert PuiseuxPoly.zero(tower)(s5).is_zero()
+
+    def test_ramified_polynomial_is_not_evaluated(self, tower):
+        with pytest.raises(TowerError):
+            x_pow(tower, Fraction(1, 2))(canonical_constants().sqrt5)
+
+    def test_render_matches_the_printed_characteristic_polynomial(self, tower):
+        p = PuiseuxPoly.from_terms(tower, 1, enumerate([-5, 0, -5, 0, 1]))
         assert p.render("L") == "L^4 - 5*L^2 - 5"

@@ -19,7 +19,7 @@ import pytest
 import sasano_galois
 from sasano_galois import algnum, galois, reduction, report, weyl
 from sasano_galois.diffsys import DiffSystem
-from sasano_galois.puiseux import AlgPoly, PuiseuxPoly
+from sasano_galois.puiseux import PuiseuxPoly
 from sasano_galois.ratfunc import Poly, RatFunc
 from sasano_galois.sasano import PolyExpr
 
@@ -97,7 +97,7 @@ def test_record_rejects_assignment(cls):
             setattr(record, field, 1)
 
 
-VALUE_TYPES = (Poly, RatFunc, PuiseuxPoly, AlgPoly, DiffSystem, PolyExpr)
+VALUE_TYPES = (Poly, RatFunc, PuiseuxPoly, DiffSystem, PolyExpr)
 
 
 @pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
