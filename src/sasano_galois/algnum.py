@@ -12,7 +12,9 @@ explicit towers over the rationals:
 Every level is a binomial  x^d = c  over the level below it, and every
 level above the rational base is quadratic.  An ``AlgNum`` is stored
 sparsely, as its nonzero coordinates in the tower basis  prod gen_j^e_j
-(0 <= e_j < d_j): a sorted tuple of (exponent tuple, Fraction) pairs.  The
+(0 <= e_j < d_j), cleared of denominators: a sorted tuple of (exponent
+tuple, nonzero int) pairs over one denominator den > 0, with
+gcd(den, *numerators) == 1.  The kernels run on those integers.  The
 tower's product kernel folds each exponent overflow through  gen_j^d_j =
 c_j,  so every value is reduced canonically and equality of values is
 equality of representations -- given that each defining binomial is
@@ -43,17 +45,19 @@ class TowerError(VerificationError):
     """Raised for structurally invalid tower operations."""
 
 
-# A value is a sorted tuple of (exponent tuple, nonzero Fraction) pairs with
-# one exponent per level of its tower; () is zero.  The constant c of a
-# level's binomial is a value of the tower below it, so over Q it is ((), q).
+# A value is a pair (terms, den): terms a sorted tuple of (exponent tuple,
+# nonzero int) pairs with one exponent per level of its tower, den > 0 and
+# gcd(den, *numerators) == 1; zero is ((), 1).
 
 _ONE = Fraction(1)
+_ZERO = ((), 1)
 
 
 class TowerLevel(NamedTuple):
     """One extension step x^degree = c and a root choice.
 
-    ``c`` is a nonzero value of the *previous* level.  ``approx`` is a
+    ``c`` is a nonzero number of the *previous* level, as sorted (exponent
+    tuple, Fraction) pairs, so over Q it is ((), q).  ``approx`` is a
     decimal isolating approximation of the chosen root, used for branch
     selection.
     """
@@ -87,9 +91,11 @@ class TowerSpec:
             if j and lv.degree != 2:
                 raise TowerError(f"level {lv.name!r} above the rational base must be quadratic")
             pad = (0,) * (n - j)
-            self._rel.append(tuple([(e + pad, q) for e, q in lv.c]))
-        # Raw exponent sum -> reduced value; two threads filling one key store equal values.
+            self._rel.append(_value([(e + pad, q) for e, q in lv.c]))
+        # Raw exponent sum -> reduced value, and basis monomial -> its inverse;
+        # two threads filling one key store equal values.
         self._fold: dict[tuple[int, ...], tuple] = {}
+        self._unit_inv: dict[tuple[int, ...], tuple] = {}
         self._root_cache: dict[int, list] = {}
         self._monomials: dict = {}  # (precision, exponents) -> mpmath.mpc
         self._checked = False
@@ -103,22 +109,28 @@ class TowerSpec:
         for lvl, (e, d) in enumerate(zip(exps, self.degrees)):
             if not 0 <= e < d:
                 raise TowerError(f"monomial exponent {e} out of range at level {lvl}")
-        coeff = Fraction(coeff)
-        return ((tuple(exps), coeff),) if coeff else ()
+        return _value([(tuple(exps), coeff)])
 
     def mul(self, a, b):
-        if not a or not b:
-            return ()
+        (ta, da), (tb, db) = a, b
+        if not ta or not tb:
+            return _ZERO
         fold = self._fold
         acc: dict = {}
-        for ea, qa in a:
-            for eb, qb in b:
+        den = 1  # common denominator of the folds used so far
+        for ea, na in ta:
+            for eb, nb in tb:
                 key = tuple(map(_add, ea, eb))
-                q = qa * qb
-                for e, c in fold.get(key) or self._fold_monomial(key):
+                terms, fd = fold.get(key) or self._fold_monomial(key)
+                if den % fd:
+                    s = fd // math.gcd(den, fd)
+                    den *= s
+                    acc = {e: n * s for e, n in acc.items()}
+                q = na * nb * (den // fd)
+                for e, c in terms:
                     t = q * c
                     acc[e] = acc[e] + t if e in acc else t
-        return _collect(acc)
+        return _canon(acc.items(), da * db * den)
 
     def _fold_monomial(self, key: tuple[int, ...]):
         """prod gen_j^key[j] with every exponent below its degree (cached)."""
@@ -126,34 +138,46 @@ class TowerSpec:
             d = self.degrees[j]
             if key[j] >= d:
                 low = key[:j] + (key[j] - d,) + key[j + 1 :]
-                folded = self.mul(((low, _ONE),), self._rel[j])
+                folded = self.mul((((low, 1),), 1), self._rel[j])
                 break
         else:
-            folded = ((key, _ONE),)
+            folded = (((key, 1),), 1)
         self._fold[key] = folded
         return folded
 
     def inv(self, a):
         """Multiplicative inverse.
 
-        On each quadratic level, a = a0 + a1*x has the inverse
-        (a0 - a1*x) / N with the norm N = a0^2 - c*a1^2 one level down;
-        the rational base level runs extended Euclid over Q.
+        A monomial n/den * m is den/n times the inverse of the basis
+        monomial m, read from a table filled on first use.  For a sum, on
+        each quadratic level a = a0 + a1*x has the inverse (a0 - a1*x) / N
+        with the norm N = a0^2 - c*a1^2 one level down; the rational base
+        level runs extended Euclid over Q.
         """
-        if not a:
+        terms, den = a
+        if not terms:
             raise ZeroDivisionError("division by zero in tower field")
+        if len(terms) == 1:
+            ((e, n),) = terms
+            unit = self._unit_inv.get(e)
+            if unit is None:
+                unit = self._unit_inv[e] = self._inv_sum((((e, 1),), 1))
+            return _canon([(k, m * den) for k, m in unit[0]], unit[1] * n)
+        return self._inv_sum(a)
+
+    def _inv_sum(self, a):
         conjugates = []
         for lvl in reversed(range(1, len(self.levels))):
-            if any(e[lvl] for e, _ in a):
-                conj = tuple([(e, -q) if e[lvl] else (e, q) for e, q in a])
+            if any(e[lvl] for e, _ in a[0]):
+                conj = (tuple([(e, -n) if e[lvl] else (e, n) for e, n in a[0]]), a[1])
                 conjugates.append(conj)
                 a = self.mul(a, conj)
-        d, c = self.degrees[0], self._rel[0][0][1]
-        p = [Fraction(0)] * d
-        for e, q in a:
-            p[e[0]] = q
+        p = [Fraction(0)] * self.degrees[0]
+        for e, n in a[0]:
+            p[e[0]] = Fraction(n, a[1])
         rest = self._unit[1:]
-        out = tuple([((k,) + rest, q) for k, q in enumerate(_inv_mod_binomial(p, d, c)) if q])
+        inverse = _inv_mod_binomial(p, self.degrees[0], Fraction(self.levels[0].c[0][1]))
+        out = _value([((k,) + rest, q) for k, q in enumerate(inverse)])
         for conj in conjugates:
             out = self.mul(out, conj)
         return out
@@ -168,7 +192,7 @@ class TowerSpec:
         import mpmath
 
         level = self.levels[lvl]
-        c = _evaluate(self._rel[lvl], below)
+        c = _evaluate(level.c, below)
         seed = mpmath.mpc(mpmath.mpf(level.approx[0]), mpmath.mpf(level.approx[1]))
         return [mpmath.root(c, level.degree, k) for k in range(level.degree)], seed
 
@@ -186,7 +210,7 @@ class TowerSpec:
             self._root_cache[dps] = roots
         return roots
 
-    def embed_value(self, v, precision: int = 20):
+    def embed_value(self, coords: dict, precision: int = 20):
         if precision < 15:
             raise TowerError("numeric embedding needs precision >= 15 digits")
         import mpmath
@@ -196,7 +220,7 @@ class TowerSpec:
         cache = self._monomials
         with mpmath.mp.workdps(precision + 15):
             acc = mpmath.mpc(0)
-            for e, q in v:
+            for e, q in coords.items():
                 mono = cache.get((precision, e))
                 if mono is None:
                     mono = cache[(precision, e)] = _evaluate(((e, _ONE),), roots)
@@ -237,12 +261,29 @@ class TowerSpec:
         return tuple(lv.name for lv in self.levels)
 
 
-def _collect(acc: dict):
-    return tuple(sorted([item for item in acc.items() if item[1]]))
+def _canon(items, den: int):
+    """The value of (exponent tuple, int) pairs, exponents distinct, over den != 0."""
+    items = [item for item in items if item[1]]
+    if not items:
+        return _ZERO
+    g = math.gcd(den, *[n for _, n in items])
+    if den < 0:
+        g = -g
+    if g != 1:
+        items = [(e, n // g) for e, n in items]
+        den //= g
+    items.sort()
+    return tuple(items), den
+
+
+def _value(items):
+    """The value of (exponent tuple, rational) pairs with distinct exponents."""
+    den = math.lcm(*[Fraction(q).denominator for _, q in items])
+    return _canon([(e, int(q * den)) for e, q in items], den)
 
 
 def _evaluate(value, roots: list):
-    """Numeric value of a tower value at the given level roots."""
+    """Numeric value at the given level roots of (exponent tuple, rational) pairs."""
     import mpmath
 
     acc = mpmath.mpc(0)
@@ -290,8 +331,9 @@ def _inv_mod_binomial(p: list, d: int, c: Fraction) -> list:
 class AlgNum:
     """An exact element of a fixed extension tower.
 
-    An immutable canonical sparse coordinate tuple; sums and rational
-    scaling act on it here, products and inverses in the tower's kernels.
+    An immutable canonical value: sparse integer coordinates over one
+    denominator (see the module docstring).  Sums and rational scaling
+    act on it here, products and inverses in the tower's kernels.
     Arithmetic is exact; ``==`` means equality of numbers.  Mixed
     arithmetic with ``int`` and ``Fraction`` coerces into the tower.
     """
@@ -310,7 +352,7 @@ class AlgNum:
     @staticmethod
     def from_rational(tower: TowerSpec, q) -> AlgNum:
         q = Fraction(q)
-        return AlgNum(tower, ((tower._unit, q),) if q else ())
+        return AlgNum(tower, (((tower._unit, q.numerator),), q.denominator) if q else _ZERO)
 
     @staticmethod
     def generator(tower: TowerSpec, level: int) -> AlgNum:
@@ -329,11 +371,12 @@ class AlgNum:
         return None
 
     def is_zero(self) -> bool:
-        return not self.value
+        return not self.value[0]
 
     def coords(self) -> dict[tuple[int, ...], Fraction]:
-        """Nonzero coordinates, keyed by exponent tuple."""
-        return dict(self.value)
+        """Nonzero coordinates as Fractions, keyed by exponent tuple."""
+        terms, den = self.value
+        return {e: Fraction(n, den) for e, n in terms}
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -341,17 +384,19 @@ class AlgNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not o.value:
+        (ta, da), (tb, db) = self.value, o.value
+        if not tb:
             return self
-        acc = dict(self.value)
-        for e, q in o.value:
-            acc[e] = acc[e] + q if e in acc else q
-        return AlgNum(self.tower, _collect(acc))
+        acc = {e: n * db for e, n in ta}
+        for e, n in tb:
+            acc[e] = acc[e] + n * da if e in acc else n * da
+        return AlgNum(self.tower, _canon(acc.items(), da * db))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgNum(self.tower, tuple([(e, -q) for e, q in self.value]))
+        terms, den = self.value
+        return AlgNum(self.tower, (tuple([(e, -n) for e, n in terms]), den))
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -368,7 +413,8 @@ class AlgNum:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return AlgNum(self.tower, tuple([(e, q * c) for e, c in self.value]) if q else ())
+            terms, den = self.value
+            return AlgNum(self.tower, _canon([(e, n * q.numerator) for e, n in terms], den * q.denominator))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -408,7 +454,7 @@ class AlgNum:
         return hash((id(self.tower), self.value))
 
     def __bool__(self):
-        return bool(self.value)
+        return bool(self.value[0])
 
     # -- presentation --------------------------------------------------------
 
@@ -416,7 +462,7 @@ class AlgNum:
         names = self.tower.names()
         return join_terms(
             (str(q), "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e))
-            for exps, q in self.value
+            for exps, q in self.coords().items()
         )
 
     def __repr__(self):
@@ -424,20 +470,22 @@ class AlgNum:
 
     def embed(self, precision: int = 20):
         """Numeric value as an mpmath complex number (ring homomorphism)."""
-        return self.tower.embed_value(self.value, precision)
+        return self.tower.embed_value(self.coords(), precision)
 
 
 def int_power(base, n: int, one):
-    """base**n for n >= 0 by repeated squaring, starting from ``one``."""
+    """base**n for n >= 0 by repeated squaring; ``one`` is base**0."""
     if n < 0:
         raise ValueError(f"negative power {n} of a polynomial")
-    result = one
-    while n:
+    if not n:
+        return one
+    while not n & 1:
+        base, n = base * base, n >> 1
+    result = base
+    while n := n >> 1:
+        base = base * base
         if n & 1:
             result = result * base
-        n >>= 1
-        if n:
-            base = base * base
     return result
 
 
@@ -463,30 +511,19 @@ def join_terms(terms) -> str:
 
 def rational_recognize(a: AlgNum) -> Fraction | None:
     """The exact rational value of ``a``, or None if it is irrational."""
-    v = a.value
-    if not v:
+    terms, den = a.value
+    if not terms:
         return Fraction(0)
-    if len(v) == 1 and not any(v[0][0]):
-        return v[0][1]
+    if len(terms) == 1 and not any(terms[0][0]):
+        return Fraction(terms[0][1], den)
     return None
 
 
 def _rational_sqrt(q: Fraction) -> Fraction | None:
     if q < 0:
         return None
-    if q == 0:
-        return Fraction(0)
-    num, den = q.numerator, q.denominator
-    rn = _isqrt_exact(num)
-    rd = _isqrt_exact(den)
-    if rn is None or rd is None:
-        return None
-    return Fraction(rn, rd)
-
-
-def _isqrt_exact(n: int) -> int | None:
-    r = math.isqrt(n)
-    return r if r * r == n else None
+    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    return Fraction(rn, rd) if rn * rn == q.numerator and rd * rd == q.denominator else None
 
 
 def sqrt_in_tower(a: AlgNum) -> AlgNum:
@@ -502,18 +539,11 @@ def sqrt_in_tower(a: AlgNum) -> AlgNum:
     tower = a.tower
     if a.is_zero():
         return a
-    one_key = tuple(0 for _ in tower.degrees)
+    one_key = tower._unit
     for exps in tower.basis_exponents():
         m = AlgNum(tower, tower.monomial_value(exps))
-        try:
-            c = a / (m * m)
-        except ZeroDivisionError:  # pragma: no cover - monomials are units
-            continue
-        coords = c.coords()
-        keys = set(coords)
-        if not keys:
-            continue
-        nontrivial = keys - {one_key}
+        coords = (a / (m * m)).coords()  # nonzero: monomials are units
+        nontrivial = set(coords) - {one_key}
         if len(nontrivial) > 1:
             continue
         p = coords.get(one_key, Fraction(0))
@@ -521,8 +551,7 @@ def sqrt_in_tower(a: AlgNum) -> AlgNum:
             x = _rational_sqrt(p)
             if x is None:
                 continue
-            root = m * x
-            return _principal_branch(root)
+            return _principal_branch(m * x)
         (m2_key,) = nontrivial
         q = coords[m2_key]
         m2 = AlgNum(tower, tower.monomial_value(m2_key))
@@ -561,9 +590,7 @@ def _principal_branch(root: AlgNum) -> AlgNum:
 # tower generator; the tower itself serializes alongside.
 
 
-def _to_dense(degrees: tuple[int, ...], value):
-    coords = dict(value)
-
+def _to_dense(degrees: tuple[int, ...], coords: dict):
     def build(lvl: int, suffix: tuple[int, ...]):
         if lvl < 0:
             return str(coords.get(suffix, 0))
@@ -573,12 +600,12 @@ def _to_dense(degrees: tuple[int, ...], value):
 
 
 def algnum_to_json(a: AlgNum):
-    return _to_dense(a.tower.degrees, a.value)
+    return _to_dense(a.tower.degrees, a.coords())
 
 
 def _binomial_coeffs(level: TowerLevel):
     """The coefficients of x^0 .. x^(degree-1) in x^degree - c."""
-    return [tuple([(e, -q) for e, q in level.c])] + [()] * (level.degree - 1)
+    return [{e: -q for e, q in level.c}] + [{}] * (level.degree - 1)
 
 
 def tower_to_json(tower: TowerSpec):

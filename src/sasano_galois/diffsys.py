@@ -42,21 +42,25 @@ def identity_matrix(tower: TowerSpec, n: int) -> AlgMatrix:
 
 
 def mat_mul(a, b):
-    """Matrix product for entries with ``+`` and ``*``.
+    """Matrix product for entries with ``+``, ``*`` and ``bool``.
 
-    Each sum starts from its first product, so the entries need no zero:
-    tower numbers, Puiseux polynomials, integers and mpmath numbers alike.
+    Only products of two nonzero factors are formed, and each sum starts
+    from its first one, so the entries need no zero: tower numbers, Puiseux
+    polynomials, integers and mpmath numbers alike.  A sum with no such
+    product is a[i][0] * b[0][j], a zero of the entry type.
     """
-    n, inner, m = len(a), len(b), len(b[0])
+    cols = tuple(zip(*b))
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = a[i][0] * b[0][j]
-            for k in range(1, inner):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(tuple(row))
+    for row in a:
+        nonzero = [(k, x) for k, x in enumerate(row) if x]
+        sums = []
+        for col in cols:
+            acc = None
+            for k, x in nonzero:
+                if y := col[k]:
+                    acc = x * y if acc is None else acc + x * y
+            sums.append(row[0] * col[0] if acc is None else acc)
+        out.append(tuple(sums))
     return tuple(out)
 
 

@@ -453,7 +453,8 @@ def build_proof(
     # (section, basis) of the fail section the running phase would end in
     phase = ("model check", "seed solution verification")
     try:
-        sections.append(model_section(seed_state()))
+        seed = seed_state()
+        sections.append(model_section(seed))
         phase = ("normal variational equations", "linearization along the seed")
         config = wasow_config() if wasow else canonical_config()
         nve = seed_variational_system(config.constants.tower)
@@ -477,7 +478,7 @@ def build_proof(
         verdict = outcome.verdict if prerequisites else "Inconclusive"
         sections.append(verdict_section(verdict, prerequisites))
         phase = ("orbit summary", "orbit enumeration")
-        sections.append(orbit_section(enumerate_orbit(depth=orbit_depth), check_rows=True))
+        sections.append(orbit_section(enumerate_orbit(depth=orbit_depth, root=seed), check_rows=True))
     except VerificationError as exc:
         sections.append(failure_section(*phase, exc))
     return finish()

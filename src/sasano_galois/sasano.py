@@ -360,12 +360,15 @@ def verify_zero_energy(values: CommonDenominator, f: RatFunc) -> None:
     Along a solution that passes :func:`verify_solution`, d/dt (H + F) is
     dH/dt + F' = 2x - 2x = 0, so H + F is a constant and its value at one
     point decides it.  That point t0 is the least integer >= 0 at which
-    neither L nor the denominator of f vanishes; H + F is evaluated there
-    at the kept numerators' values over L(t0)^j and at f(t0).
+    neither L nor the denominator d of f vanishes; H + F is evaluated there
+    at the kept numerators' values over L(t0)^j and at f(t0).  A nonzero
+    L*d vanishes at no more than deg L + deg d integers, so the search
+    stops after one more.
     """
-    t0 = 0
-    while values.den(t0) == 0 or f.den(t0) == 0:
-        t0 += 1
+    tries = values.den.degree() + f.den.degree() + 1
+    t0 = next((t for t in range(tries) if values.den(t) != 0 and f.den(t) != 0), None)
+    if t0 is None:
+        raise VerificationError(f"the denominators vanish at every integer t0 < {tries}")
     den = values.den(t0)
     point = []
     for name in VARS:

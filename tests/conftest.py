@@ -93,7 +93,8 @@ def _from_dense(degrees: tuple[int, ...], data):
 
 
 def algnum_from_json(tower: TowerSpec, data) -> AlgNum:
-    return AlgNum(tower, _from_dense(tower.degrees, data))
+    monomials = (AlgNum(tower, tower.monomial_value(e, q)) for e, q in _from_dense(tower.degrees, data))
+    return sum(monomials, AlgNum.from_rational(tower, 0))
 
 
 def tower_from_json(data) -> TowerSpec:

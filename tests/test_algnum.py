@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -68,12 +69,17 @@ def sympy_reduce(sp, expr, syms, relations):
 
 
 def assert_canonical(a):
-    """No zero stored, terms sorted by exponent tuple, exponents in range."""
+    """Nonzero int numerators sorted by exponent tuple, exponents in range,
+    one denominator den > 0 with gcd(den, *numerators) == 1; zero is ((), 1)."""
     degrees = a.tower.degrees
-    keys = [e for e, _ in a.value]
-    assert all(q != 0 for _, q in a.value)
+    terms, den = a.value
+    keys = [e for e, _ in terms]
+    assert all(type(n) is int and n != 0 for _, n in terms)
     assert keys == sorted(set(keys))
     assert all(len(e) == len(degrees) and all(0 <= k < d for k, d in zip(e, degrees)) for e in keys)
+    assert type(den) is int and den > 0
+    assert math.gcd(den, *[n for _, n in terms]) == 1
+    assert terms or a.value == ((), 1)
 
 
 def dense_shape(data, degrees):
@@ -322,7 +328,7 @@ class TestSparseKernels:
         def to_sympy(a):
             return sum(
                 sp.Rational(q.numerator, q.denominator) * sp.Mul(*(x**e for x, e in zip(syms, exps)))
-                for exps, q in a.value
+                for exps, q in a.coords().items()
             )
 
         for _ in range(30):
@@ -391,8 +397,8 @@ class TestSparseKernels:
                 assert_canonical(v)
             assert (a + b) - b == a and hash((a + b) - b) == hash(a)
             assert a * b == b * a and hash(a * b) == hash(b * a)
-        assert (AlgNum.generator(tw, 0) * 0).value == ()
-        assert tw.monomial_value((0,) * len(tw.degrees), Fraction(0)) == ()
+        assert (AlgNum.generator(tw, 0) * 0).value == ((), 1)
+        assert tw.monomial_value((0,) * len(tw.degrees), Fraction(0)) == ((), 1)
 
 
 @pytest.mark.parametrize("name", sorted(TOWERS))

@@ -77,6 +77,32 @@ def char_poly_oracle(tower, a):
     return PuiseuxPoly.from_terms(tower, 1, enumerate(_det_cofactor(tower, m)))
 
 
+class TestMatMul:
+    # All-zero row 0 and column 1 of a, all-zero column 0 of b: some sums
+    # have no product of two nonzero factors.
+    A = ((0, 0, 0), (1, 0, 2), (0, 0, -3))
+    B = ((0, 4, 0), (0, 5, 0), (0, -6, 7))
+
+    @pytest.mark.parametrize("kind", ["int", "algnum", "puiseux", "mpmath"])
+    def test_zero_rows_and_columns(self, tower, kind):
+        g = AlgNum.generator(tower, 0)
+        entry = {
+            "int": lambda k: k,
+            "algnum": lambda k: g * k,
+            "puiseux": lambda k: PuiseuxPoly.monomial(tower, k, Fraction(1, 2)),
+            "mpmath": lambda k: mpmath.mpc(k, -k),
+        }[kind]
+        a, b = (tuple(tuple(entry(k) for k in row) for row in m) for m in (self.A, self.B))
+        # the dense product: every term, each sum from its first product
+        dense = tuple(
+            tuple(sum((x * y for x, y in zip(row[1:], col[1:])), row[0] * col[0]) for col in zip(*b)) for row in a
+        )
+        out = mat_mul(a, b)
+        assert out == dense
+        assert all(type(x) is type(y) for r, s in zip(out, dense) for x, y in zip(r, s))
+        assert not any(out[0])
+
+
 class TestCharPoly:
     def test_matches_cofactor_oracle(self, tower):
         rng = random.Random(505)

@@ -10,10 +10,11 @@ import sys
 
 import pytest
 
-from sasano_galois import algnum, galois, reduction, report
+from sasano_galois import algnum, galois, reduction, report, weyl
 from sasano_galois.algnum import AlgNum, TowerError
 from sasano_galois.cli import main
 from sasano_galois.puiseux import PuiseuxPoly
+from sasano_galois.ratfunc import Poly, RatFunc
 from sasano_galois.report import build_proof, report_to_markdown
 
 STAGES = [stage["name"] for stage in reduction.load_fixtures()["stages"]]
@@ -135,6 +136,17 @@ def test_corrupt_tower_approximation_ends_in_nve_fail_section(tmp_path, monkeypa
     assert "## normal variational equations [fail]" in report_to_markdown(proof)
     assert "does not isolate a root" in dict(proof.sections[-1].steps[0].values)["error"]
     assert proof.normalization == "canonical" and proof.tower is None
+    assert main(["--report-dir", str(tmp_path), "prove"]) == 1
+
+
+def test_zero_energy_denominator_ends_in_model_fail_section(tmp_path, monkeypatch):
+    # F = 0/0 passes the equations of motion (both sides carry d = 0), so
+    # only the bounded t0 search of the H + F = 0 check can reject it.
+    monkeypatch.setattr(weyl, "solution_energy", lambda values: RatFunc(Poly(()), Poly(())))
+    proof = build_proof()
+    assert [s.status for s in proof.sections] == ["fail"]
+    assert proof.sections[0].name == "model check"
+    assert "denominators vanish" in dict(proof.sections[0].steps[0].values)["error"]
     assert main(["--report-dir", str(tmp_path), "prove"]) == 1
 
 

@@ -68,6 +68,11 @@ class TestStructure:
         p = x_pow(tower, 1)
         assert p.coeff_at(Fraction(1, 3)).is_zero()
 
+    def test_truth_is_nonzero(self, tower):
+        half = x_pow(tower, Fraction(1, 2))
+        for p in (PuiseuxPoly.zero(tower), half - half, half * 0, x_pow(tower, 0), half * -2, x_pow(tower, -3) + 1):
+            assert bool(p) == (not p.is_zero())
+
     def test_constant_value(self, tower):
         p = PuiseuxPoly.const(tower, Fraction(7, 3))
         assert p.is_constant() and p.constant_value() == Fraction(7, 3)

@@ -123,8 +123,27 @@ def test_prove_verifies_the_seed_before_the_orbit_once(monkeypatch):
     for module in (sasano, weyl):
         monkeypatch.setattr(module, "verify_solution", counting)
     assert build_proof().verdict == "NotIntegrable"
-    # the model check's seed, then the 9 orbit nodes to depth 2 (the root rebuilt)
-    assert len(calls) == 10
+    # the model check's seed, which is the orbit's root, then the 8 other
+    # orbit nodes to depth 2
+    assert len(calls) == 9
+
+
+def test_prove_stays_within_its_tower_product_budget(monkeypatch):
+    calls = 0
+    mul = AlgNum.__mul__
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return mul(a, b)
+
+    canonical_constants()  # cached per process: its products would make the count depend on test order
+    monkeypatch.setattr(AlgNum, "__mul__", counting)
+    monkeypatch.setattr(AlgNum, "__rmul__", counting)
+    assert build_proof().verdict == "NotIntegrable"
+    # 1,763 products; 2,491 when matrix products formed every term and each
+    # power started from one.  The count repeats exactly.
+    assert calls <= 1800
 
 
 def test_prove_inverts_each_substitution_root_once(monkeypatch):
