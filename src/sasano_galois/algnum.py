@@ -522,8 +522,19 @@ def rational_recognize(a: AlgNum) -> Fraction | None:
 def _rational_sqrt(q: Fraction) -> Fraction | None:
     if q < 0:
         return None
-    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
-    return Fraction(rn, rd) if rn * rn == q.numerator and rd * rd == q.denominator else None
+    if q == 0:
+        return Fraction(0)
+    num, den = q.numerator, q.denominator
+    rn = _isqrt_exact(num)
+    rd = _isqrt_exact(den)
+    if rn is None or rd is None:
+        return None
+    return Fraction(rn, rd)
+
+
+def _isqrt_exact(n: int) -> int | None:
+    r = math.isqrt(n)
+    return r if r * r == n else None
 
 
 def sqrt_in_tower(a: AlgNum) -> AlgNum:
@@ -551,7 +562,8 @@ def sqrt_in_tower(a: AlgNum) -> AlgNum:
             x = _rational_sqrt(p)
             if x is None:
                 continue
-            return _principal_branch(m * x)
+            root = m * x
+            return _principal_branch(root)
         (m2_key,) = nontrivial
         q = coords[m2_key]
         m2 = AlgNum(tower, tower.monomial_value(m2_key))

@@ -29,7 +29,7 @@ from .report import (
     report_to_markdown,
 )
 from .sasano import seed_solution
-from .weyl import ParamTriple, enumerate_orbit
+from .weyl import ParamTriple, enumerate_orbit, seed_state
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,7 +172,7 @@ def cmd_prove(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    orbit = enumerate_orbit(depth=args.depth)
+    orbit = enumerate_orbit(seed_state(), depth=args.depth)
     report = build_orbit_report(orbit, check_rows=args.check_matsuda)
     return _publish(report, args, "orbit_summary", (("orbit.jsonl", orbit_jsonl(orbit)),))
 

@@ -47,7 +47,8 @@ def mat_mul(a, b):
     Only products of two nonzero factors are formed, and each sum starts
     from its first one, so the entries need no zero: tower numbers, Puiseux
     polynomials, integers and mpmath numbers alike.  A sum with no such
-    product is a[i][0] * b[0][j], a zero of the entry type.
+    product is whichever of a[i][0], b[0][j] is zero, so both matrices
+    need one entry type.
     """
     cols = tuple(zip(*b))
     out = []
@@ -59,7 +60,7 @@ def mat_mul(a, b):
             for k, x in nonzero:
                 if y := col[k]:
                     acc = x * y if acc is None else acc + x * y
-            sums.append(row[0] * col[0] if acc is None else acc)
+            sums.append((col[0] if row[0] else row[0]) if acc is None else acc)
         out.append(tuple(sums))
     return tuple(out)
 

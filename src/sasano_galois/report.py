@@ -478,7 +478,7 @@ def build_proof(
         verdict = outcome.verdict if prerequisites else "Inconclusive"
         sections.append(verdict_section(verdict, prerequisites))
         phase = ("orbit summary", "orbit enumeration")
-        sections.append(orbit_section(enumerate_orbit(depth=orbit_depth, root=seed), check_rows=True))
+        sections.append(orbit_section(enumerate_orbit(seed, depth=orbit_depth), check_rows=True))
     except VerificationError as exc:
         sections.append(failure_section(*phase, exc))
     return finish()

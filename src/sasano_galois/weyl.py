@@ -350,9 +350,9 @@ class OrbitResult(NamedTuple):
         return len(self.nodes)
 
 
-def enumerate_orbit(depth: int = 6, root: SolutionState | None = None) -> OrbitResult:
-    """Breadth-first orbit of ``root`` (:func:`seed_state` by default) under
-    the three generators.
+def enumerate_orbit(root: SolutionState, depth: int = 6) -> OrbitResult:
+    """Breadth-first orbit of ``root`` (a verified state, such as
+    :func:`seed_state`) under the three generators.
 
     Nodes are deduplicated by parameter triple (the first word reaching a
     triple is kept).  Every duplicate hit whose image differs from the kept
@@ -365,8 +365,6 @@ def enumerate_orbit(depth: int = 6, root: SolutionState | None = None) -> OrbitR
     """
     if depth < 0:
         raise WeylError("depth must be nonnegative")
-    if root is None:
-        root = seed_state()
     seen: dict[ParamTriple, OrbitNode] = {}
     nodes: list[OrbitNode] = []
     collisions: list[ParamCollision] = []

@@ -209,7 +209,7 @@ def test_criterion_5_reflection_relations():
 
 def test_criterion_6_orbit_depth_six():
     started = time.perf_counter()
-    orbit = enumerate_orbit(depth=6)
+    orbit = enumerate_orbit(seed_state(), depth=6)
     assert orbit.node_count() == 57
     assert not orbit.skipped
     assert all(c.states_equal for c in orbit.collisions)

@@ -141,7 +141,7 @@ def test_prove_stays_within_its_tower_product_budget(monkeypatch):
     monkeypatch.setattr(AlgNum, "__mul__", counting)
     monkeypatch.setattr(AlgNum, "__rmul__", counting)
     assert build_proof().verdict == "NotIntegrable"
-    # 1,763 products; 2,491 when matrix products formed every term and each
+    # 1,661 products; 2,491 when matrix products formed every term and each
     # power started from one.  The count repeats exactly.
     assert calls <= 1800
 
@@ -182,7 +182,7 @@ def test_seed_report_failure_section():
 
 
 def test_orbit_jsonl_schema():
-    orbit = enumerate_orbit(depth=1)
+    orbit = enumerate_orbit(seed_state(), depth=1)
     lines = orbit_jsonl(orbit).splitlines()
     assert len(lines) == 4
     rows = [json.loads(line) for line in lines]

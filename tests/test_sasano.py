@@ -28,7 +28,7 @@ from sasano_galois.sasano import (
     variational_matrix,
     verify_solution,
 )
-from sasano_galois.weyl import enumerate_orbit
+from sasano_galois.weyl import enumerate_orbit, seed_state
 
 V = PolyExpr.var
 
@@ -239,7 +239,7 @@ class TestLaurentConversion:
 
 
 def depth_two_states():
-    return [node.state for node in enumerate_orbit(depth=2).nodes]
+    return [node.state for node in enumerate_orbit(seed_state(), depth=2).nodes]
 
 
 def per_term_value(expr, assign):

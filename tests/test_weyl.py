@@ -157,17 +157,17 @@ def test_matsuda_rows():
 
 
 def test_orbit_depth_zero_and_one(seed):
-    orbit0 = enumerate_orbit(depth=0)
+    orbit0 = enumerate_orbit(seed_state(), depth=0)
     assert orbit0.node_count() == 1
     assert orbit0.nodes[0].word == ()
-    orbit1 = enumerate_orbit(depth=1)
+    orbit1 = enumerate_orbit(seed_state(), depth=1)
     assert orbit1.node_count() == 4
     words = {n.word for n in orbit1.nodes}
     assert words == {(), ("s0",), ("s1",), ("s2",)}
 
 
 def test_orbit_depth_three_all_checked(seed):
-    orbit = enumerate_orbit(depth=3)
+    orbit = enumerate_orbit(seed_state(), depth=3)
     assert orbit.node_count() > 4
     for node in orbit.nodes:
         # states were verified on construction; the arithmetic condition
@@ -180,7 +180,7 @@ def test_orbit_depth_three_all_checked(seed):
 
 
 def test_orbit_words_reproduce_states(seed):
-    orbit = enumerate_orbit(depth=2)
+    orbit = enumerate_orbit(seed_state(), depth=2)
     for node in orbit.nodes:
         again = apply_word(node.word, seed)
         assert again.components() == node.state.components()
@@ -201,7 +201,7 @@ def test_differing_collision_is_recorded_past_the_audit_depth(monkeypatch):
 
     monkeypatch.setattr(weyl, "AUDIT_DEPTH", 0)
     monkeypatch.setattr(weyl, "apply_generator", parent_at_first_collision)
-    orbit = enumerate_orbit(depth=2)
+    orbit = enumerate_orbit(seed_state(), depth=2)
     assert wrong and [c.states_equal for c in orbit.collisions] == [False]
     assert orbit_section(orbit).status == "fail"
 
@@ -219,7 +219,7 @@ def test_orbit_verifies_each_state_once(monkeypatch):
     monkeypatch.setattr(SolutionState, "make", staticmethod(counting))
     monkeypatch.setattr(weyl, "verify_zero_energy", lambda *a: checked.append(a) or point_check(*a))
     monkeypatch.setattr(weyl, "solution_energy", lambda v: energies.append(v) or energy(v))
-    orbit = enumerate_orbit(depth=6)
+    orbit = enumerate_orbit(seed_state(), depth=6)
     assert orbit.node_count() == 57 and len(orbit.collisions) == 24
     assert len(calls) == 57 and len(checked) == 57
     # only the root computes -H; every image carries its F over
@@ -227,7 +227,7 @@ def test_orbit_verifies_each_state_once(monkeypatch):
 
 
 def test_transported_energy_is_the_energy_lift():
-    orbit = enumerate_orbit(depth=8)
+    orbit = enumerate_orbit(seed_state(), depth=8)
     assert orbit.node_count() == 97 and not orbit.skipped
     for node in orbit.nodes:
         state = node.state
@@ -284,7 +284,7 @@ def test_parameter_action_once_per_edge(monkeypatch):
         return act(name, params)
 
     monkeypatch.setattr(weyl, "act_on_params", counting)
-    orbit = enumerate_orbit(depth=6)
+    orbit = enumerate_orbit(seed_state(), depth=6)
     assert orbit.node_count() == 57 and len(orbit.collisions) == 24
     assert len(calls) == 123
 
@@ -316,7 +316,7 @@ def reference_step(name, x, y, z, w, alpha):
 def test_backlund_steps_match_reference_arithmetic(seed):
     t = RatFunc.variable()
     steps = 0
-    for node in enumerate_orbit(depth=3).nodes:
+    for node in enumerate_orbit(seed_state(), depth=3).nodes:
         s = node.state
         for name in GENERATORS:
             alpha = s.params.as_tuple()[GENERATORS.index(name)]
