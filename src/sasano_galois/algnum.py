@@ -19,8 +19,9 @@ tower's product kernel folds each exponent overflow through  gen_j^d_j =
 c_j,  so every value is reduced canonically and equality of values is
 equality of representations -- given that each defining binomial is
 irreducible.  That is not certified in code: the only guard that runs is
-the numeric ``TowerSpec.self_check``.  The dense nested coefficient layout
-survives only in the JSON encoding.
+the numeric ``TowerSpec.self_check``.  The JSON encoding is that stored
+form, as a sorted list of [exponent vector, "p/q"] pairs: 8*g^6 - 1/2 in the
+canonical tower is  [[[0, 0, 0], "-1/2"], [[6, 0, 0], "8"]].
 
 Numbers are immutable and safe to share between threads.  The numeric
 functions import mpmath on first use, so exact work never loads it.
@@ -598,38 +599,24 @@ def _principal_branch(root: AlgNum) -> AlgNum:
 
 
 # ---------------------------------------------------------------------------
-# JSON encoding: dense nested arrays of "p/q" strings, outermost index = last
-# tower generator; the tower itself serializes alongside.
+# JSON encoding: the stored sparse form as [exponent vector, "p/q"] pairs
+# (see the module docstring), zero as [].  A tower level writes its constant
+# c the same way, over the levels below it.
 
 
-def _to_dense(degrees: tuple[int, ...], coords: dict):
-    def build(lvl: int, suffix: tuple[int, ...]):
-        if lvl < 0:
-            return str(coords.get(suffix, 0))
-        return [build(lvl - 1, (e,) + suffix) for e in range(degrees[lvl])]
-
-    return build(len(degrees) - 1, ())
+def _pairs_to_json(pairs) -> list:
+    return [[list(e), str(q)] for e, q in pairs]
 
 
-def algnum_to_json(a: AlgNum):
-    return _to_dense(a.tower.degrees, a.coords())
-
-
-def _binomial_coeffs(level: TowerLevel):
-    """The coefficients of x^0 .. x^(degree-1) in x^degree - c."""
-    return [{e: -q for e, q in level.c}] + [{}] * (level.degree - 1)
+def algnum_to_json(a: AlgNum) -> list:
+    return _pairs_to_json(a.coords().items())
 
 
 def tower_to_json(tower: TowerSpec):
     return {
         "levels": [
-            {
-                "name": lv.name,
-                "degree": lv.degree,
-                "poly": [_to_dense(tower.degrees[:idx], c) for c in _binomial_coeffs(lv)],
-                "approx": [lv.approx[0], lv.approx[1]],
-            }
-            for idx, lv in enumerate(tower.levels)
+            {"name": lv.name, "degree": lv.degree, "c": _pairs_to_json(lv.c), "approx": list(lv.approx)}
+            for lv in tower.levels
         ]
     }
 

@@ -209,8 +209,8 @@ def normalize_whittaker(ode: ScalarODE2) -> WhittakerData:
 
     The scale is s = 1/(2 sqrt(A)) with the principal square root taken
     inside the tower; then kappa = -B s and mu = sqrt(4C + 1)/2.  Raises
-    when A = 0 (no irregular part) or when ``sqrt_in_tower`` finds no
-    needed square root in the tower.
+    when A = 0 (no irregular part), when ``sqrt_in_tower`` finds no
+    needed square root in the tower, or when (2 mu)^2 != 4C + 1.
     """
     a, b, c = _bracket(ode)
     tower = ode.c0.tower
@@ -227,6 +227,8 @@ def normalize_whittaker(ode: ScalarODE2) -> WhittakerData:
         mu = sqrt_in_tower(four_c) / 2
     except TowerError as exc:
         raise GaloisError(f"no sqrt for the index found in the tower: {exc}") from exc
+    if (mu * 2) ** 2 != four_c:
+        raise GaloisError(f"the index mu = {mu} does not satisfy (2 mu)^2 = 4C + 1 = {four_c}")
     quarter = AlgNum.from_rational(tower, Fraction(1, 4))
     normal = (quarter, -kappa, c)
     rescaled = rescale_variable(ode, scale, "zeta")
@@ -297,16 +299,21 @@ def component_from_stokes(flags: StokesFlags) -> str:
     return "SL2" if flags.both_nontrivial() else "undetermined"
 
 
-def _classify_scalar(ode: ScalarODE2, label: str) -> BlockClassification:
+def _classify_scalar(ode: ScalarODE2, label: str, exponents: tuple[AlgNum, AlgNum]) -> BlockClassification:
     """Normalize and classify the scalar equation of one pulled-back block.
 
     The group is reported as SL2 exactly when both Stokes matrices are
     nontrivial (the exponential torus already forces the diagonal, and a
     nontrivial unipotent in both triangles generates everything).  The
     two natural-number conventions must agree, otherwise the input sits
-    on a boundary this test cannot decide and an error is raised.
+    on a boundary this test cannot decide and an error is raised.  The
+    indicial ``exponents`` at the apparent point belong to the same
+    equation, so an error is raised too unless (rho1 - rho2)^2 = (2 mu)^2.
     """
     wh = normalize_whittaker(ode)
+    rho1, rho2 = exponents
+    if (rho1 - rho2) ** 2 != (wh.mu * 2) ** 2:
+        raise GaloisError(f"{label}: indicial exponents {rho1}, {rho2} do not differ by +-2 mu = +-{wh.mu * 2}")
     flags_a = stokes_triviality(wh.kappa, wh.mu, include_zero=True)
     flags_b = stokes_triviality(wh.kappa, wh.mu, include_zero=False)
     if flags_a.both_nontrivial() != flags_b.both_nontrivial():
@@ -346,7 +353,7 @@ def classify_blocks(blocks) -> GaloisOutcome:
         cert = certify_apparent(ode)
         certs.append(cert)
         diag.extend(cert.lifted_exponents)
-        results.append(_classify_scalar(ode, f"block {idx}"))
+        results.append(_classify_scalar(ode, f"block {idx}", cert.exponents))
     outcome = morales_ramis_verdict(tuple(results), tuple(certs))
     return GaloisOutcome(
         blocks=tuple(results),

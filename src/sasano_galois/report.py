@@ -3,7 +3,9 @@
 Every computed fact is emitted as a certificate step carrying a claim, the
 basis on which the claim is checked, and the exact values involved.  Exact
 numbers appear three ways at once: as a string in tower coordinates, as
-nested rational coordinates, and as a fixed-precision numeric rendering.
+their nonzero coordinates in sorted [exponent vector, "p/q"] pairs
+(8*g^6 - 1/2 is [[[0, 0, 0], "-1/2"], [[6, 0, 0], "8"]]), and as a
+fixed-precision numeric rendering.
 Reports serialize to JSON and Markdown; both renderings are deterministic
 functions of the input, so repeated runs produce identical bytes.
 """
@@ -66,7 +68,7 @@ def format_numeric(a: AlgNum, digits: int = 20) -> str:
 
 
 def algnum_payload(a: AlgNum, digits: int = 20) -> dict[str, Any]:
-    """One exact value: coordinate string, raw coordinates, numeric rendering."""
+    """One exact value: coordinate string, coordinate pairs, numeric rendering."""
     return {
         "exact": str(a),
         "coords": algnum_to_json(a),

@@ -73,39 +73,24 @@ def system_from_entries(tower: TowerSpec, var: str, entries) -> DiffSystem:
     return DiffSystem(var, tuple(rows))
 
 
-def _from_dense(degrees: tuple[int, ...], data):
-    """Sparse tower coordinates from the nested lists of ``algnum_to_json``."""
-    terms = []
-
-    def walk(lvl: int, node, suffix: tuple[int, ...]):
-        if lvl < 0:
-            q = Fraction(node)
-            if q:
-                terms.append((suffix, q))
-            return
-        if len(node) != degrees[lvl]:
-            raise TowerError("coefficient vector length does not match tower degree")
-        for e, c in enumerate(node):
-            walk(lvl - 1, c, (e,) + suffix)
-
-    walk(len(degrees) - 1, data, ())
-    return tuple(sorted(terms))
+def assert_pair_form(data, degrees) -> None:
+    """JSON pairs [exponent vector, "p/q"]: sorted, distinct, in range, no zero value."""
+    keys = [tuple(e) for e, _ in data]
+    assert keys == sorted(set(keys))
+    assert all(len(e) == len(degrees) and all(0 <= k < d for k, d in zip(e, degrees)) for e in keys)
+    assert all(isinstance(q, str) and Fraction(q) for _, q in data)
 
 
 def algnum_from_json(tower: TowerSpec, data) -> AlgNum:
-    monomials = (AlgNum(tower, tower.monomial_value(e, q)) for e, q in _from_dense(tower.degrees, data))
+    """The number of ``algnum_to_json``'s [exponent vector, "p/q"] pairs."""
+    monomials = (AlgNum(tower, tower.monomial_value(tuple(e), Fraction(q))) for e, q in data)
     return sum(monomials, AlgNum.from_rational(tower, 0))
 
 
 def tower_from_json(data) -> TowerSpec:
-    """Rebuild a tower from ``tower_to_json``; each ``poly`` must be x^degree - c."""
-    levels: list[TowerLevel] = []
+    """Rebuild a tower from ``tower_to_json``."""
+    levels = []
     for lv in data["levels"]:
-        degrees = tuple(x.degree for x in levels)
-        poly = [_from_dense(degrees, c) for c in lv["poly"]]
-        if len(poly) != lv["degree"] or any(poly[1:]):
-            raise TowerError(f"level {lv['name']!r} is not a binomial")
-        c = tuple((e, -q) for e, q in poly[0])
-        approx = (lv["approx"][0], lv["approx"][1])
-        levels.append(TowerLevel(name=lv["name"], degree=lv["degree"], c=c, approx=approx))
+        c = tuple((tuple(e), Fraction(q)) for e, q in lv["c"])
+        levels.append(TowerLevel(lv["name"], lv["degree"], c, tuple(lv["approx"])))
     return TowerSpec(tuple(levels))

@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from conftest import algnum_from_json, random_algnum, random_nonzero_algnum, tower_from_json
+from conftest import algnum_from_json, assert_pair_form, random_algnum, random_nonzero_algnum, tower_from_json
 from sasano_galois.algnum import (
     AlgNum,
     TowerError,
@@ -80,16 +80,6 @@ def assert_canonical(a):
     assert type(den) is int and den > 0
     assert math.gcd(den, *[n for _, n in terms]) == 1
     assert terms or a.value == ((), 1)
-
-
-def dense_shape(data, degrees):
-    """Check the nesting of a dense JSON value: outermost index = last generator."""
-    if not degrees:
-        assert isinstance(data, str)
-        return
-    assert isinstance(data, list) and len(data) == degrees[-1]
-    for child in data:
-        dense_shape(child, degrees[:-1])
 
 
 class TestDefiningRelations:
@@ -282,10 +272,8 @@ class TestSerialization:
             assert algnum_from_json(tower, data) == a
 
     def test_json_leaf_format(self, tower):
-        a = AlgNum.from_rational(tower, Fraction(-3, 7))
-        data = algnum_to_json(a)
-        # outermost index = last generator; drill to the constant leaf
-        assert data[0][0][0] == "-3/7"
+        assert algnum_to_json(AlgNum.from_rational(tower, Fraction(-3, 7))) == [[[0, 0, 0], "-3/7"]]
+        assert algnum_to_json(AlgNum.from_rational(tower, 0)) == []
 
     def test_tower_roundtrip(self, tower):
         data = tower_to_json(tower)
@@ -295,10 +283,12 @@ class TestSerialization:
         a = AlgNum.generator(rebuilt, 2)
         assert a * a == AlgNum.generator(rebuilt, 0) ** 6 * 48 - 10
 
-    def test_nesting_matches_degrees(self, tower):
-        a = AlgNum.generator(tower, 0)
-        data = algnum_to_json(a)
-        assert len(data) == 2 and len(data[0]) == 2 and len(data[0][0]) == 12
+    def test_exponent_vector_per_level(self, tower):
+        g, _, b = gens(tower)
+        assert algnum_to_json(g**6 * 8 - Fraction(1, 2)) == [[[0, 0, 0], "-1/2"], [[6, 0, 0], "8"]]
+        assert algnum_to_json(b) == [[[0, 0, 1], "1"]]
+        levels = tower_to_json(tower)["levels"]
+        assert [lv["c"] for lv in levels] == [[[[], "5/64"]], [[[0], "-1"]], [[[0, 0], "-10"], [[6, 0], "48"]]]
 
 
 class TestPresentation:
@@ -403,19 +393,17 @@ class TestSparseKernels:
 
 @pytest.mark.parametrize("name", sorted(TOWERS))
 class TestJsonBoundary:
-    def test_dense_nesting(self, name):
+    def test_pairs_sorted_and_in_range(self, name):
         tw = TOWERS[name]()
         rng = random.Random(909)
         for _ in range(5):
             a = random_algnum(tw, rng, terms=4)
             data = algnum_to_json(a)
-            dense_shape(data, tw.degrees)
-            for exps, q in a.coords().items():
-                leaf = data
-                for e in reversed(exps):
-                    leaf = leaf[e]
-                assert leaf == str(q)
+            assert_pair_form(data, tw.degrees)
+            assert {tuple(e): Fraction(q) for e, q in data} == a.coords()
             assert algnum_from_json(tw, data) == a
+        for j, lv in enumerate(tower_to_json(tw)["levels"]):
+            assert_pair_form(lv["c"], tw.degrees[:j])
 
     def test_tower_roundtrip(self, name):
         tw = TOWERS[name]()
@@ -435,12 +423,6 @@ class TestTowerRejection:
     def test_zero_constant_term(self):
         with pytest.raises(TowerError):
             TowerSpec((TowerLevel("x", 2, (), ("0", "0")),))
-
-    def test_non_binomial_from_json(self, tower):
-        data = tower_to_json(tower)
-        data["levels"][0]["poly"][1] = "1"
-        with pytest.raises(TowerError):
-            tower_from_json(data)
 
     def test_upper_level_must_be_quadratic(self):
         x = TowerLevel("x", 2, (((), Fraction(2)),), ("1.414", "0"))

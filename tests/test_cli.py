@@ -162,28 +162,28 @@ GOLDEN = (
     (
         ("prove",),
         {
-            "proof.json": "3195219c15d21f791e67ed71e02fa07fde33bf422db6ca3606f15a4d8b8aaefd",
+            "proof.json": "5ec4d21dc799b9fbd608b751e51e3835b784be2cdd14a4ced9d08cc1efe73d45",
             "proof.md": "35026f8b5b6fc42ab857279ca51590a4512e825f4668d416c4365489cb510643",
         },
     ),
     (
         ("prove", "--alpha-wasow"),
         {
-            "proof.json": "6e942697b06685da0ab242bf39072df1670906ad3d24c1dbb3a3680851f26146",
+            "proof.json": "417c3d45f6e682935ae93214fd2a36ae59b7396bcd9de237bf122569b6e07e7a",
             "proof.md": "fe8dd939e3a9dffb99e7508ea1bfbdbe95dfd36283328c3b355b67d6d392c3c6",
         },
     ),
     (
         ("--precision", "40", "prove"),
         {
-            "proof.json": "32b6245187f71cabb6f170ea68a0d78cfbbff55cafba045d89e9865f2907a07a",
+            "proof.json": "b158cf94e0b0d52a1230758382d9756d3109d0d497c50969c3ebdda7bd482414",
             "proof.md": "fcfb74448c43314d0460a76a4a54ffe81a0138630689b8929c6c20f0bad0ecda",
         },
     ),
     (
         ("--precision", "15", "prove", "--alpha-wasow"),
         {
-            "proof.json": "420b3294e5cf1b3a90856c62da507ced85dc7703d32f0098c90d0d3c15655bcd",
+            "proof.json": "0f64cca2a7e474b909523a6706fa7a9b7689dc56254ef63ed8b0493944a0afcc",
             "proof.md": "175fabaf7b134ed89c54f165ac222e217ca4ca57b4b1aa24fb43d722e94fc1a2",
         },
     ),
@@ -228,7 +228,7 @@ GOLDEN = (
     (
         ("prove", "--stop-after", "nve"),
         {
-            "proof.json": "11783419810757d9f29a1d917fc753daa2ef22820dddc1aff31ce6e5b73664e9",
+            "proof.json": "53ddbef5fc60362bc2c92099969fc4d1b4e5e73917b0efaa9ee8dc8bf1a2a26c",
             "proof.md": "2d12d6355a27afac599cb36c567a7a61fae03b254f19fc1221f7206ff1110426",
         },
     ),

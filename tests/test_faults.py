@@ -7,11 +7,12 @@ import copy
 import functools
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
 from sasano_galois import algnum, galois, reduction, report, weyl
-from sasano_galois.algnum import AlgNum, TowerError
+from sasano_galois.algnum import AlgNum, TowerError, rational_recognize
 from sasano_galois.cli import main
 from sasano_galois.puiseux import PuiseuxPoly
 from sasano_galois.ratfunc import Poly, RatFunc
@@ -194,4 +195,34 @@ def test_eigenvalue_off_the_characteristic_polynomial_ends_in_reduction_fail_sec
     assert [s.status for s in proof.sections] == ["pass", "pass", "fail"]
     assert proof.sections[-1].name == "reduction trace"
     assert "is not a root of the characteristic polynomial" in dict(proof.sections[-1].steps[0].values)["error"]
+    assert main(["--report-dir", str(tmp_path), "prove"]) == 1
+
+
+@pytest.mark.parametrize(
+    "caller, factor, error",
+    [
+        # mu = sqrt(4C + 1)/3 = 1/9 in place of 1/6
+        (galois.normalize_whittaker, Fraction(2, 3), "(2 mu)^2 = 4C + 1"),
+        # indicial exponents 5/6 and 1/6 in place of 2/3 and 1/3: still no
+        # integer difference, and integers on the 6-fold cover
+        (galois.indicial_exponents, 2, "do not differ by +-2 mu"),
+    ],
+    ids=["whittaker-index", "indicial-exponents"],
+)
+def test_index_off_its_equation_ends_in_apparent_fail_section(tmp_path, monkeypatch, caller, factor, error):
+    # The indicial discriminant and 4C + 1 are both 1/9, so only the calling
+    # function tells their square roots apart.
+    sqrt = galois.sqrt_in_tower
+
+    def scaled(a):
+        root = sqrt(a)
+        if sys._getframe(1).f_code is caller.__code__ and rational_recognize(a) is not None:
+            return root * factor
+        return root
+
+    monkeypatch.setattr(galois, "sqrt_in_tower", scaled)
+    proof = build_proof()
+    assert [s.status for s in proof.sections] == ["pass", "pass", "pass", "fail"]
+    assert proof.sections[-1].name == "apparent singularity"
+    assert error in dict(proof.sections[-1].steps[0].values)["error"]
     assert main(["--report-dir", str(tmp_path), "prove"]) == 1

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import algnum_from_json, assert_pair_form, tower_from_json
 from sasano_galois import sasano, weyl
 from sasano_galois.algnum import AlgNum, canonical_constants
 from sasano_galois.report import (
@@ -85,7 +86,39 @@ def test_exact_value_payloads(proof):
         assert values["kappa"]["numeric"] == "0.5"
         assert values["mu"]["exact"] == "1/6"
         assert values["mu"]["numeric"] == "0.16666666666666666667"
-        assert "coords" in values["scale"]
+
+
+@pytest.fixture(scope="module", params=[False, True], ids=["canonical", "wasow"])
+def proof_json(request):
+    return report_to_json(build_proof(wasow=request.param))
+
+
+def exact_payloads(node):
+    """Every {exact, coords, numeric} value in a decoded report."""
+    if isinstance(node, dict):
+        if "coords" in node:
+            yield node
+        else:
+            for v in node.values():
+                yield from exact_payloads(v)
+    elif isinstance(node, list):
+        for v in node:
+            yield from exact_payloads(v)
+
+
+def test_coords_decode_to_the_exact_strings(proof_json):
+    data = json.loads(proof_json)
+    tower = tower_from_json(data["tower"])
+    payloads = list(exact_payloads(data["sections"]))
+    assert len(payloads) == 21  # a time scale, 4 eigenvalues, 4 indicial exponents, 12 Whittaker values
+    for p in payloads:
+        assert_pair_form(p["coords"], tower.degrees)
+        assert str(algnum_from_json(tower, p["coords"])) == p["exact"]
+
+
+def test_proof_json_stays_sparse(proof_json):
+    # the dense layout wrote 48 or 56 coordinates per number: 49.8 KB and 65.2 KB
+    assert len(proof_json.encode()) <= 25_000
 
 
 def test_json_round_trips(proof):
