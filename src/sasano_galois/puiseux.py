@@ -1,11 +1,14 @@
 """Puiseux-Laurent polynomials with tower-element coefficients.
 
-A value represents a finite sum  sum_k  c_k * x^(k/ram)  with integer keys
-``k`` (negative allowed) and a fixed ramification index ``ram``.  Everything
-in the reduction chain is such a finite sum; no power series truncation is
-ever required, so arithmetic here is exact and closed.  With ``ram == 1`` a
-value is a Laurent polynomial, such as a characteristic polynomial, and
-calling it evaluates it at a tower number.
+A value represents a finite sum  sum_e  c_e * x^e  over exact rational
+exponents ``e`` (negative allowed), stored as the sorted pairs ``(e, c)``:
+an integral exponent is an ``int`` and any other a ``Fraction``, so
+x^(3/4) * x^(1/4) and x^1 store the same pair ``(1, 1)``.  Everything in
+the reduction chain is such a finite sum; no power series truncation is
+ever required, so arithmetic here is exact and closed.  The ramification
+index ``ram`` is derived, the lcm of the exponent denominators; with
+``ram == 1`` a value is a Laurent polynomial, such as a characteristic
+polynomial, and calling it evaluates it at a tower number.
 """
 
 from __future__ import annotations
@@ -17,51 +20,56 @@ from fractions import Fraction
 from .algnum import AlgNum, TowerError, TowerSpec, join_terms
 
 
+def _merge(tower: TowerSpec, terms) -> PuiseuxPoly:
+    """The value sum c * x^e over the (e, c) pairs, in canonical form:
+    equal exponents summed, zero coefficients dropped, exponents ascending,
+    integral exponents stored as ``int``."""
+    merged: dict = {}
+    for e, c in terms:
+        if isinstance(c, (int, Fraction)):
+            c = AlgNum.from_rational(tower, c)
+        old = merged.get(e)
+        merged[e] = c if old is None else old + c
+    return PuiseuxPoly(
+        tower,
+        tuple(sorted(
+            (e.numerator if e.denominator == 1 else e, c) for e, c in merged.items() if not c.is_zero()
+        )),
+    )
+
+
 @dataclass(frozen=True)
 class PuiseuxPoly:
-    """Canonical form: ram minimal, exponents sorted, no zero coefficients."""
+    """Canonical form: exponents ascending, no zero coefficients."""
 
     tower: TowerSpec
-    ram: int
-    terms: tuple[tuple[int, AlgNum], ...]
+    terms: tuple[tuple[int | Fraction, AlgNum], ...]
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def from_terms(tower: TowerSpec, ram: int, terms) -> PuiseuxPoly:
-        merged: dict[int, AlgNum] = {}
-        for k, c in terms:
-            if isinstance(c, (int, Fraction)):
-                c = AlgNum.from_rational(tower, c)
-            if k in merged:
-                merged[k] = merged[k] + c
-            else:
-                merged[k] = c
-        merged = {k: c for k, c in merged.items() if not c.is_zero()}
-        if not merged:
-            return PuiseuxPoly(tower, 1, ())
-        g = ram
-        for k in merged:
-            g = math.gcd(g, abs(k))
-        if g > 1:
-            merged = {k // g: c for k, c in merged.items()}
-            ram = ram // g
-        return PuiseuxPoly(tower, ram, tuple(sorted(merged.items())))
+        """The value sum c * x^(k/ram) over the (k, c) pairs."""
+        return _merge(tower, ((Fraction(k, ram), c) for k, c in terms))
 
     @staticmethod
     def zero(tower: TowerSpec) -> PuiseuxPoly:
-        return PuiseuxPoly(tower, 1, ())
+        return _merge(tower, ())
 
     @staticmethod
     def const(tower: TowerSpec, c) -> PuiseuxPoly:
-        return PuiseuxPoly.from_terms(tower, 1, [(0, c)])
+        return _merge(tower, [(0, c)])
 
     @staticmethod
     def monomial(tower: TowerSpec, c, exponent: Fraction | int) -> PuiseuxPoly:
-        e = Fraction(exponent)
-        return PuiseuxPoly.from_terms(tower, e.denominator, [(e.numerator, c)])
+        return _merge(tower, [(exponent, c)])
 
     # -- structure -------------------------------------------------------------
+
+    @property
+    def ram(self) -> int:
+        """Ramification index: the lcm of the exponent denominators."""
+        return math.lcm(*(e.denominator for e, _ in self.terms))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -79,52 +87,38 @@ class PuiseuxPoly:
             return self.terms[0][1]
         raise TowerError("not a constant")
 
-    def exponents(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(k, self.ram) for k, _ in self.terms)
+    def exponents(self) -> tuple[int | Fraction, ...]:
+        return tuple(e for e, _ in self.terms)
 
-    def valuation(self) -> Fraction:
+    def valuation(self) -> int | Fraction:
         """Smallest exponent; undefined (raises) for the zero polynomial."""
         if not self.terms:
             raise TowerError("zero polynomial has no valuation")
-        return Fraction(self.terms[0][0], self.ram)
+        return self.terms[0][0]
 
-    def max_exponent(self) -> Fraction:
+    def max_exponent(self) -> int | Fraction:
         if not self.terms:
             raise TowerError("zero polynomial has no leading exponent")
-        return Fraction(self.terms[-1][0], self.ram)
+        return self.terms[-1][0]
 
     def coeff_at(self, exponent: Fraction | int) -> AlgNum:
-        e = Fraction(exponent)
-        if self.ram % e.denominator == 0:
-            k = e.numerator * (self.ram // e.denominator)
-            for kk, c in self.terms:
-                if kk == k:
-                    return c
+        for e, c in self.terms:
+            if e == exponent:
+                return c
         return AlgNum.from_rational(self.tower, 0)
 
     # -- arithmetic ---------------------------------------------------------
-
-    def _lift(self, ram: int) -> dict[int, AlgNum]:
-        f = ram // self.ram
-        return {k * f: c for k, c in self.terms}
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        ram = math.lcm(self.ram, other.ram)
-        a = self._lift(ram)
-        for k, c in other._lift(ram).items():
-            if k in a:
-                a[k] = a[k] + c
-            else:
-                a[k] = c
-        return PuiseuxPoly.from_terms(self.tower, ram, a.items())
+        return _merge(self.tower, self.terms + other.terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PuiseuxPoly(self.tower, self.ram, tuple((k, -c) for k, c in self.terms))
+        return _merge(self.tower, ((e, -c) for e, c in self.terms))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -142,19 +136,9 @@ class PuiseuxPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        ram = math.lcm(self.ram, other.ram)
-        a = self._lift(ram)
-        b = other._lift(ram)
-        acc: dict[int, AlgNum] = {}
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                k = ka + kb
-                p = ca * cb
-                if k in acc:
-                    acc[k] = acc[k] + p
-                else:
-                    acc[k] = p
-        return PuiseuxPoly.from_terms(self.tower, ram, acc.items())
+        return _merge(
+            self.tower, ((ea + eb, ca * cb) for ea, ca in self.terms for eb, cb in other.terms)
+        )
 
     __rmul__ = __mul__
 
@@ -164,20 +148,17 @@ class PuiseuxPoly:
             raise ZeroDivisionError("inverse of the zero polynomial")
         if len(self.terms) != 1:
             raise TowerError(f"only single-term values invert exactly, got {self.render()!r}")
-        ((k, c),) = self.terms
-        return PuiseuxPoly(self.tower, self.ram, ((-k, c.inverse()),))
+        ((e, c),) = self.terms
+        return _merge(self.tower, [(-e, c.inverse())])
 
     def scale(self, c) -> PuiseuxPoly:
         if isinstance(c, (int, Fraction)):
             c = AlgNum.from_rational(self.tower, c)
-        return PuiseuxPoly.from_terms(self.tower, self.ram, [(k, cc * c) for k, cc in self.terms])
+        return _merge(self.tower, ((e, cc * c) for e, cc in self.terms))
 
     def shift(self, exponent: Fraction | int) -> PuiseuxPoly:
         """Multiply by x^exponent."""
-        e = Fraction(exponent)
-        ram = math.lcm(self.ram, e.denominator)
-        off = e.numerator * (ram // e.denominator)
-        return PuiseuxPoly.from_terms(self.tower, ram, [(k + off, c) for k, c in self._lift(ram).items()])
+        return _merge(self.tower, ((e + exponent, c) for e, c in self.terms))
 
     def _coerce(self, other):
         if isinstance(other, PuiseuxPoly):
@@ -192,21 +173,16 @@ class PuiseuxPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.ram == other.ram and self.terms == other.terms
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ram, self.terms))
+        return hash(self.terms)
 
     # -- calculus ---------------------------------------------------------------
 
     def derivative(self) -> PuiseuxPoly:
-        """d/dx, exact: x^(k/d) -> (k/d) x^(k/d - 1)."""
-        out = []
-        for k, c in self.terms:
-            if k == 0:
-                continue
-            out.append((k - self.ram, c * Fraction(k, self.ram)))
-        return PuiseuxPoly.from_terms(self.tower, self.ram, out)
+        """d/dx, exact: x^e -> e x^(e - 1)."""
+        return _merge(self.tower, ((e - 1, c * e) for e, c in self.terms if e))
 
     def substitute_power(
         self, root: AlgNum, index: int, power: Fraction, inv: AlgNum | None = None
@@ -214,7 +190,7 @@ class PuiseuxPoly:
         """Expand p(x) under x = root^index * u^power into a polynomial in u.
 
         ``index`` must be a multiple of every exponent denominator in p, so
-        the fractional powers (root^index)^(k/ram) stay inside the tower.
+        the fractional powers (root^index)^e stay inside the tower.
         ``inv`` is 1/root, inverted here when not given and a term needs it.
         """
         power = Fraction(power)
@@ -224,15 +200,13 @@ class PuiseuxPoly:
             raise TowerError("root index must be a positive integer")
         if index % self.ram != 0:
             raise TowerError(f"need a root of index divisible by {self.ram}, got {index}")
-        step = index // self.ram
-        ram = self.ram * power.denominator
         if inv is None and self.terms and self.terms[0][0] < 0:  # terms ascend
             inv = root.inverse()
-        out = [
-            (k * power.numerator, c * (root ** (step * k) if k >= 0 else inv ** (-step * k)))
-            for k, c in self.terms
-        ]
-        return PuiseuxPoly.from_terms(self.tower, ram, out)
+        out = []
+        for e, c in self.terms:
+            n = int(e * index)
+            out.append((e * power, c * (root**n if n >= 0 else inv ** (-n))))
+        return _merge(self.tower, out)
 
     # -- evaluation / presentation -------------------------------------------
 
@@ -254,26 +228,25 @@ class PuiseuxPoly:
         """Numeric value given a chosen numeric root x^(1/ram).
 
         The caller fixes the branch by supplying the root; every term is
-        x_root^k, so evaluation is single-valued once the root is chosen.
+        x_root^(e * ram), so evaluation is single-valued once the root is
+        chosen.
         """
+        ram = self.ram
         total = 0
-        for k, c in self.terms:
-            total = total + c.embed(precision) * x_root**k
+        for e, c in self.terms:
+            total = total + c.embed(precision) * x_root ** int(e * ram)
         return total
 
     def render(self, var: str = "x") -> str:
-        def power(e: Fraction) -> str:
+        def power(e) -> str:
             if e == 1:
                 return var
             return f"{var}^{e}" if e.denominator == 1 else f"{var}^({e})"
 
-        return join_terms(
-            (str(c), power(Fraction(k, self.ram)) if k else "") for k, c in reversed(self.terms)
-        )
+        return join_terms((str(c), power(e) if e else "") for e, c in reversed(self.terms))
 
     def __str__(self):
         return self.render()
 
     def __repr__(self):
         return f"PuiseuxPoly({self.render()})"
-

@@ -279,14 +279,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_constant(self) -> bool:
-        return self.num.degree() <= 0 and self.den.degree() == 0
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("not a constant rational function")
-        return Fraction(0) if self.is_zero() else self.num.coeffs[0]
-
     def __add__(self, other) -> RatFunc:
         # Henrici: with g = gcd(b, d), a/b + c/d = (a (d/g) + c (b/g)) / ((b/g) (d/g) g),
         # and a common factor of that numerator and denominator divides g.
@@ -344,12 +336,6 @@ class RatFunc:
                 raise ZeroDivisionError("division by the zero rational function")
             base, n = RatFunc._monic(self.den, self.num), -n
         return RatFunc(base.num**n, base.den**n)
-
-    def derivative(self) -> RatFunc:
-        return RatFunc.make(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
 
     def __call__(self, t) -> Fraction:
         t = Fraction(t)

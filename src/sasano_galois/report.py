@@ -244,7 +244,7 @@ def apparent_section(outcome: GaloisOutcome, digits: int = 20) -> ReportSection:
     for block, cert in zip(outcome.blocks, outcome.apparent):
         steps.append(
             CertificateStep(
-                claim=f"indicial exponents of {block.label} are 2/3 and 1/3",
+                claim="indicial exponents of {} are {} and {}".format(block.label, *cert.exponents),
                 basis="indicial polynomial of the regular point, Fuchs relation checked",
                 values=(
                     ("exponents", [algnum_payload(e, digits) for e in cert.exponents]),

@@ -394,7 +394,7 @@ def enumerate_orbit(root: SolutionState, depth: int = 6) -> OrbitResult:
                             kept_word=known.word,
                             other_word=word,
                             depth=node.depth + 1,
-                            states_equal=known.state.components() == image.components(),
+                            states_equal=image is known.state,
                         )
                     )
                 continue

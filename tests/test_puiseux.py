@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from sasano_galois.algnum import AlgNum, TowerError, canonical_constants
+from sasano_galois.algnum import AlgNum, TowerError, canonical_constants, rational_recognize
 from sasano_galois.puiseux import PuiseuxPoly
 
 
@@ -16,7 +18,7 @@ def x_pow(tower, e):
 class TestNormalization:
     def test_ramification_reduces(self, tower):
         p = PuiseuxPoly.from_terms(tower, 4, [(2, AlgNum.from_rational(tower, 1))])
-        assert p.ram == 2 and p.terms[0][0] == 1
+        assert p.ram == 2 and p.terms[0][0] == Fraction(1, 2)
 
     def test_zero_terms_dropped(self, tower):
         one = AlgNum.from_rational(tower, 1)
@@ -25,10 +27,83 @@ class TestNormalization:
         assert p.ram == 1
 
     def test_equality_across_constructions(self, tower):
-        a = x_pow(tower, Fraction(1, 2)) * x_pow(tower, Fraction(1, 2))
         b = x_pow(tower, 1)
-        assert a == b
-        assert hash(a) == hash(b)
+        routes = [
+            x_pow(tower, Fraction(1, 2)) * x_pow(tower, Fraction(1, 2)),
+            x_pow(tower, Fraction(3, 4)) * x_pow(tower, Fraction(1, 4)),
+            x_pow(tower, Fraction(3, 4)).shift(Fraction(1, 4)),
+            PuiseuxPoly.monomial(tower, 1, 1),
+            PuiseuxPoly.from_terms(tower, 4, [(4, 1)]),
+            x_pow(tower, Fraction(-1, 2)).inverse() * x_pow(tower, Fraction(1, 2)),
+            x_pow(tower, Fraction(5, 4)).derivative().scale(Fraction(4, 5)).shift(Fraction(3, 4)),
+        ]
+        for a in routes:
+            assert a == b
+            assert hash(a) == hash(b)
+            assert a.render() == b.render() == "x" and a.terms == b.terms
+            assert type(a.terms[0][0]) is int and a.ram == 1
+
+
+def rand_ref(rng: random.Random) -> dict[Fraction, Fraction]:
+    """A random {exponent: coefficient} map with rational entries, zeros dropped."""
+    ref: dict[Fraction, Fraction] = {}
+    for _ in range(rng.randint(0, 5)):
+        e = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6)))
+        ref[e] = ref.get(e, 0) + Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return {e: c for e, c in ref.items() if c}
+
+
+def from_ref(tower, ref) -> PuiseuxPoly:
+    return PuiseuxPoly.from_terms(tower, 12, [(e * 12, c) for e, c in ref.items()])
+
+
+def ref_sum(*refs) -> dict[Fraction, Fraction]:
+    out: dict[Fraction, Fraction] = {}
+    for ref in refs:
+        for e, c in ref.items():
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def assert_matches(p: PuiseuxPoly, ref) -> None:
+    """p is in canonical form and equals the reference map."""
+    exps = [e for e, _ in p.terms]
+    assert all(a < b for a, b in zip(exps, exps[1:]))
+    assert all(not c.is_zero() for _, c in p.terms)
+    assert all(type(e) is (int if e.denominator == 1 else Fraction) for e in exps)
+    assert {e: rational_recognize(c) for e, c in p.terms} == ref
+    assert p.ram == math.lcm(*(e.denominator for e in ref))
+
+
+class TestExactExponents:
+    """Every operation against a plain {Fraction: Fraction} reference."""
+
+    def test_operations_match_the_reference(self, tower):
+        rng = random.Random(1818)
+        root = AlgNum.from_rational(tower, 2)
+        for _ in range(60):
+            a, b = rand_ref(rng), rand_ref(rng)
+            p, q = from_ref(tower, a), from_ref(tower, b)
+            assert_matches(p, a)
+            assert_matches(p + q, ref_sum(a, b))
+            assert_matches(p - q, ref_sum(a, {e: -c for e, c in b.items()}))
+            assert_matches(p * q, ref_sum(*({ea + eb: ca * cb} for ea, ca in a.items() for eb, cb in b.items())))
+            k = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            assert_matches(p.scale(k), ref_sum({e: c * k for e, c in a.items()}))
+            s = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 4)))
+            assert_matches(p.shift(s), {e + s: c for e, c in a.items()})
+            assert_matches(p.derivative(), {e - 1: c * e for e, c in a.items() if e})
+            index, power = p.ram * rng.choice((1, 2)), Fraction(rng.randint(1, 6), rng.randint(1, 4))
+            expect = {e * power: c * Fraction(2) ** int(e * index) for e, c in a.items()}
+            assert_matches(p.substitute_power(root, index, power), expect)
+            assert_matches(p.substitute_power(root, index, power, root.inverse()), expect)
+            if p.ram > 1:
+                with pytest.raises(TowerError):
+                    p.substitute_power(root, p.ram - 1, power)
+            for e, c in a.items():
+                assert p.coeff_at(e) == c
+                assert_matches(PuiseuxPoly.monomial(tower, c, e).inverse(), {-e: 1 / c})
+            assert p.coeff_at(Fraction(1, 5)).is_zero()
 
 
 class TestArithmetic:
@@ -115,7 +190,7 @@ class TestCalculus:
         c = canonical_constants()
         root = c.alpha_quarter_root
         p = x_pow(tower, -3) + x_pow(tower, Fraction(-1, 2)) * 5 + x_pow(tower, -1) + 2
-        terms = [PuiseuxPoly(tower, p.ram, (t,)).substitute_power(root, 4, Fraction(4)) for t in p.terms]
+        terms = [PuiseuxPoly(tower, (t,)).substitute_power(root, 4, Fraction(4)) for t in p.terms]
         inverted = []
         inverse = AlgNum.inverse
         monkeypatch.setattr(AlgNum, "inverse", lambda a: inverted.append(a) or inverse(a))

@@ -11,9 +11,11 @@ import pytest
 from conftest import algnum_from_json, assert_pair_form, tower_from_json
 from sasano_galois import sasano, weyl
 from sasano_galois.algnum import AlgNum, canonical_constants
+from sasano_galois.galois import ApparentCertificate, BlockClassification, GaloisOutcome
 from sasano_galois.report import (
     SECTION_ORDER,
     STATUSES,
+    apparent_section,
     build_orbit_report,
     build_proof,
     build_seed_report,
@@ -192,6 +194,15 @@ def test_prove_inverts_each_substitution_root_once(monkeypatch):
     # 4 matrix substitutions (2 in the chain and its inverse walk, 2 pulling
     # back eta) and 4 scalar ones in rescale_variable, one inversion each
     assert sum(c in ("change_variable_power", "substitute_power") for c in callers) == 8
+
+
+def test_apparent_claim_names_the_certificate_exponents():
+    tower = canonical_constants().tower
+    rho = tuple(AlgNum.from_rational(tower, q) for q in (Fraction(5, 6), Fraction(1, 6)))
+    cert = ApparentCertificate(exponents=rho, pullback=6, lifted_exponents=(5, 1), order=4, series=((), ()))
+    block = BlockClassification(label="block 1", whittaker=None, stokes=None, group="SL2")
+    outcome = GaloisOutcome(blocks=(block,), apparent=(cert,), lifted_diagonal=(5, 1), verdict="NotIntegrable")
+    assert apparent_section(outcome).steps[0].claim == "indicial exponents of block 1 are 5/6 and 1/6"
 
 
 def test_format_numeric():
