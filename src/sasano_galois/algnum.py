@@ -46,6 +46,34 @@ class TowerError(VerificationError):
     """Raised for structurally invalid tower operations."""
 
 
+class Frozen:
+    """Immutable base of the value types: the fields are the ``__slots__``,
+    set in order; equality (within one type), hash and ``repr`` use them."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self._key()))})"
+
+
 # A value is a pair (terms, den): terms a sorted tuple of (exponent tuple,
 # nonzero int) pairs with one exponent per level of its tower, den > 0 and
 # gcd(den, *numerators) == 1; zero is ((), 1).
@@ -329,7 +357,7 @@ def _inv_mod_binomial(p: list, d: int, c: Fraction) -> list:
     return [x / r1[0] for x in s1]
 
 
-class AlgNum:
+class AlgNum(Frozen):
     """An exact element of a fixed extension tower.
 
     An immutable canonical value: sparse integer coordinates over one
@@ -344,9 +372,6 @@ class AlgNum:
     def __init__(self, tower: TowerSpec, value):
         object.__setattr__(self, "tower", tower)
         object.__setattr__(self, "value", value)
-
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("AlgNum is immutable")
 
     # -- constructors ------------------------------------------------------
 

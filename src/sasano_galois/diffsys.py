@@ -13,16 +13,15 @@ the output coefficients stay exact:
 * exact eigen-decomposition for matrices with distinct known eigenvalues,
   from the spectral projectors alone (no elimination).
 
-Matrices are tuples of tuples to keep the dataclasses hashable.
+Matrices are tuples of tuples, so a system is immutable and hashable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algnum import AlgNum, TowerError, TowerSpec
+from .algnum import AlgNum, Frozen, TowerError, TowerSpec
 from .puiseux import PuiseuxPoly
 
 AlgMatrix = tuple[tuple[AlgNum, ...], ...]
@@ -146,12 +145,10 @@ def eigen_decompose_distinct(
 # -- differential systems ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiffSystem:
-    """dX/dx = matrix(x) X with Puiseux polynomial entries."""
+class DiffSystem(Frozen):
+    """dX/d(var) = matrix X, a square tuple of rows of ``PuiseuxPoly``."""
 
-    var: str
-    matrix: PolyMatrix
+    __slots__ = ("var", "matrix")
 
     @property
     def dim(self) -> int:

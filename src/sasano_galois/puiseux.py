@@ -14,10 +14,9 @@ polynomial, and calling it evaluates it at a tower number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .algnum import AlgNum, TowerError, TowerSpec, join_terms
+from .algnum import AlgNum, Frozen, TowerError, TowerSpec, join_terms
 
 
 def _merge(tower: TowerSpec, terms) -> PuiseuxPoly:
@@ -38,12 +37,14 @@ def _merge(tower: TowerSpec, terms) -> PuiseuxPoly:
     )
 
 
-@dataclass(frozen=True)
-class PuiseuxPoly:
+class PuiseuxPoly(Frozen):
     """Canonical form: exponents ascending, no zero coefficients."""
 
-    tower: TowerSpec
-    terms: tuple[tuple[int | Fraction, AlgNum], ...]
+    __slots__ = ("tower", "terms")
+
+    def __init__(self, tower: TowerSpec, terms: tuple[tuple[int | Fraction, AlgNum], ...]):
+        object.__setattr__(self, "tower", tower)
+        object.__setattr__(self, "terms", terms)
 
     # -- constructors --------------------------------------------------------
 

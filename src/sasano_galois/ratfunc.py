@@ -20,11 +20,10 @@ product, TAOCP vol. 2, 4.5.1), and powers need none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algnum import int_power, join_terms
+from .algnum import Frozen, int_power, join_terms
 
 
 # -- integer kernels -------------------------------------------------------------
@@ -114,14 +113,16 @@ def _int_gcd(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
 # -- polynomials and rational functions --------------------------------------------
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Frozen):
     """Dense polynomial (sum nums[k] t^k) / den in canonical form: ascending
     integer coefficients with no trailing zeros, den > 0 and coprime to
     their content, and zero as ``Poly(())`` with den 1."""
 
-    nums: tuple[int, ...]
-    den: int = 1
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums: tuple[int, ...], den: int = 1):
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
 
     @staticmethod
     def make(coeffs: Sequence) -> Poly:
@@ -239,13 +240,15 @@ def _cancel(p: Poly, q: Poly) -> tuple[Poly, Poly]:
     return p, q
 
 
-@dataclass(frozen=True)
-class RatFunc:
-    """Reduced rational function; the denominator is monic and coprime to
-    the numerator."""
+class RatFunc(Frozen):
+    """Reduced rational function num/den of two ``Poly``; the denominator
+    is monic and coprime to the numerator."""
 
-    num: Poly
-    den: Poly
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Poly, den: Poly):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @staticmethod
     def make(num, den=1) -> RatFunc:

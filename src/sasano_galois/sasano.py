@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .algnum import AlgNum, TowerError, TowerSpec, VerificationError, int_power, join_terms
+from .algnum import AlgNum, Frozen, TowerError, TowerSpec, VerificationError, int_power, join_terms
 from .diffsys import DiffSystem
 from .puiseux import PuiseuxPoly
 from .ratfunc import Poly, RatFunc
@@ -35,11 +34,10 @@ _INDEX = {name: k for k, name in enumerate(VARS)}
 PHASE_VARS = ("x", "y", "z", "w", "t", "F")
 
 
-@dataclass(frozen=True)
-class PolyExpr:
-    """Sparse polynomial in the nine model symbols, Fraction coefficients."""
+class PolyExpr(Frozen):
+    """Sparse polynomial in the nine model symbols: sorted (exponent tuple, Fraction) terms."""
 
-    terms: tuple[tuple[tuple[int, ...], Fraction], ...]
+    __slots__ = ("terms",)
 
     @staticmethod
     def _from_dict(d: dict[tuple[int, ...], Fraction]) -> PolyExpr:

@@ -18,6 +18,7 @@ import pytest
 
 import sasano_galois
 from sasano_galois import algnum, galois, reduction, report, weyl
+from sasano_galois.algnum import AlgNum, canonical_tower
 from sasano_galois.diffsys import DiffSystem
 from sasano_galois.puiseux import PuiseuxPoly
 from sasano_galois.ratfunc import Poly, RatFunc
@@ -51,6 +52,19 @@ def test_orbit_runs_without_mpmath(tmp_path):
         "print(json.dumps([imported, code, 'mpmath' in sys.modules]))"
     )
     assert loaded == [False, 0, False]
+
+
+def test_commands_load_neither_dataclasses_nor_inspect(tmp_path):
+    added = _fresh(
+        "import json, sys\n"
+        "at_start = set(sys.modules)\n"
+        "from sasano_galois import cli, reduction\n"
+        "reduction.canonical_config()\n"
+        f"cli.main(['--report-dir', {str(tmp_path)!r}, 'orbit', '--depth', '2'])\n"
+        f"cli.main(['--report-dir', {str(tmp_path)!r}, 'prove'])\n"
+        "print(json.dumps(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - at_start))))"
+    )
+    assert added == []
 
 
 def test_configuration_load_imports_mpmath():
@@ -97,12 +111,76 @@ def test_record_rejects_assignment(cls):
             setattr(record, field, 1)
 
 
-VALUE_TYPES = (Poly, RatFunc, PuiseuxPoly, DiffSystem, PolyExpr)
+VALUE_TYPES = (AlgNum, Poly, RatFunc, PuiseuxPoly, DiffSystem, PolyExpr)
+
+# Each call builds a new value, equal to the last one built.
+SAMPLES = {
+    AlgNum: lambda: AlgNum.generator(canonical_tower(), 1),
+    Poly: lambda: Poly((1, 2), 3),
+    RatFunc: lambda: RatFunc.make(Poly.variable(), Poly((1, 1))),
+    PuiseuxPoly: lambda: PuiseuxPoly.monomial(canonical_tower(), 2, Fraction(1, 2)),
+    DiffSystem: lambda: DiffSystem("x", ((PuiseuxPoly.const(canonical_tower(), 3),),)),
+    PolyExpr: lambda: PolyExpr.var("y"),
+}
 
 
 @pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
 def test_value_type_is_not_a_tuple(cls):
     assert not issubclass(cls, tuple)
+
+
+@pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
+def test_value_rejects_assignment_and_deletion(cls):
+    value = SAMPLES[cls]()
+    assert not hasattr(value, "__dict__")
+    for field in cls.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert SAMPLES[cls]() == value
+
+
+@pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
+def test_equal_values_hash_equal(cls):
+    a, b = SAMPLES[cls](), SAMPLES[cls]()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b) and {a: 1}[b] == 1
+
+
+@pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
+def test_value_equals_no_tuple_and_no_other_type(cls):
+    value = SAMPLES[cls]()
+    fields = tuple(getattr(value, name) for name in cls.__slots__)
+    assert value != fields and fields != value
+    for other in VALUE_TYPES:
+        if other is not cls:
+            assert value != SAMPLES[other]() and SAMPLES[other]() != value
+
+
+@pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
+def test_repr_names_the_type(cls):
+    assert repr(SAMPLES[cls]()).startswith(f"{cls.__name__}(")
+
+
+def test_value_built_with_wrong_field_count_raises():
+    with pytest.raises(ValueError):
+        PolyExpr()
+    with pytest.raises(ValueError):
+        DiffSystem("x", (), None)
+
+
+def test_value_field_comparison_examples():
+    assert Poly((1,), 1) != ((1,), 1)
+    assert Poly((1,)) == Poly((1,), 1) == Poly.const(1)
+    assert repr(Poly((1, 2), 3)) == "Poly((1, 2), 3)" and repr(PolyExpr(())) == "PolyExpr(())"
+    tower = canonical_tower()
+    assert PuiseuxPoly.zero(tower) == 0 and PuiseuxPoly.const(tower, Fraction(3, 4)) == Fraction(3, 4)
+    assert AlgNum.from_rational(tower, 1) == 1 and AlgNum.from_rational(tower, 1) != 2
+    assert PuiseuxPoly.const(tower, 5) == AlgNum.from_rational(tower, 5)
 
 
 def test_equal_param_triples_hash_equal():
