@@ -33,7 +33,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from operator import add as _add
+from operator import add as _add, attrgetter
 from typing import NamedTuple
 
 
@@ -47,10 +47,12 @@ class TowerError(VerificationError):
 
 
 class Frozen:
-    """Immutable base of the value types: the fields are the ``__slots__``,
-    set in order; equality (within one type), hash and ``repr`` use them."""
+    """Immutable base of the value types, whose fields are the ``__slots__``."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = staticmethod(attrgetter(*cls.__slots__))  # bare value for one slot
 
     def __init__(self, *fields):
         for name, value in zip(self.__slots__, fields, strict=True):
@@ -61,17 +63,17 @@ class Frozen:
 
     __delattr__ = __setattr__
 
-    def _key(self) -> tuple:
-        return tuple(map(self.__getattribute__, self.__slots__))
-
     def __eq__(self, other):
-        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+        return self._key(self) == self._key(other) if type(other) is type(self) else NotImplemented
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._key(self))
+
+    def __reduce__(self):
+        return type(self), tuple(map(self.__getattribute__, self.__slots__))
 
     def __repr__(self):
-        return f"{type(self).__name__}({', '.join(map(repr, self._key()))})"
+        return f"{type(self).__name__}({', '.join(map(repr, self.__reduce__()[1]))})"
 
 
 # A value is a pair (terms, den): terms a sorted tuple of (exponent tuple,

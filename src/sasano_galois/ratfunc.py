@@ -246,10 +246,6 @@ class RatFunc(Frozen):
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
     @staticmethod
     def make(num, den=1) -> RatFunc:
         num = _as_poly(num)

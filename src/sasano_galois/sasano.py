@@ -41,8 +41,7 @@ class PolyExpr(Frozen):
 
     @staticmethod
     def _from_dict(d: dict[tuple[int, ...], Fraction]) -> PolyExpr:
-        items = tuple(sorted((e, c) for e, c in d.items() if c != 0))
-        return PolyExpr(items)
+        return PolyExpr(tuple(sorted((e, c) for e, c in d.items() if c != 0)))
 
     @staticmethod
     def const(c) -> PolyExpr:

@@ -6,8 +6,10 @@ has long since loaded every module.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -159,6 +161,17 @@ def test_value_equals_no_tuple_and_no_other_type(cls):
     for other in VALUE_TYPES:
         if other is not cls:
             assert value != SAMPLES[other]() and SAMPLES[other]() != value
+
+
+@pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
+def test_value_survives_copy_and_pickle(cls):
+    value = SAMPLES[cls]()
+    assert copy.copy(value) == value
+    for restored in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(restored) is cls and repr(restored) == repr(value)
+        # A copied tower is a new tower, and values over different towers never compare.
+        if cls in (Poly, RatFunc, PolyExpr):
+            assert restored == value and hash(restored) == hash(value)
 
 
 @pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
