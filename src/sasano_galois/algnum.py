@@ -52,7 +52,7 @@ class Frozen:
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._key = staticmethod(attrgetter(*cls.__slots__))  # bare value for one slot
+        cls._key = staticmethod(attrgetter(*cls.__slots__))  # a bare value, not a tuple, for one slot
 
     def __init__(self, *fields):
         for name, value in zip(self.__slots__, fields, strict=True):

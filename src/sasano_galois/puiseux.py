@@ -246,7 +246,8 @@ class PuiseuxPoly(Frozen):
 
         return join_terms((str(c), power(e) if e else "") for e, c in reversed(self.terms))
 
-    __str__ = render
+    def __str__(self):
+        return self.render()
 
     def __repr__(self):
         return f"PuiseuxPoly({self.render()})"

@@ -41,7 +41,8 @@ class PolyExpr(Frozen):
 
     @staticmethod
     def _from_dict(d: dict[tuple[int, ...], Fraction]) -> PolyExpr:
-        return PolyExpr(tuple(sorted((e, c) for e, c in d.items() if c != 0)))
+        items = tuple(sorted((e, c) for e, c in d.items() if c != 0))
+        return PolyExpr(items)
 
     @staticmethod
     def const(c) -> PolyExpr:
