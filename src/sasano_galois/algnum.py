@@ -123,12 +123,19 @@ class TowerSpec:
                 raise TowerError(f"level {lv.name!r} above the rational base must be quadratic")
             pad = (0,) * (n - j)
             self._rel.append(_value([(e + pad, q) for e, q in lv.c]))
-        # Raw exponent sum -> reduced value, and basis monomial -> its inverse;
-        # two threads filling one key store equal values.
+        # Tables filled on first use: raw exponent sum -> reduced value, basis
+        # monomial -> its inverse, any other value -> its inverse, (value,
+        # precision) -> its embedding, radicand -> its principal square root
+        # (a failed search stores nothing), precision -> the level roots, and
+        # (precision, exponents) -> the monomial's embedding; two threads
+        # filling one key store equal values.
         self._fold: dict[tuple[int, ...], tuple] = {}
         self._unit_inv: dict[tuple[int, ...], tuple] = {}
+        self._inverses: dict[tuple, tuple] = {}
+        self._embeds: dict = {}
+        self._sqrts: dict[tuple, AlgNum] = {}
         self._root_cache: dict[int, list] = {}
-        self._monomials: dict = {}  # (precision, exponents) -> mpmath.mpc
+        self._monomials: dict = {}
         self._checked = False
 
     # -- values and their product and inverse kernels ---------------------
@@ -180,10 +187,10 @@ class TowerSpec:
         """Multiplicative inverse.
 
         A monomial n/den * m is den/n times the inverse of the basis
-        monomial m, read from a table filled on first use.  For a sum, on
-        each quadratic level a = a0 + a1*x has the inverse (a0 - a1*x) / N
-        with the norm N = a0^2 - c*a1^2 one level down; the rational base
-        level runs extended Euclid over Q.
+        monomial m, read from a table filled on first use.  A sum's inverse
+        is computed once and kept: on each quadratic level a = a0 + a1*x has
+        the inverse (a0 - a1*x) / N with the norm N = a0^2 - c*a1^2 one level
+        down; the rational base level runs extended Euclid over Q.
         """
         terms, den = a
         if not terms:
@@ -194,7 +201,10 @@ class TowerSpec:
             if unit is None:
                 unit = self._unit_inv[e] = self._inv_sum((((e, 1),), 1))
             return _canon([(k, m * den) for k, m in unit[0]], unit[1] * n)
-        return self._inv_sum(a)
+        inverse = self._inverses.get(a)
+        if inverse is None:
+            inverse = self._inverses[a] = self._inv_sum(a)
+        return inverse
 
     def _inv_sum(self, a):
         conjugates = []
@@ -497,8 +507,12 @@ class AlgNum(Frozen):
         return f"AlgNum({self})"
 
     def embed(self, precision: int = 20):
-        """Numeric value as an mpmath complex number (ring homomorphism)."""
-        return self.tower.embed_value(self.coords(), precision)
+        """Numeric value as an mpmath complex number (ring homomorphism), kept per precision."""
+        table, key = self.tower._embeds, (self.value, precision)
+        z = table.get(key)
+        if z is None:
+            z = table[key] = self.tower.embed_value(self.coords(), precision)
+        return z
 
 
 def int_power(base, n: int, one):
@@ -573,8 +587,16 @@ def sqrt_in_tower(a: AlgNum) -> AlgNum:
     every radicand the pipeline produces.  Raises TowerError when the search
     finds no such root; that does not show that the tower has none.  The
     branch is fixed numerically: nonnegative real part, and nonnegative
-    imaginary part on the imaginary axis.
+    imaginary part on the imaginary axis.  A root found is kept in the
+    tower's table; a failed search is not kept, so it raises on every call.
     """
+    root = a.tower._sqrts.get(a.value)
+    if root is None:
+        root = a.tower._sqrts[a.value] = _search_sqrt(a)
+    return root
+
+
+def _search_sqrt(a: AlgNum) -> AlgNum:
     tower = a.tower
     if a.is_zero():
         return a

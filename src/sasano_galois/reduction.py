@@ -80,12 +80,19 @@ def _fixture_table(tables: dict, key: str, what: str):
 def _square(rows: list, what: str) -> list:
     if not rows or any(len(row) != len(rows) for row in rows):
         raise ReductionError(f"fixture {what} is not a square matrix")
+    for text in (text for row in rows for text in row if not isinstance(text, str)):
+        raise ReductionError(f"fixture {what}: expected expression text, got {text!r}")
     return rows
+
+
+@functools.cache
+def _fixture_entry(text: str, constants: ChainConstants, var: str) -> PuiseuxPoly:
+    """One fixture entry, parsed once per (text, constants, var)."""
+    return parse_puiseux(text, constants.tower, var, chain_symbols(constants))
 
 
 def fixture_system(stage: dict, constants: ChainConstants) -> DiffSystem:
     """Build the canonical-form system M = var^prefactor * printed matrix."""
-    resolver = chain_symbols(constants)
     name, var = stage["name"], stage["var"]
     try:
         pref = PuiseuxPoly.monomial(constants.tower, 1, Fraction(stage["prefactor"]))
@@ -93,7 +100,7 @@ def fixture_system(stage: dict, constants: ChainConstants) -> DiffSystem:
         raise ReductionError(f"fixture stage {name}: prefactor {stage['prefactor']!r}: {exc}") from exc
     try:
         rows = tuple(
-            tuple(parse_puiseux(text, constants.tower, var, resolver) * pref for text in row)
+            tuple(_fixture_entry(text, constants, var) * pref for text in row)
             for row in _square(stage["rows"], f"stage {name}")
         )
     except ExprError as exc:
@@ -102,13 +109,12 @@ def fixture_system(stage: dict, constants: ChainConstants) -> DiffSystem:
 
 
 def fixture_constant_matrix(rows: list[list[str]], constants: ChainConstants) -> AlgMatrix:
-    resolver = chain_symbols(constants)
     out = []
     for row in rows:
         parsed = []
         for text in row:
             try:
-                parsed.append(parse_puiseux(text, constants.tower, "t", resolver).constant_value())
+                parsed.append(_fixture_entry(text, constants, "t").constant_value())
             except (ExprError, TowerError) as exc:
                 raise ReductionError(f"fixture constant {text!r}: {exc}") from exc
         out.append(tuple(parsed))
@@ -418,7 +424,8 @@ def _compose_at(trace: ReductionTrace, moves: list, tau0, precision: int) -> flo
             if k.denominator != 1:
                 raise ReductionError("shear exponent incompatible with branch root")
             n = len(value)
-            value = [[value[i][j] * root ** int((j - i) * k) for j in range(n)] for i in range(n)]
+            powers = {d: root ** int(d * k) for d in range(1 - n, n)}
+            value = [[value[i][j] * powers[j - i] for j in range(n)] for i in range(n)]
             for i in range(n):
                 corr = i * move.g
                 value[i][i] = value[i][i] - (mpmath.mpf(corr.numerator) / corr.denominator) / point

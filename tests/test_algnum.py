@@ -428,3 +428,56 @@ class TestTowerRejection:
         x = TowerLevel("x", 2, (((), Fraction(2)),), ("1.414", "0"))
         with pytest.raises(TowerError):
             TowerSpec((x, TowerLevel("y", 3, (((0,), Fraction(3)),), ("1.442", "0"))))
+
+
+class TestTables:
+    """Each tower keeps the inverse of every sum, the embedding of every
+    (value, precision) and the square root of every radicand it has
+    computed; the tables change no result."""
+
+    @staticmethod
+    def sample(tw):
+        g, b = AlgNum.generator(tw, 0), AlgNum.generator(tw, 2)
+        return g + b + 1, (g**6 * 8 + 1) ** 2  # a sum, and (1 + sqrt5)^2
+
+    def test_kept_values_equal_a_fresh_towers(self, tower):
+        a, radicand = self.sample(tower)
+        inv, z, root = a.inverse(), a.embed(30), sqrt_in_tower(radicand)
+        assert tower._inverses[a.value] == inv.value
+        assert tower._embeds[(a.value, 30)] is z is a.embed(30)
+        assert tower._sqrts[radicand.value] is root is sqrt_in_tower(radicand)
+        fresh = canonical_tower.__wrapped__()
+        fa, fradicand = self.sample(fresh)
+        assert fa.value == a.value and not fresh._inverses and not fresh._embeds
+        assert fa.inverse().value == inv.value and fa * fa.inverse() == 1
+        assert fa.embed(30) == z
+        assert sqrt_in_tower(fradicand).value == root.value == (fresh._sqrts[fradicand.value]).value
+
+    def test_each_precision_is_its_own_entry(self):
+        tw = canonical_tower.__wrapped__()
+        a, _ = self.sample(tw)
+        z20 = a.embed(20)
+        assert list(tw._embeds) == [(a.value, 20)]
+        z30 = a.embed(30)
+        assert list(tw._embeds) == [(a.value, 20), (a.value, 30)]
+        assert z20 != z30 and abs(z20 - z30) < mpmath.mpf("1e-19")
+        assert tw._embeds[(a.value, 20)] is z20 and tw._embeds[(a.value, 30)] is z30
+
+    def test_radicand_without_root_raises_every_time_and_is_not_kept(self):
+        tw = canonical_tower.__wrapped__()
+        g = AlgNum.generator(tw, 0)
+        for _ in range(3):
+            with pytest.raises(TowerError, match="no square root"):
+                sqrt_in_tower(g)
+        assert not tw._sqrts
+
+    def test_towers_share_no_entry(self):
+        first, second, alt = canonical_tower.__wrapped__(), canonical_tower.__wrapped__(), wasow_tower.__wrapped__()
+        a, radicand = self.sample(first)
+        a.inverse(), a.embed(), sqrt_in_tower(radicand)
+        assert first._inverses and first._embeds and first._sqrts
+        for tw in (second, alt):
+            assert not (tw._inverses or tw._embeds or tw._sqrts)
+        b, _ = self.sample(second)
+        assert b.inverse().tower is second and second._inverses.keys() == first._inverses.keys()
+        assert second._inverses[b.value] is not first._inverses[a.value]

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+import functools
 from fractions import Fraction
 
 import pytest
 
 from conftest import mat_from_rows
-from sasano_galois.algnum import AlgNum, TowerError, canonical_constants, wasow_constants
-from sasano_galois import reduction
+from sasano_galois.algnum import AlgNum, TowerError, TowerSpec, canonical_constants, wasow_constants
+from sasano_galois import algnum, reduction
 from sasano_galois.diffsys import (
     DiffSystem,
     block_split,
@@ -16,6 +18,7 @@ from sasano_galois.diffsys import (
     leading_data,
     mat_mul,
 )
+from sasano_galois.exprparse import chain_symbols, parse_puiseux
 from sasano_galois.puiseux import PuiseuxPoly
 from sasano_galois.reduction import (
     GaugeStep,
@@ -27,6 +30,7 @@ from sasano_galois.reduction import (
     verify_trace_consistency,
     wasow_config,
 )
+from sasano_galois.report import build_proof, report_to_json
 from sasano_galois.sasano import seed_variational_system
 
 STAGES = (
@@ -302,3 +306,85 @@ def test_each_gauge_inverse_checked_once(monkeypatch):
     cfg = canonical_config()
     verify_trace_consistency(run_canonical_chain(seed_variational_system(cfg.constants.tower), cfg))
     assert checked == ["leading_nilpotent", "jordan_gauge", "decoupled", "decoupled (printed gauge)"]
+
+
+# -- values computed once per command ------------------------------------------------
+
+SINGLETONS = (
+    (algnum, "canonical_tower"),
+    (algnum, "canonical_constants"),
+    (reduction, "canonical_constants"),
+    (algnum, "wasow_tower"),
+    (algnum, "wasow_constants"),
+    (reduction, "wasow_constants"),
+)
+
+
+@pytest.fixture
+def cold(monkeypatch):
+    """Fresh caches stand in for the cached towers and constants, so the
+    tower tables and the fixture entries start empty, as in a new process;
+    monkeypatch restores the originals."""
+    for module, name in SINGLETONS:
+        monkeypatch.setattr(module, name, functools.cache(getattr(module, name).__wrapped__))
+
+
+@pytest.mark.parametrize("wasow", [False, True], ids=["canonical", "wasow"])
+def test_cold_and_warm_proofs_are_byte_identical(cold, wasow):
+    first = report_to_json(build_proof(wasow=wasow))
+    tower = (algnum.wasow_tower if wasow else algnum.canonical_tower)()
+    assert tower._inverses and tower._embeds and tower._sqrts
+    assert report_to_json(build_proof(wasow=wasow)) == first
+
+
+@pytest.mark.parametrize("wasow", [False, True], ids=["canonical", "wasow"])
+def test_cold_proof_computes_each_inverse_embedding_root_and_entry_once(cold, monkeypatch, wasow):
+    seen = {"inverse": [], "embedding": [], "root": [], "entry": []}
+
+    def record(kind, owner, name, key):
+        fn = getattr(owner, name)
+
+        def counting(*args):
+            seen[kind].append(key(*args))
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    record("inverse", TowerSpec, "_inv_sum", lambda tower, a: a)
+    record("embedding", TowerSpec, "embed_value", lambda tower, coords, dps: (tuple(sorted(coords.items())), dps))
+    record("root", algnum, "_search_sqrt", lambda a: a.value)
+    record("entry", reduction, "parse_puiseux", lambda text, tower, var, symbols: (text, var))
+    build_proof(wasow=wasow)
+    seen["inverse"] = [a for a in seen["inverse"] if len(a[0]) > 1]  # monomials have their own table
+    for kind, keys in seen.items():
+        assert keys and len(keys) == len(set(keys)), kind
+
+
+def test_fixture_entry_is_parsed_once_per_text_constants_and_variable():
+    c, w = canonical_constants(), wasow_constants()
+    text = "2*i/rm"
+    p = reduction._fixture_entry(text, c, "t")
+    assert reduction._fixture_entry(text, c, "t") is p
+    assert p == parse_puiseux(text, c.tower, "t", chain_symbols(c))
+    assert reduction._fixture_entry(text, c, "tau") is not p
+    assert reduction._fixture_entry(text, w, "t").tower is w.tower
+
+
+def test_corrupt_fixture_entry_raises_on_every_call():
+    c = canonical_constants()
+    stage = {"name": "s", "var": "t", "prefactor": "0", "rows": [["foo + 1"]]}
+    for _ in range(3):
+        with pytest.raises(ReductionError, match="fixture stage s: "):
+            reduction.fixture_system(stage, c)
+        with pytest.raises(ReductionError, match="fixture constant 'foo \\+ 1': "):
+            reduction.fixture_constant_matrix([["foo + 1"]], c)
+
+
+@pytest.mark.parametrize("entry", [["1"], {"1": 1}, 7, None], ids=["list", "dict", "int", "none"])
+def test_fixture_entry_that_is_no_text_is_a_reduction_error(monkeypatch, entry):
+    fixtures = copy.deepcopy(load_fixtures())
+    fixtures["gauges"]["t1"][0][0] = entry
+    monkeypatch.setattr(reduction, "load_fixtures", lambda: fixtures)
+    cfg = canonical_config()
+    with pytest.raises(ReductionError, match="fixture gauge t1: expected expression text"):
+        run_canonical_chain(seed_variational_system(cfg.constants.tower), cfg)
