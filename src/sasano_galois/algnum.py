@@ -19,7 +19,7 @@ tower's product kernel folds each exponent overflow through  gen_j^d_j =
 c_j,  so every value is reduced canonically and equality of values is
 equality of representations -- given that each defining binomial is
 irreducible.  That is not certified in code: the only guard that runs is
-the numeric ``TowerSpec.self_check``.  The JSON encoding is that stored
+the numeric check in ``TowerSpec.roots``.  The JSON encoding is that stored
 form, as a sorted list of [exponent vector, "p/q"] pairs: 8*g^6 - 1/2 in the
 canonical tower is  [[[0, 0, 0], "-1/2"], [[6, 0, 0], "8"]].
 
@@ -47,16 +47,29 @@ class TowerError(VerificationError):
 
 
 class Frozen:
-    """Immutable base of the value types, whose fields are the ``__slots__``."""
+    """Immutable base of the value types, whose one or two fields are the
+    ``__slots__``.  Each subclass gets one ``__init__(self, *fields)`` that
+    stores them through the slot descriptors; a wrong count raises ``ValueError``."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls._key = staticmethod(attrgetter(*cls.__slots__))  # a bare value, not a tuple, for one slot
+        setters = [getattr(cls, name).__set__ for name in cls.__slots__]
+        if len(setters) == 1:
+            (set_a,) = setters
 
-    def __init__(self, *fields):
-        for name, value in zip(self.__slots__, fields, strict=True):
-            object.__setattr__(self, name, value)
+            def __init__(self, *fields):
+                (a,) = fields
+                set_a(self, a)
+        else:
+            set_a, set_b = setters
+
+            def __init__(self, *fields):
+                a, b = fields
+                set_a(self, a)
+                set_b(self, b)
+        cls.__init__ = __init__
 
     def __setattr__(self, *args):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -126,9 +139,9 @@ class TowerSpec:
         # Tables filled on first use: raw exponent sum -> reduced value, basis
         # monomial -> its inverse, any other value -> its inverse, (value,
         # precision) -> its embedding, radicand -> its principal square root
-        # (a failed search stores nothing), precision -> the level roots, and
-        # (precision, exponents) -> the monomial's embedding; two threads
-        # filling one key store equal values.
+        # (a failed search or root check stores nothing), precision -> the
+        # checked level roots, and (precision, exponents) -> the monomial's
+        # embedding; two threads filling one key store equal values.
         self._fold: dict[tuple[int, ...], tuple] = {}
         self._unit_inv: dict[tuple[int, ...], tuple] = {}
         self._inverses: dict[tuple, tuple] = {}
@@ -136,7 +149,6 @@ class TowerSpec:
         self._sqrts: dict[tuple, AlgNum] = {}
         self._root_cache: dict[int, list] = {}
         self._monomials: dict = {}
-        self._checked = False
 
     # -- values and their product and inverse kernels ---------------------
 
@@ -228,25 +240,33 @@ class TowerSpec:
 
     # -- numerics ----------------------------------------------------------
 
-    def _level_roots(self, lvl: int, below: list):
-        """Every root of level ``lvl``'s binomial over the chosen roots ``below``, and its seed."""
-        import mpmath
-
-        level = self.levels[lvl]
-        c = _evaluate(level.c, below)
-        seed = mpmath.mpc(mpmath.mpf(level.approx[0]), mpmath.mpf(level.approx[1]))
-        return [mpmath.root(c, level.degree, k) for k in range(level.degree)], seed
-
     def roots(self, dps: int) -> list:
-        """Numeric roots of every level at the given precision."""
+        """The chosen root of every level at the given precision, checked as it is chosen.
+
+        Each binomial x^d - c has c != 0 (checked at construction), so it
+        is squarefree.  The stored approximation must isolate exactly one
+        of its roots, and no root may coincide with a lower-level basis
+        monomial (which would signal an accidentally reducible extension
+        and corrupt equality testing); otherwise this raises ``TowerError``.
+        It does not prove irreducibility.
+        """
         roots = self._root_cache.get(dps)
         if roots is None:
             import mpmath
 
             roots = []
             with mpmath.mp.workdps(dps + 15):
-                for lvl in range(len(self.levels)):
-                    cands, seed = self._level_roots(lvl, roots)
+                for level in self.levels:
+                    c = _evaluate(level.c, roots)
+                    cands = [mpmath.root(c, level.degree, k) for k in range(level.degree)]
+                    seed = mpmath.mpc(mpmath.mpf(level.approx[0]), mpmath.mpf(level.approx[1]))
+                    near, *far = sorted(abs(r - seed) for r in cands)
+                    if near > mpmath.mpf("1e-3") or (far and far[0] < 1000 * (near + mpmath.mpf("1e-35"))):
+                        raise TowerError(f"approximation for level {level.name!r} does not isolate a root")
+                    for exps in itertools.product(*(range(d) for d in self.degrees[: len(roots)])):
+                        probe = _evaluate(((exps, _ONE),), roots)
+                        if any(abs(r - probe) < mpmath.mpf("1e-20") for r in cands):
+                            raise TowerError(f"root of level {level.name!r} coincides with a lower-level element")
                     roots.append(min(cands, key=lambda r: abs(r - seed)))
             self._root_cache[dps] = roots
         return roots
@@ -256,7 +276,6 @@ class TowerSpec:
             raise TowerError("numeric embedding needs precision >= 15 digits")
         import mpmath
 
-        self.self_check()
         roots = self.roots(precision)
         cache = self._monomials
         with mpmath.mp.workdps(precision + 15):
@@ -267,34 +286,6 @@ class TowerSpec:
                     mono = cache[(precision, e)] = _evaluate(((e, _ONE),), roots)
                 acc += mpmath.mpf(q.numerator) / q.denominator * mono
             return acc
-
-    def self_check(self) -> None:
-        """Numeric guard run once per tower before any embedding.
-
-        Each binomial x^d - c has c != 0 (checked at construction), so it
-        is squarefree.  This confirms that the stored approximation
-        isolates exactly one of its roots, and that no root coincides with
-        a lower-level basis monomial (which would signal an accidentally
-        reducible extension and corrupt equality testing).  It does not
-        prove irreducibility.
-        """
-        if self._checked:
-            return
-        import mpmath
-
-        with mpmath.mp.workdps(40):
-            below: list = []
-            for lvl, level in enumerate(self.levels):
-                cands, seed = self._level_roots(lvl, below)
-                dists = sorted(abs(r - seed) for r in cands)
-                if dists[0] > mpmath.mpf("1e-3") or (len(dists) > 1 and dists[1] < 1000 * (dists[0] + mpmath.mpf("1e-35"))):
-                    raise TowerError(f"approximation for level {level.name!r} does not isolate a root")
-                for exps in itertools.product(*(range(d) for d in self.degrees[:lvl])):
-                    probe = _evaluate(((exps, _ONE),), below)
-                    if any(abs(r - probe) < mpmath.mpf("1e-20") for r in cands):
-                        raise TowerError(f"root of level {level.name!r} coincides with a lower-level element")
-                below.append(min(cands, key=lambda r: abs(r - seed)))
-        self._checked = True
 
     # -- misc ----------------------------------------------------------------
 
@@ -380,10 +371,6 @@ class AlgNum(Frozen):
     """
 
     __slots__ = ("tower", "value")
-
-    def __init__(self, tower: TowerSpec, value):
-        object.__setattr__(self, "tower", tower)
-        object.__setattr__(self, "value", value)
 
     # -- constructors ------------------------------------------------------
 
@@ -681,7 +668,7 @@ _SQRT5_APPROX = ("2.23606797749978969640917366873", "0")
 
 def _checked_tower(*levels: TowerLevel) -> TowerSpec:
     tower = TowerSpec(levels)
-    tower.self_check()
+    tower.roots(30)  # the precision of the principal-branch and audit embeddings
     return tower
 
 

@@ -42,10 +42,6 @@ class PuiseuxPoly(Frozen):
 
     __slots__ = ("tower", "terms")
 
-    def __init__(self, tower: TowerSpec, terms: tuple[tuple[int | Fraction, AlgNum], ...]):
-        object.__setattr__(self, "tower", tower)
-        object.__setattr__(self, "terms", terms)
-
     # -- constructors --------------------------------------------------------
 
     @staticmethod

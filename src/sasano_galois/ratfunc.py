@@ -40,7 +40,7 @@ def _reduced(nums: list[int], den: int = 1) -> Poly:
     while nums and nums[-1] == 0:
         nums.pop()
     if not nums:
-        return Poly(())
+        return Poly((), 1)
     if den < 0:
         nums, den = [-x for x in nums], -den
     if den != 1:
@@ -116,13 +116,9 @@ def _int_gcd(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
 class Poly(Frozen):
     """Dense polynomial (sum nums[k] t^k) / den in canonical form: ascending
     integer coefficients with no trailing zeros, den > 0 and coprime to
-    their content, and zero as ``Poly(())`` with den 1."""
+    their content; zero is ``Poly((), 1)``, and ``den`` has no default."""
 
     __slots__ = ("nums", "den")
-
-    def __init__(self, nums: tuple[int, ...], den: int = 1):
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
 
     @staticmethod
     def make(coeffs: Sequence) -> Poly:
@@ -136,7 +132,7 @@ class Poly(Frozen):
 
     @staticmethod
     def variable() -> Poly:
-        return Poly((0, 1))
+        return Poly((0, 1), 1)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -184,7 +180,7 @@ class Poly(Frozen):
         return _reduced([x * c.numerator for x in self.nums], self.den * c.denominator)
 
     def __pow__(self, n: int) -> Poly:
-        return int_power(self, n, Poly((1,)))
+        return int_power(self, n, Poly((1,), 1))
 
     def divmod(self, other: Poly) -> tuple[Poly, Poly]:
         if other.is_zero():
@@ -197,7 +193,7 @@ class Poly(Frozen):
     def gcd(self, other: Poly) -> Poly:
         """Monic greatest common divisor; zero only for two zeros."""
         g = _int_gcd(self.nums, other.nums)
-        return Poly(tuple(g), g[-1]) if g else Poly(())
+        return Poly(tuple(g), g[-1]) if g else Poly((), 1)
 
     def derivative(self) -> Poly:
         return _reduced([k * c for k, c in enumerate(self.nums)][1:], self.den)
@@ -227,7 +223,7 @@ def _as_poly(x) -> Poly:
     return Poly.const(x)
 
 
-_ONE = Poly((1,))
+_ONE = Poly((1,), 1)
 
 
 def _cancel(p: Poly, q: Poly) -> tuple[Poly, Poly]:
@@ -253,7 +249,7 @@ class RatFunc(Frozen):
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
-            return RatFunc(Poly(()), _ONE)
+            return RatFunc(Poly((), 1), _ONE)
         return RatFunc._monic(*_cancel(num, den))
 
     @staticmethod
@@ -269,7 +265,7 @@ class RatFunc(Frozen):
     def const(c) -> RatFunc:
         # a Fraction is already coprime with a positive denominator
         c = Fraction(c)
-        return RatFunc(Poly((c.numerator,), c.denominator) if c else Poly(()), _ONE)
+        return RatFunc(Poly((c.numerator,), c.denominator) if c else Poly((), 1), _ONE)
 
     @staticmethod
     def variable() -> RatFunc:
@@ -310,7 +306,7 @@ class RatFunc(Frozen):
         other = _as_ratfunc(other)
         a, b, c, d = self.num, self.den, other.num, other.den
         if a.is_zero() or c.is_zero():
-            return RatFunc(Poly(()), _ONE)
+            return RatFunc(Poly((), 1), _ONE)
         a, d = _cancel(a, d)
         c, b = _cancel(c, b)
         return RatFunc(a * c, b * d)

@@ -111,11 +111,11 @@ class PolyExpr(Frozen):
         sums: dict[int, Poly] = {}
         for e, c in self.terms:
             mono, weight = values.monomial(e)
-            sums[weight] = sums.get(weight, Poly(())) + mono.scale(c)
+            sums[weight] = sums.get(weight, Poly((), 1)) + mono.scale(c)
         top = max(sums, default=0)
-        total = sums.get(0, Poly(()))
+        total = sums.get(0, Poly((), 1))
         for weight in range(1, top + 1):
-            total = total * values.den + sums.get(weight, Poly(()))
+            total = total * values.den + sums.get(weight, Poly((), 1))
         return total, top
 
     def eval_at(self, point: Sequence[Fraction]) -> Fraction:
@@ -172,7 +172,7 @@ class CommonDenominator:
                 self._powers[name, 1] = (v.num * den.divmod(v.den)[0], 1)
             else:
                 self._powers[name, 1] = (v.num, 0)
-        self._monomials = {(0,) * len(VARS): (Poly((1,)), 0)}
+        self._monomials = {(0,) * len(VARS): (Poly((1,), 1), 0)}
         self._den_powers = [Poly.const(1), den]
 
     def power(self, name: str, exp: int) -> tuple[Poly, int]:

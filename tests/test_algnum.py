@@ -429,6 +429,26 @@ class TestTowerRejection:
         with pytest.raises(TowerError):
             TowerSpec((x, TowerLevel("y", 3, (((0,), Fraction(3)),), ("1.442", "0"))))
 
+    def test_non_isolating_approximation_raises_on_first_roots(self):
+        g, *rest = canonical_tower().levels
+        tw = TowerSpec((g._replace(approx=("0.5", "0")), *rest))
+        for dps in (20, 20, 30):
+            with pytest.raises(TowerError, match="does not isolate a root"):
+                tw.roots(dps)
+
+
+@pytest.mark.parametrize("name, root_calls", [("canonical", 16), ("wasow", 13)])
+def test_cold_tower_computes_each_level_root_once(monkeypatch, name, root_calls):
+    """Loading a tower chooses and checks its level roots at 30 digits in one
+    pass, one mpmath.root per candidate; an embedding at 30 digits reuses them."""
+    calls = []
+    root = mpmath.root
+    monkeypatch.setattr(mpmath, "root", lambda *args: calls.append(args) or root(*args))
+    tw = TOWERS[name].__wrapped__()
+    assert len(calls) == root_calls == sum(tw.degrees)
+    AlgNum.generator(tw, 0).embed(30)
+    assert len(calls) == root_calls
+
 
 class TestTables:
     """Each tower keeps the inverse of every sum, the embedding of every

@@ -143,7 +143,7 @@ def test_corrupt_tower_approximation_ends_in_nve_fail_section(tmp_path, monkeypa
 def test_zero_energy_denominator_ends_in_model_fail_section(tmp_path, monkeypatch):
     # F = 0/0 passes the equations of motion (both sides carry d = 0), so
     # only the bounded t0 search of the H + F = 0 check can reject it.
-    monkeypatch.setattr(weyl, "solution_energy", lambda values: RatFunc(Poly(()), Poly(())))
+    monkeypatch.setattr(weyl, "solution_energy", lambda values: RatFunc(Poly((), 1), Poly((), 1)))
     proof = build_proof()
     assert [s.status for s in proof.sections] == ["fail"]
     assert proof.sections[0].name == "model check"

@@ -119,7 +119,7 @@ VALUE_TYPES = (AlgNum, Poly, RatFunc, PuiseuxPoly, DiffSystem, PolyExpr)
 SAMPLES = {
     AlgNum: lambda: AlgNum.generator(canonical_tower(), 1),
     Poly: lambda: Poly((1, 2), 3),
-    RatFunc: lambda: RatFunc.make(Poly.variable(), Poly((1, 1))),
+    RatFunc: lambda: RatFunc.make(Poly.variable(), Poly((1, 1), 1)),
     PuiseuxPoly: lambda: PuiseuxPoly.monomial(canonical_tower(), 2, Fraction(1, 2)),
     DiffSystem: lambda: DiffSystem("x", ((PuiseuxPoly.const(canonical_tower(), 3),),)),
     PolyExpr: lambda: PolyExpr.var("y"),
@@ -179,16 +179,23 @@ def test_repr_names_the_type(cls):
     assert repr(SAMPLES[cls]()).startswith(f"{cls.__name__}(")
 
 
-def test_value_built_with_wrong_field_count_raises():
-    with pytest.raises(ValueError):
-        PolyExpr()
-    with pytest.raises(ValueError):
-        DiffSystem("x", (), None)
+@pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
+def test_value_type_uses_the_constructor_frozen_builds(cls):
+    assert cls.__init__.__qualname__ == "Frozen.__init_subclass__.<locals>.__init__"
+    assert "__init__" in cls.__dict__
+
+
+@pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
+def test_value_built_with_wrong_field_count_raises(cls):
+    fields = SAMPLES[cls]().__reduce__()[1]
+    for wrong in (fields[:-1], fields + (None,)):
+        with pytest.raises(ValueError):
+            cls(*wrong)
 
 
 def test_value_field_comparison_examples():
     assert Poly((1,), 1) != ((1,), 1)
-    assert Poly((1,)) == Poly((1,), 1) == Poly.const(1)
+    assert Poly((1,), 1) == Poly.const(1)
     assert repr(Poly((1, 2), 3)) == "Poly((1, 2), 3)" and repr(PolyExpr(())) == "PolyExpr(())"
     tower = canonical_tower()
     assert PuiseuxPoly.zero(tower) == 0 and PuiseuxPoly.const(tower, Fraction(3, 4)) == Fraction(3, 4)
