@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 # Public name -> the submodule that defines it.
 _EXPORTS = {
-    "AlgNum": "algnum", "TowerError": "algnum", "TowerSpec": "algnum", "VerificationError": "algnum",
+    "AlgNum": "algnum", "TowerError": "algnum", "TowerSpec": "algnum", "VerificationError": "ratfunc",
     "canonical_constants": "algnum", "canonical_tower": "algnum", "sqrt_in_tower": "algnum",
     "wasow_constants": "algnum", "wasow_tower": "algnum",
     "DiffSystem": "diffsys", "char_poly": "diffsys",

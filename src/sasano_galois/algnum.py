@@ -25,6 +25,8 @@ canonical tower is  [[[0, 0, 0], "-1/2"], [[6, 0, 0], "8"]].
 
 Numbers are immutable and safe to share between threads.  The numeric
 functions import mpmath on first use, so exact work never loads it.
+The value base ``Frozen`` and the error root ``VerificationError`` live in
+``ratfunc``, and the base level inverts by extended Euclid on its ``Poly``.
 """
 
 from __future__ import annotations
@@ -33,60 +35,14 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from operator import add as _add, attrgetter
+from operator import add as _add
 from typing import NamedTuple
 
-
-class VerificationError(ValueError):
-    """Base of every engine error: a check that failed or data that does not
-    read.  Each report builder catches it once and emits a fail section."""
+from .ratfunc import Frozen, Poly, VerificationError, int_power, join_terms
 
 
 class TowerError(VerificationError):
     """Raised for structurally invalid tower operations."""
-
-
-class Frozen:
-    """Immutable base of the value types, whose one or two fields are the
-    ``__slots__``.  Each subclass gets one ``__init__(self, *fields)`` that
-    stores them through the slot descriptors; a wrong count raises ``ValueError``."""
-
-    __slots__ = ()
-
-    def __init_subclass__(cls):
-        cls._key = staticmethod(attrgetter(*cls.__slots__))  # a bare value, not a tuple, for one slot
-        setters = [getattr(cls, name).__set__ for name in cls.__slots__]
-        if len(setters) == 1:
-            (set_a,) = setters
-
-            def __init__(self, *fields):
-                (a,) = fields
-                set_a(self, a)
-        else:
-            set_a, set_b = setters
-
-            def __init__(self, *fields):
-                a, b = fields
-                set_a(self, a)
-                set_b(self, b)
-        cls.__init__ = __init__
-
-    def __setattr__(self, *args):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return self._key(self) == self._key(other) if type(other) is type(self) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key(self))
-
-    def __reduce__(self):
-        return type(self), tuple(map(self.__getattribute__, self.__slots__))
-
-    def __repr__(self):
-        return f"{type(self).__name__}({', '.join(map(repr, self.__reduce__()[1]))})"
 
 
 # A value is a pair (terms, den): terms a sorted tuple of (exponent tuple,
@@ -202,7 +158,7 @@ class TowerSpec:
         monomial m, read from a table filled on first use.  A sum's inverse
         is computed once and kept: on each quadratic level a = a0 + a1*x has
         the inverse (a0 - a1*x) / N with the norm N = a0^2 - c*a1^2 one level
-        down; the rational base level runs extended Euclid over Q.
+        down; the rational base level runs extended Euclid on ``Poly``.
         """
         terms, den = a
         if not terms:
@@ -225,12 +181,10 @@ class TowerSpec:
                 conj = (tuple([(e, -n) if e[lvl] else (e, n) for e, n in a[0]]), a[1])
                 conjugates.append(conj)
                 a = self.mul(a, conj)
-        p = [Fraction(0)] * self.degrees[0]
-        for e, n in a[0]:
-            p[e[0]] = Fraction(n, a[1])
-        rest = self._unit[1:]
+        base = {e[0]: Fraction(n, a[1]) for e, n in a[0]}
+        p = Poly.make([base.get(k, 0) for k in range(self.degrees[0])])
         inverse = _inv_mod_binomial(p, self.degrees[0], Fraction(self.levels[0].c[0][1]))
-        out = _value([((k,) + rest, q) for k, q in enumerate(inverse)])
+        out = _canon([((k,) + self._unit[1:], n) for k, n in enumerate(inverse.nums)], inverse.den)
         for conj in conjugates:
             out = self.mul(out, conj)
         return out
@@ -328,36 +282,20 @@ def _evaluate(value, roots: list):
     return acc
 
 
-def _trim(p: list) -> list:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _inv_mod_binomial(p: list, d: int, c: Fraction) -> list:
-    """Coefficients of p^-1 modulo x^d - c over Q, by extended Euclid.
+def _inv_mod_binomial(p: Poly, d: int, c: Fraction) -> Poly:
+    """p^-1 modulo x^d - c over Q, by extended Euclid.
 
     The invariant s_k * p = r_k (mod x^d - c) holds throughout; the loop
     stops at a constant remainder, so s_k / r_k is the inverse.
     """
-    r0, r1 = [-c] + [Fraction(0)] * (d - 1) + [_ONE], _trim(list(p))
-    s0, s1 = [], [_ONE]
-    while len(r1) > 1:
-        rem, quot = list(r0), [Fraction(0)] * (len(r0) - len(r1) + 1)
-        for k in reversed(range(len(quot))):
-            f = quot[k] = rem[k + len(r1) - 1] / r1[-1]
-            for j, y in enumerate(r1):
-                if f and y:
-                    rem[k + j] -= f * y
-        s = s0 + [Fraction(0)] * (len(quot) + len(s1) - 1 - len(s0))
-        for i, x in enumerate(quot):
-            for j, y in enumerate(s1):
-                if x and y:
-                    s[i + j] -= x * y
-        r0, r1, s0, s1 = r1, _trim(rem[: len(r1) - 1]), s1, _trim(s)
-    if not r1:
+    r0, r1 = Poly.make([-c] + [0] * (d - 1) + [1]), p
+    s0, s1 = Poly((), 1), Poly((1,), 1)
+    while r1.degree() > 0:
+        quot, rem = r0.divmod(r1)
+        r0, r1, s0, s1 = r1, rem, s1, s0 - quot * s1
+    if r1.is_zero():
         raise TowerError("zero divisor encountered; tower data is corrupt")
-    return [x / r1[0] for x in s1]
+    return s1.scale(Fraction(r1.den, r1.nums[0]))
 
 
 class AlgNum(Frozen):
@@ -423,17 +361,7 @@ class AlgNum(Frozen):
         terms, den = self.value
         return AlgNum(self.tower, (tuple([(e, -n) for e, n in terms]), den))
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + -o
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+    __sub__, __rsub__ = Frozen.__sub__, Frozen.__rsub__  # in the class dict, where perfbench/spans.py wraps them
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -502,42 +430,6 @@ class AlgNum(Frozen):
         return z
 
 
-def int_power(base, n: int, one):
-    """base**n for n >= 0 by repeated squaring; ``one`` is base**0."""
-    if n < 0:
-        raise ValueError(f"negative power {n} of a polynomial")
-    if not n:
-        return one
-    while not n & 1:
-        base, n = base * base, n >> 1
-    result = base
-    while n := n >> 1:
-        base = base * base
-        if n & 1:
-            result = result * base
-    return result
-
-
-def join_terms(terms) -> str:
-    """Render a sum of (coefficient text, monomial text) pairs.
-
-    A coefficient with an inner sign or sum is parenthesized, a unit
-    coefficient is dropped before a monomial (an empty monomial is the
-    constant term), and "+ -" folds to "- ".  No terms render as "0".
-    """
-    parts = []
-    for coeff, mono in terms:
-        if "+" in coeff or "-" in coeff[1:]:
-            coeff = f"({coeff})"
-        if not mono:
-            parts.append(coeff)
-        elif coeff in ("1", "-1"):
-            parts.append(coeff[:-1] + mono)
-        else:
-            parts.append(f"{coeff}*{mono}")
-    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
-
-
 def rational_recognize(a: AlgNum) -> Fraction | None:
     """The exact rational value of ``a``, or None if it is irrational."""
     terms, den = a.value
@@ -549,21 +441,11 @@ def rational_recognize(a: AlgNum) -> Fraction | None:
 
 
 def _rational_sqrt(q: Fraction) -> Fraction | None:
+    """The rational square root of q >= 0, or None."""
     if q < 0:
         return None
-    if q == 0:
-        return Fraction(0)
-    num, den = q.numerator, q.denominator
-    rn = _isqrt_exact(num)
-    rd = _isqrt_exact(den)
-    if rn is None or rd is None:
-        return None
-    return Fraction(rn, rd)
-
-
-def _isqrt_exact(n: int) -> int | None:
-    r = math.isqrt(n)
-    return r if r * r == n else None
+    root = Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
+    return root if root * root == q else None
 
 
 def sqrt_in_tower(a: AlgNum) -> AlgNum:

@@ -21,8 +21,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .algnum import AlgNum, Frozen, TowerError, TowerSpec
+from .algnum import AlgNum, TowerError, TowerSpec
 from .puiseux import PuiseuxPoly
+from .ratfunc import Frozen
 
 AlgMatrix = tuple[tuple[AlgNum, ...], ...]
 PolyMatrix = tuple[tuple[PuiseuxPoly, ...], ...]

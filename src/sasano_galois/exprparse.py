@@ -29,7 +29,8 @@ parenthesized expressions take integer exponents only.
   (constants and monomials), which keeps every operation exact, and names
   resolve through a caller-supplied symbol table.
 
-Every failure, including a division by zero, raises :class:`ExprError`.
+Every failure, including a division by zero and a value past the size
+bound of ``_Parser.bounded``, raises :class:`ExprError`.
 """
 
 from __future__ import annotations
@@ -39,11 +40,12 @@ import re
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple
 
-from .algnum import AlgNum, ChainConstants, TowerError, TowerSpec, VerificationError, int_power
+from .algnum import AlgNum, ChainConstants, TowerError, TowerSpec
 from .puiseux import PuiseuxPoly
-from .ratfunc import RatFunc
+from .ratfunc import RatFunc, VerificationError, int_power
 
 SymbolResolver = Callable[[str, Fraction], AlgNum]
+_MAX_DEGREE, _MAX_BITS = 256, 1 << 15  # admit a 4,300-digit literal and every depth-12 orbit state
 
 
 class ExprError(VerificationError):
@@ -92,6 +94,7 @@ class _Ring(NamedTuple):
     symbol: Callable[[str, Fraction], Any]
     divide: Callable[[Any, Any], Any]
     power: Callable[[Any, int], Any]
+    size: Callable[[Any], tuple[int, int]]  # degree (Puiseux: term count less one), largest coefficient bits
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+|[^\W\d]\w*|[-+*/^()])|(\S))")
@@ -138,6 +141,15 @@ class _Parser:
             raise self.error("malformed exponent")
         return self.literal(tok)
 
+    def bounded(self, degree: int, bits: int) -> None:
+        """The size bound on every value built, and on a power before it is formed."""
+        if degree > _MAX_DEGREE or (degree + 1) * bits > _MAX_BITS:
+            raise self.error(f"a value of degree {degree} with {bits}-bit coefficients exceeds the size bound")
+
+    def checked(self, value):
+        self.bounded(*self.ring.size(value))
+        return value
+
     def literal(self, tok: str) -> int:
         try:
             return int(tok)
@@ -157,7 +169,7 @@ class _Parser:
         while self.peek() in ("+", "-"):
             op = self.take()
             rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+            value = self.checked(value + rhs if op == "+" else value - rhs)
         return value
 
     def term(self):
@@ -165,7 +177,7 @@ class _Parser:
         while self.peek() in ("*", "/"):
             op = self.take()
             rhs = self.factor()
-            value = value * rhs if op == "*" else self.ring.divide(value, rhs)
+            value = self.checked(value * rhs if op == "*" else self.ring.divide(value, rhs))
         return value
 
     def factor(self):
@@ -191,14 +203,14 @@ class _Parser:
             self.take()
             exp = self.exponent()
         if base is None:
-            if tok == self.var:
-                return self.ring.var_power(exp)
-            return self.ring.symbol(tok, exp)
+            self.bounded(abs(exp.numerator), 1)  # the size of t^n
+            return self.ring.var_power(exp) if tok == self.var else self.checked(self.ring.symbol(tok, exp))
         if exp == 1:
             return base
         if exp.denominator != 1:
             raise self.error("fractional power of a compound expression")
-        return self.ring.power(base, int(exp))
+        self.bounded(*[abs(exp.numerator) * k for k in self.ring.size(base)])
+        return self.checked(self.ring.power(base, int(exp)))
 
     def exponent(self) -> Fraction:
         paren = self.peek() == "("
@@ -240,7 +252,12 @@ def _no_symbols(name: str, exp: Fraction):
     raise ExprError(f"unknown symbol {name!r}")
 
 
-_RATFUNC = _Ring(RatFunc.const, _ratfunc_var_power, _no_symbols, operator.truediv, operator.pow)
+def _ratfunc_size(f: RatFunc) -> tuple[int, int]:
+    largest = max(map(abs, (*f.num.nums, f.num.den, *f.den.nums)))
+    return max(f.num.degree(), f.den.degree()), largest.bit_length()
+
+
+_RATFUNC = _Ring(RatFunc.const, _ratfunc_var_power, _no_symbols, operator.truediv, operator.pow, _ratfunc_size)
 
 
 def parse_ratfunc(text: str) -> RatFunc:
@@ -267,7 +284,13 @@ def _puiseux_ring(tower: TowerSpec, symbols: SymbolResolver | None) -> _Ring:
         symbol,
         lambda num, den: num * den.inverse(),
         power,
+        _puiseux_size,
     )
+
+
+def _puiseux_size(p: PuiseuxPoly) -> tuple[int, int]:
+    largest = max([abs(n) for _, c in p.terms for _, n in c.value[0]] + [c.value[1] for _, c in p.terms], default=0)
+    return len(p.terms) - 1, largest.bit_length()
 
 
 def parse_puiseux(

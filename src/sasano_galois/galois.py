@@ -24,9 +24,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algnum import AlgNum, TowerError, VerificationError, rational_recognize, sqrt_in_tower
+from .algnum import AlgNum, TowerError, rational_recognize, sqrt_in_tower
 from .diffsys import DiffSystem, change_variable_power
 from .puiseux import PuiseuxPoly
+from .ratfunc import VerificationError
 
 # The cover eta = tau^COVER that turns the origin into an apparent singularity.
 COVER = 6

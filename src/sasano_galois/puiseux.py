@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .algnum import AlgNum, Frozen, TowerError, TowerSpec, join_terms
+from .algnum import AlgNum, TowerError, TowerSpec
+from .ratfunc import Frozen, join_terms
 
 
 def _merge(tower: TowerSpec, terms) -> PuiseuxPoly:
@@ -116,18 +117,6 @@ class PuiseuxPoly(Frozen):
 
     def __neg__(self):
         return _merge(self.tower, ((e, -c) for e, c in self.terms))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         other = self._coerce(other)

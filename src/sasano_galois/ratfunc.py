@@ -15,15 +15,109 @@ sequence of Brown, J. ACM 18 (1971).  Fractions enter only through
 and constants need none; + - * / of reduced operands take gcds only with
 a factor of a denominator (Henrici's sum and Knuth's cross-cancelled
 product, TAOCP vol. 2, 4.5.1), and powers need none.
+
+This bottom layer imports no other package module.  It holds what every
+value type shares: the error root ``VerificationError``, the immutable
+base ``Frozen`` (which derives ``-`` from ``+``), ``int_power`` and
+``join_terms``; the tower's base level inverts on ``Poly``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import attrgetter
 from typing import Sequence
 
-from .algnum import Frozen, int_power, join_terms
+
+class VerificationError(ValueError):
+    """Base of every engine error: a check that failed or data that does not
+    read.  Each report builder catches it once and emits a fail section."""
+
+
+class Frozen:
+    """Immutable base of the value types, whose one or two fields are the
+    ``__slots__``.  Each subclass gets one ``__init__(self, *fields)`` that
+    stores them through the slot descriptors; a wrong count raises ``ValueError``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = staticmethod(attrgetter(*cls.__slots__))  # a bare value, not a tuple, for one slot
+        setters = [getattr(cls, name).__set__ for name in cls.__slots__]
+        if len(setters) == 1:
+            (set_a,) = setters
+
+            def __init__(self, *fields):
+                (a,) = fields
+                set_a(self, a)
+        else:
+            set_a, set_b = setters
+
+            def __init__(self, *fields):
+                a, b = fields
+                set_a(self, a)
+                set_b(self, b)
+        cls.__init__ = __init__
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __eq__(self, other):
+        return self._key(self) == self._key(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __reduce__(self):
+        return type(self), tuple(map(self.__getattribute__, self.__slots__))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self.__reduce__()[1]))})"
+
+
+def int_power(base, n: int, one):
+    """base**n for n >= 0 by repeated squaring; ``one`` is base**0."""
+    if n < 0:
+        raise ValueError(f"negative power {n} of a polynomial")
+    if not n:
+        return one
+    while not n & 1:
+        base, n = base * base, n >> 1
+    result = base
+    while n := n >> 1:
+        base = base * base
+        if n & 1:
+            result = result * base
+    return result
+
+
+def join_terms(terms) -> str:
+    """Render a sum of (coefficient text, monomial text) pairs.
+
+    A coefficient with an inner sign or sum is parenthesized, a unit
+    coefficient is dropped before a monomial (an empty monomial is the
+    constant term), and "+ -" folds to "- ".  No terms render as "0".
+    """
+    parts = []
+    for coeff, mono in terms:
+        if "+" in coeff or "-" in coeff[1:]:
+            coeff = f"({coeff})"
+        if not mono:
+            parts.append(coeff)
+        elif coeff in ("1", "-1"):
+            parts.append(coeff[:-1] + mono)
+        else:
+            parts.append(f"{coeff}*{mono}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
 # -- integer kernels -------------------------------------------------------------
@@ -163,12 +257,6 @@ class Poly(Frozen):
     def __neg__(self) -> Poly:
         return Poly(tuple([-c for c in self.nums]), self.den)
 
-    def __sub__(self, other) -> Poly:
-        return self + (-_as_poly(other))
-
-    def __rsub__(self, other) -> Poly:
-        return _as_poly(other) + (-self)
-
     def __mul__(self, other) -> Poly:
         other = _as_poly(other)
         return _reduced(_conv(self.nums, other.nums), self.den * other.den)
@@ -293,12 +381,6 @@ class RatFunc(Frozen):
 
     def __neg__(self) -> RatFunc:
         return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other) -> RatFunc:
-        return self + (-_as_ratfunc(other))
-
-    def __rsub__(self, other) -> RatFunc:
-        return _as_ratfunc(other) + (-self)
 
     def __mul__(self, other) -> RatFunc:
         # Knuth: a/b * c/d = (a/g1)(c/g2) / ((b/g2)(d/g1)) with g1 = gcd(a, d)

@@ -31,14 +31,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import NamedTuple
 
-from .algnum import (
-    AlgNum,
-    ChainConstants,
-    TowerError,
-    VerificationError,
-    canonical_constants,
-    wasow_constants,
-)
+from .algnum import AlgNum, ChainConstants, TowerError, canonical_constants, wasow_constants
 from .diffsys import (
     AlgMatrix,
     DiffSystem,
@@ -55,6 +48,7 @@ from .diffsys import (
 )
 from .exprparse import ExprError, chain_symbols, parse_puiseux
 from .puiseux import PuiseuxPoly
+from .ratfunc import VerificationError
 
 
 class ReductionError(VerificationError):

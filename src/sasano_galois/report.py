@@ -15,10 +15,10 @@ from __future__ import annotations
 import json
 from typing import Any, NamedTuple
 
-from .algnum import AlgNum, VerificationError, algnum_to_json, tower_to_json
+from .algnum import AlgNum, algnum_to_json, tower_to_json
 from .diffsys import DiffSystem, char_poly, leading_data
 from .galois import GaloisOutcome, classify_blocks
-from .ratfunc import RatFunc
+from .ratfunc import RatFunc, VerificationError
 from .reduction import (
     ChainConfig,
     ConsistencyReport,

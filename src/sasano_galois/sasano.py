@@ -24,10 +24,10 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .algnum import AlgNum, Frozen, TowerError, TowerSpec, VerificationError, int_power, join_terms
+from .algnum import AlgNum, TowerError, TowerSpec
 from .diffsys import DiffSystem
 from .puiseux import PuiseuxPoly
-from .ratfunc import Poly, RatFunc
+from .ratfunc import Frozen, Poly, RatFunc, VerificationError, int_power, join_terms
 
 VARS = ("x", "y", "z", "w", "t", "F", "a0", "a1", "a2")
 _INDEX = {name: k for k, name in enumerate(VARS)}
@@ -71,12 +71,6 @@ class PolyExpr(Frozen):
 
     def __neg__(self) -> PolyExpr:
         return PolyExpr(tuple((e, -c) for e, c in self.terms))
-
-    def __sub__(self, other) -> PolyExpr:
-        return self + (-_as_polyexpr(other))
-
-    def __rsub__(self, other) -> PolyExpr:
-        return _as_polyexpr(other) + (-self)
 
     def __mul__(self, other) -> PolyExpr:
         other = _as_polyexpr(other)

@@ -30,9 +30,8 @@ from collections import deque
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .algnum import VerificationError
 from .diffsys import mat_mul
-from .ratfunc import RatFunc
+from .ratfunc import RatFunc, VerificationError
 from .sasano import (
     check_params, scale_solution, seed_solution, solution_energy, verify_solution, verify_zero_energy,
 )
