@@ -18,13 +18,15 @@ gcd(den, *numerators) == 1.  The kernels run on those integers.  The
 tower's product kernel folds each exponent overflow through  gen_j^d_j =
 c_j,  so every value is reduced canonically and equality of values is
 equality of representations -- given that each defining binomial is
-irreducible.  That is not certified in code: the only guard that runs is
-the numeric check in ``TowerSpec.roots``.  The JSON encoding is that stored
-form, as a sorted list of [exponent vector, "p/q"] pairs: 8*g^6 - 1/2 in the
-canonical tower is  [[[0, 0, 0], "-1/2"], [[6, 0, 0], "8"]].
+irreducible.  That is not certified in code: the guard that runs is the
+exact check that no level's root is a basis monomial of the levels below
+it.  The JSON encoding is that stored form, as a sorted list of [exponent
+vector, "p/q"] pairs: 8*g^6 - 1/2 in the canonical tower is
+[[[0, 0, 0], "-1/2"], [[6, 0, 0], "8"]].
 
 Numbers are immutable and safe to share between threads.  The numeric
-functions import mpmath on first use, so exact work never loads it.
+functions load the ball kernel (``ball``) on first use, so exact work
+never compiles it.
 The value base ``Frozen`` and the error root ``VerificationError`` live in
 ``ratfunc``, and the base level inverts by extended Euclid on its ``Poly``.
 """
@@ -96,7 +98,7 @@ class TowerSpec:
         # monomial -> its inverse, any other value -> its inverse, (value,
         # precision) -> its embedding, radicand -> its principal square root
         # (a failed search or root check stores nothing), precision -> the
-        # checked level roots, and (precision, exponents) -> the monomial's
+        # proven level roots, and (precision, exponents) -> the monomial's
         # embedding; two threads filling one key store equal values.
         self._fold: dict[tuple[int, ...], tuple] = {}
         self._unit_inv: dict[tuple[int, ...], tuple] = {}
@@ -105,6 +107,13 @@ class TowerSpec:
         self._sqrts: dict[tuple, AlgNum] = {}
         self._root_cache: dict[int, list] = {}
         self._monomials: dict = {}
+        # An exact check: a lower basis monomial m with m^d == c would be a
+        # root of the level, and equality of values would break.
+        for j, lv in enumerate(self.levels):
+            for exps in itertools.product(*map(range, self.degrees[:j])):
+                m = (((exps + self._unit[j:], 1),), 1)
+                if functools.reduce(self.mul, [m] * lv.degree) == self._rel[j]:
+                    raise TowerError(f"root of level {lv.name!r} coincides with a lower-level element")
 
     # -- values and their product and inverse kernels ---------------------
 
@@ -195,51 +204,38 @@ class TowerSpec:
     # -- numerics ----------------------------------------------------------
 
     def roots(self, dps: int) -> list:
-        """The chosen root of every level at the given precision, checked as it is chosen.
+        """The chosen root of every level as a ball good to dps + 15 digits.
 
-        Each binomial x^d - c has c != 0 (checked at construction), so it
-        is squarefree.  The stored approximation must isolate exactly one
-        of its roots, and no root may coincide with a lower-level basis
-        monomial (which would signal an accidentally reducible extension
-        and corrupt equality testing); otherwise this raises ``TowerError``.
-        It does not prove irreducibility.
+        Each root is the root of its binomial x^d = c nearest to the level's
+        stored approximation, proven to be so by ``ball.nth_root``;
+        otherwise this raises ``TowerError``.
         """
         roots = self._root_cache.get(dps)
         if roots is None:
-            import mpmath
+            from .ball import Ball, bits, nth_root
 
-            roots = []
-            with mpmath.mp.workdps(dps + 15):
-                for level in self.levels:
-                    c = _evaluate(level.c, roots)
-                    cands = [mpmath.root(c, level.degree, k) for k in range(level.degree)]
-                    seed = mpmath.mpc(mpmath.mpf(level.approx[0]), mpmath.mpf(level.approx[1]))
-                    near, *far = sorted(abs(r - seed) for r in cands)
-                    if near > mpmath.mpf("1e-3") or (far and far[0] < 1000 * (near + mpmath.mpf("1e-35"))):
-                        raise TowerError(f"approximation for level {level.name!r} does not isolate a root")
-                    for exps in itertools.product(*(range(d) for d in self.degrees[: len(roots)])):
-                        probe = _evaluate(((exps, _ONE),), roots)
-                        if any(abs(r - probe) < mpmath.mpf("1e-20") for r in cands):
-                            raise TowerError(f"root of level {level.name!r} coincides with a lower-level element")
-                    roots.append(min(cands, key=lambda r: abs(r - seed)))
+            prec, roots = bits(dps + 15), []
+            for level in self.levels:
+                seed = Ball.rational(Fraction(level.approx[0]), prec, Fraction(level.approx[1]))
+                root = nth_root(_evaluate(level.c, roots, prec), level.degree, seed)
+                if root is None:
+                    raise TowerError(f"approximation for level {level.name!r} does not isolate a root")
+                roots.append(root)
             self._root_cache[dps] = roots
         return roots
 
     def embed_value(self, coords: dict, precision: int = 20):
         if precision < 15:
             raise TowerError("numeric embedding needs precision >= 15 digits")
-        import mpmath
-
         roots = self.roots(precision)
         cache = self._monomials
-        with mpmath.mp.workdps(precision + 15):
-            acc = mpmath.mpc(0)
-            for e, q in coords.items():
-                mono = cache.get((precision, e))
-                if mono is None:
-                    mono = cache[(precision, e)] = _evaluate(((e, _ONE),), roots)
-                acc += mpmath.mpf(q.numerator) / q.denominator * mono
-            return acc
+        acc = roots[0] * 0  # an exact zero on the roots' grid
+        for e, q in coords.items():
+            mono = cache.get((precision, e))
+            if mono is None:
+                mono = cache[(precision, e)] = _evaluate(((e, _ONE),), roots, roots[0].prec)
+            acc += mono * q
+        return acc
 
     # -- misc ----------------------------------------------------------------
 
@@ -268,13 +264,13 @@ def _value(items):
     return _canon([(e, int(q * den)) for e, q in items], den)
 
 
-def _evaluate(value, roots: list):
-    """Numeric value at the given level roots of (exponent tuple, rational) pairs."""
-    import mpmath
+def _evaluate(value, roots: list, prec: int):
+    """The ball of (exponent tuple, rational) pairs at the given level roots."""
+    from .ball import Ball
 
-    acc = mpmath.mpc(0)
+    acc = Ball.rational(0, prec)
     for e, q in value:
-        term = mpmath.mpf(q.numerator) / q.denominator
+        term = Ball.rational(q, prec)
         for r, k in zip(roots, e):
             if k:
                 term *= r**k
@@ -422,7 +418,9 @@ class AlgNum(Frozen):
         return f"AlgNum({self})"
 
     def embed(self, precision: int = 20):
-        """Numeric value as an mpmath complex number (ring homomorphism), kept per precision."""
+        """A ball enclosing the value, good to precision + 15 digits, kept per
+        precision; sums and products of balls enclose the embeddings of the
+        exact sums and products."""
         table, key = self.tower._embeds, (self.value, precision)
         z = table.get(key)
         if z is None:
@@ -505,15 +503,16 @@ def _search_sqrt(a: AlgNum) -> AlgNum:
 
 
 def _principal_branch(root: AlgNum) -> AlgNum:
-    import mpmath
-
+    """``root`` or ``-root``, whichever has a positive real part, or a positive
+    imaginary part where the real part is exactly zero; both read off the
+    enclosure, never guessed."""
     z = root.embed(30)
-    tol = mpmath.mpf("1e-25")
-    if z.real < -tol:
-        return -root
-    if abs(z.real) <= tol and z.imag < 0:
-        return -root
-    return root
+    sign = z.sign()
+    if sign == 0:
+        sign = z.sign(imag=True)
+    if not sign:
+        raise TowerError(f"the enclosure of {root} does not decide its principal branch")
+    return -root if sign < 0 else root
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--precision",
         type=int,
         default=20,
-        help="decimal digits for numeric renderings, at least 15 (default: 20)",
+        help="decimal digits for numeric renderings, 15 to 1000 (default: 20)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -180,8 +180,8 @@ def cmd_orbit(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.precision < 15:
-        parser.error("precision must be at least 15")
+    if not 15 <= args.precision <= 1000:
+        parser.error("precision must be at least 15 and at most 1000")
     if getattr(args, "depth", 0) < 0:
         parser.error("depth must be nonnegative")
     try:

@@ -46,7 +46,7 @@ def mat_mul(a, b):
 
     Only products of two nonzero factors are formed, and each sum starts
     from its first one, so the entries need no zero: tower numbers, Puiseux
-    polynomials, integers and mpmath numbers alike.  A sum with no such
+    polynomials, integers and numeric balls alike.  A sum with no such
     product is whichever of a[i][0], b[0][j] is zero, so both matrices
     need one entry type.
     """

@@ -333,10 +333,11 @@ class ConsistencyReport(NamedTuple):
         return tuple(name for name, _ in self.checks)
 
 
-def _sample_points():
-    import mpmath
+def _sample_points(precision: int):
+    from .ball import Ball, bits
 
-    return (mpmath.mpf(2), mpmath.mpf(3), mpmath.mpc(1, 1), mpmath.mpf(5) / 2, mpmath.mpf(4))
+    points = ((2, 0), (3, 0), (1, 1), (Fraction(5, 2), 0), (4, 0))
+    return tuple(Ball.rational(re, bits(precision), im) for re, im in points)
 
 
 def verify_trace_consistency(trace: ReductionTrace) -> ConsistencyReport:
@@ -349,10 +350,10 @@ def verify_trace_consistency(trace: ReductionTrace) -> ConsistencyReport:
       matrix is diagonal with the configured distinct eigenvalues;
     * exact inverse walk: undoing every step recovers the stage before it,
       down to the original variational system;
-    * numeric: at five sample points the composed 30-digit floating-point
-      transformation of the first stage agrees entrywise with the exact
-      final matrix to relative error 1e-9 (branches fixed by evaluating
-      the quarter root of t as root(alpha) * tau).
+    * numeric: at five sample points the composed transformation of the
+      first stage, in 30-digit ball arithmetic, agrees entrywise with the
+      exact final matrix to a relative error proven below 1e-9 (branches
+      fixed by evaluating the quarter root of t as root(alpha) * tau).
     """
     checks: list[tuple[str, str]] = []
 
@@ -385,25 +386,17 @@ def _inverse_walk(trace: ReductionTrace) -> None:
 
 
 def _numeric_composition(trace: ReductionTrace, precision: int) -> float:
-    import mpmath
-
-    worst = 0.0
-    with mpmath.mp.workdps(precision):
-        # The moves with each constant gauge embedded once for every point.
-        moves = [
-            ConstantGauge(*([[e.embed(precision) for e in row] for row in m] for m in (move.t, move.t_inv)))
-            if isinstance(move, ConstantGauge)
-            else move
-            for move in (step.move for step in trace.steps)
-        ]
-        for tau0 in _sample_points():
-            worst = max(worst, _compose_at(trace, moves, tau0, precision))
-    return worst
+    # The moves with each constant gauge embedded once for every point.
+    moves = [
+        ConstantGauge(*([[e.embed(precision) for e in row] for row in m] for m in (move.t, move.t_inv)))
+        if isinstance(move, ConstantGauge)
+        else move
+        for move in (step.move for step in trace.steps)
+    ]
+    return max(_compose_at(trace, moves, tau0, precision) for tau0 in _sample_points(precision))
 
 
 def _compose_at(trace: ReductionTrace, moves: list, tau0, precision: int) -> float:
-    import mpmath
-
     c = trace.config.constants
     root_alpha = c.alpha_quarter_root.embed(precision)
     t_quarter = root_alpha * tau0  # branch of t^(1/4) with t = alpha * tau^4
@@ -422,13 +415,12 @@ def _compose_at(trace: ReductionTrace, moves: list, tau0, precision: int) -> flo
             value = [[value[i][j] * powers[j - i] for j in range(n)] for i in range(n)]
             for i in range(n):
                 corr = i * move.g
-                value[i][i] = value[i][i] - (mpmath.mpf(corr.numerator) / corr.denominator) / point
+                value[i][i] = value[i][i] - corr / point
         else:
             exp = move.power - 1
             if exp.denominator != 1:
                 raise ReductionError("fractional substitution power in numeric walk")
-            rat = mpmath.mpf(move.power.numerator) / move.power.denominator
-            dphi = (move.root**move.index).embed(precision) * rat * tau0 ** int(exp)
+            dphi = (move.root**move.index).embed(precision) * move.power * tau0 ** int(exp)
             value = [[e * dphi for e in row] for row in value]
             point, root, index = tau0, tau0, 1
     expected = system_numeric(trace.final, tau0, 1, precision)
@@ -436,6 +428,6 @@ def _compose_at(trace: ReductionTrace, moves: list, tau0, precision: int) -> flo
     for i in range(len(value)):
         for j in range(len(value)):
             err = abs(value[i][j] - expected[i][j]) / (1 + abs(expected[i][j]))
-            worst = max(worst, float(err))
+            worst = max(worst, err)
     return worst
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from typing import Any, NamedTuple
 
-from .algnum import AlgNum, algnum_to_json, tower_to_json
+from .algnum import AlgNum, TowerError, algnum_to_json, tower_to_json
 from .diffsys import DiffSystem, char_poly, leading_data
 from .galois import GaloisOutcome, classify_blocks
 from .ratfunc import RatFunc, VerificationError
@@ -51,16 +51,21 @@ STATUSES = ("pass", "fail", "inconclusive")
 
 
 def format_numeric(a: AlgNum, digits: int = 20) -> str:
-    """Fixed-precision decimal rendering of a tower element."""
-    import mpmath
+    """Decimal rendering of a tower element, every digit proven.
 
-    with mpmath.mp.workdps(digits + 10):
-        z = mpmath.mpc(a.embed(digits + 10))
-        re = mpmath.nstr(z.real, digits)
-        im = mpmath.nstr(z.imag, digits)
-    if im in ("0.0", "-0.0"):
+    The parts are rounded from the embedding at digits + 10; should that
+    ball not decide a digit, from one at four times the digits.
+    """
+    for precision in (digits + 10, 4 * digits):
+        parts = a.embed(precision).decimal(digits)
+        if parts:
+            break
+    else:
+        raise TowerError(f"the enclosure of {a} does not decide {digits} digits")
+    re, im = parts
+    if im == "0.0":
         return re
-    if re in ("0.0", "-0.0"):
+    if re == "0.0":
         return f"{im}*i"
     if im.startswith("-"):
         return f"{re} - {im[1:]}*i"

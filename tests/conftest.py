@@ -13,6 +13,7 @@ from sasano_galois.algnum import (
     canonical_tower,
     wasow_tower,
 )
+from sasano_galois.ball import Ball
 from sasano_galois.diffsys import AlgMatrix, DiffSystem
 from sasano_galois.puiseux import PuiseuxPoly
 
@@ -35,6 +36,11 @@ def random_algnum(tw: TowerSpec, rng: random.Random, terms: int = 3, span: int =
         q = Fraction(rng.randint(-span, span), rng.randint(1, span))
         total = total + AlgNum(tw, tw.monomial_value(exps, q))
     return total
+
+
+def ball_fields(z):
+    """A numeric ball as the tuple of its fields, for equality; any other value unchanged."""
+    return (z.re, z.im, z.rre, z.rim, z.prec) if isinstance(z, Ball) else z
 
 
 def random_nonzero_algnum(tw: TowerSpec, rng: random.Random, terms: int = 3) -> AlgNum:

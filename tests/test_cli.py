@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -336,6 +337,16 @@ def test_precision_guard(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["--precision", "10", "prove"])
     assert err.value.code == 2
+
+
+def test_precision_ceiling(tmp_path, capsys):
+    started = time.perf_counter()
+    with pytest.raises(SystemExit) as err:
+        main(["--report-dir", str(tmp_path), "--precision", "100000", "prove"])
+    assert err.value.code == 2 and time.perf_counter() - started < 1
+    message = capsys.readouterr().err
+    assert "at most 1000" in message and "Traceback" not in message
+    assert main(["--report-dir", str(tmp_path), "--precision", "1000", "prove"]) == 0
 
 
 def test_negative_depth_rejected(tmp_path):

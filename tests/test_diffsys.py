@@ -3,11 +3,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-import mpmath
 import pytest
 
-from conftest import mat_from_rows, random_algnum, system_from_entries
+from conftest import ball_fields, mat_from_rows, random_algnum, system_from_entries
 from sasano_galois.algnum import AlgNum, TowerError, canonical_constants
+from sasano_galois.ball import Ball, bits, nth_root
 from sasano_galois.diffsys import (
     DiffSystem,
     block_split,
@@ -83,14 +83,14 @@ class TestMatMul:
     A = ((0, 0, 0), (1, 0, 2), (0, 0, -3))
     B = ((0, 4, 0), (0, 5, 0), (0, -6, 7))
 
-    @pytest.mark.parametrize("kind", ["int", "algnum", "puiseux", "mpmath"])
+    @pytest.mark.parametrize("kind", ["int", "algnum", "puiseux", "ball"])
     def test_zero_rows_and_columns(self, tower, kind):
         g = AlgNum.generator(tower, 0)
         entry = {
             "int": lambda k: k,
             "algnum": lambda k: g * k,
             "puiseux": lambda k: PuiseuxPoly.monomial(tower, k, Fraction(1, 2)),
-            "mpmath": lambda k: mpmath.mpc(k, -k),
+            "ball": lambda k: Ball.rational(k, 64, -k),
         }[kind]
         a, b = (tuple(tuple(entry(k) for k in row) for row in m) for m in (self.A, self.B))
         # the dense product: every term, each sum from its first product
@@ -98,7 +98,7 @@ class TestMatMul:
             tuple(sum((x * y for x, y in zip(row[1:], col[1:])), row[0] * col[0]) for col in zip(*b)) for row in a
         )
         out = mat_mul(a, b)
-        assert out == dense
+        assert [list(map(ball_fields, row)) for row in out] == [list(map(ball_fields, row)) for row in dense]
         assert all(type(x) is type(y) for r, s in zip(out, dense) for x, y in zip(r, s))
         assert not any(out[0])
 
@@ -312,10 +312,9 @@ class TestStructure:
                 [mono(tower, 1, Fraction(-1, 4)), mono(tower, 2, 1)],
             ],
         )
-        with mpmath.workdps(30):
-            x = mpmath.mpf(3)
-            root = x ** (mpmath.mpf(1) / 4)
-            vals = system_numeric(sys, root, 4, 25)
-            assert abs(vals[0][0] - g.embed(25) * mpmath.sqrt(x)) < mpmath.mpf("1e-20")
-            assert abs(vals[1][0] - x ** (-mpmath.mpf(1) / 4)) < mpmath.mpf("1e-20")
-            assert abs(vals[1][1] - 2 * x) < mpmath.mpf("1e-20")
+        prec = bits(30)
+        root = nth_root(Ball.rational(3, prec), 4, Ball.rational(Fraction("1.316"), prec))  # 3^(1/4)
+        vals = system_numeric(sys, root, 4, 25)
+        assert abs(vals[0][0] ** 2 - g.embed(25) ** 2 * 3) < 1e-20  # g * 3^(1/2)
+        assert abs(vals[1][0] * root - 1) < 1e-20  # 3^(-1/4)
+        assert abs(vals[1][1] - 6) < 1e-20

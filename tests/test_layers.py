@@ -1,5 +1,6 @@
-"""The package's layers: ``ratfunc`` at the bottom, each module above it
-importing only modules below it, and one subtraction for every ring type."""
+"""The package's layers: the numeric kernel ``ball`` and ``ratfunc`` at the
+bottom, each module above them importing only modules below it, no module
+importing ``mpmath``, and one subtraction for every ring type."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import tomllib
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +27,7 @@ PACKAGE = Path(sasano_galois.__file__).resolve().parent
 
 # Bottom to top: a module may import only package modules listed before it.
 LAYERS = (
-    "ratfunc", "algnum", "puiseux", "diffsys", "exprparse", "sasano",
+    "ball", "ratfunc", "algnum", "puiseux", "diffsys", "exprparse", "sasano",
     "reduction", "galois", "weyl", "report", "cli",
 )
 
@@ -53,6 +55,32 @@ def test_layers_list_every_module():
 def test_module_imports_only_lower_layers(name):
     below = set(LAYERS[: LAYERS.index(name)])
     assert _package_imports(name) <= below, f"{name} imports {_package_imports(name) - below}"
+
+
+def _imports(name: str) -> set[str]:
+    """Every module name that module ``name`` imports, at any depth of its code."""
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module)
+    return found
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_no_module_imports_mpmath(name):
+    assert not {n for n in _imports(name) if n.split(".")[0] == "mpmath"}
+
+
+def test_no_runtime_dependency():
+    project = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())["project"]
+    assert not project.get("dependencies")
+
+
+def test_ball_imports_no_package_module():
+    assert not _package_imports("ball") and _imports("ball") <= {"__future__", "fractions", "math"}
 
 
 def test_ratfunc_loads_no_other_package_module():

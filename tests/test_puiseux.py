@@ -4,10 +4,10 @@ import math
 import random
 from fractions import Fraction
 
-import mpmath
 import pytest
 
 from sasano_galois.algnum import AlgNum, TowerError, canonical_constants, rational_recognize
+from sasano_galois.ball import Ball, bits, nth_root
 from sasano_galois.puiseux import PuiseuxPoly
 
 
@@ -212,11 +212,11 @@ class TestNumeric:
     def test_eval_matches_embedding(self, tower):
         g = AlgNum.generator(tower, 0)
         p = x_pow(tower, Fraction(1, 2)).scale(g) + 3
-        with mpmath.workdps(30):
-            root = mpmath.sqrt(mpmath.mpf(2))
-            val = p.eval_numeric(root, 25)
-            expect = g.embed(25) * root + 3
-            assert abs(val - expect) < mpmath.mpf("1e-22")
+        prec = bits(30)
+        root = nth_root(Ball.rational(2, prec), 2, Ball.rational(Fraction("1.414"), prec))
+        val = p.eval_numeric(root, 25)
+        expect = g.embed(25) * root + 3
+        assert abs(val - expect) < 1e-22
 
 
 class TestRendering:

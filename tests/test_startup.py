@@ -69,11 +69,24 @@ def test_commands_load_neither_dataclasses_nor_inspect(tmp_path):
     assert added == []
 
 
-def test_configuration_load_imports_mpmath():
+def test_orbit_does_not_load_the_ball_kernel(tmp_path):
     loaded = _fresh(
-        f"import json, sys\nfrom sasano_galois.reduction import canonical_config\ncanonical_config()\n{_LOADED}"
+        "import json, sys\n"
+        "from sasano_galois import cli, reduction\n"
+        f"code = cli.main(['--report-dir', {str(tmp_path)!r}, 'orbit', '--depth', '2'])\n"
+        "print(json.dumps([code, 'sasano_galois.ball' in sys.modules]))"
     )
-    assert "mpmath" in loaded
+    assert loaded == [0, False]
+
+
+@pytest.mark.parametrize("wasow", [False, True], ids=["canonical", "wasow"])
+def test_configuration_load_and_prove_run_without_mpmath(tmp_path, wasow):
+    flags = ["--alpha-wasow"] if wasow else []
+    loaded = _fresh(
+        "import json, sys\nfrom sasano_galois import cli\nfrom sasano_galois.reduction import canonical_config\n"
+        f"canonical_config()\nassert cli.main(['--report-dir', {str(tmp_path)!r}, 'prove', *{flags!r}]) == 0\n{_LOADED}"
+    )
+    assert "mpmath" not in loaded and "sasano_galois.ball" in loaded
 
 
 def test_every_export_resolves():
