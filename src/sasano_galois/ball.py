@@ -47,13 +47,12 @@ class Ball:
         return Ball(re, im, rre, rim, prec)
 
     def _pair(self, other):
-        """self and other as balls on one grid, or None for another type."""
+        """self and other as balls on self's grid, or None for another type."""
         if type(other) is not Ball:
             return (self, Ball.rational(other, self.prec)) if isinstance(other, (int, Fraction)) else None
-        if other.prec == self.prec:
-            return self, other
-        p = max(self.prec, other.prec)
-        return tuple(Ball(x.re << (s := p - x.prec), x.im << s, x.rre << s, x.rim << s, p) for x in (self, other))
+        if other.prec != self.prec:
+            raise ValueError(f"balls on the grids 2^-{self.prec} and 2^-{other.prec}")
+        return self, other
 
     def __add__(self, other):
         pair = self._pair(other)
@@ -131,7 +130,7 @@ class Ball:
         return isqrt(max(abs(self.re) - self.rre, 0) ** 2 + max(abs(self.im) - self.rim, 0) ** 2)
 
     def __abs__(self) -> float:
-        """An upper bound of |self|, rounded to a float."""
+        """An upper bound of |self|, rounded to the nearest float."""
         return self.mag() / (1 << self.prec)
 
     def sign(self, imag: bool = False):

@@ -51,16 +51,12 @@ STATUSES = ("pass", "fail", "inconclusive")
 
 
 def format_numeric(a: AlgNum, digits: int = 20) -> str:
-    """Decimal rendering of a tower element, every digit proven.
-
-    The parts are rounded from the embedding at digits + 10; should that
-    ball not decide a digit, from one at four times the digits.
-    """
-    for precision in (digits + 10, 4 * digits):
-        parts = a.embed(precision).decimal(digits)
-        if parts:
-            break
-    else:
+    """Decimal rendering of a tower element, every digit proven: the parts are
+    rounded from the embedding at digits + 10, good to about digits + 25
+    digits, so only a value that near a rounding tie raises (an exact tie
+    would at any precision)."""
+    parts = a.embed(digits + 10).decimal(digits)
+    if not parts:
         raise TowerError(f"the enclosure of {a} does not decide {digits} digits")
     re, im = parts
     if im == "0.0":

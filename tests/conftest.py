@@ -38,6 +38,13 @@ def random_algnum(tw: TowerSpec, rng: random.Random, terms: int = 3, span: int =
     return total
 
 
+def on_grid(z: Ball, prec: int) -> Ball:
+    """The ball z moved exactly onto the finer grid 2^-prec, so that balls
+    embedded at different precisions can be compared."""
+    s = prec - z.prec
+    return Ball(z.re << s, z.im << s, z.rre << s, z.rim << s, prec)
+
+
 def ball_fields(z):
     """A numeric ball as the tuple of its fields, for equality; any other value unchanged."""
     return (z.re, z.im, z.rre, z.rim, z.prec) if isinstance(z, Ball) else z

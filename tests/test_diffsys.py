@@ -312,9 +312,10 @@ class TestStructure:
                 [mono(tower, 1, Fraction(-1, 4)), mono(tower, 2, 1)],
             ],
         )
-        prec = bits(30)
+        prec = bits(25 + 15)  # the grid of embeddings at 25 digits
         root = nth_root(Ball.rational(3, prec), 4, Ball.rational(Fraction("1.316"), prec))  # 3^(1/4)
+        sqrt3 = nth_root(Ball.rational(3, prec), 2, Ball.rational(Fraction("1.732"), prec))
         vals = system_numeric(sys, root, 4, 25)
-        assert abs(vals[0][0] ** 2 - g.embed(25) ** 2 * 3) < 1e-20  # g * 3^(1/2)
-        assert abs(vals[1][0] * root - 1) < 1e-20  # 3^(-1/4)
-        assert abs(vals[1][1] - 6) < 1e-20
+        assert abs(vals[0][0] - g.embed(25) * sqrt3) < 1e-20
+        assert abs(vals[1][0] - root**-1) < 1e-20
+        assert abs(vals[1][1] - 2 * 3) < 1e-20

@@ -212,7 +212,7 @@ class TestNumeric:
     def test_eval_matches_embedding(self, tower):
         g = AlgNum.generator(tower, 0)
         p = x_pow(tower, Fraction(1, 2)).scale(g) + 3
-        prec = bits(30)
+        prec = bits(25 + 15)  # the grid of embeddings at 25 digits
         root = nth_root(Ball.rational(2, prec), 2, Ball.rational(Fraction("1.414"), prec))
         val = p.eval_numeric(root, 25)
         expect = g.embed(25) * root + 3

@@ -202,7 +202,7 @@ def test_numeric_audit_embeds_each_constant_gauge_once(monkeypatch, canonical_tr
 
     monkeypatch.setattr(AlgNum, "embed", counting)
     report = verify_trace_consistency(canonical_trace)
-    assert report.checks[-1] == ("numeric", "5 sample points, worst relative error 4.192e-29")
+    assert report.checks[-1] == ("numeric", "5 sample points, worst relative error 1.093e-40")
     assert len(calls) == 206
 
 
