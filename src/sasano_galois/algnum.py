@@ -54,6 +54,10 @@ class TowerError(VerificationError):
 _ONE = Fraction(1)
 _ZERO = ((), 1)
 
+# Digits of the embeddings that fix principal branches and run the numeric
+# audit; loading a tower proves its level roots at them.
+AUDIT_DPS = 30
+
 
 class TowerLevel(NamedTuple):
     """One extension step x^degree = c and a root choice.
@@ -98,7 +102,7 @@ class TowerSpec:
         # monomial -> its inverse, any other value -> its inverse, (value,
         # precision) -> its embedding, radicand -> its principal square root
         # (a failed search or root check stores nothing), precision -> the
-        # proven level roots, and (precision, exponents) -> the monomial's
+        # proven level roots, and (grid bits, exponents) -> the monomial's
         # embedding; two threads filling one key store equal values.
         self._fold: dict[tuple[int, ...], tuple] = {}
         self._unit_inv: dict[tuple[int, ...], tuple] = {}
@@ -198,9 +202,6 @@ class TowerSpec:
             out = self.mul(out, conj)
         return out
 
-    def basis_exponents(self):
-        return itertools.product(*(range(d) for d in self.degrees))
-
     # -- numerics ----------------------------------------------------------
 
     def roots(self, dps: int) -> list:
@@ -215,27 +216,34 @@ class TowerSpec:
             from .ball import Ball, bits, nth_root
 
             prec, roots = bits(dps + 15), []
-            for level in self.levels:
+            for level, c in zip(self.levels, self._rel):
                 seed = Ball.rational(Fraction(level.approx[0]), prec, Fraction(level.approx[1]))
-                root = nth_root(_evaluate(level.c, roots, prec), level.degree, seed)
+                root = nth_root(self.embed_value(c, roots, prec), level.degree, seed)
                 if root is None:
                     raise TowerError(f"approximation for level {level.name!r} does not isolate a root")
                 roots.append(root)
             self._root_cache[dps] = roots
         return roots
 
-    def embed_value(self, coords: dict, precision: int = 20):
-        if precision < 15:
-            raise TowerError("numeric embedding needs precision >= 15 digits")
-        roots = self.roots(precision)
-        cache = self._monomials
-        acc = roots[0] * 0  # an exact zero on the roots' grid
-        for e, q in coords.items():
-            mono = cache.get((precision, e))
+    def embed_value(self, value, roots: list, prec: int):
+        """The ball of the value (terms, den) at the level roots, on the grid
+        2^-prec: each integer coordinate times its monomial's ball, kept per
+        (prec, exponents), summed and divided by den once.  The roots of the
+        levels a value does not reach may be missing."""
+        from .ball import Ball
+
+        table, (terms, den) = self._monomials, value
+        acc = Ball.rational(0, prec)
+        for e, n in terms:
+            mono = table.get((prec, e))
             if mono is None:
-                mono = cache[(precision, e)] = _evaluate(((e, _ONE),), roots, roots[0].prec)
-            acc += mono * q
-        return acc
+                mono = Ball.rational(1, prec)
+                for r, k in zip(roots, e):
+                    if k:
+                        mono *= r**k
+                table[(prec, e)] = mono
+            acc += mono * n
+        return acc / den
 
     # -- misc ----------------------------------------------------------------
 
@@ -262,20 +270,6 @@ def _value(items):
     """The value of (exponent tuple, rational) pairs with distinct exponents."""
     den = math.lcm(*[Fraction(q).denominator for _, q in items])
     return _canon([(e, int(q * den)) for e, q in items], den)
-
-
-def _evaluate(value, roots: list, prec: int):
-    """The ball of (exponent tuple, rational) pairs at the given level roots."""
-    from .ball import Ball
-
-    acc = Ball.rational(0, prec)
-    for e, q in value:
-        term = Ball.rational(q, prec)
-        for r, k in zip(roots, e):
-            if k:
-                term *= r**k
-        acc += term
-    return acc
 
 
 def _inv_mod_binomial(p: Poly, d: int, c: Fraction) -> Poly:
@@ -424,7 +418,10 @@ class AlgNum(Frozen):
         table, key = self.tower._embeds, (self.value, precision)
         z = table.get(key)
         if z is None:
-            z = table[key] = self.tower.embed_value(self.coords(), precision)
+            if precision < 15:
+                raise TowerError("numeric embedding needs precision >= 15 digits")
+            roots = self.tower.roots(precision)
+            z = table[key] = self.tower.embed_value(self.value, roots, roots[0].prec)
         return z
 
 
@@ -468,7 +465,7 @@ def _search_sqrt(a: AlgNum) -> AlgNum:
     if a.is_zero():
         return a
     one_key = tower._unit
-    for exps in tower.basis_exponents():
+    for exps in itertools.product(*map(range, tower.degrees)):
         m = AlgNum(tower, tower.monomial_value(exps))
         coords = (a / (m * m)).coords()  # nonzero: monomials are units
         nontrivial = set(coords) - {one_key}
@@ -506,7 +503,7 @@ def _principal_branch(root: AlgNum) -> AlgNum:
     """``root`` or ``-root``, whichever has a positive real part, or a positive
     imaginary part where the real part is exactly zero; both read off the
     enclosure, never guessed."""
-    z = root.embed(30)
+    z = root.embed(AUDIT_DPS)
     sign = z.sign()
     if sign == 0:
         sign = z.sign(imag=True)
@@ -549,7 +546,7 @@ _SQRT5_APPROX = ("2.23606797749978969640917366873", "0")
 
 def _checked_tower(*levels: TowerLevel) -> TowerSpec:
     tower = TowerSpec(levels)
-    tower.roots(30)  # the precision of the principal-branch and audit embeddings
+    tower.roots(AUDIT_DPS)
     return tower
 
 

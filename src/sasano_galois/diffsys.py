@@ -260,21 +260,8 @@ def block_split(system: DiffSystem, sizes: Sequence[int]) -> list[DiffSystem]:
     return out
 
 
-def system_numeric(system: DiffSystem, x_root, root_index: int, precision: int = 20):
-    """Entrywise numeric evaluation at x = x_root^root_index.
-
-    x_root is a chosen numeric value of x^(1/root_index); it fixes the
-    branch for every fractional power.  root_index must be a multiple of
-    each entry's ramification.
-    """
-    out = []
-    for row in system.matrix:
-        vals = []
-        for e in row:
-            if root_index % e.ram != 0:
-                raise TowerError(
-                    f"root index {root_index} incompatible with ramification {e.ram}"
-                )
-            vals.append(e.eval_numeric(x_root ** (root_index // e.ram), precision))
-        out.append(vals)
-    return out
+def system_numeric(system: DiffSystem, x_root, index: int, dps: int):
+    """The matrix at x = x_root^index as balls on x_root's grid, entry by
+    entry through ``PuiseuxPoly.eval_numeric``; x_root fixes the branch of
+    every fractional power."""
+    return [[e.eval_numeric(x_root, index, dps) for e in row] for row in system.matrix]

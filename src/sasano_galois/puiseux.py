@@ -75,13 +75,10 @@ class PuiseuxPoly(Frozen):
     def __bool__(self):
         return bool(self.terms)
 
-    def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and self.terms[0][0] == 0)
-
     def constant_value(self) -> AlgNum:
         if not self.terms:
             return AlgNum.from_rational(self.tower, 0)
-        if self.is_constant():
+        if len(self.terms) == 1 and self.terms[0][0] == 0:
             return self.terms[0][1]
         raise TowerError("not a constant")
 
@@ -210,17 +207,19 @@ class PuiseuxPoly(Frozen):
             acc, k = acc * x ** (k - j) + c, j
         return acc * x**k if k else acc
 
-    def eval_numeric(self, x_root, precision: int = 20):
-        """Numeric value given a chosen numeric root x^(1/ram).
+    def eval_numeric(self, x_root, index: int, dps: int):
+        """The ball of the value at x = x_root^index, coefficients embedded at dps.
 
-        The caller fixes the branch by supplying the root; every term is
-        x_root^(e * ram), so evaluation is single-valued once the root is
-        chosen.
+        The caller fixes the branch by supplying the root: each term c x^e
+        is c times x_root^(e * index), which needs e * index integral.  The
+        zero polynomial is an exact zero on x_root's grid.
         """
-        ram = self.ram
-        total = 0
+        total = x_root * 0
         for e, c in self.terms:
-            total = total + c.embed(precision) * x_root ** int(e * ram)
+            k = e * index
+            if k.denominator != 1:
+                raise TowerError(f"root index {index} incompatible with ramification {self.ram}")
+            total += c.embed(dps) * x_root ** int(k)
         return total
 
     def render(self, var: str = "x") -> str:

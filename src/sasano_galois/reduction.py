@@ -33,7 +33,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import NamedTuple
 
-from .algnum import AlgNum, ChainConstants, TowerError, canonical_constants, wasow_constants
+from .algnum import AUDIT_DPS, AlgNum, ChainConstants, TowerError, canonical_constants, wasow_constants
 from .diffsys import (
     AlgMatrix,
     DiffSystem,
@@ -335,13 +335,6 @@ class ConsistencyReport(NamedTuple):
         return tuple(name for name, _ in self.checks)
 
 
-def _sample_points(precision: int):
-    from .ball import Ball, bits
-
-    points = ((2, 0), (3, 0), (1, 1), (Fraction(5, 2), 0), (4, 0))
-    return tuple(Ball.rational(re, bits(precision + 15), im) for re, im in points)  # the embeddings' grid
-
-
 def verify_trace_consistency(trace: ReductionTrace) -> ConsistencyReport:
     """Replay the trace backwards exactly and cross-check it numerically.
 
@@ -353,8 +346,8 @@ def verify_trace_consistency(trace: ReductionTrace) -> ConsistencyReport:
     * exact inverse walk: undoing every step recovers the stage before it,
       down to the original variational system;
     * numeric: at five sample points the composed transformation of the
-      first stage, in ball arithmetic on the grid of the 30-digit
-      embeddings, agrees entrywise with the exact final matrix to a
+      first stage, in ball arithmetic on the grid of the embeddings at
+      ``AUDIT_DPS`` digits, agrees entrywise with the exact final matrix to a
       relative error proven below 1e-9 (branches fixed by evaluating the
       quarter root of t as root(alpha) * tau).
     """
@@ -372,7 +365,7 @@ def verify_trace_consistency(trace: ReductionTrace) -> ConsistencyReport:
     _inverse_walk(trace)
     checks.append(("inverse-walk", f"{len(trace.steps)} steps undone exactly"))
 
-    worst = _numeric_composition(trace, 30)
+    worst = _numeric_composition(trace)
     if worst > 1e-9:
         raise ReductionError(f"numeric cross-check error {worst} exceeds 1e-9")
     checks.append(("numeric", f"5 sample points, worst relative error {worst:.3e}"))
@@ -388,22 +381,27 @@ def _inverse_walk(trace: ReductionTrace) -> None:
         current = step.before
 
 
-def _numeric_composition(trace: ReductionTrace, precision: int) -> float:
-    # The moves with each constant gauge embedded once for every point.
+def _numeric_composition(trace: ReductionTrace) -> float:
+    from .ball import Ball
+
+    # The moves with each constant gauge embedded once for every point, and
+    # the points on the grid of the embedded root of alpha.
     moves = [
-        ConstantGauge(*([[e.embed(precision) for e in row] for row in m] for m in (move.t, move.t_inv)))
+        ConstantGauge(*([[e.embed(AUDIT_DPS) for e in row] for row in m] for m in (move.t, move.t_inv)))
         if isinstance(move, ConstantGauge)
         else move
         for move in (step.move for step in trace.steps)
     ]
-    return max(_compose_at(trace, moves, tau0, precision) for tau0 in _sample_points(precision))
+    root_alpha = trace.config.constants.alpha_quarter_root.embed(AUDIT_DPS)
+    points = ((2, 0), (3, 0), (1, 1), (Fraction(5, 2), 0), (4, 0))
+    return max(
+        _compose_at(trace, moves, root_alpha, Ball.rational(re, root_alpha.prec, im)) for re, im in points
+    )
 
 
-def _compose_at(trace: ReductionTrace, moves: list, tau0, precision: int) -> float:
-    c = trace.config.constants
-    root_alpha = c.alpha_quarter_root.embed(precision)
+def _compose_at(trace: ReductionTrace, moves: list, root_alpha, tau0) -> float:
     t_quarter = root_alpha * tau0  # branch of t^(1/4) with t = alpha * tau^4
-    value = system_numeric(trace.steps[0].before, t_quarter, 4, precision)
+    value = system_numeric(trace.steps[0].before, t_quarter, 4, AUDIT_DPS)
     point = t_quarter**4
     root, index = t_quarter, 4
     for move in moves:
@@ -423,13 +421,13 @@ def _compose_at(trace: ReductionTrace, moves: list, tau0, precision: int) -> flo
             exp = move.power - 1
             if exp.denominator != 1:
                 raise ReductionError("fractional substitution power in numeric walk")
-            dphi = (move.root**move.index).embed(precision) * move.power * tau0 ** int(exp)
+            dphi = (move.root**move.index).embed(AUDIT_DPS) * move.power * tau0 ** int(exp)
             value = [[e * dphi for e in row] for row in value]
             point, root, index = tau0, tau0, 1
-    expected = system_numeric(trace.final, tau0, 1, precision)
+    expected = system_numeric(trace.final, tau0, 1, AUDIT_DPS)
     worst = 0.0
     for x, e in zip(itertools.chain(*value), itertools.chain(*expected)):
         if d := x - e:  # |d| / (1 + |e|) from above: mag(d) over 1 + mig(e), rounded up
-            worst = max(worst, math.nextafter(d.mag() / ((1 << d.prec) + (e.mig() if e else 0)), math.inf))
+            worst = max(worst, math.nextafter(d.mag() / ((1 << d.prec) + e.mig()), math.inf))
     return worst
 

@@ -319,3 +319,18 @@ class TestStructure:
         assert abs(vals[0][0] - g.embed(25) * sqrt3) < 1e-20
         assert abs(vals[1][0] - root**-1) < 1e-20
         assert abs(vals[1][1] - 2 * 3) < 1e-20
+
+    def test_system_numeric_returns_balls_on_the_points_grid(self, tower):
+        z = PuiseuxPoly.zero(tower)
+        g = AlgNum.generator(tower, 0)
+        sys = system_from_entries(tower, "x", [[mono(tower, 1, Fraction(1, 2)).scale(g), z], [z, mono(tower, 2, -1)]])
+        root = Ball.rational(Fraction(3, 2), bits(25 + 15), Fraction(1, 4))  # the grid of embeddings at 25 digits
+        vals = system_numeric(sys, root, 2, 25)
+        assert all(type(v) is Ball and v.prec == root.prec for row in vals for v in row)
+        assert ball_fields(vals[0][1]) == ball_fields(vals[1][0]) == (0, 0, 0, 0, root.prec)
+        assert vals[0][0] and vals[1][1]
+
+    def test_index_leaving_a_fractional_power_raises(self, tower):
+        sys = system_from_entries(tower, "x", [[mono(tower, 1, 0), mono(tower, 1, Fraction(1, 4))]] * 2)
+        with pytest.raises(TowerError, match="root index 2 incompatible with ramification 4"):
+            system_numeric(sys, Ball.rational(2, bits(25 + 15)), 2, 25)

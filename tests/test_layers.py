@@ -83,6 +83,16 @@ def test_ball_imports_no_package_module():
     assert not _package_imports("ball") and _imports("ball") <= {"__future__", "fractions", "math"}
 
 
+def test_only_ball_and_algnum_name_the_grid_rule():
+    # ball defines bits and algnum alone maps digits to a grid; everything
+    # else takes the grid of a ball it is given
+    for name in set(LAYERS) - {"ball", "algnum"}:
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            imported = isinstance(node, ast.ImportFrom) and "bits" in {alias.name for alias in node.names}
+            assert not (imported or isinstance(node, ast.Attribute) and node.attr == "bits"), name
+
+
 def test_ratfunc_loads_no_other_package_module():
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     code = (
