@@ -129,13 +129,12 @@ def eigen_decompose_distinct(
         if k is None:
             raise TowerError("eigenvector has zero first entry, cannot normalize")
         v = _projector_times(a, others, unit[k])
-        scale = v[0].inverse()
-        v = tuple(x * scale for x in v)
+        v = tuple(x / v[0] for x in v)
         pairing = mat_mul((w,), tuple(zip(v)))[0][0]
         if pairing.is_zero():
             raise TowerError(f"{lam} is not a simple eigenvalue of the matrix")
         cols.append(v)
-        rows.append(tuple(x * pairing.inverse() for x in w))
+        rows.append(tuple(x / pairing for x in w))
     t = tuple(zip(*cols))
     t_inv = tuple(rows)
     if mat_mul(t_inv, mat_mul(a, t)) != diagonal_matrix(tower, eigenvalues):
@@ -208,35 +207,21 @@ def change_variable_power(
 
     dX/du = phi'(u) M(phi(u)) X for phi(u) = scale * u^power with
     scale = root^index, so every entry is expanded by substitution and
-    multiplied by the monomial scale * power * u^(power - 1).  The root is
-    inverted once, for all entries, when some entry has a negative exponent.
+    multiplied by the monomial scale * power * u^(power - 1).
     """
-    power = Fraction(power)
     dphi = PuiseuxPoly.monomial(system.tower, root**index * power, power - 1)
-    negative = any(e.terms and e.terms[0][0] < 0 for row in system.matrix for e in row)
-    inv = root.inverse() if negative else None
-    rows = tuple(
-        tuple(e.substitute_power(root, index, power, inv) * dphi for e in row)
-        for row in system.matrix
-    )
+    rows = tuple(tuple(e.substitute_power(root, index, power) * dphi for e in row) for row in system.matrix)
     return DiffSystem(new_var, rows)
 
 
 def leading_data(system: DiffSystem) -> tuple[Fraction, AlgMatrix]:
-    """Top exponent r over all entries and the matrix of x^r coefficients."""
-    tower = system.tower
-    tops = [
-        e.max_exponent() for row in system.matrix for e in row if not e.is_zero()
-    ]
+    """Top exponent r over all entries and the matrix of x^r coefficients;
+    ``coeff_at`` reads a zero polynomial and a missing term as zero."""
+    tops = [e.max_exponent() for row in system.matrix for e in row if not e.is_zero()]
     if not tops:
         raise TowerError("zero system has no leading exponent")
     r = max(tops)
-    zero = AlgNum.from_rational(tower, 0)
-    lead = tuple(
-        tuple(e.coeff_at(r) if not e.is_zero() else zero for e in row)
-        for row in system.matrix
-    )
-    return r, lead
+    return r, tuple(tuple(e.coeff_at(r) for e in row) for row in system.matrix)
 
 
 def block_split(system: DiffSystem, sizes: Sequence[int]) -> list[DiffSystem]:

@@ -167,14 +167,13 @@ class PuiseuxPoly(Frozen):
         """d/dx, exact: x^e -> e x^(e - 1)."""
         return _merge(self.tower, ((e - 1, c * e) for e, c in self.terms if e))
 
-    def substitute_power(
-        self, root: AlgNum, index: int, power: Fraction, inv: AlgNum | None = None
-    ) -> PuiseuxPoly:
+    def substitute_power(self, root: AlgNum, index: int, power: Fraction) -> PuiseuxPoly:
         """Expand p(x) under x = root^index * u^power into a polynomial in u.
 
         ``index`` must be a multiple of every exponent denominator in p, so
-        the fractional powers (root^index)^e stay inside the tower.
-        ``inv`` is 1/root, inverted here when not given and a term needs it.
+        the fractional powers (root^index)^e stay inside the tower.  A
+        negative power of the root inverts it through the tower, whose
+        table computes each inverse once.
         """
         power = Fraction(power)
         if power <= 0:
@@ -183,13 +182,7 @@ class PuiseuxPoly(Frozen):
             raise TowerError("root index must be a positive integer")
         if index % self.ram != 0:
             raise TowerError(f"need a root of index divisible by {self.ram}, got {index}")
-        if inv is None and self.terms and self.terms[0][0] < 0:  # terms ascend
-            inv = root.inverse()
-        out = []
-        for e, c in self.terms:
-            n = int(e * index)
-            out.append((e * power, c * (root**n if n >= 0 else inv ** (-n))))
-        return _merge(self.tower, out)
+        return _merge(self.tower, ((e * power, c * root ** int(e * index)) for e, c in self.terms))
 
     # -- evaluation / presentation -------------------------------------------
 

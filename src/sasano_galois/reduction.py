@@ -421,7 +421,7 @@ def _compose_at(trace: ReductionTrace, moves: list, root_alpha, tau0) -> float:
             exp = move.power - 1
             if exp.denominator != 1:
                 raise ReductionError("fractional substitution power in numeric walk")
-            dphi = (move.root**move.index).embed(AUDIT_DPS) * move.power * tau0 ** int(exp)
+            dphi = move.root.embed(AUDIT_DPS) ** move.index * move.power * tau0 ** int(exp)
             value = [[e * dphi for e in row] for row in value]
             point, root, index = tau0, tau0, 1
     expected = system_numeric(trace.final, tau0, 1, AUDIT_DPS)

@@ -240,10 +240,13 @@ def check_params(params: Sequence) -> tuple[Fraction, Fraction, Fraction]:
     if len(params) != 3:
         raise VerificationError("expected three parameters (a0, a1, a2)")
     a0, a1, a2 = (Fraction(p) for p in params)
-    if a0 + 2 * a1 + 2 * a2 != 1:
-        raise VerificationError(
-            f"parameters must satisfy a0 + 2*a1 + 2*a2 = 1, got {a0 + 2 * a1 + 2 * a2}"
-        )
+    total = a0 + 2 * a1 + 2 * a2
+    if total != 1:
+        try:
+            got = f", got {total}"
+        except ValueError:  # more digits than Python converts to text
+            got = ""
+        raise VerificationError(f"parameters must satisfy a0 + 2*a1 + 2*a2 = 1{got}")
     return a0, a1, a2
 
 
@@ -314,20 +317,26 @@ def solution_energy(values: CommonDenominator) -> RatFunc:
     return -values.evaluate(hamiltonian())
 
 
-def verify_solution(values: CommonDenominator, f: RatFunc) -> None:
+def verify_solution(values: CommonDenominator, f: RatFunc | None = None) -> RatFunc:
     """Check that x, y, z, w held by ``values`` and F = f solve the field
-    exactly; raise on failure.
+    exactly, and return f; raise on failure.
 
     Each equation is checked without a gcd.  The field row is N/L^k over
     the common denominator L of ``values``, and x, y, z, w are m/L^j there,
     j in {0, 1}.  With D = m'L - mL' (m' when j = 0), d/dt (m/L^j) = D/L^2j,
     so the equation holds exactly when D L^(k-2j) = N, or D = N L^(2j-k)
     when k < 2j.  F = n/d is not among the values; its equation is
-    (n'd - nd') L^k = N d^2.
+    (n'd - nd') L^k = N d^2.  Without f, F is the energy lift
+    (:func:`solution_energy`), formed only once the x, y, z, w rows hold:
+    its one gcd can cost far more than every row.
     """
     field = build_extended_system()
     bad = []
     for name in ("x", "y", "z", "w", "F"):  # t' = 1 holds by construction
+        if name == "F" and f is None:
+            if bad:
+                break
+            f = solution_energy(values)
         num, k = field[_INDEX[name]].eval_scaled(values)
         if name == "F":
             n, d = f.num, f.den
@@ -343,6 +352,7 @@ def verify_solution(values: CommonDenominator, f: RatFunc) -> None:
             bad.append(name)
     if bad:
         raise VerificationError(f"not a solution: equations fail for {', '.join(bad)}")
+    return f
 
 
 def verify_zero_energy(values: CommonDenominator, f: RatFunc) -> None:

@@ -32,9 +32,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .diffsys import mat_mul
 from .ratfunc import RatFunc, VerificationError
-from .sasano import (
-    check_params, scale_solution, seed_solution, solution_energy, verify_solution, verify_zero_energy,
-)
+from .sasano import check_params, scale_solution, seed_solution, verify_solution, verify_zero_energy
 
 GENERATORS = ("s0", "s1", "s2")
 
@@ -104,9 +102,10 @@ class SolutionState(NamedTuple):
     """An exact rational solution, its parameters and the conjugate F of t.
 
     :meth:`make` takes the F that a generator transported, or computes
-    F = -H for a root of the orbit, and verifies all equations of motion,
-    whose F row fixes F up to a constant, and H + F = 0 at one exact point;
-    so a state that exists is always a checked zero-energy solution.
+    F = -H for a root of the orbit once its x, y, z, w rows hold, and
+    verifies all equations of motion, whose F row fixes F up to a
+    constant, and H + F = 0 at one exact point; so a state that exists is
+    always a checked zero-energy solution.
     """
 
     x: RatFunc
@@ -121,10 +120,8 @@ class SolutionState(NamedTuple):
         x: RatFunc, y: RatFunc, z: RatFunc, w: RatFunc, params: ParamTriple, f: RatFunc | None = None
     ) -> SolutionState:
         values = scale_solution({"x": x, "y": y, "z": z, "w": w}, params.as_tuple())
-        if f is None:
-            f = solution_energy(values)
         try:
-            verify_solution(values, f)
+            f = verify_solution(values, f)
             verify_zero_energy(values, f)
         except VerificationError as exc:
             raise WeylError(str(exc)) from exc

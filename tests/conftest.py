@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
+from sasano_galois import algnum, reduction
 from sasano_galois.algnum import (
     AlgNum,
     TowerError,
@@ -26,6 +28,26 @@ def tower() -> TowerSpec:
 @pytest.fixture(scope="session")
 def alt_tower() -> TowerSpec:
     return wasow_tower()
+
+
+# The cached towers and constants, as the modules that read them name them.
+SINGLETONS = (
+    (algnum, "canonical_tower"),
+    (algnum, "canonical_constants"),
+    (reduction, "canonical_constants"),
+    (algnum, "wasow_tower"),
+    (algnum, "wasow_constants"),
+    (reduction, "wasow_constants"),
+)
+
+
+@pytest.fixture
+def cold(monkeypatch):
+    """Fresh caches stand in for the cached towers and constants, so the
+    tower tables and the fixture entries start empty, as in a new process;
+    monkeypatch restores the originals."""
+    for module, name in SINGLETONS:
+        monkeypatch.setattr(module, name, functools.cache(getattr(module, name).__wrapped__))
 
 
 def random_algnum(tw: TowerSpec, rng: random.Random, terms: int = 3, span: int = 9) -> AlgNum:

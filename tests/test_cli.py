@@ -50,6 +50,9 @@ def test_verify_seed_malformed_params(tmp_path, capsys):
     assert run(tmp_path, "verify-seed", "--params", "1,1,1") == 2
     assert run(tmp_path, "verify-seed", "--params", "1/0,0,1/2") == 2
     assert "input error" in capsys.readouterr().err
+    # a sum of 5,001 digits, more than Python converts to text
+    assert run(tmp_path, "verify-seed", "--params", "1e5000,0,0") == 2
+    assert capsys.readouterr().err == "input error: parameters must satisfy a0 + 2*a1 + 2*a2 = 1\n"
 
 
 def test_verify_seed_solution_file(tmp_path):
@@ -79,6 +82,26 @@ def test_verify_seed_solution_file_errors(tmp_path, capsys):
         capsys.readouterr()
         assert run(tmp_path, "verify-seed", "--solution-file", str(bad_params)) == 2
         assert "input error" in capsys.readouterr().err
+
+    array = tmp_path / "array.json"
+    array.write_text(json.dumps([S0_IMAGE]))
+    assert run(tmp_path, "verify-seed", "--solution-file", str(array)) == 2
+    assert "must hold a JSON object" in capsys.readouterr().err
+
+
+def test_verify_seed_fails_a_non_solution_before_its_energy(tmp_path, capsys):
+    # F = -H of these components takes a gcd of many seconds; the x, y, z, w
+    # rows take none and fail first
+    path = tmp_path / "slow.json"
+    path.write_text(
+        '{"params":["2/5","1/5","1/10"],"x":"1/(t^2+1)^20","y":"1/(t^3+2)^10","z":"1/(t-7)^10","w":"t"}'
+    )
+    started = time.perf_counter()
+    assert run(tmp_path, "verify-seed", "--solution-file", str(path)) == 1
+    assert time.perf_counter() - started < 2
+    assert "model check: fail" in capsys.readouterr().out
+    error = read_json(tmp_path, "seed_check")["sections"][0]["steps"][0]["values"]["error"]
+    assert error == "not a solution: equations fail for x, y, z, w"
 
 
 @pytest.mark.parametrize("component", ["1/0", "(t-t)^-1"])
@@ -233,6 +256,35 @@ GOLDEN = (
             "proof.md": "2d12d6355a27afac599cb36c567a7a61fae03b254f19fc1221f7206ff1110426",
         },
     ),
+    (
+        ("--precision", "1000", "prove"),
+        {
+            "proof.json": "0f881a30ae230e5ae0ba16b2636be8a28b2ce0b7705ed20619cb00703f9aff37",
+            "proof.md": "d5ddcae7d71d4ecfd3eef99646b4e701cf0eef0008bb720edc90f6127834faba",
+        },
+    ),
+    (
+        ("prove", "--stop-after", "reduction"),
+        {
+            "proof.json": "37e4fabcc590161a208a09506af1ae92634a9581206b315f0046334ec249b82d",
+            "proof.md": "5d90c898e2b49ba94d473739bbe1cdb955f1c860d213221225b1899da896ada5",
+        },
+    ),
+    (
+        ("prove", "--stop-after", "classify"),
+        {
+            "proof.json": "56a4bffd1b8fe915e587c4941590aaa5ce9e9c92b10867d755671bc6c10e987c",
+            "proof.md": "eaec981af974d9de4d664c84b7e5e47b86c14b0885e2a38db6f26f9528f94322",
+        },
+    ),
+    (
+        ("orbit", "--depth", "6"),
+        {
+            "orbit.jsonl": "a0f3d65c6ea71375e6ded69f71e26d7b42d48d6504198b0f9444494b83e489e6",
+            "orbit_summary.json": "0261e91559c5de6f34bee9a9ea2c619d77d2d70bfe62b85f9e30037a39463fbe",
+            "orbit_summary.md": "12f5c890f0a8e9e870a1df53a4a27482d1b0cb3772fd29f6441791a79b676bf4",
+        },
+    ),
 )
 
 
@@ -243,6 +295,7 @@ GOLDEN = (
         "prove", "prove-wasow", "prove-precision-40", "prove-wasow-precision-15",
         "orbit-depth-2", "orbit-depth-6", "orbit-depth-8",
         "verify-seed", "verify-seed-file", "prove-nve",
+        "prove-precision-1000", "prove-reduction", "prove-classify", "orbit-depth-6-unchecked",
     ],
 )
 def test_reports_match_golden_digests(tmp_path, argv, digests):

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from sasano_galois import algnum, galois, reduction, report, weyl
+from sasano_galois import algnum, galois, reduction, report, sasano
 from sasano_galois.algnum import AlgNum, TowerError, rational_recognize
 from sasano_galois.cli import main
 from sasano_galois.puiseux import PuiseuxPoly
@@ -105,6 +105,35 @@ def test_corrupt_fixture_exits_1_through_cli(tmp_path, capsys, corrupted, case):
     assert "reduction trace: fail" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "entry, error",
+    [
+        ("al^(1/3)", "exponent 1/3 of 'al' is not a quarter integer"),
+        ("sqrt5^(1/2)", "symbol 'sqrt5' does not support exponent 1/2"),
+    ],
+    ids=["al-third", "sqrt5-half"],
+)
+def test_gauge_power_outside_the_tower_ends_in_reduction_fail_section(corrupted, entry, error):
+    corrupted("gauge", "t1", "entry", entry)
+    proof = build_proof(stop_after="reduction")
+    assert [s.status for s in proof.sections] == ["pass", "pass", "fail"]
+    assert error in dict(proof.sections[-1].steps[0].values)["error"]
+
+
+def test_stage_read_in_another_variable_ends_in_reduction_fail_section(monkeypatch):
+    # every entry of ramified_time renamed from tau to u still parses, so
+    # only the comparison of the variables can reject the stage
+    fixtures = copy.deepcopy(reduction.load_fixtures())
+    stage = next(s for s in fixtures["stages"] if s["name"] == "ramified_time")
+    stage["var"] = "u"
+    stage["rows"] = [[e.replace("tau", "u") for e in row] for row in stage["rows"]]
+    monkeypatch.setattr(reduction, "load_fixtures", lambda: fixtures)
+    proof = build_proof(stop_after="reduction")
+    assert [s.status for s in proof.sections] == ["pass", "pass", "fail"]
+    error = dict(proof.sections[-1].steps[0].values)["error"]
+    assert error == "stage ramified_time: variable is 'tau', reference uses 'u'"
+
+
 @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no limit on integer string conversion")
 def test_overlong_integer_literal_ends_in_reduction_fail_section(tmp_path, corrupted):
     corrupted("stage", STAGES[0], "entry", "1" * (sys.get_int_max_str_digits() + 1))
@@ -143,7 +172,7 @@ def test_corrupt_tower_approximation_ends_in_nve_fail_section(tmp_path, monkeypa
 def test_zero_energy_denominator_ends_in_model_fail_section(tmp_path, monkeypatch):
     # F = 0/0 passes the equations of motion (both sides carry d = 0), so
     # only the bounded t0 search of the H + F = 0 check can reject it.
-    monkeypatch.setattr(weyl, "solution_energy", lambda values: RatFunc(Poly((), 1), Poly((), 1)))
+    monkeypatch.setattr(sasano, "solution_energy", lambda values: RatFunc(Poly((), 1), Poly((), 1)))
     proof = build_proof()
     assert [s.status for s in proof.sections] == ["fail"]
     assert proof.sections[0].name == "model check"

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-import functools
 from fractions import Fraction
 
 import pytest
@@ -206,6 +205,16 @@ def test_numeric_audit_embeds_each_constant_gauge_once(monkeypatch, canonical_tr
     assert len(calls) == 202
 
 
+def test_numeric_audit_takes_no_exact_tower_power(monkeypatch, canonical_trace):
+    # the substitution scale is the embedded root raised to its index in
+    # balls, not the exact tower power embedded at each of the 5 points
+    powers = []
+    power = AlgNum.__pow__
+    monkeypatch.setattr(AlgNum, "__pow__", lambda a, n: powers.append(n) or power(a, n))
+    assert reduction._numeric_composition(canonical_trace) < 1e-9
+    assert powers == []
+
+
 def test_mismatch_error_names_stage_and_entry():
     cfg = canonical_config()
     nve = seed_variational_system(cfg.constants.tower)
@@ -311,25 +320,6 @@ def test_each_gauge_inverse_checked_once(monkeypatch):
 
 # -- values computed once per command ------------------------------------------------
 
-SINGLETONS = (
-    (algnum, "canonical_tower"),
-    (algnum, "canonical_constants"),
-    (reduction, "canonical_constants"),
-    (algnum, "wasow_tower"),
-    (algnum, "wasow_constants"),
-    (reduction, "wasow_constants"),
-)
-
-
-@pytest.fixture
-def cold(monkeypatch):
-    """Fresh caches stand in for the cached towers and constants, so the
-    tower tables and the fixture entries start empty, as in a new process;
-    monkeypatch restores the originals."""
-    for module, name in SINGLETONS:
-        monkeypatch.setattr(module, name, functools.cache(getattr(module, name).__wrapped__))
-
-
 @pytest.mark.parametrize("wasow", [False, True], ids=["canonical", "wasow"])
 def test_cold_and_warm_proofs_are_byte_identical(cold, wasow):
     first = report_to_json(build_proof(wasow=wasow))
@@ -356,7 +346,6 @@ def test_cold_proof_computes_each_inverse_embedding_root_and_entry_once(cold, mo
     record("root", algnum, "_search_sqrt", lambda a: a.value)
     record("entry", reduction, "parse_puiseux", lambda text, tower, var, symbols: (text, var))
     build_proof(wasow=wasow)
-    seen["inverse"] = [a for a in seen["inverse"] if len(a[0]) > 1]  # monomials have their own table
     seen["embedding"] = [key for key in seen["embedding"] if key]  # the table's misses
     for kind, keys in seen.items():
         assert keys and len(keys) == len(set(keys)), kind

@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import json
-import sys
 from fractions import Fraction
 
 import pytest
 
 from conftest import algnum_from_json, assert_pair_form, tower_from_json
 from sasano_galois import sasano, weyl
-from sasano_galois.algnum import AlgNum, canonical_constants
+from sasano_galois.algnum import AlgNum, TowerSpec, canonical_constants
 from sasano_galois.galois import ApparentCertificate, BlockClassification, GaloisOutcome
+from sasano_galois.puiseux import PuiseuxPoly
 from sasano_galois.report import (
     SECTION_ORDER,
     STATUSES,
@@ -181,19 +181,26 @@ def test_prove_stays_within_its_tower_product_budget(monkeypatch):
     assert calls <= 1800
 
 
-def test_prove_inverts_each_substitution_root_once(monkeypatch):
-    callers = []
-    inverse = AlgNum.inverse
+def test_prove_inverts_each_substitution_root_once(cold, monkeypatch):
+    # A substitution takes negative powers of its root through the tower,
+    # whose tables compute each inverse once.  In a cold proof each of the 7
+    # roots that has a negative power to take (the root of alpha and its
+    # inverse, 1 for the eta pull-backs, the four Whittaker scales) reaches
+    # ``_inv_sum`` once, a monomial as its basis monomial.
+    roots, inverted = [], []
+    substitute, inv_sum = PuiseuxPoly.substitute_power, TowerSpec._inv_sum
 
-    def counting(a):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return inverse(a)
+    def recording(p, root, index, power):
+        if p and p.valuation() < 0:
+            roots.append(root.value)
+        return substitute(p, root, index, power)
 
-    monkeypatch.setattr(AlgNum, "inverse", counting)
+    monkeypatch.setattr(PuiseuxPoly, "substitute_power", recording)
+    monkeypatch.setattr(TowerSpec, "_inv_sum", lambda tower, a: inverted.append(a) or inv_sum(tower, a))
     assert build_proof().verdict == "NotIntegrable"
-    # 4 matrix substitutions (2 in the chain and its inverse walk, 2 pulling
-    # back eta) and 4 scalar ones in rescale_variable, one inversion each
-    assert sum(c in ("change_variable_power", "substitute_power") for c in callers) == 8
+    keys = {(((terms[0][0], 1),), 1) if len(terms) == 1 else (terms, den) for terms, den in roots}
+    assert len(keys) == 7
+    assert all(inverted.count(key) == 1 for key in keys)
 
 
 def test_apparent_claim_names_the_certificate_exponents():

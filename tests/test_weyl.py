@@ -8,7 +8,7 @@ import pytest
 
 from sasano_galois.algnum import VerificationError
 from sasano_galois.exprparse import parse_ratfunc
-from sasano_galois import weyl
+from sasano_galois import sasano, weyl
 from sasano_galois.ratfunc import Poly, RatFunc
 from sasano_galois.report import orbit_section
 from sasano_galois.sasano import scale_solution, solution_energy, verify_zero_energy
@@ -215,10 +215,10 @@ def test_orbit_verifies_each_state_once(monkeypatch):
         return make(*args)
 
     checked, energies = [], []
-    point_check, energy = weyl.verify_zero_energy, weyl.solution_energy
+    point_check, energy = weyl.verify_zero_energy, sasano.solution_energy
     monkeypatch.setattr(SolutionState, "make", staticmethod(counting))
     monkeypatch.setattr(weyl, "verify_zero_energy", lambda *a: checked.append(a) or point_check(*a))
-    monkeypatch.setattr(weyl, "solution_energy", lambda v: energies.append(v) or energy(v))
+    monkeypatch.setattr(sasano, "solution_energy", lambda v: energies.append(v) or energy(v))
     orbit = enumerate_orbit(seed_state(), depth=6)
     assert orbit.node_count() == 57 and len(orbit.collisions) == 24
     assert len(calls) == 57 and len(checked) == 57
