@@ -285,7 +285,7 @@ def _inv_mod_binomial(p: Poly, d: int, c: Fraction) -> Poly:
         r0, r1, s0, s1 = r1, rem, s1, s0 - quot * s1
     if r1.is_zero():
         raise TowerError("zero divisor encountered; tower data is corrupt")
-    return s1.scale(Fraction(r1.den, r1.nums[0]))
+    return s1 * Fraction(r1.den, r1.nums[0])
 
 
 class AlgNum(Frozen):

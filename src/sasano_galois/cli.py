@@ -15,21 +15,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from .exprparse import parse_ratfunc
+from .exprparse import parse_param, parse_ratfunc
 from .report import (
     ProofReport,
-    build_orbit_report,
     build_proof,
     build_seed_report,
     orbit_jsonl,
     report_to_json,
     report_to_markdown,
+    run_orbit,
 )
 from .sasano import seed_solution
-from .weyl import ParamTriple, enumerate_orbit, seed_state
+from .weyl import ParamTriple
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,8 +126,7 @@ def _parse_params(text: str) -> ParamTriple:
     pieces = text.split(",")
     if len(pieces) != 3:
         raise ValueError(f"expected three comma-separated values, got {len(pieces)}")
-    values = tuple(Fraction(p.strip()) for p in pieces)
-    return ParamTriple.make(values)
+    return ParamTriple.make([parse_param(p, f"a{i}") for i, p in enumerate(pieces)])
 
 
 def _load_solution_file(path: str) -> tuple[dict, ParamTriple]:
@@ -142,7 +140,7 @@ def _load_solution_file(path: str) -> tuple[dict, ParamTriple]:
         funcs[name] = parse_ratfunc(str(data[name]))
     if not isinstance(data.get("params"), list) or len(data["params"]) != 3:
         raise ValueError("solution file needs a three-element params list")
-    params = ParamTriple.make(tuple(Fraction(str(q)) for q in data["params"]))
+    params = ParamTriple.make([parse_param(str(q), f"a{i}") for i, q in enumerate(data["params"])])
     return funcs, params
 
 
@@ -172,9 +170,9 @@ def cmd_prove(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    orbit = enumerate_orbit(seed_state(), depth=args.depth)
-    report = build_orbit_report(orbit, check_rows=args.check_matsuda)
-    return _publish(report, args, "orbit_summary", (("orbit.jsonl", orbit_jsonl(orbit)),))
+    report, orbit = run_orbit(args.depth, check_rows=args.check_matsuda)
+    files = () if orbit is None else (("orbit.jsonl", orbit_jsonl(orbit)),)
+    return _publish(report, args, "orbit_summary", files)
 
 
 def main(argv=None) -> int:

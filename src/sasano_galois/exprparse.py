@@ -46,6 +46,7 @@ from .ratfunc import RatFunc, VerificationError, int_power
 
 SymbolResolver = Callable[[str, Fraction], AlgNum]
 _MAX_DEGREE, _MAX_BITS = 256, 1 << 15  # admit a 4,300-digit literal and every depth-12 orbit state
+_MAX_LITERAL, _MAX_DIGITS = 4300, _MAX_BITS * 3 // 10  # digits of a parameter, then with its exponent
 
 
 class ExprError(VerificationError):
@@ -226,6 +227,18 @@ class _Parser:
                 value = value / self.integer()
             self.expect(")")
         return value
+
+
+def parse_param(text: str, name: str) -> Fraction:
+    """``Fraction(text)`` for the parameter ``name``, refused before it is built
+    past the size bound, which counts a decimal exponent as that many digits."""
+    mantissa, _, exponent = text.lower().partition("e")
+    digits = sum(c.isdigit() for c in mantissa)
+    shift = exponent.strip().lstrip("+-").lstrip("0")
+    if digits > _MAX_LITERAL or len(shift) > 5 or shift.isdecimal() and digits + int(shift) > _MAX_DIGITS:
+        bound = f"{_MAX_LITERAL} digits, {_MAX_DIGITS} with its exponent"
+        raise ExprError(f"parameter {name} exceeds the size bound of {bound}")
+    return Fraction(text)
 
 
 def _parse(text: str, var: str, ring: _Ring):

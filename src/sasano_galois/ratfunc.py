@@ -157,6 +157,19 @@ def _conv(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
+def _add_into(acc: list[int], b: Sequence[int], u: int) -> list[int]:
+    """acc + u*b, in place."""
+    if len(acc) < len(b):
+        acc.extend([0] * (len(b) - len(acc)))
+    for i, x in enumerate(b):
+        acc[i] += u * x
+    return acc
+
+
+def _derivative(a: Sequence[int]) -> list[int]:
+    return [k * c for k, c in enumerate(a)][1:]
+
+
 def _pdiv(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], list[int]]:
     """Fraction-free division: (m, q, r) with m*a = q*b + r and deg r < deg b.
 
@@ -242,15 +255,9 @@ class Poly(Frozen):
 
     def __add__(self, other) -> Poly:
         other = _as_poly(other)
-        a, b = self.nums, other.nums
         den = math.lcm(self.den, other.den)
-        ua, ub = den // self.den, den // other.den
-        if len(a) < len(b):
-            a, b, ua, ub = b, a, ub, ua
-        out = [x * ua for x in a]
-        for i, y in enumerate(b):
-            out[i] += y * ub
-        return _reduced(out, den)
+        u = den // self.den
+        return _reduced(_add_into([x * u for x in self.nums], other.nums, den // other.den), den)
 
     __radd__ = __add__
 
@@ -262,10 +269,6 @@ class Poly(Frozen):
         return _reduced(_conv(self.nums, other.nums), self.den * other.den)
 
     __rmul__ = __mul__
-
-    def scale(self, c: Fraction) -> Poly:
-        """self * c, on the integer coefficients and the denominator."""
-        return _reduced([x * c.numerator for x in self.nums], self.den * c.denominator)
 
     def __pow__(self, n: int) -> Poly:
         return int_power(self, n, Poly((1,), 1))
@@ -284,7 +287,7 @@ class Poly(Frozen):
         return Poly(tuple(g), g[-1]) if g else Poly((), 1)
 
     def derivative(self) -> Poly:
-        return _reduced([k * c for k, c in enumerate(self.nums)][1:], self.den)
+        return _reduced(_derivative(self.nums), self.den)
 
     def __call__(self, t) -> Fraction:
         # Horner's rule on the integers: with t = p/q and degree n, the
@@ -298,10 +301,14 @@ class Poly(Frozen):
         return Fraction(acc * q, self.den * scale)
 
     def render(self, var: str = "t") -> str:
+        def text(c: int) -> str:  # c / den in lowest terms, as str(Fraction) writes it
+            g = math.gcd(c, self.den)
+            return str(c // g) if g == self.den else f"{c // g}/{self.den // g}"
+
         return join_terms(
-            (str(c), var if k == 1 else f"{var}^{k}" if k else "")
-            for k, c in reversed(list(enumerate(self.coeffs)))
-            if c != 0
+            (text(c), var if k == 1 else f"{var}^{k}" if k else "")
+            for k, c in reversed(list(enumerate(self.nums)))
+            if c
         )
 
 

@@ -425,6 +425,18 @@ def build_orbit_report(orbit: OrbitResult, check_rows: bool) -> ProofReport:
     )
 
 
+def run_orbit(depth: int, check_rows: bool) -> tuple[ProofReport, OrbitResult | None]:
+    """The seed's orbit to ``depth`` and its report.  A failure of the seed
+    or of the proof that lets the search skip back-edges ends the report in
+    the orbit's fail section, and there is no orbit."""
+    try:
+        orbit = enumerate_orbit(seed_state(), depth=depth)
+    except VerificationError as exc:
+        section = failure_section("orbit summary", "orbit enumeration", exc)
+        return ProofReport(title=f"reflection orbit audit to depth {depth}", sections=(section,)), None
+    return build_orbit_report(orbit, check_rows), orbit
+
+
 def build_proof(
     wasow: bool = False,
     stop_after: str | None = None,

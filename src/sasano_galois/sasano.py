@@ -22,16 +22,22 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Mapping, Sequence
 
 from .algnum import AlgNum, TowerError, TowerSpec
 from .diffsys import DiffSystem
 from .puiseux import PuiseuxPoly
 from .ratfunc import Frozen, Poly, RatFunc, VerificationError, int_power, join_terms
+from .ratfunc import _add_into, _conv, _derivative, _reduced  # the integer kernels
 
 VARS = ("x", "y", "z", "w", "t", "F", "a0", "a1", "a2")
 _INDEX = {name: k for k, name in enumerate(VARS)}
 PHASE_VARS = ("x", "y", "z", "w", "t", "F")
+
+
+class ModelError(VerificationError):
+    """Raised when the Hamiltonian does not give the reference equations of motion."""
 
 
 class PolyExpr(Frozen):
@@ -97,20 +103,22 @@ class PolyExpr(Frozen):
             acc[tuple(ne)] = acc.get(tuple(ne), Fraction(0)) + c * e[k]
         return PolyExpr._from_dict(acc)
 
-    def eval_scaled(self, values: CommonDenominator) -> tuple[Poly, int]:
-        """Evaluate over a common denominator L, unreduced: (N, k) with value
-        N / L^k, k the largest weight of a term.  Cached monomials are scaled
-        by each coefficient, and the sums of equal weight are brought to L^k
-        by Horner's rule, one product by L per weight."""
-        sums: dict[int, Poly] = {}
-        for e, c in self.terms:
-            mono, weight = values.monomial(e)
-            sums[weight] = sums.get(weight, Poly((), 1)) + mono.scale(c)
+    def eval_scaled(self, values: CommonDenominator) -> tuple[list[int], int, int]:
+        """Evaluate over a common denominator L, unreduced and on the
+        integers: (N, S, k) with value N / (S L^k), k the largest weight of
+        a term and S the lcm of the terms' scales.  Cached monomials are
+        summed per weight with integer multipliers, and the sums are brought
+        to L^k by Horner's rule, one product by L per weight."""
+        terms = [(values.monomial(e), c) for e, c in self.terms]
+        scale = math.lcm(*[s * c.denominator for (_, s, _), c in terms])
+        sums: dict[int, list[int]] = {}
+        for (mono, s, weight), c in terms:
+            _add_into(sums.setdefault(weight, []), mono, c.numerator * (scale // (s * c.denominator)))
         top = max(sums, default=0)
-        total = sums.get(0, Poly((), 1))
+        total = sums.get(0, [])
         for weight in range(1, top + 1):
-            total = total * values.den + sums.get(weight, Poly((), 1))
-        return total, top
+            total = _add_into(_conv(total, values.den.nums), sums.get(weight, ()), 1)
+        return total, scale, top
 
     def eval_at(self, point: Sequence[Fraction]) -> Fraction:
         """The exact value at a point, one number per symbol of VARS.
@@ -146,12 +154,12 @@ class PolyExpr(Frozen):
 class CommonDenominator:
     """Rational-function values of some symbols over one common denominator.
 
-    L is the monic lcm of the values' denominators.  A polynomial value p
-    is kept as p with weight 0, any other value n/d as its scaled
-    numerator n*(L/d) with weight 1, so a product of values of total
-    weight k is (product of kept numerators) / L^k.  Those products, one
-    per exponent vector, and the powers of L are cached and shared by
-    every expression evaluated over the same values.
+    L is the lcm of the values' denominators, kept primitive on the
+    integers.  A polynomial value p is kept as p with weight 0, any other
+    value n/d as n*(L/d) with weight 1.  A product of values of total
+    weight k is an integer coefficient list over one integer scale, over
+    L^k; those products, one per exponent vector, and the powers of L are
+    cached and shared by every expression evaluated over the same values.
     """
 
     def __init__(self, values: Mapping[str, RatFunc]):
@@ -159,38 +167,26 @@ class CommonDenominator:
         for v in values.values():
             if v.den.degree() > 0:
                 den = v.den if den.degree() == 0 else den * v.den.divmod(den.gcd(v.den))[0]
-        self.den = den
-        self._powers: dict[tuple[str, int], tuple[Poly, int]] = {}
-        for name, v in values.items():
-            if v.den.degree() > 0:
-                self._powers[name, 1] = (v.num * den.divmod(v.den)[0], 1)
-            else:
-                self._powers[name, 1] = (v.num, 0)
-        self._monomials = {(0,) * len(VARS): (Poly((1,), 1), 0)}
+        den = self.den = Poly(den.nums, 1)  # a monic Poly's numerators have content 1
+        self.kept = {  # symbol: (kept numerator, weight)
+            name: (v.num * den.divmod(v.den)[0], 1) if v.den.degree() > 0 else (v.num, 0)
+            for name, v in values.items()
+        }
+        self._monomials = {(0,) * len(VARS): ((1,), 1, 0)}
         self._den_powers = [Poly.const(1), den]
 
-    def power(self, name: str, exp: int) -> tuple[Poly, int]:
-        """(kept numerator of ``name``)^exp and its weight."""
-        out = self._powers.get((name, exp))
-        if out is None:
-            base = self._powers.get((name, 1))
-            if base is None:
-                raise VerificationError(f"no value supplied for symbol {name!r}")
-            out = self._powers[name, exp] = (base[0] ** exp, base[1] * exp)
-        return out
-
-    def monomial(self, exps: tuple[int, ...]) -> tuple[Poly, int]:
-        """Product of kept numerators over ``exps`` (indexed like VARS) and
-        its weight: the prefix without the last symbol, times one power."""
+    def monomial(self, exps: tuple[int, ...]) -> tuple[Sequence[int], int, int]:
+        """Product of kept numerators over ``exps`` (indexed like VARS) as
+        (integer coefficients, scale, weight): the monomial with one factor
+        of the last symbol fewer, times that symbol's value."""
         out = self._monomials.get(exps)
         if out is None:
             k = max(i for i, e in enumerate(exps) if e)
-            prefix = exps[:k] + (0,) * (len(exps) - k)
-            p, w = self.power(VARS[k], exps[k])
-            if any(prefix):
-                head, hw = self.monomial(prefix)
-                p, w = head * p, hw + w
-            out = self._monomials[exps] = (p, w)
+            if VARS[k] not in self.kept:
+                raise VerificationError(f"no value supplied for symbol {VARS[k]!r}")
+            nums, scale, weight = self.monomial(exps[:k] + (exps[k] - 1,) + exps[k + 1 :])
+            p, w = self.kept[VARS[k]]
+            out = self._monomials[exps] = (_conv(nums, p.nums), scale * p.den, weight + w)
         return out
 
     def den_power(self, k: int) -> Poly:
@@ -199,9 +195,9 @@ class CommonDenominator:
         return self._den_powers[k]
 
     def evaluate(self, expr: PolyExpr) -> RatFunc:
-        """The value of ``expr``, reduced once: N / L^k by one gcd."""
-        num, k = expr.eval_scaled(self)
-        return RatFunc.make(num, self.den_power(k))
+        """The value of ``expr``, reduced once: N / (S L^k) by one gcd."""
+        num, scale, k = expr.eval_scaled(self)
+        return RatFunc.make(_reduced(num, scale), self.den_power(k))
 
 
 def _as_polyexpr(x) -> PolyExpr:
@@ -279,7 +275,7 @@ def _symbolic_field() -> tuple[PolyExpr, ...]:
         -h.diff("t"),
     )
     if field != _reference_field():
-        raise AssertionError("symplectic pairing produced an unexpected field")
+        raise ModelError("the symplectic pairing of the Hamiltonian is not the reference field")
     return field
 
 
@@ -321,34 +317,41 @@ def verify_solution(values: CommonDenominator, f: RatFunc | None = None) -> RatF
     """Check that x, y, z, w held by ``values`` and F = f solve the field
     exactly, and return f; raise on failure.
 
-    Each equation is checked without a gcd.  The field row is N/L^k over
-    the common denominator L of ``values``, and x, y, z, w are m/L^j there,
-    j in {0, 1}.  With D = m'L - mL' (m' when j = 0), d/dt (m/L^j) = D/L^2j,
-    so the equation holds exactly when D L^(k-2j) = N, or D = N L^(2j-k)
-    when k < 2j.  F = n/d is not among the values; its equation is
-    (n'd - nd') L^k = N d^2.  Without f, F is the energy lift
-    (:func:`solution_energy`), formed only once the x, y, z, w rows hold:
-    its one gcd can cost far more than every row.
+    Each equation is checked without a gcd, on integer coefficient lists.
+    The field row is N/(S L^k) over the common denominator L of ``values``,
+    and x, y, z, w are m/(s L^j) there, j in {0, 1}.  With D = m'L - mL'
+    (m' when j = 0), d/dt (m/(s L^j)) = D/(s L^2j), so the equation holds
+    exactly when S D L^(k-2j) = s N, or S D = s N L^(2j-k) when k < 2j.
+    F = n/d is not among the values; with n and d integer lists over the
+    scales p and q, its equation is S q (n'd - nd') L^k = p N d^2.  Without
+    f, F is the energy lift (:func:`solution_energy`), formed only once the
+    x, y, z, w rows hold: its one gcd can cost far more than every row.
     """
     field = build_extended_system()
+    den = values.den.nums
     bad = []
     for name in ("x", "y", "z", "w", "F"):  # t' = 1 holds by construction
         if name == "F" and f is None:
             if bad:
                 break
             f = solution_energy(values)
-        num, k = field[_INDEX[name]].eval_scaled(values)
+        num, scale, k = field[_INDEX[name]].eval_scaled(values)
         if name == "F":
-            n, d = f.num, f.den
-            lhs, rhs = (n.derivative() * d - n * d.derivative()) * values.den_power(k), num * (d * d)
+            n, d = f.num.nums, f.den.nums
+            lhs = _add_into(_conv(_derivative(n), d), _conv(n, _derivative(d)), -1)
+            lhs, rhs = _conv(lhs, values.den_power(k).nums), _conv(num, _conv(d, d))
+            scale, s = scale * f.den.den, f.num.den
         else:
-            m, j = values.power(name, 1)
-            lhs = m.derivative() * values.den - m * values.den.derivative() if j else m.derivative()
+            m, j = values.kept[name]
+            lhs = _derivative(m.nums)
+            if j:
+                lhs = _add_into(_conv(lhs, den), _conv(m.nums, _derivative(den)), -1)
             if k >= 2 * j:
-                lhs, rhs = lhs * values.den_power(k - 2 * j), num
+                lhs, rhs = _conv(lhs, values.den_power(k - 2 * j).nums), num
             else:
-                rhs = num * values.den_power(2 * j - k)
-        if lhs != rhs:
+                rhs = _conv(num, values.den_power(2 * j - k).nums)
+            s = m.den
+        if any(scale * a != s * b for a, b in zip_longest(lhs, rhs, fillvalue=0)):
             bad.append(name)
     if bad:
         raise VerificationError(f"not a solution: equations fail for {', '.join(bad)}")
@@ -377,7 +380,7 @@ def verify_zero_energy(values: CommonDenominator, f: RatFunc) -> None:
         if name == "F":
             point.append(f(t0))
         else:
-            num, j = values.power(name, 1)
+            num, j = values.kept[name]
             point.append(num(t0) / den**j)
     total = extended_hamiltonian().eval_at(point)
     if total != 0:

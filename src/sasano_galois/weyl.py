@@ -20,11 +20,14 @@ Orbit enumeration starts from the rational seed solution, applies every
 generator breadth-first, verifies each new state as an exact solution once
 (its transported F by the F row and one exact point of H + F = 0), and
 checks the arithmetic condition on the parameters (an integer pair (a, b)
-mod 5 falling in one of four admissible rows) at every node.
+mod 5 falling in one of four admissible rows) at every node.  The one step
+it skips, s_i again on a node that s_i built, is proven to give the parent
+by :func:`verify_involutions`.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import deque
 from fractions import Fraction
@@ -32,7 +35,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .diffsys import mat_mul
 from .ratfunc import RatFunc, VerificationError
-from .sasano import check_params, scale_solution, seed_solution, verify_solution, verify_zero_energy
+from .sasano import PolyExpr, check_params, scale_solution, seed_solution, verify_solution, verify_zero_energy
 
 GENERATORS = ("s0", "s1", "s2")
 
@@ -73,6 +76,7 @@ PARAM_MATRICES: dict[str, tuple[tuple[int, int, int], ...]] = {
     "s1": ((1, 2, 0), (0, -1, 0), (0, 1, 1)),
     "s2": ((1, 0, 0), (0, 1, 2), (0, 0, -1)),
 }
+_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def act_on_params(name: str, params: ParamTriple) -> ParamTriple:
@@ -86,7 +90,7 @@ def act_on_params(name: str, params: ParamTriple) -> ParamTriple:
 
 def word_matrix(word: Iterable[str]):
     """Matrix of the parameter action of a word (applied left to right)."""
-    acc = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    acc = _IDENTITY
     for name in word:
         m = PARAM_MATRICES.get(name)
         if m is None:
@@ -194,6 +198,24 @@ def apply_generator(
     return SolutionState.make(*image, params, state.f - shift if name == "s2" else state.f)
 
 
+@functools.cache
+def verify_involutions() -> None:
+    """Prove once that each s_i is an involution, on the symbols x, y, z, w, t
+    and a formal shift sigma (F, which the formulas do not read): its
+    parameter matrix squares to 1 and has the row -e_i, so a second step
+    shifts by -sigma; the image has the point's divisor; and ``_reflect``
+    with -sigma takes the image back.  Raises :class:`WeylError` otherwise."""
+    x, y, z, w, t, sigma = map(PolyExpr.var, ("x", "y", "z", "w", "t", "F"))
+    for i, name in enumerate(GENERATORS):
+        if word_matrix((name, name)) != _IDENTITY or PARAM_MATRICES[name][i] != tuple(-c for c in _IDENTITY[i]):
+            raise WeylError(f"the parameter matrix of {name} is not an involution negating a{i}")
+        image = _reflect(name, x, y, z, w, sigma)
+        if _divisor(name, *image, t) != _divisor(name, x, y, z, w, t):
+            raise WeylError(f"{name} does not fix its divisor")
+        if _reflect(name, *image, -sigma) != (x, y, z, w):
+            raise WeylError(f"{name} applied twice is not the identity")
+
+
 # -- group relations ------------------------------------------------------------------
 
 
@@ -250,10 +272,9 @@ def verify_group_relations(samples: int = 50, seed: int = 1105) -> tuple[Relatio
     Raises :class:`WeylError` on any failure.
     """
     rng = random.Random(seed)
-    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     report = []
     for label, word in RELATIONS:
-        if word_matrix(word) != identity:
+        if word_matrix(word) != _IDENTITY:
             raise WeylError(f"parameter matrices fail the relation {label}")
         done = 0
         attempts = 0
@@ -358,6 +379,10 @@ def enumerate_orbit(root: SolutionState, depth: int = 6) -> OrbitResult:
     -H, every other F is transported).  Each step looks the parameter image
     up first; an image equal to the kept state is that state, and any other
     is verified (see :func:`apply_generator`), a failure landing in ``skipped``.
+    Past ``AUDIT_DEPTH`` the step s_i on a node built by s_i is not taken:
+    its image is the parent (:func:`verify_involutions`, which raises if that
+    is not proven), a collision with equal states not recorded at that depth,
+    so the result is the one the step would give.
     """
     if depth < 0:
         raise WeylError("depth must be nonnegative")
@@ -374,6 +399,9 @@ def enumerate_orbit(root: SolutionState, depth: int = 6) -> OrbitResult:
         if node.depth >= depth:
             continue
         for name in GENERATORS:
+            if node.word[-1:] == (name,) and node.depth >= AUDIT_DEPTH:
+                verify_involutions()
+                continue
             word = node.word + (name,)
             params = act_on_params(name, node.state.params)
             known = seen.get(params)

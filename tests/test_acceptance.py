@@ -11,7 +11,6 @@ import random
 import time
 from fractions import Fraction
 
-import mpmath
 import pytest
 
 from conftest import random_algnum
@@ -223,6 +222,7 @@ def test_criterion_6_orbit_depth_six():
 
 
 def test_criterion_7_numeric_guards():
+    mpmath = pytest.importorskip("mpmath")
     started = time.perf_counter()
     cfg = canonical_config()
     trace = run_canonical_chain(seed_variational_system(cfg.constants.tower), cfg)

@@ -1,5 +1,6 @@
-"""Fault injection: a corrupted fixture, tower or square-root search ends the
-canonical pipeline in a named fail section, never in a traceback."""
+"""Fault injection: a corrupted fixture, tower or square-root search, a wrong
+Hamiltonian or a generator that is not an involution ends the canonical
+pipeline or the orbit in a named fail section, never in a traceback."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from sasano_galois import algnum, galois, reduction, report, sasano
+from sasano_galois import algnum, galois, reduction, report, sasano, weyl
 from sasano_galois.algnum import AlgNum, TowerError, rational_recognize
 from sasano_galois.cli import main
 from sasano_galois.puiseux import PuiseuxPoly
@@ -255,3 +256,84 @@ def test_index_off_its_equation_ends_in_apparent_fail_section(tmp_path, monkeypa
     assert proof.sections[-1].name == "apparent singularity"
     assert error in dict(proof.sections[-1].steps[0].values)["error"]
     assert main(["--report-dir", str(tmp_path), "prove"]) == 1
+
+
+# -- the model and the orbit -------------------------------------------------------
+
+
+def run_orbit(tmp_path, capsys) -> str:
+    """``orbit --depth 6`` must exit 1 with a written report; its Markdown."""
+    assert main(["--report-dir", str(tmp_path), "orbit", "--depth", "6"]) == 1
+    out = capsys.readouterr()
+    assert "Traceback" not in out.err and "orbit summary: fail" in out.out
+    return (tmp_path / "orbit_summary.md").read_text()
+
+
+def test_failed_seed_ends_in_orbit_fail_section(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sasano, "solution_energy", lambda values: RatFunc(Poly((), 1), Poly((), 1)))
+    md = run_orbit(tmp_path, capsys)
+    assert "## orbit summary [fail]" in md and "denominators vanish" in md
+    assert not (tmp_path / "orbit.jsonl").exists()
+
+
+def test_wrong_hamiltonian_ends_in_fail_sections(tmp_path, capsys, monkeypatch):
+    # 2*y*z*w -> 3*y*z*w: the derived field is no longer the reference field
+    wrong = sasano.hamiltonian() + sasano.PolyExpr.var("y") * sasano.PolyExpr.var("z") * sasano.PolyExpr.var("w")
+    monkeypatch.setattr(sasano, "hamiltonian", lambda: wrong)
+    for name in ("extended_hamiltonian", "_symbolic_field"):
+        monkeypatch.setattr(sasano, name, functools.cache(getattr(sasano, name).__wrapped__))
+    proof = build_proof()
+    assert [(s.name, s.status) for s in proof.sections] == [("model check", "fail")]
+    assert "not the reference field" in dict(proof.sections[0].steps[0].values)["error"]
+    assert main(["--report-dir", str(tmp_path), "prove"]) == 1
+    assert "## model check [fail]" in (tmp_path / "proof.md").read_text()
+    assert "not the reference field" in run_orbit(tmp_path, capsys)
+
+
+def flip_s2_x(reflect):
+    """s2's x-image with the sign of its 2*shift*y term flipped."""
+
+    def mutant(name, x, y, z, w, shift):
+        if name == "s2":
+            return x - 2 * shift * y - shift**2, y - shift, z + shift, w
+        return reflect(name, x, y, z, w, shift)
+
+    return mutant
+
+
+@pytest.mark.parametrize(
+    "mutate, error",
+    [
+        (lambda mp: mp.setattr(weyl, "_reflect", flip_s2_x(weyl._reflect)), "s2 does not fix its divisor"),
+        # a0' = -a0, a1' = a0 + a2, a2' = a1 keeps a0 + 2 a1 + 2 a2 but is no involution
+        (
+            lambda mp: mp.setitem(weyl.PARAM_MATRICES, "s0", ((-1, 0, 0), (1, 0, 1), (0, 1, 0))),
+            "the parameter matrix of s0 is not an involution",
+        ),
+    ],
+    ids=["s2-sign-flip", "param-matrix"],
+)
+def test_broken_involution_ends_in_orbit_fail_section(tmp_path, capsys, monkeypatch, mutate, error):
+    mutate(monkeypatch)
+    monkeypatch.setattr(weyl, "verify_involutions", functools.cache(weyl.verify_involutions.__wrapped__))
+    with pytest.raises(weyl.WeylError, match=error):
+        weyl.verify_involutions.__wrapped__()
+    assert error in run_orbit(tmp_path, capsys)
+
+
+def test_involutive_mutant_is_caught_by_the_state_check(tmp_path, capsys, monkeypatch):
+    # w - 3*shift*z in s1 is still an involution that fixes its divisor, so
+    # only the exact check of each image as a solution can reject it
+    reflect = weyl._reflect
+
+    def mutant(name, x, y, z, w, shift):
+        if name == "s1":
+            return x, y - shift, z, w - 3 * shift * z
+        return reflect(name, x, y, z, w, shift)
+
+    monkeypatch.setattr(weyl, "_reflect", mutant)
+    weyl.verify_involutions.__wrapped__()
+    orbit = weyl.enumerate_orbit(weyl.seed_state(), depth=6)
+    assert orbit.skipped and all(reason.startswith("not a solution") for _, reason in orbit.skipped)
+    md = run_orbit(tmp_path, capsys)
+    assert "## orbit summary [fail]" in md and "verification failed" not in md

@@ -73,3 +73,36 @@ def test_every_orbit_state_reads_back():
     for node in enumerate_orbit(seed_state(), depth=8).nodes:
         for value in node.state[:5]:
             assert parse_ratfunc(value.render()) == value
+
+
+HUGE_PARAMS = {
+    "exponent": "1e3000000",
+    "negative-exponent": "1e-3000000",
+    "exponent-edge": "1e9830",
+    "digits-edge": "9" * 4301,
+    "digits": "9" * 200001,
+}
+
+
+@pytest.mark.parametrize("text", HUGE_PARAMS.values(), ids=HUGE_PARAMS.keys())
+@pytest.mark.parametrize("where", ["params", "solution-file"])
+def test_huge_parameter_is_input_error_at_once(tmp_path, capsys, where, text):
+    argv = ["--report-dir", str(tmp_path / "reports"), "verify-seed"]
+    if where == "params":
+        argv += ["--params", f"{text},0,0"]
+    else:
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(dict(S0_IMAGE, params=[text, "0", "0"])))
+        argv += ["--solution-file", str(path)]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start <= 0.3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: parameter a0") and "size bound" in err
+
+
+def test_parameters_inside_the_bound_still_read(tmp_path):
+    argv = ["--report-dir", str(tmp_path), "verify-seed", "--params"]
+    assert main([*argv, " 4e-1, 0.2 ,1e-00000001"]) == 0
+    assert main([*argv, f"2/5,{'0' * 4000}1/5,1/10"]) == 0
+    assert main([*argv, f"4{'0' * 4000}e-4001,1/5,1/10"]) == 0

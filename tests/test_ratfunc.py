@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from sasano_galois.exprparse import ExprError, parse_ratfunc
-from sasano_galois.ratfunc import Poly, RatFunc
+from sasano_galois.ratfunc import Poly, RatFunc, join_terms
 
 T = RatFunc.variable()
 
@@ -56,6 +56,18 @@ class TestPoly:
 
     def test_degree_of_zero(self):
         assert Poly.make([0, 0]).degree() == -1
+
+    def test_render_matches_fraction_text(self):
+        # the integer rendering against str() of each Fraction coefficient
+        rng = random.Random(4242)
+        dens = set()
+        for _ in range(300):
+            p = Poly.make([Fraction(rng.randint(-99, 99), rng.randint(1, 60)) for _ in range(rng.randint(0, 8))])
+            dens.add(p.den)
+            terms = reversed(list(enumerate(p.coeffs)))
+            expect = join_terms((str(c), "t" if k == 1 else f"t^{k}" if k else "") for k, c in terms if c)
+            assert p.render() == expect
+        assert len(dens) > 20
 
 
 def assert_canonical(p):

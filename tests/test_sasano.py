@@ -297,6 +297,23 @@ class TestCommonDenominator:
                     verify(dict(sol, **{name: wrong}), params)
             verify(dict(sol, F=sol["F"] + 1), params)
 
+    def test_verify_rejects_one_coefficient_mutants_of_a_deep_state(self):
+        # the last depth-6 state, every component with a nonconstant
+        # denominator: one numerator coefficient of one row changed by 1/den
+        state = enumerate_orbit(seed_state(), depth=6).nodes[-1].state
+        sol, params = state.as_solution(), state.params.as_tuple()
+        assert all(value.den.degree() > 0 for value in sol.values())
+        verify(sol, params)
+        for name, value in sol.items():
+            for k in (0, value.num.degree()):
+                nums = list(value.num.nums)
+                nums[k] += 1
+                wrong = RatFunc.make(integer_poly(nums, value.num.den), value.den)
+                # the field does not read F, so an F mutant fails the F row alone
+                error = "not a solution: equations fail for F$" if name == "F" else "not a solution"
+                with pytest.raises(ValueError, match=error):
+                    verify(dict(sol, **{name: wrong}), params)
+
 
 def random_polyexpr(rng, weights, symbols):
     """A random PolyExpr whose terms take every total weight in ``weights``,
@@ -311,6 +328,11 @@ def random_polyexpr(rng, weights, symbols):
             term = term * V(name) ** exp
         expr = expr + term
     return expr
+
+
+def integer_poly(nums, scale):
+    """The Poly of an integer coefficient list over one integer scale."""
+    return Poly.make([Fraction(c, scale) for c in nums])
 
 
 def term_weights(expr, symbols):
@@ -332,8 +354,8 @@ class TestEvalScaled:
 
     def evaluate(self, expr, assign):
         values = CommonDenominator(assign)
-        num, k = expr.eval_scaled(values)
-        return RatFunc.make(num, values.den_power(k)), k
+        num, scale, k = expr.eval_scaled(values)
+        return RatFunc.make(integer_poly(num, scale), values.den_power(k)), k
 
     @pytest.mark.parametrize("seed", range(5))
     def test_weight_gap(self, seed):
@@ -356,8 +378,8 @@ class TestEvalScaled:
         assert self.evaluate(expr, polys) == (value, 0)
 
     def test_zero(self):
-        num, k = PolyExpr.const(0).eval_scaled(CommonDenominator(self.ASSIGN))
-        assert num.is_zero() and k == 0
+        num, scale, k = PolyExpr.const(0).eval_scaled(CommonDenominator(self.ASSIGN))
+        assert not any(num) and k == 0
         assert CommonDenominator(self.ASSIGN).evaluate(PolyExpr.const(0)).is_zero()
 
     def test_shared_monomials_are_cached(self):
@@ -365,5 +387,5 @@ class TestEvalScaled:
         xy2 = (1, 2) + (0,) * (len(VARS) - 2)
         assert values.monomial(xy2) is values.monomial(xy2)
         expected = self.ASSIGN["x"] * self.ASSIGN["y"] ** 2
-        mono, weight = values.monomial(xy2)
-        assert weight == 3 and RatFunc.make(mono, values.den_power(3)) == expected
+        mono, scale, weight = values.monomial(xy2)
+        assert weight == 3 and RatFunc.make(integer_poly(mono, scale), values.den_power(3)) == expected

@@ -286,7 +286,41 @@ def test_parameter_action_once_per_edge(monkeypatch):
     monkeypatch.setattr(weyl, "act_on_params", counting)
     orbit = enumerate_orbit(seed_state(), depth=6)
     assert orbit.node_count() == 57 and len(orbit.collisions) == 24
-    assert len(calls) == 123
+    # 123 edges, less the 24 back-edges past AUDIT_DEPTH, which are not built
+    assert len(calls) == 99
+
+
+@pytest.mark.parametrize("depth, skips", [(6, 24), (8, 59)])
+def test_only_back_edges_past_the_audit_depth_are_skipped(monkeypatch, depth, skips):
+    built = []
+    real = weyl.apply_generator
+
+    def recording(name, state, known, params):
+        built.append((state, name))
+        return real(name, state, known, params)
+
+    monkeypatch.setattr(weyl, "apply_generator", recording)
+    orbit = enumerate_orbit(seed_state(), depth=depth)
+    words = {id(node.state): node.word for node in orbit.nodes}
+    edges = {(node.word, name) for node in orbit.nodes if node.depth < depth for name in GENERATORS}
+    back = {(word, name) for word, name in edges if word[-1:] == (name,) and len(word) >= weyl.AUDIT_DEPTH}
+    assert edges - {(words[id(state)], name) for state, name in built} == back
+    assert len(back) == skips and len(built) == len(edges) - skips
+    # each skipped image is its parent, which the search keeps
+    kept = {node.word: node.state for node in orbit.nodes}
+    for word, name in sorted(back)[:6]:
+        parent = kept[word[:-1]]
+        assert real(name, kept[word], parent, parent.params) is parent
+
+
+def test_involution_check_runs_once_and_only_when_a_skip_is_taken():
+    weyl.verify_involutions.cache_clear()
+    enumerate_orbit(seed_state(), depth=weyl.AUDIT_DEPTH)
+    assert weyl.verify_involutions.cache_info().misses == 0
+    enumerate_orbit(seed_state(), depth=6)
+    enumerate_orbit(seed_state(), depth=6)
+    info = weyl.verify_involutions.cache_info()
+    assert info.misses == 1 and info.hits == 2 * 24 - 1
 
 
 def reference_step(name, x, y, z, w, alpha):
