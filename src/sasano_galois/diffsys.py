@@ -2,18 +2,17 @@
 
 A system is dX/dx = M(x) X where M is a square matrix of Puiseux
 polynomials over an algebraic number tower.  The module provides the
-transformations a singularity analysis needs, each implemented so that
-the output coefficients stay exact:
+generic exact algebra a singularity analysis needs:
 
 * constant gauges X = T Y with an algebraic matrix T,
-* diagonal power gauges ("shears") T = diag(1, x^g, x^(2g), ...),
-* substitutions x = r^m * u^q with positive rational q,
 * leading-coefficient extraction at the growing end of the variable,
 * characteristic polynomials by the trace recursion,
 * exact eigen-decomposition for matrices with distinct known eigenvalues,
   from the spectral projectors alone (no elimination).
 
-Matrices are tuples of tuples, so a system is immutable and hashable.
+Shears and changes of the variable are moves of ``reduction``, which
+owns their formulas.  Matrices are tuples of tuples, so a system is
+immutable and hashable.
 """
 
 from __future__ import annotations
@@ -177,41 +176,6 @@ def gauge_constant(system: DiffSystem, t: AlgMatrix, t_inv: AlgMatrix) -> DiffSy
     tower = system.tower
     lifted = pmat_mul(lift_matrix(tower, t_inv), pmat_mul(system.matrix, lift_matrix(tower, t)))
     return DiffSystem(system.var, lifted)
-
-
-def gauge_shear(system: DiffSystem, g: Fraction) -> DiffSystem:
-    """Apply the diagonal gauge T = diag(x^(0g), x^(1g), ..., x^((n-1)g)).
-
-    The conjugation shifts entry (i, j) by (j - i) g; the derivative of T
-    contributes -diag(0, g, 2g, ...) / x on the diagonal.
-    """
-    g = Fraction(g)
-    tower = system.tower
-    n = system.dim
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e = system.matrix[i][j].shift((j - i) * g)
-            if i == j and i > 0:
-                e = e - PuiseuxPoly.monomial(tower, i * g, Fraction(-1))
-            row.append(e)
-        rows.append(tuple(row))
-    return DiffSystem(system.var, tuple(rows))
-
-
-def change_variable_power(
-    system: DiffSystem, new_var: str, root: AlgNum, index: int, power: Fraction
-) -> DiffSystem:
-    """Substitute x = root^index * u^power, with the chain-rule prefactor.
-
-    dX/du = phi'(u) M(phi(u)) X for phi(u) = scale * u^power with
-    scale = root^index, so every entry is expanded by substitution and
-    multiplied by the monomial scale * power * u^(power - 1).
-    """
-    dphi = PuiseuxPoly.monomial(system.tower, root**index * power, power - 1)
-    rows = tuple(tuple(e.substitute_power(root, index, power) * dphi for e in row) for row in system.matrix)
-    return DiffSystem(new_var, rows)
 
 
 def leading_data(system: DiffSystem) -> tuple[Fraction, AlgMatrix]:

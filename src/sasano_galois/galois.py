@@ -25,9 +25,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .algnum import AlgNum, TowerError, rational_recognize, sqrt_in_tower
-from .diffsys import DiffSystem, change_variable_power
+from .diffsys import DiffSystem
 from .puiseux import PuiseuxPoly
 from .ratfunc import VerificationError
+from .reduction import Substitution
 
 # The cover eta = tau^COVER that turns the origin into an apparent singularity.
 COVER = 6
@@ -72,8 +73,7 @@ def system_to_scalar(system: DiffSystem) -> ScalarODE2:
 
 def eta_pullback(system: DiffSystem) -> DiffSystem:
     """Substitute tau = eta^(1/COVER); exact since exponents are multiples."""
-    one = AlgNum.from_rational(system.tower, 1)
-    return change_variable_power(system, "eta", one, 1, Fraction(1, COVER))
+    return Substitution("eta", AlgNum.from_rational(system.tower, 1), 1, Fraction(1, COVER)).apply(system)
 
 
 # -- the regular singular point ------------------------------------------------

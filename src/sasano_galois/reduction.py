@@ -11,12 +11,14 @@ The pipeline applies six transformations to the fourth-order system:
 
 These are Wasow's constant gauges, shears and ramifications (Asymptotic
 Expansions for Ordinary Differential Equations, 1965), recorded as
-:class:`ConstantGauge`, :class:`Shear` and :class:`Substitution`; the
-inverse of each move is a move of the same kind.  Every produced matrix is
-compared entry-exactly with the frozen references in data/fixtures.json;
-the run aborts on the first mismatch, naming the stage and entry.  The
-trace keeps each move with the systems before and after it, so the inverse
-moves replay the walk backwards exactly.
+:class:`ConstantGauge`, :class:`Shear` and :class:`Substitution`.  Each
+class is the one owner of its kind: its exact action, its inverse (a move
+of the same kind), its action on a ball matrix in the numeric audit, and
+its report text.  Every produced matrix is compared entry-exactly with the
+frozen references in data/fixtures.json; the run aborts on the first
+mismatch, naming the stage and entry.  The trace keeps each move with the
+systems before and after it, so the inverse moves replay the walk
+backwards exactly.
 
 The same six-call script runs the default normalization (alpha^3 = 5/64,
 the simplest final eigenvalues) and the Wasow-style normalization
@@ -31,18 +33,16 @@ import json
 import math
 from fractions import Fraction
 from importlib import resources
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .algnum import AUDIT_DPS, AlgNum, ChainConstants, TowerError, canonical_constants, wasow_constants
 from .diffsys import (
     AlgMatrix,
     DiffSystem,
     block_split,
-    change_variable_power,
     diagonal_matrix,
     eigen_decompose_distinct,
     gauge_constant,
-    gauge_shear,
     identity_matrix,
     leading_data,
     mat_mul,
@@ -150,6 +150,7 @@ class ConstantGauge(NamedTuple):
     """X = T Y for constant T with checked inverse T^-1; undone by swapping the two."""
 
     kind = "constant"
+    basis = "conjugation by a constant matrix with verified exact inverse"
     t: AlgMatrix
     t_inv: AlgMatrix
 
@@ -159,18 +160,51 @@ class ConstantGauge(NamedTuple):
     def inverse(self, var: str) -> ConstantGauge:
         return ConstantGauge(self.t_inv, self.t)
 
+    def audit(self) -> Callable[[list, tuple], tuple]:
+        """The conjugation of a ball matrix, the pair embedded once for every point."""
+        t, t_inv = ([[e.embed(AUDIT_DPS) for e in row] for row in m] for m in self)
+        return lambda value, walk: (mat_mul(t_inv, mat_mul(value, t)), walk)
+
+    def report_values(self, step: GaugeStep, payload: Callable) -> tuple:
+        return ()
+
 
 class Shear(NamedTuple):
     """The diagonal power gauge diag(1, x^g, x^(2g), ...); undone by -g."""
 
     kind = "shear"
+    basis = "diagonal power gauge, exponents in arithmetic progression"
     g: Fraction
 
     def apply(self, system: DiffSystem) -> DiffSystem:
-        return gauge_shear(system, self.g)
+        """Conjugation shifts entry (i, j) by (j - i) g; the derivative of the
+        gauge contributes -diag(0, g, 2g, ...) / x on the diagonal."""
+        rows = [[e.shift((j - i) * self.g) for j, e in enumerate(row)] for i, row in enumerate(system.matrix)]
+        for i in range(1, system.dim):
+            rows[i][i] = rows[i][i] - PuiseuxPoly.monomial(system.tower, i * self.g, Fraction(-1))
+        return DiffSystem(system.var, tuple(map(tuple, rows)))
 
     def inverse(self, var: str) -> Shear:
         return Shear(-self.g)
+
+    def audit(self) -> Callable[[list, tuple], tuple]:
+        """``apply`` at x = root^index, with x^(k/index) read as root^k."""
+
+        def act(value: list, walk: tuple) -> tuple[list, tuple]:
+            (root, index, _), n = walk, len(value)
+            k, point = self.g * index, root**index
+            if k.denominator != 1:
+                raise ReductionError("shear exponent incompatible with branch root")
+            powers = {d: root ** int(d * k) for d in range(1 - n, n)}
+            value = [[value[i][j] * powers[j - i] for j in range(n)] for i in range(n)]
+            for i in range(1, n):
+                value[i][i] = value[i][i] - i * self.g / point
+            return value, walk
+
+        return act
+
+    def report_values(self, step: GaugeStep, payload: Callable) -> tuple:
+        return ()
 
 
 class Substitution(NamedTuple):
@@ -178,13 +212,19 @@ class Substitution(NamedTuple):
     u = root^(-index/power) * x^(1/power), exact when index/power is an integer."""
 
     kind = "variable"
+    basis = "exact change of the independent variable"
     var: str
     root: AlgNum
     index: int
     power: Fraction
 
     def apply(self, system: DiffSystem) -> DiffSystem:
-        return change_variable_power(system, self.var, self.root, self.index, self.power)
+        """dX/du = phi'(u) M(phi(u)) X for phi(u) = root^index * u^power: each entry
+        is substituted and multiplied by phi'(u) = root^index * power * u^(power - 1)."""
+        r, m, q = self.root, self.index, self.power
+        dphi = PuiseuxPoly.monomial(system.tower, r**m * q, q - 1)
+        rows = tuple(tuple(e.substitute_power(r, m, q) * dphi for e in row) for row in system.matrix)
+        return DiffSystem(self.var, rows)
 
     def inverse(self, var: str) -> Substitution:
         ratio = self.index / self.power
@@ -193,6 +233,27 @@ class Substitution(NamedTuple):
                 f"substitution to {self.var} cannot be inverted exactly: index/power = {ratio}"
             )
         return Substitution(var, self.root.inverse(), int(ratio), 1 / self.power)
+
+    def audit(self) -> Callable[[list, tuple], tuple]:
+        """Times phi'(tau0); the new variable stands at the final point tau0."""
+
+        def act(value: list, walk: tuple) -> tuple[list, tuple]:
+            tau0, exp = walk[2], self.power - 1
+            if exp.denominator != 1:
+                raise ReductionError("fractional substitution power in numeric walk")
+            dphi = self.root.embed(AUDIT_DPS) ** self.index * self.power * tau0 ** int(exp)
+            return [[e * dphi for e in row] for row in value], (tau0, 1, tau0)
+
+        return act
+
+    def report_values(self, step: GaugeStep, payload: Callable) -> tuple:
+        """The variables, the power and the scale root^index, rendered by ``payload``."""
+        return (
+            ("old variable", step.before.var),
+            ("new variable", step.after.var),
+            ("power", str(self.power)),
+            ("scale", payload(self.root**self.index)),
+        )
 
 
 Move = ConstantGauge | Shear | Substitution
@@ -382,52 +443,27 @@ def _inverse_walk(trace: ReductionTrace) -> None:
 
 
 def _numeric_composition(trace: ReductionTrace) -> float:
+    """The worst audit error over five points tau0.  The moves act along a walk
+    (root, index, tau0) that evaluates the current system at root^index, root
+    fixing every branch, from root(alpha) * tau0 = t^(1/4) with t = alpha * tau^4."""
     from .ball import Ball
 
-    # The moves with each constant gauge embedded once for every point, and
-    # the points on the grid of the embedded root of alpha.
-    moves = [
-        ConstantGauge(*([[e.embed(AUDIT_DPS) for e in row] for row in m] for m in (move.t, move.t_inv)))
-        if isinstance(move, ConstantGauge)
-        else move
-        for move in (step.move for step in trace.steps)
-    ]
+    actions = [step.move.audit() for step in trace.steps]
     root_alpha = trace.config.constants.alpha_quarter_root.embed(AUDIT_DPS)
-    points = ((2, 0), (3, 0), (1, 1), (Fraction(5, 2), 0), (4, 0))
-    return max(
-        _compose_at(trace, moves, root_alpha, Ball.rational(re, root_alpha.prec, im)) for re, im in points
-    )
-
-
-def _compose_at(trace: ReductionTrace, moves: list, root_alpha, tau0) -> float:
-    t_quarter = root_alpha * tau0  # branch of t^(1/4) with t = alpha * tau^4
-    value = system_numeric(trace.steps[0].before, t_quarter, 4, AUDIT_DPS)
-    point = t_quarter**4
-    root, index = t_quarter, 4
-    for move in moves:
-        if isinstance(move, ConstantGauge):
-            value = mat_mul(move.t_inv, mat_mul(value, move.t))
-        elif isinstance(move, Shear):
-            k = move.g * index  # entry (i, j) gains root^((j - i) k)
-            if k.denominator != 1:
-                raise ReductionError("shear exponent incompatible with branch root")
-            n = len(value)
-            powers = {d: root ** int(d * k) for d in range(1 - n, n)}
-            value = [[value[i][j] * powers[j - i] for j in range(n)] for i in range(n)]
-            for i in range(n):
-                corr = i * move.g
-                value[i][i] = value[i][i] - corr / point
-        else:
-            exp = move.power - 1
-            if exp.denominator != 1:
-                raise ReductionError("fractional substitution power in numeric walk")
-            dphi = move.root.embed(AUDIT_DPS) ** move.index * move.power * tau0 ** int(exp)
-            value = [[e * dphi for e in row] for row in value]
-            point, root, index = tau0, tau0, 1
-    expected = system_numeric(trace.final, tau0, 1, AUDIT_DPS)
     worst = 0.0
-    for x, e in zip(itertools.chain(*value), itertools.chain(*expected)):
-        if d := x - e:  # |d| / (1 + |e|) from above: mag(d) over 1 + mig(e), rounded up
-            worst = max(worst, math.nextafter(d.mag() / ((1 << d.prec) + e.mig()), math.inf))
+    for re, im in ((2, 0), (3, 0), (1, 1), (Fraction(5, 2), 0), (4, 0)):
+        tau0 = Ball.rational(re, root_alpha.prec, im)
+        walk = (root_alpha * tau0, 4, tau0)
+        value = system_numeric(trace.steps[0].before, *walk[:2], AUDIT_DPS)
+        for act in actions:
+            value, walk = act(value, walk)
+        worst = max(worst, _audit_error(value, system_numeric(trace.final, *walk[:2], AUDIT_DPS)))
     return worst
 
+
+def _audit_error(value: list, expected: list) -> float:
+    """The largest |value - expected| / (1 + |expected|) over the entries, from
+    above: mag(d) over 1 + mig(e) for d = value - expected, rounded up."""
+    pairs = zip(itertools.chain(*value), itertools.chain(*expected))
+    errors = (math.nextafter(d.mag() / ((1 << d.prec) + e.mig()), math.inf) for x, e in pairs if (d := x - e))
+    return max(errors, default=0.0)

@@ -23,7 +23,6 @@ from .reduction import (
     ChainConfig,
     ConsistencyReport,
     ReductionTrace,
-    Substitution,
     canonical_config,
     run_canonical_chain,
     verify_trace_consistency,
@@ -185,33 +184,21 @@ def nve_section(system: DiffSystem) -> ReportSection:
     return ReportSection(name="normal variational equations", status="pass", steps=(step,))
 
 
-_KIND_BASIS = {
-    "constant": "conjugation by a constant matrix with verified exact inverse",
-    "shear": "diagonal power gauge, exponents in arithmetic progression",
-    "variable": "exact change of the independent variable",
-}
-
-
 def reduction_section(
     trace: ReductionTrace, consistency: ConsistencyReport, digits: int = 20
 ) -> ReportSection:
-    steps = []
-    for gs in trace.steps:
-        move = gs.move
-        detail: list[tuple[str, Any]] = [("transformation", move.kind)]
-        if isinstance(move, Substitution):
-            detail.append(("old variable", gs.before.var))
-            detail.append(("new variable", gs.after.var))
-            detail.append(("power", str(move.power)))
-            detail.append(("scale", algnum_payload(move.root**move.index, digits)))
-        detail.append(("system", matrix_payload(gs.after)))
-        steps.append(
-            CertificateStep(
-                claim=f'stage "{gs.stage}" reproduced entrywise',
-                basis=_KIND_BASIS[move.kind],
-                values=tuple(detail),
-            )
+    steps = [
+        CertificateStep(
+            claim=f'stage "{gs.stage}" reproduced entrywise',
+            basis=gs.move.basis,
+            values=(
+                ("transformation", gs.move.kind),
+                *gs.move.report_values(gs, lambda a: algnum_payload(a, digits)),
+                ("system", matrix_payload(gs.after)),
+            ),
         )
+        for gs in trace.steps
+    ]
     r, lead = leading_data(trace.final)
     cp = char_poly(lead)
     for lam in trace.eigenvalues:

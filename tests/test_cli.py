@@ -47,12 +47,15 @@ def test_verify_seed_wrong_params_fails(tmp_path):
 def test_verify_seed_malformed_params(tmp_path, capsys):
     assert run(tmp_path, "verify-seed", "--params", "1/2,oops,1/8") == 2
     assert run(tmp_path, "verify-seed", "--params", "1/2,1/8") == 2
-    assert run(tmp_path, "verify-seed", "--params", "1,1,1") == 2
     assert run(tmp_path, "verify-seed", "--params", "1/0,0,1/2") == 2
     assert "input error" in capsys.readouterr().err
-    # a sum of 5,001 digits, more than Python converts to text
-    assert run(tmp_path, "verify-seed", "--params", "1e5000,0,0") == 2
-    assert capsys.readouterr().err == "input error: parameters must satisfy a0 + 2*a1 + 2*a2 = 1\n"
+    assert run(tmp_path, "verify-seed", "--params", "1,1,1") == 2
+    assert capsys.readouterr().err == "input error: parameters must satisfy a0 + 2*a1 + 2*a2 = 1, got 5\n"
+    # a sum of 5,001 digits, more than Python converts to text, and one of
+    # 4,001 digits, which it converts: neither is printed
+    for params in ("1e5000,0,0", "2/5,2e-1,1e4000"):
+        assert run(tmp_path, "verify-seed", "--params", params) == 2
+        assert capsys.readouterr().err == "input error: parameters must satisfy a0 + 2*a1 + 2*a2 = 1\n"
 
 
 def test_verify_seed_solution_file(tmp_path):

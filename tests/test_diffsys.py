@@ -11,17 +11,16 @@ from sasano_galois.ball import Ball, bits, nth_root
 from sasano_galois.diffsys import (
     DiffSystem,
     block_split,
-    change_variable_power,
     char_poly,
     eigen_decompose_distinct,
     gauge_constant,
-    gauge_shear,
     identity_matrix,
     leading_data,
     mat_mul,
     system_numeric,
 )
 from sasano_galois.puiseux import PuiseuxPoly
+from sasano_galois.reduction import Shear, Substitution
 
 
 def rand_matrix(tower, rng, n, terms=1, span=4):
@@ -224,7 +223,7 @@ class TestGauges:
     def test_shear_correction_on_zero_system(self, tower):
         zero = PuiseuxPoly.zero(tower)
         sys = DiffSystem("x", ((zero, zero), (zero, zero)))
-        out = gauge_shear(sys, Fraction(1, 4))
+        out = Shear(Fraction(1, 4)).apply(sys)
         assert out.entry(0, 0).is_zero()
         assert out.entry(1, 1) == mono(tower, Fraction(-1, 4), -1)
         assert out.entry(0, 1).is_zero() and out.entry(1, 0).is_zero()
@@ -238,12 +237,12 @@ class TestGauges:
                 [mono(tower, Fraction(1, 2), -2), mono(tower, 7, 1)],
             ],
         )
-        out = gauge_shear(gauge_shear(sys, Fraction(1, 4)), Fraction(-1, 4))
+        out = Shear(Fraction(-1, 4)).apply(Shear(Fraction(1, 4)).apply(sys))
         assert out == sys
 
     def test_shear_shifts_off_diagonal(self, tower):
         sys = system_from_entries(tower, "x", [[0, 1], [1, 0]])
-        out = gauge_shear(sys, Fraction(1, 2))
+        out = Shear(Fraction(1, 2)).apply(sys)
         assert out.entry(0, 1) == mono(tower, 1, Fraction(1, 2))
         assert out.entry(1, 0) == mono(tower, 1, Fraction(-1, 2))
 
@@ -252,14 +251,14 @@ class TestVariableChange:
     def test_power_four_with_scale(self, tower):
         c = canonical_constants()
         sys = system_from_entries(tower, "t", [[mono(tower, Fraction(3, 5), -1)]])
-        out = change_variable_power(sys, "u", c.alpha_quarter_root, 4, Fraction(4))
+        out = Substitution("u", c.alpha_quarter_root, 4, Fraction(4)).apply(sys)
         assert out.var == "u"
         assert out.entry(0, 0) == mono(tower, Fraction(12, 5), -1)
 
     def test_square_substitution_on_root(self, tower):
         one = AlgNum.from_rational(tower, 1)
         sys = system_from_entries(tower, "x", [[mono(tower, 1, Fraction(1, 2))]])
-        out = change_variable_power(sys, "u", one, 2, Fraction(2))
+        out = Substitution("u", one, 2, Fraction(2)).apply(sys)
         assert out.entry(0, 0) == mono(tower, 2, 2)
 
 

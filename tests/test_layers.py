@@ -136,3 +136,29 @@ def test_zero_divisor_in_a_reducible_level_raises():
     with pytest.raises(TowerError, match="zero divisor"):
         (AlgNum.generator(tower, 0) - 2).inverse()
     assert (AlgNum.generator(tower, 0) + 1).inverse() == (AlgNum.generator(tower, 0) - 1) / 3
+
+
+MOVE_CLASSES = {"ConstantGauge", "Shear", "Substitution"}
+
+
+def _names_in(node: ast.AST) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_no_module_tests_a_move_type(name):
+    # each move class carries its own action, audit step and report text
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            assert not _names_in(node.args[1]) & MOVE_CLASSES, f"{name}: line {node.lineno}"
+
+
+def test_report_imports_no_move_class():
+    tree = ast.parse((PACKAGE / "report.py").read_text())
+    imports = (node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom))
+    imported = {alias.name for node in imports for alias in node.names}
+    assert not imported & MOVE_CLASSES
+    assert not _names_in(tree) & MOVE_CLASSES

@@ -10,12 +10,14 @@ import pytest
 from conftest import mat_from_rows
 from sasano_galois.algnum import AlgNum, TowerError, TowerSpec, canonical_constants, wasow_constants
 from sasano_galois import algnum, reduction
+from sasano_galois.ball import Ball
 from sasano_galois.diffsys import (
     DiffSystem,
     block_split,
     char_poly,
     leading_data,
     mat_mul,
+    system_numeric,
 )
 from sasano_galois.exprparse import chain_symbols, parse_puiseux
 from sasano_galois.puiseux import PuiseuxPoly
@@ -379,3 +381,48 @@ def test_fixture_entry_that_is_no_text_is_a_reduction_error(monkeypatch, entry):
     cfg = canonical_config()
     with pytest.raises(ReductionError, match="fixture gauge t1: expected expression text"):
         run_canonical_chain(seed_variational_system(cfg.constants.tower), cfg)
+
+
+def _per_step_errors(trace, point=Fraction(5, 2)):
+    """The audit error of each move alone: step.before at the walk's point,
+    acted on by the move, against step.after at the walk's next point."""
+    root_alpha = trace.config.constants.alpha_quarter_root.embed(algnum.AUDIT_DPS)
+    tau0 = Ball.rational(point, root_alpha.prec)
+    walk = (root_alpha * tau0, 4, tau0)
+    errors = []
+    for step in trace.steps:
+        value = system_numeric(step.before, *walk[:2], algnum.AUDIT_DPS)
+        value, walk = step.move.audit()(value, walk)
+        expected = system_numeric(step.after, *walk[:2], algnum.AUDIT_DPS)
+        errors.append(reduction._audit_error(value, expected))
+    return errors
+
+
+@pytest.mark.parametrize("which", ["canonical", "wasow"])
+def test_each_move_acts_on_the_audit_walk_as_on_the_system(which, canonical_trace, wasow_trace):
+    trace = canonical_trace if which == "canonical" else wasow_trace
+    errors = _per_step_errors(trace)
+    assert len(errors) == 6 and max(errors) < 1e-9
+
+
+def test_flipped_shear_correction_fails_at_the_shear_steps(monkeypatch, canonical_trace):
+    audit = reduction.Shear.audit
+
+    def flipped(self):
+        act = audit(self)
+
+        def flipped_act(value, walk):
+            # the diagonal correction -i g / x turned into +i g / x
+            value, walk = act(value, walk)
+            point = walk[0] ** walk[1]
+            for i in range(len(value)):
+                value[i][i] = value[i][i] + 2 * i * self.g / point
+            return value, walk
+
+        return flipped_act
+
+    monkeypatch.setattr(reduction.Shear, "audit", flipped)
+    errors = _per_step_errors(canonical_trace)
+    failing = [step.stage for step, error in zip(canonical_trace.steps, errors) if error > 1e-9]
+    assert failing == ["quarter_shear", "unit_shear"]
+    assert reduction._numeric_composition(canonical_trace) > 1e-9
