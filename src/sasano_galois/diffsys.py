@@ -11,8 +11,8 @@ generic exact algebra a singularity analysis needs:
   from the spectral projectors alone (no elimination).
 
 Shears and changes of the variable are moves of ``reduction``, which
-owns their formulas.  Matrices are tuples of tuples, so a system is
-immutable and hashable.
+owns their formulas and the numeric audit: this module is exact only.
+Matrices are tuples of tuples, so a system is immutable and hashable.
 """
 
 from __future__ import annotations
@@ -208,9 +208,3 @@ def block_split(system: DiffSystem, sizes: Sequence[int]) -> list[DiffSystem]:
         out.append(DiffSystem(system.var, rows))
     return out
 
-
-def system_numeric(system: DiffSystem, x_root, index: int, dps: int):
-    """The matrix at x = x_root^index as balls on x_root's grid, entry by
-    entry through ``PuiseuxPoly.eval_numeric``; x_root fixes the branch of
-    every fractional power."""
-    return [[e.eval_numeric(x_root, index, dps) for e in row] for row in system.matrix]

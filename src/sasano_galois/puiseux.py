@@ -5,10 +5,11 @@ exponents ``e`` (negative allowed), stored as the sorted pairs ``(e, c)``:
 an integral exponent is an ``int`` and any other a ``Fraction``, so
 x^(3/4) * x^(1/4) and x^1 store the same pair ``(1, 1)``.  Everything in
 the reduction chain is such a finite sum; no power series truncation is
-ever required, so arithmetic here is exact and closed.  The ramification
-index ``ram`` is derived, the lcm of the exponent denominators; with
-``ram == 1`` a value is a Laurent polynomial, such as a characteristic
-polynomial, and calling it evaluates it at a tower number.
+ever required, so arithmetic here is exact and closed, and nothing here is
+numeric.  The ramification index ``ram`` is derived, the lcm of the
+exponent denominators; with ``ram == 1`` a value is a Laurent polynomial,
+such as a characteristic polynomial, and calling it evaluates it at a
+tower number.
 """
 
 from __future__ import annotations
@@ -199,21 +200,6 @@ class PuiseuxPoly(Frozen):
         for j, c in rest:
             acc, k = acc * x ** (k - j) + c, j
         return acc * x**k if k else acc
-
-    def eval_numeric(self, x_root, index: int, dps: int):
-        """The ball of the value at x = x_root^index, coefficients embedded at dps.
-
-        The caller fixes the branch by supplying the root: each term c x^e
-        is c times x_root^(e * index), which needs e * index integral.  The
-        zero polynomial is an exact zero on x_root's grid.
-        """
-        total = x_root * 0
-        for e, c in self.terms:
-            k = e * index
-            if k.denominator != 1:
-                raise TowerError(f"root index {index} incompatible with ramification {self.ram}")
-            total += c.embed(dps) * x_root ** int(k)
-        return total
 
     def render(self, var: str = "x") -> str:
         def power(e) -> str:

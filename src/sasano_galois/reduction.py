@@ -13,12 +13,12 @@ These are Wasow's constant gauges, shears and ramifications (Asymptotic
 Expansions for Ordinary Differential Equations, 1965), recorded as
 :class:`ConstantGauge`, :class:`Shear` and :class:`Substitution`.  Each
 class is the one owner of its kind: its exact action, its inverse (a move
-of the same kind), its action on a ball matrix in the numeric audit, and
-its report text.  Every produced matrix is compared entry-exactly with the
+of the same kind), its report text, and its action on a ball matrix at an
+:class:`AuditPoint`, which alone reads x^e off the branch root in the
+numeric audit.  Every produced matrix is compared entry-exactly with the
 frozen references in data/fixtures.json; the run aborts on the first
 mismatch, naming the stage and entry.  The trace keeps each move with the
-systems before and after it, so the inverse moves replay the walk
-backwards exactly.
+systems before and after it, so the inverse moves replay it exactly.
 
 The same six-call script runs the default normalization (alpha^3 = 5/64,
 the simplest final eigenvalues) and the Wasow-style normalization
@@ -46,7 +46,6 @@ from .diffsys import (
     identity_matrix,
     leading_data,
     mat_mul,
-    system_numeric,
 )
 from .exprparse import ExprError, chain_symbols, parse_puiseux
 from .puiseux import PuiseuxPoly
@@ -160,10 +159,10 @@ class ConstantGauge(NamedTuple):
     def inverse(self, var: str) -> ConstantGauge:
         return ConstantGauge(self.t_inv, self.t)
 
-    def audit(self) -> Callable[[list, tuple], tuple]:
+    def audit(self) -> Callable[[list, AuditPoint], tuple]:
         """The conjugation of a ball matrix, the pair embedded once for every point."""
         t, t_inv = ([[e.embed(AUDIT_DPS) for e in row] for row in m] for m in self)
-        return lambda value, walk: (mat_mul(t_inv, mat_mul(value, t)), walk)
+        return lambda value, point: (mat_mul(t_inv, mat_mul(value, t)), point)
 
     def report_values(self, step: GaugeStep, payload: Callable) -> tuple:
         return ()
@@ -187,19 +186,14 @@ class Shear(NamedTuple):
     def inverse(self, var: str) -> Shear:
         return Shear(-self.g)
 
-    def audit(self) -> Callable[[list, tuple], tuple]:
-        """``apply`` at x = root^index, with x^(k/index) read as root^k."""
+    def audit(self) -> Callable[[list, AuditPoint], tuple]:
+        """``apply`` at the point: entry (i, j) times x^((j - i) g), less i g / x on the diagonal."""
 
-        def act(value: list, walk: tuple) -> tuple[list, tuple]:
-            (root, index, _), n = walk, len(value)
-            k, point = self.g * index, root**index
-            if k.denominator != 1:
-                raise ReductionError("shear exponent incompatible with branch root")
-            powers = {d: root ** int(d * k) for d in range(1 - n, n)}
-            value = [[value[i][j] * powers[j - i] for j in range(n)] for i in range(n)]
-            for i in range(1, n):
-                value[i][i] = value[i][i] - i * self.g / point
-            return value, walk
+        def act(value: list, point: AuditPoint) -> tuple[list, AuditPoint]:
+            value = [[x * point.power((j - i) * self.g) for j, x in enumerate(row)] for i, row in enumerate(value)]
+            for i in range(1, len(value)):
+                value[i][i] = value[i][i] - i * self.g * point.power(-1)
+            return value, point
 
         return act
 
@@ -234,15 +228,14 @@ class Substitution(NamedTuple):
             )
         return Substitution(var, self.root.inverse(), int(ratio), 1 / self.power)
 
-    def audit(self) -> Callable[[list, tuple], tuple]:
-        """Times phi'(tau0); the new variable stands at the final point tau0."""
+    def audit(self) -> Callable[[list, AuditPoint], tuple]:
+        """Times phi'(tau0), the scale embedded once; the new variable stands at tau0."""
+        scale = self.root.embed(AUDIT_DPS) ** self.index * self.power
 
-        def act(value: list, walk: tuple) -> tuple[list, tuple]:
-            tau0, exp = walk[2], self.power - 1
-            if exp.denominator != 1:
-                raise ReductionError("fractional substitution power in numeric walk")
-            dphi = self.root.embed(AUDIT_DPS) ** self.index * self.power * tau0 ** int(exp)
-            return [[e * dphi for e in row] for row in value], (tau0, 1, tau0)
+        def act(value: list, point: AuditPoint) -> tuple[list, AuditPoint]:
+            point = AuditPoint(point.tau0, 1, point.tau0)
+            dphi = scale * point.power(self.power - 1)
+            return [[e * dphi for e in row] for row in value], point
 
         return act
 
@@ -389,6 +382,36 @@ def _check_printed_gauge(t3_inv: AlgMatrix, fixtures: dict, c: ChainConstants) -
 # -- consistency verification -------------------------------------------------------
 
 
+AUDIT_POINTS = ((2, 0), (3, 0), (1, 1), (Fraction(5, 2), 0), (4, 0))  # the audit's tau0, as (re, im)
+
+
+class AuditPoint:
+    """The audit's point x = root^index, the ball ``root`` fixing every branch
+    and ``tau0`` the final variable's value: x^e is root^(e * index), raised once."""
+
+    __slots__ = ("root", "index", "tau0", "_powers")
+
+    def __init__(self, root, index: int, tau0):
+        self.root, self.index, self.tau0, self._powers = root, index, tau0, {}
+
+    def power(self, e: int | Fraction):
+        """x^e; a negative power is the inverse of the positive one."""
+        k = e * self.index
+        if k.denominator != 1:
+            raise ReductionError(f"x^({e}) is no integral power of the branch root of index {self.index}")
+        k = int(k)
+        if k not in self._powers:
+            self._powers[k] = self.root**k if k >= 0 else self.power(-e).inverse()
+        return self._powers[k]
+
+    def system(self, s: DiffSystem) -> list:
+        """The matrix at the point on the root's grid, coefficients embedded at ``AUDIT_DPS``."""
+        zero = self.root * 0
+        return [
+            [sum((c.embed(AUDIT_DPS) * self.power(e) for e, c in p.terms), zero) for p in row] for row in s.matrix
+        ]
+
+
 class ConsistencyReport(NamedTuple):
     checks: tuple[tuple[str, str], ...]  # (name, detail)
 
@@ -406,11 +429,9 @@ def verify_trace_consistency(trace: ReductionTrace) -> ConsistencyReport:
       matrix is diagonal with the configured distinct eigenvalues;
     * exact inverse walk: undoing every step recovers the stage before it,
       down to the original variational system;
-    * numeric: at five sample points the composed transformation of the
-      first stage, in ball arithmetic on the grid of the embeddings at
-      ``AUDIT_DPS`` digits, agrees entrywise with the exact final matrix to a
-      relative error proven below 1e-9 (branches fixed by evaluating the
-      quarter root of t as root(alpha) * tau).
+    * numeric: at each of the ``AUDIT_POINTS`` the moves, in ball arithmetic
+      at ``AUDIT_DPS`` digits, carry the first stage to the exact final matrix
+      within a relative error proven below 1e-9 (see :class:`AuditPoint`).
     """
     checks: list[tuple[str, str]] = []
 
@@ -429,7 +450,7 @@ def verify_trace_consistency(trace: ReductionTrace) -> ConsistencyReport:
     worst = _numeric_composition(trace)
     if worst > 1e-9:
         raise ReductionError(f"numeric cross-check error {worst} exceeds 1e-9")
-    checks.append(("numeric", f"5 sample points, worst relative error {worst:.3e}"))
+    checks.append(("numeric", f"{len(AUDIT_POINTS)} sample points, worst relative error {worst:.3e}"))
     return ConsistencyReport(tuple(checks))
 
 
@@ -443,21 +464,20 @@ def _inverse_walk(trace: ReductionTrace) -> None:
 
 
 def _numeric_composition(trace: ReductionTrace) -> float:
-    """The worst audit error over five points tau0.  The moves act along a walk
-    (root, index, tau0) that evaluates the current system at root^index, root
-    fixing every branch, from root(alpha) * tau0 = t^(1/4) with t = alpha * tau^4."""
+    """The worst audit error over the ``AUDIT_POINTS`` tau0: the moves carry the first system
+    along an :class:`AuditPoint` from t = root^4, root = root(alpha) * tau0 fixing every branch."""
     from .ball import Ball
 
     actions = [step.move.audit() for step in trace.steps]
     root_alpha = trace.config.constants.alpha_quarter_root.embed(AUDIT_DPS)
     worst = 0.0
-    for re, im in ((2, 0), (3, 0), (1, 1), (Fraction(5, 2), 0), (4, 0)):
+    for re, im in AUDIT_POINTS:
         tau0 = Ball.rational(re, root_alpha.prec, im)
-        walk = (root_alpha * tau0, 4, tau0)
-        value = system_numeric(trace.steps[0].before, *walk[:2], AUDIT_DPS)
+        point = AuditPoint(root_alpha * tau0, 4, tau0)
+        value = point.system(trace.steps[0].before)
         for act in actions:
-            value, walk = act(value, walk)
-        worst = max(worst, _audit_error(value, system_numeric(trace.final, *walk[:2], AUDIT_DPS)))
+            value, point = act(value, point)
+        worst = max(worst, _audit_error(value, point.system(trace.final)))
     return worst
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import ball_fields, mat_from_rows, random_algnum, system_from_entries
-from sasano_galois.algnum import AlgNum, TowerError, canonical_constants
+from sasano_galois.algnum import AUDIT_DPS, AlgNum, TowerError, canonical_constants
 from sasano_galois.ball import Ball, bits, nth_root
 from sasano_galois.diffsys import (
     DiffSystem,
@@ -17,10 +17,9 @@ from sasano_galois.diffsys import (
     identity_matrix,
     leading_data,
     mat_mul,
-    system_numeric,
 )
 from sasano_galois.puiseux import PuiseuxPoly
-from sasano_galois.reduction import Shear, Substitution
+from sasano_galois.reduction import AuditPoint, ReductionError, Shear, Substitution
 
 
 def rand_matrix(tower, rng, n, terms=1, span=4):
@@ -311,11 +310,11 @@ class TestStructure:
                 [mono(tower, 1, Fraction(-1, 4)), mono(tower, 2, 1)],
             ],
         )
-        prec = bits(25 + 15)  # the grid of embeddings at 25 digits
+        prec = bits(AUDIT_DPS + 15)  # the grid of the audit's embeddings
         root = nth_root(Ball.rational(3, prec), 4, Ball.rational(Fraction("1.316"), prec))  # 3^(1/4)
         sqrt3 = nth_root(Ball.rational(3, prec), 2, Ball.rational(Fraction("1.732"), prec))
-        vals = system_numeric(sys, root, 4, 25)
-        assert abs(vals[0][0] - g.embed(25) * sqrt3) < 1e-20
+        vals = AuditPoint(root, 4, None).system(sys)
+        assert abs(vals[0][0] - g.embed(AUDIT_DPS) * sqrt3) < 1e-20
         assert abs(vals[1][0] - root**-1) < 1e-20
         assert abs(vals[1][1] - 2 * 3) < 1e-20
 
@@ -323,13 +322,13 @@ class TestStructure:
         z = PuiseuxPoly.zero(tower)
         g = AlgNum.generator(tower, 0)
         sys = system_from_entries(tower, "x", [[mono(tower, 1, Fraction(1, 2)).scale(g), z], [z, mono(tower, 2, -1)]])
-        root = Ball.rational(Fraction(3, 2), bits(25 + 15), Fraction(1, 4))  # the grid of embeddings at 25 digits
-        vals = system_numeric(sys, root, 2, 25)
+        root = Ball.rational(Fraction(3, 2), bits(AUDIT_DPS + 15), Fraction(1, 4))  # the audit's grid
+        vals = AuditPoint(root, 2, None).system(sys)
         assert all(type(v) is Ball and v.prec == root.prec for row in vals for v in row)
         assert ball_fields(vals[0][1]) == ball_fields(vals[1][0]) == (0, 0, 0, 0, root.prec)
         assert vals[0][0] and vals[1][1]
 
     def test_index_leaving_a_fractional_power_raises(self, tower):
         sys = system_from_entries(tower, "x", [[mono(tower, 1, 0), mono(tower, 1, Fraction(1, 4))]] * 2)
-        with pytest.raises(TowerError, match="root index 2 incompatible with ramification 4"):
-            system_numeric(sys, Ball.rational(2, bits(25 + 15)), 2, 25)
+        with pytest.raises(ReductionError, match=r"x\^\(1/4\) is no integral power of the branch root of index 2"):
+            AuditPoint(Ball.rational(2, bits(AUDIT_DPS + 15)), 2, None).system(sys)

@@ -93,6 +93,16 @@ def test_only_ball_and_algnum_name_the_grid_rule():
             assert not (imported or isinstance(node, ast.Attribute) and node.attr == "bits"), name
 
 
+def test_only_algnum_reduction_and_report_embed():
+    # puiseux, diffsys and the other exact layers hold no numeric code: tower
+    # numbers become balls in the tower, the reduction's audit and the report
+    for name in set(LAYERS) - {"algnum", "reduction", "report"}:
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            embeds = isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "embed"
+            assert not embeds, f"{name}: line {node.lineno}"
+
+
 def test_ratfunc_loads_no_other_package_module():
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     code = (

@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from sasano_galois.algnum import AlgNum, TowerError, TowerSpec, canonical_constants, rational_recognize
+from sasano_galois.algnum import AUDIT_DPS, AlgNum, TowerError, TowerSpec, canonical_constants, rational_recognize
 from sasano_galois.ball import Ball, bits, nth_root
+from sasano_galois.diffsys import DiffSystem
 from sasano_galois.puiseux import PuiseuxPoly
+from sasano_galois.reduction import AuditPoint
 
 
 def x_pow(tower, e):
@@ -213,10 +215,10 @@ class TestNumeric:
     def test_eval_matches_embedding(self, tower):
         g = AlgNum.generator(tower, 0)
         p = x_pow(tower, Fraction(1, 2)).scale(g) + 3
-        prec = bits(25 + 15)  # the grid of embeddings at 25 digits
+        prec = bits(AUDIT_DPS + 15)  # the grid of the audit's embeddings
         root = nth_root(Ball.rational(2, prec), 2, Ball.rational(Fraction("1.414"), prec))
-        val = p.eval_numeric(root, 2, 25)
-        expect = g.embed(25) * root + 3
+        ((val,),) = AuditPoint(root, 2, None).system(DiffSystem("x", ((p,),)))
+        expect = g.embed(AUDIT_DPS) * root + 3
         assert abs(val - expect) < 1e-22
 
 

@@ -17,7 +17,6 @@ from sasano_galois.diffsys import (
     char_poly,
     leading_data,
     mat_mul,
-    system_numeric,
 )
 from sasano_galois.exprparse import chain_symbols, parse_puiseux
 from sasano_galois.puiseux import PuiseuxPoly
@@ -189,9 +188,9 @@ def test_consistency_report_wasow(wasow_trace):
 
 
 def test_numeric_audit_embeds_each_constant_gauge_once(monkeypatch, canonical_trace):
-    # the three 4x4 gauge pairs and the root of alpha once (97), and at each
-    # of the 5 sample points the substitution scale and the 20 coefficients
-    # of the first and the final system (5 * 21): 202, where embedding the
+    # the three 4x4 gauge pairs, the root of alpha and the substitution
+    # scale once (98), and at each of the 5 sample points the 20 coefficients
+    # of the first and the final system (5 * 20): 198, where embedding the
     # gauges at every point took 590 and found the same worst error; the
     # error is a proven bound, the ball's radius included
     calls = []
@@ -204,17 +203,41 @@ def test_numeric_audit_embeds_each_constant_gauge_once(monkeypatch, canonical_tr
     monkeypatch.setattr(AlgNum, "embed", counting)
     report = verify_trace_consistency(canonical_trace)
     assert report.checks[-1] == ("numeric", "5 sample points, worst relative error 1.091e-40")
-    assert len(calls) == 202
+    assert len(calls) == 198
 
 
 def test_numeric_audit_takes_no_exact_tower_power(monkeypatch, canonical_trace):
     # the substitution scale is the embedded root raised to its index in
-    # balls, not the exact tower power embedded at each of the 5 points
+    # balls, once per move, not the exact tower power embedded
     powers = []
     power = AlgNum.__pow__
     monkeypatch.setattr(AlgNum, "__pow__", lambda a, n: powers.append(n) or power(a, n))
     assert reduction._numeric_composition(canonical_trace) < 1e-9
     assert powers == []
+
+
+@pytest.mark.parametrize(
+    "which, worst, powers, inverses",
+    [("canonical", "1.0905717238270373e-40", 64, 35), ("wasow", "1.444590649830371e-41", 100, 35)],
+)
+def test_numeric_audit_raises_each_power_once_per_point(
+    monkeypatch, which, worst, powers, inverses, canonical_trace, wasow_trace
+):
+    # each audit point raises x^e once and reads x^-e as 1/x^e: 273 and 309
+    # Ball.__pow__ and 100 Ball.inverse calls each when every move and
+    # system raised its own powers, for the same worst error to the bit
+    trace = canonical_trace if which == "canonical" else wasow_trace
+    calls = {"__pow__": 0, "inverse": 0}
+    for name in calls:
+        method = getattr(Ball, name)
+
+        def counting(*args, name=name, method=method):
+            calls[name] += 1
+            return method(*args)
+
+        monkeypatch.setattr(Ball, name, counting)
+    assert repr(reduction._numeric_composition(trace)) == worst
+    assert calls["__pow__"] <= powers and calls["inverse"] <= inverses
 
 
 def test_mismatch_error_names_stage_and_entry():
@@ -384,17 +407,15 @@ def test_fixture_entry_that_is_no_text_is_a_reduction_error(monkeypatch, entry):
 
 
 def _per_step_errors(trace, point=Fraction(5, 2)):
-    """The audit error of each move alone: step.before at the walk's point,
-    acted on by the move, against step.after at the walk's next point."""
+    """The audit error of each move alone: step.before at the audit point,
+    acted on by the move, against step.after at the point the move hands on."""
     root_alpha = trace.config.constants.alpha_quarter_root.embed(algnum.AUDIT_DPS)
     tau0 = Ball.rational(point, root_alpha.prec)
-    walk = (root_alpha * tau0, 4, tau0)
+    at = reduction.AuditPoint(root_alpha * tau0, 4, tau0)
     errors = []
     for step in trace.steps:
-        value = system_numeric(step.before, *walk[:2], algnum.AUDIT_DPS)
-        value, walk = step.move.audit()(value, walk)
-        expected = system_numeric(step.after, *walk[:2], algnum.AUDIT_DPS)
-        errors.append(reduction._audit_error(value, expected))
+        value, at = step.move.audit()(at.system(step.before), at)
+        errors.append(reduction._audit_error(value, at.system(step.after)))
     return errors
 
 
@@ -411,13 +432,12 @@ def test_flipped_shear_correction_fails_at_the_shear_steps(monkeypatch, canonica
     def flipped(self):
         act = audit(self)
 
-        def flipped_act(value, walk):
+        def flipped_act(value, point):
             # the diagonal correction -i g / x turned into +i g / x
-            value, walk = act(value, walk)
-            point = walk[0] ** walk[1]
+            value, point = act(value, point)
             for i in range(len(value)):
-                value[i][i] = value[i][i] + 2 * i * self.g / point
-            return value, walk
+                value[i][i] = value[i][i] + 2 * i * self.g * point.power(-1)
+            return value, point
 
         return flipped_act
 
