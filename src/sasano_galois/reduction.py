@@ -188,11 +188,12 @@ class Shear(NamedTuple):
 
     def audit(self) -> Callable[[list, AuditPoint], tuple]:
         """``apply`` at the point: entry (i, j) times x^((j - i) g), less i g / x on the diagonal."""
+        kg = functools.cache(lambda k: k * self.g)  # each k g formed once per move
 
         def act(value: list, point: AuditPoint) -> tuple[list, AuditPoint]:
-            value = [[x * point.power((j - i) * self.g) for j, x in enumerate(row)] for i, row in enumerate(value)]
+            value = [[x * point.power(kg(j - i)) for j, x in enumerate(row)] for i, row in enumerate(value)]
             for i in range(1, len(value)):
-                value[i][i] = value[i][i] - i * self.g * point.power(-1)
+                value[i][i] = value[i][i] - point.power(-1) * kg(i)
             return value, point
 
         return act
@@ -395,14 +396,13 @@ class AuditPoint:
         self.root, self.index, self.tau0, self._powers = root, index, tau0, {}
 
     def power(self, e: int | Fraction):
-        """x^e; a negative power is the inverse of the positive one."""
-        k = e * self.index
-        if k.denominator != 1:
-            raise ReductionError(f"x^({e}) is no integral power of the branch root of index {self.index}")
-        k = int(k)
-        if k not in self._powers:
-            self._powers[k] = self.root**k if k >= 0 else self.power(-e).inverse()
-        return self._powers[k]
+        """x^e, kept by e; a negative power is the inverse of the positive one."""
+        if e not in self._powers:
+            k = e * self.index
+            if k.denominator != 1:
+                raise ReductionError(f"x^({e}) is no integral power of the branch root of index {self.index}")
+            self._powers[e] = self.root**int(k) if k >= 0 else self.power(-e).inverse()
+        return self._powers[e]
 
     def system(self, s: DiffSystem) -> list:
         """The matrix at the point on the root's grid, coefficients embedded at ``AUDIT_DPS``."""

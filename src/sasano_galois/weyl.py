@@ -9,12 +9,12 @@ Three involutions act on solutions and parameters at once:
 Together they realize an affine Weyl group: each generator squares to
 the identity, s0 and s2 commute, and both (s0 s1) and (s1 s2) have
 order four.  :func:`verify_group_relations` tests the relations on the
-parameter matrices exactly and on random rational points of the full
-action (50 per relation by default); it samples, and only the tests run it.
+parameter matrices exactly and on random rational points (x, y, z, w, F)
+of the full action (50 per relation by default); only the tests run it.
 
-On the extended phase space each generator also maps the conjugate F of
-t, to F - shift for s2 and to F for s0 and s1, and so preserves K = H + F;
-an image's F is transported that way rather than recomputed.
+Each generator is one map of the extended phase space, stated once by
+``_reflect``: F goes to F - shift under s2 and to F under s0 and s1, so
+K = H + F is preserved and an image's F is transported, not recomputed.
 
 Orbit enumeration starts from the rational seed solution, applies every
 generator breadth-first, verifies each new state as an exact solution once
@@ -41,7 +41,8 @@ GENERATORS = ("s0", "s1", "s2")
 
 
 class WeylError(VerificationError):
-    """Raised for invalid parameters or an undefined transformation."""
+    """An unknown generator, an undefined step or a failed proof; a failed
+    check of parameters or of a state raises the checker's own error."""
 
 
 # -- parameters -----------------------------------------------------------------
@@ -56,11 +57,7 @@ class ParamTriple(NamedTuple):
 
     @staticmethod
     def make(values: Sequence) -> ParamTriple:
-        try:
-            a0, a1, a2 = check_params(values)
-        except ValueError as exc:
-            raise WeylError(str(exc)) from exc
-        return ParamTriple(a0, a1, a2)
+        return ParamTriple(*check_params(values))
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.a0, self.a1, self.a2)
@@ -79,12 +76,17 @@ PARAM_MATRICES: dict[str, tuple[tuple[int, int, int], ...]] = {
 _IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def act_on_params(name: str, params: ParamTriple) -> ParamTriple:
+def _generator(name: str) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """The index i of s_i and its parameter matrix; the one check of a generator name."""
     m = PARAM_MATRICES.get(name)
     if m is None:
         raise WeylError(f"unknown generator {name!r}")
-    vec = params.as_tuple()
-    new = [sum([mij * vj for mij, vj in zip(row, vec) if mij]) for row in m]
+    return GENERATORS.index(name), m
+
+
+def act_on_params(name: str, params: ParamTriple) -> ParamTriple:
+    _, m = _generator(name)
+    new = [sum([mij * vj for mij, vj in zip(row, params) if mij]) for row in m]
     return ParamTriple.make(new)
 
 
@@ -92,10 +94,7 @@ def word_matrix(word: Iterable[str]):
     """Matrix of the parameter action of a word (applied left to right)."""
     acc = _IDENTITY
     for name in word:
-        m = PARAM_MATRICES.get(name)
-        if m is None:
-            raise WeylError(f"unknown generator {name!r}")
-        acc = mat_mul(m, acc)
+        acc = mat_mul(_generator(name)[1], acc)
     return acc
 
 
@@ -124,11 +123,8 @@ class SolutionState(NamedTuple):
         x: RatFunc, y: RatFunc, z: RatFunc, w: RatFunc, params: ParamTriple, f: RatFunc | None = None
     ) -> SolutionState:
         values = scale_solution({"x": x, "y": y, "z": z, "w": w}, params.as_tuple())
-        try:
-            f = verify_solution(values, f)
-            verify_zero_energy(values, f)
-        except VerificationError as exc:
-            raise WeylError(str(exc)) from exc
+        f = verify_solution(values, f)
+        verify_zero_energy(values, f)
         return SolutionState(x, y, z, w, f, params)
 
     def as_solution(self) -> dict[str, RatFunc]:
@@ -151,18 +147,16 @@ def _divisor(name: str, x, y, z, w, t):
         return w
     if name == "s1":
         return x + z**2
-    if name == "s2":
-        return x + y**2 + w + t
-    raise WeylError(f"unknown generator {name!r}")
+    return x + y**2 + w + t
 
 
-def _reflect(name: str, x, y, z, w, shift):
-    """The generator's formulas, with shift = parameter / divisor."""
+def _reflect(name: str, x, y, z, w, f, shift):
+    """The generator on (x, y, z, w, F), with shift = parameter / divisor."""
     if name == "s0":
-        return x, y, z + shift, w
+        return x, y, z + shift, w, f
     if name == "s1":
-        return x, y - shift, z, w - 2 * shift * z
-    return x + 2 * shift * y - shift**2, y - shift, z + shift, w
+        return x, y - shift, z, w - 2 * shift * z, f
+    return x + 2 * shift * y - shift**2, y - shift, z + shift, w, f - shift
 
 
 def apply_generator(
@@ -172,47 +166,45 @@ def apply_generator(
 
     When the divisor vanishes identically the step is only defined for a
     vanishing parameter, where it is the identity; a vanishing divisor
-    with a nonzero parameter raises.  The image's F is transported, not
-    recomputed: it is ``state.f - shift`` for s2 and ``state.f`` for s0
-    and s1, as the generator preserves K = H + F, and
-    :meth:`SolutionState.make` certifies it.  An image equal in x, y, z, w
-    and parameters to ``known``, a checked state the caller holds, is
-    ``known`` itself: canonical forms make the equality exact, and a
-    solution has one zero-energy lift.  ``params`` is
+    with a nonzero parameter raises, as does an unknown ``name``.  The
+    image's F is transported by :func:`_reflect`, not recomputed, as the
+    generator preserves K = H + F, and :meth:`SolutionState.make`
+    certifies it.  An image equal in x, y, z, w, F and parameters to
+    ``known``, a checked state the caller holds, is ``known`` itself:
+    canonical forms make the equality exact.  ``params`` is
     ``act_on_params(name, state.params)``, which the caller computes once.
     """
-    t = RatFunc.variable()
-    x, y, z, w = state.x, state.y, state.z, state.w
-    alpha = (state.params.a0, state.params.a1, state.params.a2)[GENERATORS.index(name)]
-    div = _divisor(name, x, y, z, w, t)
+    i, _ = _generator(name)
+    alpha = state.params[i]
+    x, y, z, w, f = state[:5]
+    div = _divisor(name, x, y, z, w, RatFunc.variable())
     if div.is_zero():
         if alpha == 0:
             return state
-        raise WeylError(
-            f"divisor of {name} vanishes along the solution but its parameter is {alpha} != 0"
-        )
-    shift = RatFunc.const(alpha) / div
-    image = _reflect(name, x, y, z, w, shift)
-    if known is not None and known.params == params and image == (known.x, known.y, known.z, known.w):
+        raise WeylError(f"divisor of {name} vanishes along the solution but its parameter is {alpha} != 0")
+    x, y, z, w, f = _reflect(name, x, y, z, w, f, RatFunc.const(alpha) / div)
+    if known is not None and known.params == params and (x, y, z, w, f) == known[:5]:
         return known
-    return SolutionState.make(*image, params, state.f - shift if name == "s2" else state.f)
+    return SolutionState.make(x, y, z, w, params, f)
 
 
 @functools.cache
 def verify_involutions() -> None:
-    """Prove once that each s_i is an involution, on the symbols x, y, z, w, t
-    and a formal shift sigma (F, which the formulas do not read): its
-    parameter matrix squares to 1 and has the row -e_i, so a second step
-    shifts by -sigma; the image has the point's divisor; and ``_reflect``
-    with -sigma takes the image back.  Raises :class:`WeylError` otherwise."""
-    x, y, z, w, t, sigma = map(PolyExpr.var, ("x", "y", "z", "w", "t", "F"))
+    """Prove once that each s_i is an involution of the extended point
+    (x, y, z, w, F), on symbols and a formal shift sigma (the symbol a0, as
+    no divisor or formula reads a parameter): its parameter matrix squares
+    to 1 and has the row -e_i, so a second step shifts by -sigma; the image
+    has the point's divisor; and ``_reflect`` with -sigma takes the image,
+    F included, back.  Raises :class:`WeylError` otherwise."""
+    point = tuple(map(PolyExpr.var, ("x", "y", "z", "w", "F")))
+    t, sigma = PolyExpr.var("t"), PolyExpr.var("a0")
     for i, name in enumerate(GENERATORS):
         if word_matrix((name, name)) != _IDENTITY or PARAM_MATRICES[name][i] != tuple(-c for c in _IDENTITY[i]):
             raise WeylError(f"the parameter matrix of {name} is not an involution negating a{i}")
-        image = _reflect(name, x, y, z, w, sigma)
-        if _divisor(name, *image, t) != _divisor(name, x, y, z, w, t):
+        image = _reflect(name, *point, sigma)
+        if _divisor(name, *image[:4], t) != _divisor(name, *point[:4], t):
             raise WeylError(f"{name} does not fix its divisor")
-        if _reflect(name, *image, -sigma) != (x, y, z, w):
+        if _reflect(name, *image, -sigma) != point:
             raise WeylError(f"{name} applied twice is not the identity")
 
 
@@ -233,13 +225,12 @@ RELATIONS: tuple[tuple[str, tuple[str, ...]], ...] = (
 
 
 def _point_step(name: str, point, params: ParamTriple, t_val: Fraction):
-    """The generator on a plain rational point (no solution constraint)."""
-    x, y, z, w = point
-    alpha = (params.a0, params.a1, params.a2)[GENERATORS.index(name)]
-    div = _divisor(name, x, y, z, w, t_val)
+    """The generator on a plain rational point (x, y, z, w, F), no solution constraint."""
+    i, _ = _generator(name)
+    div = _divisor(name, *point[:4], t_val)
     if div == 0:
         raise ZeroDivisionError(name)
-    return _reflect(name, x, y, z, w, alpha / div), act_on_params(name, params)
+    return _reflect(name, *point, params[i] / div), act_on_params(name, params)
 
 
 def _random_params(rng: random.Random) -> ParamTriple:
@@ -250,10 +241,7 @@ def _random_params(rng: random.Random) -> ParamTriple:
 
 
 def _random_point(rng: random.Random):
-    def q():
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-
-    return (q(), q(), q(), q())
+    return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(5))
 
 
 class RelationCheck(NamedTuple):
@@ -268,7 +256,7 @@ def verify_group_relations(samples: int = 50, seed: int = 1105) -> tuple[Relatio
 
     The matrix of each relation word must be the identity, and the full
     birational action must fix at least ``samples`` random exact rational
-    (point, parameter) pairs per relation; divisor hits are resampled.
+    ((x, y, z, w, F), parameter) pairs per relation; divisor hits are resampled.
     Raises :class:`WeylError` on any failure.
     """
     rng = random.Random(seed)
@@ -276,8 +264,7 @@ def verify_group_relations(samples: int = 50, seed: int = 1105) -> tuple[Relatio
     for label, word in RELATIONS:
         if word_matrix(word) != _IDENTITY:
             raise WeylError(f"parameter matrices fail the relation {label}")
-        done = 0
-        attempts = 0
+        done = attempts = 0
         while done < samples:
             attempts += 1
             if attempts > samples * 50:
@@ -407,7 +394,7 @@ def enumerate_orbit(root: SolutionState, depth: int = 6) -> OrbitResult:
             known = seen.get(params)
             try:
                 image = apply_generator(name, node.state, known.state if known else None, params)
-            except WeylError as exc:
+            except VerificationError as exc:
                 skipped.append((word, str(exc)))
                 continue
             if known is not None:

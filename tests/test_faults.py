@@ -293,25 +293,42 @@ def test_wrong_hamiltonian_ends_in_fail_sections(tmp_path, capsys, monkeypatch):
 def flip_s2_x(reflect):
     """s2's x-image with the sign of its 2*shift*y term flipped."""
 
-    def mutant(name, x, y, z, w, shift):
+    def mutant(name, x, y, z, w, f, shift):
         if name == "s2":
-            return x - 2 * shift * y - shift**2, y - shift, z + shift, w
-        return reflect(name, x, y, z, w, shift)
+            return x - 2 * shift * y - shift**2, y - shift, z + shift, w, f - shift
+        return reflect(name, x, y, z, w, f, shift)
 
     return mutant
+
+
+def s2_f(image_f):
+    """s2 with F's image ``image_f(f, shift)`` in place of f - shift."""
+
+    def mutate(mp):
+        reflect = weyl._reflect
+
+        def mutant(name, x, y, z, w, f, shift):
+            image = reflect(name, x, y, z, w, f, shift)
+            return (*image[:4], image_f(f, shift)) if name == "s2" else image
+
+        mp.setattr(weyl, "_reflect", mutant)
+
+    return mutate
 
 
 @pytest.mark.parametrize(
     "mutate, error",
     [
         (lambda mp: mp.setattr(weyl, "_reflect", flip_s2_x(weyl._reflect)), "s2 does not fix its divisor"),
+        # F - shift^2 fixes the divisor, which does not read F, but a second step does not undo it
+        (s2_f(lambda f, shift: f - shift**2), "s2 applied twice is not the identity"),
         # a0' = -a0, a1' = a0 + a2, a2' = a1 keeps a0 + 2 a1 + 2 a2 but is no involution
         (
             lambda mp: mp.setitem(weyl.PARAM_MATRICES, "s0", ((-1, 0, 0), (1, 0, 1), (0, 1, 0))),
             "the parameter matrix of s0 is not an involution",
         ),
     ],
-    ids=["s2-sign-flip", "param-matrix"],
+    ids=["s2-sign-flip", "s2-f-squared", "param-matrix"],
 )
 def test_broken_involution_ends_in_orbit_fail_section(tmp_path, capsys, monkeypatch, mutate, error):
     mutate(monkeypatch)
@@ -326,14 +343,26 @@ def test_involutive_mutant_is_caught_by_the_state_check(tmp_path, capsys, monkey
     # only the exact check of each image as a solution can reject it
     reflect = weyl._reflect
 
-    def mutant(name, x, y, z, w, shift):
+    def mutant(name, x, y, z, w, f, shift):
         if name == "s1":
-            return x, y - shift, z, w - 3 * shift * z
-        return reflect(name, x, y, z, w, shift)
+            return x, y - shift, z, w - 3 * shift * z, f
+        return reflect(name, x, y, z, w, f, shift)
 
     monkeypatch.setattr(weyl, "_reflect", mutant)
     weyl.verify_involutions.__wrapped__()
     orbit = weyl.enumerate_orbit(weyl.seed_state(), depth=6)
     assert orbit.skipped and all(reason.startswith("not a solution") for _, reason in orbit.skipped)
+    md = run_orbit(tmp_path, capsys)
+    assert "## orbit summary [fail]" in md and "verification failed" not in md
+
+
+def test_dropped_f_shift_is_caught_only_by_the_state_check(tmp_path, capsys, monkeypatch):
+    # s2 leaving F unchanged is still an involution of the extended point, so
+    # the proof passes; only the F row of each s2 image's exact check rejects it
+    s2_f(lambda f, shift: f)(monkeypatch)
+    weyl.verify_involutions.__wrapped__()
+    orbit = weyl.enumerate_orbit(weyl.seed_state(), depth=6)
+    assert len(orbit.skipped) == 8
+    assert {reason for _, reason in orbit.skipped} == {"not a solution: equations fail for F"}
     md = run_orbit(tmp_path, capsys)
     assert "## orbit summary [fail]" in md and "verification failed" not in md

@@ -166,6 +166,19 @@ def test_no_module_tests_a_move_type(name):
             assert not _names_in(node.args[1]) & MOVE_CLASSES, f"{name}: line {node.lineno}"
 
 
+def test_only_the_generator_formulas_compare_a_generator_name():
+    # _divisor and _reflect state each generator's map; everywhere else a
+    # name is checked once (weyl._generator) and the map is not branched on
+    tree = ast.parse((PACKAGE / "weyl.py").read_text())
+    owners = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in ("_divisor", "_reflect")]
+    assert len(owners) == 2
+    allowed = {id(n) for owner in owners for n in ast.walk(owner)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and id(node) not in allowed:
+            literals = {n.value for n in ast.walk(node) if isinstance(n, ast.Constant)}
+            assert not literals & {"s0", "s1", "s2"}, f"weyl: line {node.lineno}"
+
+
 def test_report_imports_no_move_class():
     tree = ast.parse((PACKAGE / "report.py").read_text())
     imports = (node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom))

@@ -240,6 +240,26 @@ def test_numeric_audit_raises_each_power_once_per_point(
     assert calls["__pow__"] <= powers and calls["inverse"] <= inverses
 
 
+@pytest.mark.parametrize("which, worst", [("canonical", "1.0905717238270373e-40"), ("wasow", "1.444590649830371e-41")])
+def test_numeric_audit_forms_each_shear_exponent_once(monkeypatch, which, worst, canonical_trace, wasow_trace):
+    # the shears form each (j - i) g once per move and the point turns an
+    # exponent into an integer power only on a miss: 79 Fraction products on
+    # a warm audit, where every entry at every point took 415
+    trace = canonical_trace if which == "canonical" else wasow_trace
+    reduction._numeric_composition(trace)
+    products = []
+    for name in ("__mul__", "__rmul__"):
+        method = getattr(Fraction, name)
+
+        def counting(a, b, method=method):
+            products.append(1)
+            return method(a, b)
+
+        monkeypatch.setattr(Fraction, name, counting)
+    assert repr(reduction._numeric_composition(trace)) == worst
+    assert len(products) <= 79
+
+
 def test_mismatch_error_names_stage_and_entry():
     cfg = canonical_config()
     nve = seed_variational_system(cfg.constants.tower)
@@ -374,6 +394,22 @@ def test_cold_proof_computes_each_inverse_embedding_root_and_entry_once(cold, mo
     seen["embedding"] = [key for key in seen["embedding"] if key]  # the table's misses
     for kind, keys in seen.items():
         assert keys and len(keys) == len(set(keys)), kind
+
+
+@pytest.mark.parametrize("wasow, values", [(False, 59), (True, 55)], ids=["canonical", "wasow"])
+def test_cold_proof_embeds_each_value_a_bounded_number_of_times(cold, monkeypatch, wasow, values):
+    # every call counts, table hits included: a caller that re-embeds one
+    # number many times shows here even though the table misses stay unique
+    calls = []
+    embed = AlgNum.embed
+
+    def counting(a, dps):
+        calls.append((a.value, dps))
+        return embed(a, dps)
+
+    monkeypatch.setattr(AlgNum, "embed", counting)
+    build_proof(wasow=wasow)
+    assert len(calls) <= 222 and len(set(calls)) == values
 
 
 def test_fixture_entry_is_parsed_once_per_text_constants_and_variable():

@@ -40,10 +40,20 @@ def apply_word(word, state):
 
 
 def test_param_triple_relation_enforced():
-    with pytest.raises(WeylError, match="a0"):
+    with pytest.raises(VerificationError, match="a0"):
         ParamTriple.make((Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)))
     p = ParamTriple.make((Fraction(2, 5), Fraction(1, 5), Fraction(1, 10)))
     assert p.as_tuple() == (Fraction(2, 5), Fraction(1, 5), Fraction(1, 10))
+
+
+def test_unknown_generator_is_a_weyl_error(seed):
+    message = "unknown generator 's9'"
+    with pytest.raises(WeylError, match=message):
+        act_on_params("s9", seed.params)
+    with pytest.raises(WeylError, match=message):
+        word_matrix(("s0", "s9"))
+    with pytest.raises(WeylError, match=message):
+        apply_generator("s9", seed, None, seed.params)
 
 
 def test_param_actions_on_seed_values():
@@ -237,18 +247,18 @@ def test_transported_energy_is_the_energy_lift():
 def test_unshifted_energy_fails_the_f_row(seed):
     image = apply_word(("s2",), seed)
     assert image.f == seed.f - RatFunc.const(seed.params.a2) / (seed.x + seed.y**2 + seed.w + RatFunc.variable())
-    with pytest.raises(WeylError, match="not a solution: equations fail for F$"):
+    with pytest.raises(VerificationError, match="not a solution: equations fail for F$"):
         SolutionState.make(image.x, image.y, image.z, image.w, image.params, seed.f)
 
 
 def test_energy_off_by_a_constant_fails_the_point_check(seed):
     # F + 1 still solves F' = -2x, so only the point check can reject it
     one = RatFunc.const(1)
-    with pytest.raises(WeylError, match=r"zero-energy lift: H \+ F = 1 at t0 = 0$"):
+    with pytest.raises(VerificationError, match=r"zero-energy lift: H \+ F = 1 at t0 = 0$"):
         SolutionState.make(seed.x, seed.y, seed.z, seed.w, seed.params, seed.f + one)
     # the s2 image has poles at t = 0, so the point moves to t = 1
     image = apply_word(("s2",), seed)
-    with pytest.raises(WeylError, match=r"H \+ F = 1 at t0 = 1$"):
+    with pytest.raises(VerificationError, match=r"H \+ F = 1 at t0 = 1$"):
         SolutionState.make(image.x, image.y, image.z, image.w, image.params, image.f + one)
     # and past a pole of F itself at t = 1, to t = 2
     values = scale_solution(image.components(), image.params.as_tuple())
@@ -323,8 +333,8 @@ def test_involution_check_runs_once_and_only_when_a_skip_is_taken():
     assert info.misses == 1 and info.hits == 2 * 24 - 1
 
 
-def reference_step(name, x, y, z, w, alpha):
-    """The generator's image with every operation reduced by RatFunc.make."""
+def reference_step(name, x, y, z, w, f, alpha):
+    """The generator's image on (x, y, z, w, F) with every operation reduced by RatFunc.make."""
 
     def add(a, b):
         return RatFunc.make(a.num * b.den + b.num * a.den, a.den * b.den)
@@ -341,10 +351,10 @@ def reference_step(name, x, y, z, w, alpha):
         return None
     shift = RatFunc.make(div.den * alpha, div.num)
     if name == "s0":
-        return x, y, add(z, shift), w
+        return x, y, add(z, shift), w, f
     if name == "s1":
-        return x, sub(y, shift), z, sub(w, mul(mul(two, shift), z))
-    return sub(add(x, mul(mul(two, shift), y)), mul(shift, shift)), sub(y, shift), add(z, shift), w
+        return x, sub(y, shift), z, sub(w, mul(mul(two, shift), z)), f
+    return sub(add(x, mul(mul(two, shift), y)), mul(shift, shift)), sub(y, shift), add(z, shift), w, sub(f, shift)
 
 
 def test_backlund_steps_match_reference_arithmetic(seed):
@@ -354,11 +364,11 @@ def test_backlund_steps_match_reference_arithmetic(seed):
         s = node.state
         for name in GENERATORS:
             alpha = s.params.as_tuple()[GENERATORS.index(name)]
-            expect = reference_step(name, s.x, s.y, s.z, s.w, alpha)
+            expect = reference_step(name, s.x, s.y, s.z, s.w, s.f, alpha)
             div = weyl._divisor(name, s.x, s.y, s.z, s.w, t)
             if expect is None:
                 assert div.is_zero()
                 continue
-            assert weyl._reflect(name, s.x, s.y, s.z, s.w, alpha / div) == expect
+            assert weyl._reflect(name, s.x, s.y, s.z, s.w, s.f, alpha / div) == expect
             steps += 1
     assert steps == 51  # 17 nodes, no divisor vanishes
