@@ -16,9 +16,11 @@ class is the one owner of its kind: its exact action, its inverse (a move
 of the same kind), its report text, and its action on a ball matrix at an
 :class:`AuditPoint`, which alone reads x^e off the branch root in the
 numeric audit.  Every produced matrix is compared entry-exactly with the
-frozen references in data/fixtures.json; the run aborts on the first
-mismatch, naming the stage and entry.  The trace keeps each move with the
-systems before and after it, so the inverse moves replay it exactly.
+frozen references in data/fixtures.json, whose layout ``_fixture`` alone
+reads; the run aborts on the first mismatch, naming the stage and entry, or
+on a table that is missing or does not read, naming the table.  The trace
+keeps each move with the systems before and after it, so the inverse moves
+replay it exactly.
 
 The same six-call script runs the default normalization (alpha^3 = 5/64,
 the simplest final eigenvalues) and the Wasow-style normalization
@@ -33,13 +35,14 @@ import json
 import math
 from fractions import Fraction
 from importlib import resources
-from typing import Callable, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from .algnum import AUDIT_DPS, AlgNum, ChainConstants, TowerError, canonical_constants, wasow_constants
 from .diffsys import (
     AlgMatrix,
     DiffSystem,
     block_split,
+    char_poly,
     diagonal_matrix,
     eigen_decompose_distinct,
     gauge_constant,
@@ -47,7 +50,7 @@ from .diffsys import (
     leading_data,
     mat_mul,
 )
-from .exprparse import ExprError, chain_symbols, parse_puiseux
+from .exprparse import chain_symbols, parse_puiseux
 from .puiseux import PuiseuxPoly
 from .ratfunc import VerificationError
 
@@ -65,19 +68,22 @@ def load_fixtures() -> dict:
     return json.loads(resources.files("sasano_galois").joinpath("data/fixtures.json").read_text())
 
 
-def _fixture_table(tables: dict, key: str, what: str):
-    """``tables[key]``, or a ReductionError naming the missing table."""
-    if key not in tables:
-        raise ReductionError(f"fixture {what} {key} is missing")
-    return tables[key]
+def _fixture(what: str, read: Callable[[dict], Any]) -> Any:
+    """``read(load_fixtures())``, the one reader of the file's layout: a table that
+    is missing, misshapen or does not parse ends in a ReductionError naming ``what``."""
+    try:
+        return read(load_fixtures())
+    except (LookupError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ReductionError(f"fixture {what}: {f'missing {exc}' if isinstance(exc, KeyError) else exc}") from exc
 
 
-def _square(rows: list, what: str) -> list:
-    if not rows or any(len(row) != len(rows) for row in rows):
-        raise ReductionError(f"fixture {what} is not a square matrix")
+def _matrix(rows, constants: ChainConstants, var: str, value: Callable[[PuiseuxPoly], Any]) -> tuple[tuple, ...]:
+    """``value`` of each parsed entry of ``rows``, a nonempty square list of lists of expression text."""
+    if not (isinstance(rows, list) and rows and all(isinstance(r, list) and len(r) == len(rows) for r in rows)):
+        raise ValueError("not a square matrix")
     for text in (text for row in rows for text in row if not isinstance(text, str)):
-        raise ReductionError(f"fixture {what}: expected expression text, got {text!r}")
-    return rows
+        raise ValueError(f"expected expression text, got {text!r}")
+    return tuple(tuple(value(_fixture_entry(t, constants, var)) for t in row) for row in rows)
 
 
 @functools.cache
@@ -86,34 +92,24 @@ def _fixture_entry(text: str, constants: ChainConstants, var: str) -> PuiseuxPol
     return parse_puiseux(text, constants.tower, var, chain_symbols(constants))
 
 
-def fixture_system(stage: dict, constants: ChainConstants) -> DiffSystem:
-    """Build the canonical-form system M = var^prefactor * printed matrix."""
-    name, var = stage["name"], stage["var"]
-    try:
+def fixture_system(name: str, constants: ChainConstants) -> DiffSystem:
+    """The stage ``name`` in canonical form, M = var^prefactor * printed matrix."""
+
+    def read(fixtures: dict) -> DiffSystem:
+        stage = {s["name"]: s for s in fixtures["stages"]}[name]
         pref = PuiseuxPoly.monomial(constants.tower, 1, Fraction(stage["prefactor"]))
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ReductionError(f"fixture stage {name}: prefactor {stage['prefactor']!r}: {exc}") from exc
-    try:
-        rows = tuple(
-            tuple(_fixture_entry(text, constants, var) * pref for text in row)
-            for row in _square(stage["rows"], f"stage {name}")
-        )
-    except ExprError as exc:
-        raise ReductionError(f"fixture stage {name}: {exc}") from exc
-    return DiffSystem(var, rows)
+        return DiffSystem(stage["var"], _matrix(stage["rows"], constants, stage["var"], lambda p: p * pref))
+
+    return _fixture(f"stage {name}", read)
 
 
-def fixture_constant_matrix(rows: list[list[str]], constants: ChainConstants) -> AlgMatrix:
-    out = []
-    for row in rows:
-        parsed = []
-        for text in row:
-            try:
-                parsed.append(_fixture_entry(text, constants, "t").constant_value())
-            except (ExprError, TowerError) as exc:
-                raise ReductionError(f"fixture constant {text!r}: {exc}") from exc
-        out.append(tuple(parsed))
-    return tuple(out)
+def fixture_constant_matrix(key: str, constants: ChainConstants) -> AlgMatrix:
+    """The gauge ``key``, or the table ``leading_unit_shear``, as constants of the tower."""
+    unit_shear = key == "leading_unit_shear"
+    return _fixture(
+        key if unit_shear else f"gauge {key}",
+        lambda f: _matrix(f[key] if unit_shear else f["gauges"][key], constants, "t", PuiseuxPoly.constant_value),
+    )
 
 
 # -- chain configuration ---------------------------------------------------------
@@ -298,12 +294,8 @@ def _check_inverse(stage: str, t: AlgMatrix, t_inv: AlgMatrix) -> tuple[AlgMatri
     return t, t_inv
 
 
-def _fixture_gauge(stage: str, key: str, fixtures: dict, c: ChainConstants) -> tuple[AlgMatrix, AlgMatrix]:
-    t, t_inv = (
-        fixture_constant_matrix(_square(_fixture_table(fixtures["gauges"], k, "gauge"), f"gauge {k}"), c)
-        for k in (key, f"{key}_inv")
-    )
-    return _check_inverse(stage, t, t_inv)
+def _fixture_gauge(stage: str, key: str, c: ChainConstants) -> tuple[AlgMatrix, AlgMatrix]:
+    return _check_inverse(stage, fixture_constant_matrix(key, c), fixture_constant_matrix(f"{key}_inv", c))
 
 
 def run_canonical_chain(nve: DiffSystem, config: ChainConfig) -> ReductionTrace:
@@ -317,13 +309,11 @@ def run_canonical_chain(nve: DiffSystem, config: ChainConfig) -> ReductionTrace:
     c = config.constants
     if nve.tower is not c.tower:
         raise ReductionError("system tower does not match the configured constants")
-    fixtures = load_fixtures()
-    stage_refs = {s["name"]: s for s in fixtures["stages"]}
     matched: list[str] = []
     steps: list[GaugeStep] = []
 
     def check(name: str, system: DiffSystem) -> None:
-        _compare_stage(name, system, fixture_system(_fixture_table(stage_refs, name, "stage"), c))
+        _compare_stage(name, system, fixture_system(name, c))
         matched.append(name)
 
     def advance(stage: str, move: Move) -> DiffSystem:
@@ -334,10 +324,10 @@ def run_canonical_chain(nve: DiffSystem, config: ChainConfig) -> ReductionTrace:
         return after
 
     check("variational", nve)
-    advance("leading_nilpotent", ConstantGauge(*_fixture_gauge("leading_nilpotent", "t1", fixtures, c)))
+    advance("leading_nilpotent", ConstantGauge(*_fixture_gauge("leading_nilpotent", "t1", c)))
     advance("quarter_shear", Shear(Fraction(-1, 4)))
     advance("ramified_time", Substitution("tau", c.alpha_quarter_root, 4, Fraction(4)))
-    advance("jordan_gauge", ConstantGauge(*_fixture_gauge("jordan_gauge", "t2", fixtures, c)))
+    advance("jordan_gauge", ConstantGauge(*_fixture_gauge("jordan_gauge", "t2", c)))
     sys6 = advance("unit_shear", Shear(Fraction(-1)))
 
     r, lead = leading_data(sys6)
@@ -348,9 +338,9 @@ def run_canonical_chain(nve: DiffSystem, config: ChainConfig) -> ReductionTrace:
     blocks = tuple(block_split(sys7, (2, 2)))
 
     if config.compare_decoupling_gauge:
-        if lead != fixture_constant_matrix(_square(fixtures["leading_unit_shear"], "leading_unit_shear"), c):
+        if lead != fixture_constant_matrix("leading_unit_shear", c):
             raise ReductionError("stage unit_shear: leading matrix differs from reference")
-        _check_printed_gauge(t3[1], fixtures, c)
+        _check_printed_gauge(t3[1], c)
 
     return ReductionTrace(
         config=config,
@@ -363,7 +353,7 @@ def run_canonical_chain(nve: DiffSystem, config: ChainConfig) -> ReductionTrace:
     )
 
 
-def _check_printed_gauge(t3_inv: AlgMatrix, fixtures: dict, c: ChainConstants) -> None:
+def _check_printed_gauge(t3_inv: AlgMatrix, c: ChainConstants) -> None:
     """The printed eigenvector gauge T3' must rescale ours blockwise.
 
     D = T3^-1 T3' must be diag(c1, c1, c2, c2); c1 and c2 are nonzero
@@ -372,7 +362,7 @@ def _check_printed_gauge(t3_inv: AlgMatrix, fixtures: dict, c: ChainConstants) -
     the printed pair diagonalizes the leading matrix and reproduces the
     same decoupled stage, without conjugating either again.
     """
-    t3p, _ = _fixture_gauge("decoupled (printed gauge)", "t3", fixtures, c)
+    t3p, _ = _fixture_gauge("decoupled (printed gauge)", "t3", c)
     d = mat_mul(t3_inv, t3p)
     if d != diagonal_matrix(c.tower, (d[0][0], d[0][0], d[2][2], d[2][2])):
         raise ReductionError(
@@ -414,6 +404,7 @@ class AuditPoint:
 
 class ConsistencyReport(NamedTuple):
     checks: tuple[tuple[str, str], ...]  # (name, detail)
+    polynomial: PuiseuxPoly  # of the final leading matrix, each eigenvalue checked a root
 
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.checks)
@@ -425,8 +416,8 @@ def verify_trace_consistency(trace: ReductionTrace) -> ConsistencyReport:
     Three independent checks, each raising :class:`ReductionError` on
     failure:
 
-    * structural: the final system splits into 2x2 blocks and its leading
-      matrix is diagonal with the configured distinct eigenvalues;
+    * structural: the final system splits into 2x2 blocks and its leading matrix
+      is diag(eigenvalues), each a root of its characteristic polynomial;
     * exact inverse walk: undoing every step recovers the stage before it,
       down to the original variational system;
     * numeric: at each of the ``AUDIT_POINTS`` the moves, in ball arithmetic
@@ -442,6 +433,9 @@ def verify_trace_consistency(trace: ReductionTrace) -> ConsistencyReport:
     r, lead = leading_data(trace.final)
     if lead != diagonal_matrix(trace.final.tower, trace.eigenvalues):
         raise ReductionError("final stage leading matrix is not the configured diagonal")
+    polynomial = char_poly(lead)
+    for lam in (lam for lam in trace.eigenvalues if not polynomial(lam).is_zero()):
+        raise ReductionError(f"eigenvalue {lam} is not a root of the characteristic polynomial")
     checks.append(("structure", f"2+2 block split, diagonal leading matrix at exponent {r}"))
 
     _inverse_walk(trace)
@@ -451,7 +445,7 @@ def verify_trace_consistency(trace: ReductionTrace) -> ConsistencyReport:
     if worst > 1e-9:
         raise ReductionError(f"numeric cross-check error {worst} exceeds 1e-9")
     checks.append(("numeric", f"{len(AUDIT_POINTS)} sample points, worst relative error {worst:.3e}"))
-    return ConsistencyReport(tuple(checks))
+    return ConsistencyReport(tuple(checks), polynomial)
 
 
 def _inverse_walk(trace: ReductionTrace) -> None:

@@ -16,7 +16,7 @@ import json
 from typing import Any, NamedTuple
 
 from .algnum import AlgNum, TowerError, algnum_to_json, tower_to_json
-from .diffsys import DiffSystem, char_poly, leading_data
+from .diffsys import DiffSystem
 from .galois import GaloisOutcome, classify_blocks
 from .ratfunc import RatFunc, VerificationError
 from .reduction import (
@@ -199,17 +199,12 @@ def reduction_section(
         )
         for gs in trace.steps
     ]
-    r, lead = leading_data(trace.final)
-    cp = char_poly(lead)
-    for lam in trace.eigenvalues:
-        if not cp(lam).is_zero():
-            raise VerificationError(f"eigenvalue {lam} is not a root of the characteristic polynomial")
     eig_values: list[tuple[str, Any]] = [
         (f"lambda{i}", algnum_payload(lam, digits))
         for i, lam in enumerate(trace.eigenvalues, start=1)
     ]
-    eig_values.append(("characteristic polynomial", cp.render("l")))
-    eig_values.append(("leading exponent", str(r)))
+    eig_values.append(("characteristic polynomial", consistency.polynomial.render("l")))
+    eig_values.append(("leading exponent", str(trace.leading_exponent)))
     steps.append(
         CertificateStep(
             claim="the leading matrix of the final stage has the stated eigenvalues",

@@ -51,6 +51,8 @@ def corrupt(fixtures: dict, table: str, name: str | None, change: str, value) ->
             fixtures["gauges"][name][0][0] = value
         else:
             fixtures["gauges"][name][0].pop()
+    elif change == "drop":
+        del fixtures[table]
     else:
         fixtures[table][0][0] = value
 
@@ -94,6 +96,7 @@ def test_corrupt_fixture_ends_in_reduction_fail_section(corrupted, case):
         ("stage", "ramified_time", "entry", 7),
         ("gauge", "t2", "short row", None),
         ("gauge", "t3", "drop", None),
+        ("leading_unit_shear", None, "drop", None),
     ],
     ids=case_id,
 )
@@ -104,6 +107,50 @@ def test_corrupt_fixture_exits_1_through_cli(tmp_path, capsys, corrupted, case):
     last = data["sections"][-1]
     assert (last["name"], last["status"]) == ("reduction trace", "fail")
     assert "reduction trace: fail" in capsys.readouterr().out
+
+
+RAMIFIED = STAGES.index("ramified_time")
+
+
+def ramified(fixtures: dict) -> dict:
+    return fixtures["stages"][RAMIFIED]
+
+
+# (id, change, error start): a table of data/fixtures.json missing or misshapen, and a
+# prefactor that Fraction rejects with a ZeroDivisionError
+LAYOUT_FAULTS = [
+    ("drop-stages", lambda f: f.pop("stages"), "fixture stage variational: missing 'stages'"),
+    ("drop-gauges", lambda f: f.pop("gauges"), "fixture gauge t1: missing 'gauges'"),
+    ("drop-leading_unit_shear", lambda f: f.pop("leading_unit_shear"), "fixture leading_unit_shear: missing"),
+    # every stage is found by its name, so a nameless stage stops the first lookup
+    ("drop-stage-name", lambda f: ramified(f).pop("name"), "fixture stage variational: missing 'name'"),
+    *[
+        (f"drop-stage-{key}", lambda f, key=key: ramified(f).pop(key), f"fixture stage ramified_time: missing '{key}'")
+        for key in ("var", "prefactor", "rows")
+    ],
+    ("stages-dict", lambda f: f.update(stages={s["name"]: s for s in f["stages"]}), "fixture stage variational: "),
+    ("gauges-list", lambda f: f.update(gauges=list(f["gauges"].values())), "fixture gauge t1: "),
+    # four one-letter entries in a row of length four are still not a row
+    ("gauge-row-string", lambda f: f["gauges"]["t2"].__setitem__(0, "abcd"), "fixture gauge t2: not a square matrix"),
+    ("stage-list", lambda f: f["stages"].__setitem__(RAMIFIED, [*ramified(f).values()]), "fixture stage variational: "),
+    (
+        "leading_unit_shear-row-number",
+        lambda f: f["leading_unit_shear"].__setitem__(0, 7),
+        "fixture leading_unit_shear: not a square matrix",
+    ),
+    ("prefactor-zero-denominator", lambda f: ramified(f).update(prefactor="1/0"), "fixture stage ramified_time: "),
+]
+
+
+@pytest.mark.parametrize("change, error", [c[1:] for c in LAYOUT_FAULTS], ids=[c[0] for c in LAYOUT_FAULTS])
+def test_malformed_fixture_layout_ends_in_reduction_fail_section(monkeypatch, change, error):
+    fixtures = copy.deepcopy(reduction.load_fixtures())
+    change(fixtures)
+    monkeypatch.setattr(reduction, "load_fixtures", lambda: fixtures)
+    proof = build_proof(stop_after="reduction")
+    assert [s.status for s in proof.sections] == ["pass", "pass", "fail"]
+    assert proof.sections[-1].name == "reduction trace"
+    assert dict(proof.sections[-1].steps[0].values)["error"].startswith(error)
 
 
 @pytest.mark.parametrize(
@@ -218,9 +265,9 @@ def poly_with_roots(tower, roots) -> PuiseuxPoly:
 def test_eigenvalue_off_the_characteristic_polynomial_ends_in_reduction_fail_section(tmp_path, monkeypatch):
     c = reduction.canonical_constants()
     lam1, *rest = c.eigenvalues
-    monkeypatch.setattr(report, "char_poly", lambda lead: poly_with_roots(c.tower, c.eigenvalues))
+    monkeypatch.setattr(reduction, "char_poly", lambda lead: poly_with_roots(c.tower, c.eigenvalues))
     assert build_proof(stop_after="reduction").all_pass()
-    monkeypatch.setattr(report, "char_poly", lambda lead: poly_with_roots(c.tower, (lam1 + 1, *rest)))
+    monkeypatch.setattr(reduction, "char_poly", lambda lead: poly_with_roots(c.tower, (lam1 + 1, *rest)))
     proof = build_proof(stop_after="reduction")
     assert [s.status for s in proof.sections] == ["pass", "pass", "fail"]
     assert proof.sections[-1].name == "reduction trace"

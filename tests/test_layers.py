@@ -185,3 +185,25 @@ def test_report_imports_no_move_class():
     imported = {alias.name for node in imports for alias in node.names}
     assert not imported & MOVE_CLASSES
     assert not _names_in(tree) & MOVE_CLASSES
+
+
+FIXTURE_KEYS = {"stages", "gauges", "leading_unit_shear", "name", "var", "prefactor", "rows"}
+
+
+def _calls_to(tree: ast.AST, name: str) -> list[ast.Call]:
+    calls = (n for n in ast.walk(tree) if isinstance(n, ast.Call))
+    return [n for n in calls if getattr(n.func, "id", getattr(n.func, "attr", None)) == name]
+
+
+def test_only_the_reader_knows_the_fixture_layout():
+    # _fixture alone calls load_fixtures(), so only reduction holds the tables;
+    # there only the reader subscripts them (report's matrix payload has "rows" too)
+    trees = {name: ast.parse((PACKAGE / f"{name}.py").read_text()) for name in LAYERS}
+    names = ("_fixture", "fixture_system", "fixture_constant_matrix")
+    reader = {n.name: n for n in trees["reduction"].body if isinstance(n, ast.FunctionDef) and n.name in names}
+    inside = {id(n) for owner in reader.values() for n in ast.walk(owner)}
+    for node in ast.walk(trees["reduction"]):
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+            assert node.slice.value not in FIXTURE_KEYS or id(node) in inside, f"reduction: line {node.lineno}"
+    loads = sum(len(_calls_to(tree, "load_fixtures")) for tree in trees.values())
+    assert len(reader) == len(names) and loads == len(_calls_to(reader["_fixture"], "load_fixtures")) == 1

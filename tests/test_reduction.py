@@ -148,8 +148,7 @@ def test_printed_gauge_is_column_rescaled_ours(canonical_trace):
     from sasano_galois.reduction import fixture_constant_matrix
 
     c = canonical_trace.config.constants
-    fixtures = load_fixtures()
-    t3p = fixture_constant_matrix(fixtures["gauges"]["t3"], c)
+    t3p = fixture_constant_matrix("t3", c)
     mine = canonical_trace.steps[5].move.t
     ratios = [t3p[0][j] / mine[0][j] for j in range(4)]
     for i in range(4):
@@ -158,7 +157,7 @@ def test_printed_gauge_is_column_rescaled_ours(canonical_trace):
     assert ratios[0] == ratios[1]
     assert ratios[2] == ratios[3]
     # and it diagonalizes the leading matrix on the nose
-    t3p_inv = fixture_constant_matrix(fixtures["gauges"]["t3_inv"], c)
+    t3p_inv = fixture_constant_matrix("t3_inv", c)
     _, lead = leading_data(canonical_trace.steps[4].after)
     diag = mat_mul(t3p_inv, mat_mul(lead, t3p))
     for i in range(4):
@@ -422,14 +421,15 @@ def test_fixture_entry_is_parsed_once_per_text_constants_and_variable():
     assert reduction._fixture_entry(text, w, "t").tower is w.tower
 
 
-def test_corrupt_fixture_entry_raises_on_every_call():
+def test_corrupt_fixture_entry_raises_on_every_call(monkeypatch):
     c = canonical_constants()
     stage = {"name": "s", "var": "t", "prefactor": "0", "rows": [["foo + 1"]]}
+    monkeypatch.setattr(reduction, "load_fixtures", lambda: {"stages": [stage], "gauges": {"g": [["foo + 1"]]}})
     for _ in range(3):
         with pytest.raises(ReductionError, match="fixture stage s: "):
-            reduction.fixture_system(stage, c)
-        with pytest.raises(ReductionError, match="fixture constant 'foo \\+ 1': "):
-            reduction.fixture_constant_matrix([["foo + 1"]], c)
+            reduction.fixture_system("s", c)
+        with pytest.raises(ReductionError, match="fixture gauge g: unknown symbol 'foo'"):
+            reduction.fixture_constant_matrix("g", c)
 
 
 @pytest.mark.parametrize("entry", [["1"], {"1": 1}, 7, None], ids=["list", "dict", "int", "none"])
