@@ -7,14 +7,17 @@ function is a coprime pair of polynomials with a monic denominator, so
 equal values have equal representations, and evaluation raises at poles
 instead of returning garbage.
 
-Arithmetic runs on the integer coefficients directly: convolution,
-fraction-free pseudo-division and the primitive polynomial remainder
-sequence of Brown, J. ACM 18 (1971).  Fractions enter only through
-``Poly.make`` and ``RatFunc.const`` and leave only through
-``Poly.coeffs``.  ``RatFunc.make`` reduces an arbitrary pair by one gcd,
-and constants need none; + - * / of reduced operands take gcds only with
-a factor of a denominator (Henrici's sum and Knuth's cross-cancelled
-product, TAOCP vol. 2, 4.5.1), and powers need none.
+Arithmetic runs on the integer coefficients directly, over nonzero terms
+only: convolution, fraction-free pseudo-division and the primitive
+polynomial remainder sequence of Brown, J. ACM 18 (1971).  With e^3 = 1,
+(t, x, y, z, w, F) -> (e t, e x, e^2 y, e^2 z, e w, e^2 F) fixes every
+Backlund orbit state, so an orbit polynomial is t^r P(t^3): two in three
+coefficients are zero.  Fractions enter only through ``Poly.make`` and
+``RatFunc.const`` and leave only through ``Poly.coeffs``.  ``RatFunc.make``
+reduces an arbitrary pair by one gcd, and constants need none; + - * / of
+reduced operands take gcds only with a factor of a denominator (Henrici's
+sum and Knuth's cross-cancelled product, TAOCP vol. 2, 4.5.1), and powers
+need none.
 
 This bottom layer imports no other package module.  It holds what every
 value type shares: the error root ``VerificationError``, the immutable
@@ -150,10 +153,11 @@ def _conv(a: Sequence[int], b: Sequence[int]) -> list[int]:
     if len(a) < len(b):
         a, b = b, a
     out = [0] * (len(a) + len(b) - 1)
+    terms = [(i, x) for i, x in enumerate(a) if x]
     for j, y in enumerate(b):
         if y:
-            for i, x in enumerate(a, j):
-                out[i] += x * y
+            for i, x in terms:
+                out[i + j] += x * y
     return out
 
 
@@ -180,6 +184,7 @@ def _pdiv(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], list[int]
     q = [0] * max(0, len(a) - len(b) + 1)
     m = 1
     lead, nb = b[-1], len(b)
+    low = [(i, x) for i, x in enumerate(b[:-1]) if x]
     while len(r) >= nb:
         k = len(r) - nb
         g = math.gcd(r[-1], lead)
@@ -190,8 +195,8 @@ def _pdiv(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], list[int]
             m *= u
         q[k] = c
         r.pop()
-        for i in range(nb - 1):
-            r[k + i] -= c * b[i]
+        for i, x in low:
+            r[k + i] -= c * x
         while r and r[-1] == 0:
             r.pop()
     return m, q, r

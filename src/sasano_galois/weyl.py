@@ -14,15 +14,17 @@ of the full action (50 per relation by default); only the tests run it.
 
 Each generator is one map of the extended phase space, stated once by
 ``_reflect``: F goes to F - shift under s2 and to F under s0 and s1, so
-K = H + F is preserved and an image's F is transported, not recomputed.
+an image's F is transported, not recomputed.  No code proves that K = H + F
+is preserved; each image's own exact check certifies its F.
 
 Orbit enumeration starts from the rational seed solution, applies every
 generator breadth-first, verifies each new state as an exact solution once
 (its transported F by the F row and one exact point of H + F = 0), and
 checks the arithmetic condition on the parameters (an integer pair (a, b)
-mod 5 falling in one of four admissible rows) at every node.  The one step
-it skips, s_i again on a node that s_i built, is proven to give the parent
-by :func:`verify_involutions`.
+mod 5 falling in one of four admissible rows) at every node.  Past the
+audit depth it skips s_i on a state that s_i of a kept node gave, as
+:func:`verify_involutions` proves the image is that node; parameter
+images keep the affine relation by :func:`verify_parameter_form`.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ class WeylError(VerificationError):
 
 
 class ParamTriple(NamedTuple):
-    """(a0, a1, a2) with a0 + 2 a1 + 2 a2 = 1, checked on construction."""
+    """(a0, a1, a2) with a0 + 2 a1 + 2 a2 = 1: checked by :meth:`make`, kept by :func:`act_on_params`."""
 
     a0: Fraction
     a1: Fraction
@@ -84,10 +86,20 @@ def _generator(name: str) -> tuple[int, tuple[tuple[int, int, int], ...]]:
     return GENERATORS.index(name), m
 
 
+@functools.cache
+def verify_parameter_form() -> None:
+    """Prove once that (1, 2, 2) M = (1, 2, 2) for each parameter matrix M, so
+    images of checked triples keep a0 + 2 a1 + 2 a2 = 1; else :class:`WeylError`."""
+    for name, m in PARAM_MATRICES.items():
+        if mat_mul(((1, 2, 2),), m) != ((1, 2, 2),):
+            raise WeylError(f"the parameter matrix of {name} does not keep a0 + 2*a1 + 2*a2")
+
+
 def act_on_params(name: str, params: ParamTriple) -> ParamTriple:
+    """The image of a checked triple, checked by :func:`verify_parameter_form`."""
     _, m = _generator(name)
-    new = [sum([mij * vj for mij, vj in zip(row, params) if mij]) for row in m]
-    return ParamTriple.make(new)
+    verify_parameter_form()
+    return ParamTriple(*[sum([mij * vj for mij, vj in zip(row, params) if mij]) for row in m])
 
 
 def word_matrix(word: Iterable[str]):
@@ -167,12 +179,11 @@ def apply_generator(
     When the divisor vanishes identically the step is only defined for a
     vanishing parameter, where it is the identity; a vanishing divisor
     with a nonzero parameter raises, as does an unknown ``name``.  The
-    image's F is transported by :func:`_reflect`, not recomputed, as the
-    generator preserves K = H + F, and :meth:`SolutionState.make`
-    certifies it.  An image equal in x, y, z, w, F and parameters to
-    ``known``, a checked state the caller holds, is ``known`` itself:
-    canonical forms make the equality exact.  ``params`` is
-    ``act_on_params(name, state.params)``, which the caller computes once.
+    image's F is transported by :func:`_reflect`, not recomputed, and
+    :meth:`SolutionState.make` certifies it.  An image equal in x, y, z,
+    w, F and parameters to ``known``, a checked state the caller holds, is
+    ``known`` itself: canonical forms make the equality exact.  ``params``
+    is ``act_on_params(name, state.params)``, which the caller computes once.
     """
     i, _ = _generator(name)
     alpha = state.params[i]
@@ -366,10 +377,10 @@ def enumerate_orbit(root: SolutionState, depth: int = 6) -> OrbitResult:
     -H, every other F is transported).  Each step looks the parameter image
     up first; an image equal to the kept state is that state, and any other
     is verified (see :func:`apply_generator`), a failure landing in ``skipped``.
-    Past ``AUDIT_DEPTH`` the step s_i on a node built by s_i is not taken:
-    its image is the parent (:func:`verify_involutions`, which raises if that
-    is not proven), a collision with equal states not recorded at that depth,
-    so the result is the one the step would give.
+    Past ``AUDIT_DEPTH``, s_i is not taken on a kept state S that s_i of a
+    kept node K gave: its image is K (:func:`verify_involutions`, which
+    raises if that is not proven), a collision with equal states not
+    recorded at that depth, so the result is the one the step would give.
     """
     if depth < 0:
         raise WeylError("depth must be nonnegative")
@@ -380,13 +391,14 @@ def enumerate_orbit(root: SolutionState, depth: int = 6) -> OrbitResult:
     first = OrbitNode((), 0, root, matsuda_check(root.params))
     seen[root.params] = first
     nodes.append(first)
+    reverse: set[tuple[ParamTriple, str]] = set()  # (S's triple, s_i): s_i of a kept node gave kept S
     queue: deque[OrbitNode] = deque([first])
     while queue:
         node = queue.popleft()
         if node.depth >= depth:
             continue
         for name in GENERATORS:
-            if node.word[-1:] == (name,) and node.depth >= AUDIT_DEPTH:
+            if node.depth >= AUDIT_DEPTH and (node.state.params, name) in reverse:
                 verify_involutions()
                 continue
             word = node.word + (name,)
@@ -397,6 +409,8 @@ def enumerate_orbit(root: SolutionState, depth: int = 6) -> OrbitResult:
             except VerificationError as exc:
                 skipped.append((word, str(exc)))
                 continue
+            if known is None or image is known.state:
+                reverse.add((params, name))
             if known is not None:
                 if image is not known.state or node.depth + 1 <= AUDIT_DEPTH:
                     collisions.append(

@@ -239,6 +239,14 @@ GOLDEN = (
         },
     ),
     (
+        ("orbit", "--depth", "10", "--check-matsuda"),
+        {
+            "orbit.jsonl": "78be57f3268d11c7153766a96a1b00465f32444900a53270ecd5bff2cdca1cef",
+            "orbit_summary.json": "a45cdcd19d574c9c78f9dd81331abe6c51eac599b260b5b67c67bcaab550f395",
+            "orbit_summary.md": "1e558d5f03c2095b5c1baae59b35df2e04d0d1c3b48e52df9f81595d4572977f",
+        },
+    ),
+    (
         ("verify-seed",),
         {
             "seed_check.json": "fc2f60a3f672e99a5f3d7166fe7556c5b1032681d5df43cfc096413beef8a973",
@@ -296,7 +304,7 @@ GOLDEN = (
     GOLDEN,
     ids=[
         "prove", "prove-wasow", "prove-precision-40", "prove-wasow-precision-15",
-        "orbit-depth-2", "orbit-depth-6", "orbit-depth-8",
+        "orbit-depth-2", "orbit-depth-6", "orbit-depth-8", "orbit-depth-10",
         "verify-seed", "verify-seed-file", "prove-nve",
         "prove-precision-1000", "prove-reduction", "prove-classify", "orbit-depth-6-unchecked",
     ],

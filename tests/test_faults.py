@@ -7,6 +7,7 @@ from __future__ import annotations
 import copy
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -383,6 +384,20 @@ def test_broken_involution_ends_in_orbit_fail_section(tmp_path, capsys, monkeypa
     with pytest.raises(weyl.WeylError, match=error):
         weyl.verify_involutions.__wrapped__()
     assert error in run_orbit(tmp_path, capsys)
+
+
+def test_parameter_matrix_off_the_affine_relation_ends_in_orbit_fail_section(tmp_path, capsys, monkeypatch):
+    # a1' = 2 a0 + a1 is still an involution negating a0, but moves a0 + 2 a1 + 2 a2 by 2 a0
+    monkeypatch.setitem(weyl.PARAM_MATRICES, "s0", ((-1, 0, 0), (2, 1, 0), (0, 0, 1)))
+    monkeypatch.setattr(weyl, "verify_parameter_form", functools.cache(weyl.verify_parameter_form.__wrapped__))
+    weyl.verify_involutions.__wrapped__()
+    error = "the parameter matrix of s0 does not keep a0 + 2*a1 + 2*a2"
+    with pytest.raises(weyl.WeylError, match=re.escape(error)):
+        weyl.verify_parameter_form()
+    assert error in run_orbit(tmp_path, capsys)
+    assert main(["--report-dir", str(tmp_path), "prove"]) == 1
+    md = (tmp_path / "proof.md").read_text()
+    assert "## orbit summary [fail]" in md and error in md
 
 
 def test_involutive_mutant_is_caught_by_the_state_check(tmp_path, capsys, monkeypatch):

@@ -296,31 +296,36 @@ def test_parameter_action_once_per_edge(monkeypatch):
     monkeypatch.setattr(weyl, "act_on_params", counting)
     orbit = enumerate_orbit(seed_state(), depth=6)
     assert orbit.node_count() == 57 and len(orbit.collisions) == 24
-    # 123 edges, less the 24 back-edges past AUDIT_DEPTH, which are not built
-    assert len(calls) == 99
+    # 123 edges, less the 33 reverse edges past AUDIT_DEPTH, which are not built
+    assert len(calls) == 90
 
 
-@pytest.mark.parametrize("depth, skips", [(6, 24), (8, 59)])
+@pytest.mark.parametrize("depth, skips", [(6, 33), (8, 81)])
 def test_only_back_edges_past_the_audit_depth_are_skipped(monkeypatch, depth, skips):
     built = []
     real = weyl.apply_generator
 
     def recording(name, state, known, params):
-        built.append((state, name))
-        return real(name, state, known, params)
+        image = real(name, state, known, params)
+        built.append((state, name, image))
+        return image
 
     monkeypatch.setattr(weyl, "apply_generator", recording)
     orbit = enumerate_orbit(seed_state(), depth=depth)
-    words = {id(node.state): node.word for node in orbit.nodes}
+    nodes = {id(node.state): node for node in orbit.nodes}
     edges = {(node.word, name) for node in orbit.nodes if node.depth < depth for name in GENERATORS}
     back = {(word, name) for word, name in edges if word[-1:] == (name,) and len(word) >= weyl.AUDIT_DEPTH}
-    assert edges - {(words[id(state)], name) for state, name in built} == back
-    assert len(back) == skips and len(built) == len(edges) - skips
-    # each skipped image is its parent, which the search keeps
+    # s_i of a kept node K gave the kept state S, so s_i on S gives K
+    target = {(nodes[id(image)].word, name): state for state, name, image in built if id(image) in nodes}
+    reverse = {edge for edge in target if edge in edges and len(edge[0]) >= weyl.AUDIT_DEPTH}
+    skipped = edges - {(nodes[id(state)].word, name) for state, name, _ in built}
+    assert back <= reverse and skipped == reverse
+    assert len(skipped) == skips and len(built) == len(edges) - skips
+    # each skipped image is the kept state whose step gave its source
     kept = {node.word: node.state for node in orbit.nodes}
-    for word, name in sorted(back)[:6]:
-        parent = kept[word[:-1]]
-        assert real(name, kept[word], parent, parent.params) is parent
+    for word, name in sorted(skipped):
+        known = target[word, name]
+        assert real(name, kept[word], known, known.params) is known
 
 
 def test_involution_check_runs_once_and_only_when_a_skip_is_taken():
@@ -330,7 +335,7 @@ def test_involution_check_runs_once_and_only_when_a_skip_is_taken():
     enumerate_orbit(seed_state(), depth=6)
     enumerate_orbit(seed_state(), depth=6)
     info = weyl.verify_involutions.cache_info()
-    assert info.misses == 1 and info.hits == 2 * 24 - 1
+    assert info.misses == 1 and info.hits == 2 * 33 - 1
 
 
 def reference_step(name, x, y, z, w, f, alpha):
