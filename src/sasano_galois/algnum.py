@@ -374,12 +374,6 @@ class AlgNum(Frozen):
             return NotImplemented
         return self * o.inverse()
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented

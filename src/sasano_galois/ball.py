@@ -105,9 +105,6 @@ class Ball:
     def __truediv__(self, other):
         return self * (1 / Fraction(other) if isinstance(other, (int, Fraction)) else other.inverse())
 
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** -n

@@ -209,8 +209,5 @@ class PuiseuxPoly(Frozen):
 
         return join_terms((str(c), power(e) if e else "") for e, c in reversed(self.terms))
 
-    def __str__(self):
-        return self.render()
-
     def __repr__(self):
         return f"PuiseuxPoly({self.render()})"

@@ -291,9 +291,6 @@ class Poly(Frozen):
         g = _int_gcd(self.nums, other.nums)
         return Poly(tuple(g), g[-1]) if g else Poly((), 1)
 
-    def derivative(self) -> Poly:
-        return _reduced(_derivative(self.nums), self.den)
-
     def __call__(self, t) -> Fraction:
         # Horner's rule on the integers: with t = p/q and degree n, the
         # accumulator ends as q^n times the numerator sum and scale as q^(n+1).
@@ -412,9 +409,6 @@ class RatFunc(Frozen):
         if other.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
         return self * RatFunc._monic(other.den, other.num)
-
-    def __rtruediv__(self, other) -> RatFunc:
-        return _as_ratfunc(other) / self
 
     def __pow__(self, n: int) -> RatFunc:
         # Powers of a coprime pair stay coprime, and a power of a monic

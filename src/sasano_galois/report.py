@@ -120,12 +120,6 @@ class ProofReport(NamedTuple):
     def all_pass(self) -> bool:
         return all(s.status == "pass" for s in self.sections)
 
-    def section(self, name: str) -> ReportSection:
-        for s in self.sections:
-            if s.name == name:
-                return s
-        raise KeyError(name)
-
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {"title": self.title}
         if self.normalization is not None:

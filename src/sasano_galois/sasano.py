@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 from .algnum import AlgNum, TowerError, TowerSpec
 from .diffsys import DiffSystem
 from .puiseux import PuiseuxPoly
-from .ratfunc import Frozen, Poly, RatFunc, VerificationError, int_power, join_terms
+from .ratfunc import Frozen, Poly, RatFunc, VerificationError, int_power
 from .ratfunc import _add_into, _conv, _derivative, _reduced  # the integer kernels
 
 VARS = ("x", "y", "z", "w", "t", "F", "a0", "a1", "a2")
@@ -62,9 +62,6 @@ class PolyExpr(Frozen):
         exps = [0] * len(VARS)
         exps[_INDEX[name]] = 1
         return PolyExpr(((tuple(exps), Fraction(1)),))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __add__(self, other) -> PolyExpr:
         other = _as_polyexpr(other)
@@ -119,36 +116,6 @@ class PolyExpr(Frozen):
         for weight in range(1, top + 1):
             total = _add_into(_conv(total, values.den.nums), sums.get(weight, ()), 1)
         return total, scale, top
-
-    def eval_at(self, point: Sequence[Fraction]) -> Fraction:
-        """The exact value at a point, one number per symbol of VARS.
-
-        The point is brought to one integer denominator q and the
-        coefficients to their lcm m; the terms of each degree are summed
-        on the integers and brought to q^top by Horner's rule, and one
-        Fraction is built at the end."""
-        q = math.lcm(*[v.denominator for v in point])
-        nums = [v.numerator * (q // v.denominator) for v in point]
-        m = math.lcm(*[c.denominator for _, c in self.terms])
-        sums: dict[int, int] = {}
-        for e, c in self.terms:
-            acc = c.numerator * (m // c.denominator)
-            for v, k in zip(nums, e):
-                if k:
-                    acc *= v**k
-            degree = sum(e)
-            sums[degree] = sums.get(degree, 0) + acc
-        top = max(sums, default=0)
-        total = 0
-        for degree in range(top + 1):
-            total = total * q + sums.get(degree, 0)
-        return Fraction(total, m * q**top)
-
-    def render(self) -> str:
-        return join_terms(
-            (str(c), "*".join(VARS[k] if exp == 1 else f"{VARS[k]}^{exp}" for k, exp in enumerate(e) if exp))
-            for e, c in self.terms
-        )
 
 
 class CommonDenominator:
@@ -207,11 +174,9 @@ def _as_polyexpr(x) -> PolyExpr:
 _v = PolyExpr.var
 
 
-@functools.cache
-def hamiltonian() -> PolyExpr:
-    """The time-dependent Hamiltonian in the phase variables and parameters."""
-    x, y, z, w, t = _v("x"), _v("y"), _v("z"), _v("w"), _v("t")
-    a0, a1 = _v("a0"), _v("a1")
+def _hamiltonian(x, y, z, w, t, a0, a1):
+    """The time-dependent Hamiltonian, the one statement of its terms, over
+    any ring that holds the arguments: symbols, exact numbers, or images."""
     return (
         2 * x * y**2
         + 2 * x**2
@@ -223,6 +188,15 @@ def hamiltonian() -> PolyExpr:
         + x * w
         + 2 * y * z * w
     )
+
+
+_H_ARGS = ("x", "y", "z", "w", "t", "a0", "a1")  # the arguments of _hamiltonian, in order
+
+
+@functools.cache
+def hamiltonian() -> PolyExpr:
+    """The time-dependent Hamiltonian in the phase variables and parameters."""
+    return _hamiltonian(*map(_v, _H_ARGS))
 
 
 @functools.cache
@@ -363,24 +337,17 @@ def verify_zero_energy(values: CommonDenominator, f: RatFunc) -> None:
     Along a solution that passes :func:`verify_solution`, d/dt (H + F) is
     dH/dt + F' = 2x - 2x = 0, so H + F is a constant and its value at one
     point decides it.  That point t0 is the least integer >= 0 at which
-    neither L nor the denominator d of f vanishes; H + F is evaluated there
-    at the kept numerators' values over L(t0)^j and at f(t0).  A nonzero
-    L*d vanishes at no more than deg L + deg d integers, so the search
-    stops after one more.
+    neither L nor the denominator d of f vanishes; :func:`_hamiltonian` is
+    evaluated there at the kept numerators' values over L(t0)^j, and f(t0)
+    is added.  A nonzero L*d vanishes at no more than deg L + deg d
+    integers, so the search stops after one more.
     """
     tries = values.den.degree() + f.den.degree() + 1
     t0 = next((t for t in range(tries) if values.den(t) != 0 and f.den(t) != 0), None)
     if t0 is None:
         raise VerificationError(f"the denominators vanish at every integer t0 < {tries}")
     den = values.den(t0)
-    point = []
-    for name in VARS:
-        if name == "F":
-            point.append(f(t0))
-        else:
-            num, j = values.kept[name]
-            point.append(num(t0) / den**j)
-    total = extended_hamiltonian().eval_at(point)
+    total = _hamiltonian(*[num(t0) / den**j for num, j in map(values.kept.get, _H_ARGS)]) + f(t0)
     if total != 0:
         raise VerificationError(f"F is not the zero-energy lift: H + F = {total} at t0 = {t0}")
 

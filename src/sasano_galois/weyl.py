@@ -142,9 +142,6 @@ class SolutionState(NamedTuple):
     def as_solution(self) -> dict[str, RatFunc]:
         return {"x": self.x, "y": self.y, "z": self.z, "w": self.w, "F": self.f}
 
-    def components(self) -> dict[str, RatFunc]:
-        return {"x": self.x, "y": self.y, "z": self.z, "w": self.w}
-
 
 def seed_state() -> SolutionState:
     sol, params = seed_solution()

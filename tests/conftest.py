@@ -82,6 +82,11 @@ def random_nonzero_algnum(tw: TowerSpec, rng: random.Random, terms: int = 3) -> 
 # -- builders and JSON decoders: test input and round-trip oracles -------------
 
 
+def components(state) -> dict:
+    """x, y, z, w of an orbit state, keyed as a solution."""
+    return {"x": state.x, "y": state.y, "z": state.z, "w": state.w}
+
+
 def mat_from_rows(tower: TowerSpec, rows) -> AlgMatrix:
     """Coerce a nested sequence of ints / Fractions / AlgNums to a matrix."""
     return tuple(

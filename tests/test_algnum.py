@@ -168,7 +168,7 @@ class TestFieldArithmetic:
         g = AlgNum.generator(tower, 0)
         assert (g + 1) - 1 == g
         assert g * Fraction(3, 2) / Fraction(3, 2) == g
-        assert 2 / (g * 2 / g) == 1
+        assert AlgNum.from_rational(tower, 2) / (g * 2 / g) == 1
 
 
 class TestRecognition:

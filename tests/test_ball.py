@@ -50,7 +50,7 @@ class TestEnclosure:
             assert contains(x / y, (a * c + b * d) / n, (b * c - a * d) / n)
             q = random_rational(rng) or Fraction(1)
             assert contains(x * q, a * q, b * q) and contains(x / q, a / q, b / q)
-            assert contains(q / y, q * c / n, -q * d / n)
+            assert contains(y.inverse() * q, q * c / n, -q * d / n)
             k = rng.randint(-5, 5)
             assert contains(x**k, *exact_power(a, b, k))
 

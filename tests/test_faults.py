@@ -325,10 +325,10 @@ def test_failed_seed_ends_in_orbit_fail_section(tmp_path, capsys, monkeypatch):
 
 
 def test_wrong_hamiltonian_ends_in_fail_sections(tmp_path, capsys, monkeypatch):
-    # 2*y*z*w -> 3*y*z*w: the derived field is no longer the reference field
-    wrong = sasano.hamiltonian() + sasano.PolyExpr.var("y") * sasano.PolyExpr.var("z") * sasano.PolyExpr.var("w")
-    monkeypatch.setattr(sasano, "hamiltonian", lambda: wrong)
-    for name in ("extended_hamiltonian", "_symbolic_field"):
+    # 2*y*z*w -> 3*y*z*w in the one formula: the derived field is no longer the reference field
+    formula = sasano._hamiltonian
+    monkeypatch.setattr(sasano, "_hamiltonian", lambda x, y, z, w, *rest: formula(x, y, z, w, *rest) + y * z * w)
+    for name in ("hamiltonian", "extended_hamiltonian", "_symbolic_field"):
         monkeypatch.setattr(sasano, name, functools.cache(getattr(sasano, name).__wrapped__))
     proof = build_proof()
     assert [(s.name, s.status) for s in proof.sections] == [("model check", "fail")]

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from sasano_galois.exprparse import ExprError, parse_ratfunc
-from sasano_galois.ratfunc import Poly, RatFunc, join_terms
+from sasano_galois.ratfunc import Poly, RatFunc, _derivative, _reduced, join_terms
 
 T = RatFunc.variable()
 
@@ -40,7 +40,7 @@ class TestPoly:
 
     def test_derivative_and_eval(self):
         p = Poly.make([Fraction(2, 5), 0, 3])
-        assert p.derivative() == Poly.make([0, 6])
+        assert _reduced(_derivative(p.nums), p.den) == Poly.make([0, 6])
         assert p(Fraction(1, 2)) == Fraction(2, 5) + Fraction(3, 4)
 
     def test_eval_matches_fraction_horner(self):
@@ -90,7 +90,7 @@ class TestCanonicalForm:
             a, b = rand_poly(rng), rand_poly(rng)
             yield a
             yield from (a + b, a - b, b - b, (a + b) - b, -a, a * b, a * 0, a * Fraction(3, 4))
-            yield from (a.derivative(), Poly.const(Fraction(5, 6)).derivative(), a**3, a.gcd(b))
+            yield from (a**3, a.gcd(b))
             if not b.is_zero():
                 yield from a.divmod(b)
                 f = RatFunc.make(a, b)
@@ -115,7 +115,7 @@ class TestCanonicalForm:
         for other in (b, c, d):
             assert other == a and hash(other) == hash(a)
             assert (other.nums, other.den) == ((1, 2), 2)
-        zeros = (Poly.make([0, 0]), a - a, a * 0, Poly.const(7).derivative(), Poly.make([]))
+        zeros = (Poly.make([0, 0]), a - a, a * 0, Poly.make([]))
         assert all(z == Poly((), 1) and hash(z) == hash(Poly((), 1)) for z in zeros)
 
 
@@ -368,7 +368,7 @@ class TestSympyOracle:
     def test_derivative(self):
         for a, b in self.pairs(16):
             for p in (a, b):
-                assert p.derivative() == self.from_sympy(self.to_sympy(p).diff())
+                assert _reduced(_derivative(p.nums), p.den) == self.from_sympy(self.to_sympy(p).diff())
 
     def test_eval(self):
         sp = pytest.importorskip("sympy")

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import algnum_from_json, assert_pair_form, tower_from_json
+from conftest import algnum_from_json, assert_pair_form, components, tower_from_json
 from sasano_galois import sasano, weyl
 from sasano_galois.algnum import AlgNum, TowerSpec, canonical_constants
 from sasano_galois.galois import ApparentCertificate, BlockClassification, GaloisOutcome
@@ -81,7 +81,7 @@ def test_reports_are_deterministic(proof):
 
 
 def test_exact_value_payloads(proof):
-    wh = proof.section("whittaker normal form")
+    wh = next(s for s in proof.sections if s.name == "whittaker normal form")
     for step in wh.steps:
         values = dict(step.values)
         assert values["kappa"]["exact"] == "1/2"
@@ -226,7 +226,7 @@ def test_format_numeric():
 def test_seed_report_failure_section():
     seed = seed_state()
     other = ParamTriple.make((Fraction(1, 2), Fraction(1, 8), Fraction(1, 8)))
-    report = build_seed_report(seed.components(), other)
+    report = build_seed_report(components(seed), other)
     assert not report.all_pass()
     assert report.sections[0].status == "fail"
     assert "not a solution" in dict(report.sections[0].steps[0].values)["error"]
