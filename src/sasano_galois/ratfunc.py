@@ -4,8 +4,8 @@ Solutions of the Hamiltonian system and their transforms live in Q(t),
 so this module keeps every operation exact.  A polynomial is stored once,
 as integer coefficients over one positive integer denominator; a rational
 function is a coprime pair of polynomials with a monic denominator, so
-equal values have equal representations, and evaluation raises at poles
-instead of returning garbage.
+equal values have equal representations.  Values at integer points are
+read off the integer coefficients (``_value_at``).
 
 Arithmetic runs on the integer coefficients directly, over nonzero terms
 only: convolution, fraction-free pseudo-division and the primitive
@@ -174,6 +174,14 @@ def _derivative(a: Sequence[int]) -> list[int]:
     return [k * c for k, c in enumerate(a)][1:]
 
 
+def _value_at(a: Sequence[int], t: int) -> int:
+    """sum a[k] t^k at an integer t, by Horner's rule."""
+    acc = 0
+    for c in reversed(a):
+        acc = acc * t + c
+    return acc
+
+
 def _pdiv(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], list[int]]:
     """Fraction-free division: (m, q, r) with m*a = q*b + r and deg r < deg b.
 
@@ -290,17 +298,6 @@ class Poly(Frozen):
         """Monic greatest common divisor; zero only for two zeros."""
         g = _int_gcd(self.nums, other.nums)
         return Poly(tuple(g), g[-1]) if g else Poly((), 1)
-
-    def __call__(self, t) -> Fraction:
-        # Horner's rule on the integers: with t = p/q and degree n, the
-        # accumulator ends as q^n times the numerator sum and scale as q^(n+1).
-        t = Fraction(t)
-        p, q = t.numerator, t.denominator
-        acc, scale = 0, 1
-        for c in reversed(self.nums):
-            acc = acc * p + c * scale
-            scale *= q
-        return Fraction(acc * q, self.den * scale)
 
     def render(self, var: str = "t") -> str:
         def text(c: int) -> str:  # c / den in lowest terms, as str(Fraction) writes it
@@ -419,13 +416,6 @@ class RatFunc(Frozen):
                 raise ZeroDivisionError("division by the zero rational function")
             base, n = RatFunc._monic(self.den, self.num), -n
         return RatFunc(base.num**n, base.den**n)
-
-    def __call__(self, t) -> Fraction:
-        t = Fraction(t)
-        d = self.den(t)
-        if d == 0:
-            raise ZeroDivisionError(f"pole at t = {t}")
-        return self.num(t) / d
 
     def render(self, var: str = "t") -> str:
         ns = self.num.render(var)

@@ -29,7 +29,7 @@ from .algnum import AlgNum, TowerError, TowerSpec
 from .diffsys import DiffSystem
 from .puiseux import PuiseuxPoly
 from .ratfunc import Frozen, Poly, RatFunc, VerificationError, int_power
-from .ratfunc import _add_into, _conv, _derivative, _reduced  # the integer kernels
+from .ratfunc import _add_into, _conv, _derivative, _reduced, _value_at  # the integer kernels
 
 VARS = ("x", "y", "z", "w", "t", "F", "a0", "a1", "a2")
 _INDEX = {name: k for k, name in enumerate(VARS)}
@@ -331,24 +331,34 @@ def verify_solution(values: CommonDenominator, f: RatFunc | None = None) -> RatF
 
 
 def verify_zero_energy(values: CommonDenominator, f: RatFunc) -> None:
-    """Check that F = f is the zero-energy lift, H + F = 0, at one exact
-    point; raise on failure.
+    """Check that F = f is the zero-energy lift, H + F = 0, at one point, on the integers; raise on failure.
 
-    Along a solution that passes :func:`verify_solution`, d/dt (H + F) is
-    dH/dt + F' = 2x - 2x = 0, so H + F is a constant and its value at one
-    point decides it.  That point t0 is the least integer >= 0 at which
-    neither L nor the denominator d of f vanishes; :func:`_hamiltonian` is
-    evaluated there at the kept numerators' values over L(t0)^j, and f(t0)
-    is added.  A nonzero L*d vanishes at no more than deg L + deg d
-    integers, so the search stops after one more.
+    Along a solution that passes :func:`verify_solution`, d/dt (H + F) =
+    dH/dt + F' = 2x - 2x = 0, so one point decides the constant H + F: the
+    least integer t0 >= 0 where neither L nor the denominator d of f
+    vanishes, one of the first deg L + deg d + 1.  Each value there is A/q,
+    q = S L(t0) for S the lcm of the kept scales; the terms of
+    :func:`hamiltonian` sum to h/(m q^k), m the lcm of their denominators
+    and k their top degree, and with f(t0) = n/d the check is h d + n m q^k = 0.
     """
     tries = values.den.degree() + f.den.degree() + 1
-    t0 = next((t for t in range(tries) if values.den(t) != 0 and f.den(t) != 0), None)
+    t0 = next((t for t in range(tries) if _value_at(values.den.nums, t) and _value_at(f.den.nums, t)), None)
     if t0 is None:
         raise VerificationError(f"the denominators vanish at every integer t0 < {tries}")
-    den = values.den(t0)
-    total = _hamiltonian(*[num(t0) / den**j for num, j in map(values.kept.get, _H_ARGS)]) + f(t0)
-    if total != 0:
+    lt, scale = _value_at(values.den.nums, t0), math.lcm(*[p.den for p, _ in values.kept.values()])
+    point = {name: _value_at(p.nums, t0) * (scale // p.den) * lt ** (1 - j) for name, (p, j) in values.kept.items()}
+    terms, q = hamiltonian().terms, scale * lt
+    m, top = math.lcm(*[c.denominator for _, c in terms]), max([sum(exps) for exps, _ in terms])
+    h = 0
+    for exps, c in terms:
+        term = c.numerator * (m // c.denominator) * q ** (top - sum(exps))
+        for name, e in zip(VARS, exps):
+            if e:
+                term *= point[name] ** e
+        h += term
+    n, d = _value_at(f.num.nums, t0) * f.den.den, f.num.den * _value_at(f.den.nums, t0)
+    if h * d + n * m * q**top:
+        total = Fraction(h, m * q**top) + Fraction(n, d)
         raise VerificationError(f"F is not the zero-energy lift: H + F = {total} at t0 = {t0}")
 
 

@@ -1,9 +1,10 @@
 """Property test of the one statement of the Hamiltonian, ``sasano._hamiltonian``.
 
 The symbolic ``hamiltonian()`` is that formula on the model's symbols, and
-``verify_zero_energy`` evaluates it at one exact point.  At random exact
-points the formula must equal the value of ``hamiltonian()`` summed term by
-term, so the point check and every symbolic use read the same terms.
+``verify_zero_energy`` sums the terms of ``hamiltonian()`` at one integer
+time, on integers.  At random exact points the formula must equal the value
+of ``hamiltonian()`` summed term by term, so the formula, the point check and
+every symbolic use read the same terms.
 """
 
 from __future__ import annotations

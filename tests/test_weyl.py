@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from sasano_galois.exprparse import parse_ratfunc
 from sasano_galois import sasano, weyl
 from sasano_galois.ratfunc import Poly, RatFunc
 from sasano_galois.report import orbit_section
-from sasano_galois.sasano import scale_solution, solution_energy, verify_zero_energy
+from sasano_galois.sasano import _H_ARGS, _hamiltonian, scale_solution, solution_energy, verify_zero_energy
 from sasano_galois.weyl import (
     GENERATORS,
     ParamTriple,
@@ -266,6 +267,49 @@ def test_energy_off_by_a_constant_fails_the_point_check(seed):
     pole = RatFunc.make(1, Poly.make([-1, 1]))  # 1/(t - 1)
     with pytest.raises(VerificationError, match=r"H \+ F = 1 at t0 = 2$"):
         verify_zero_energy(values, image.f + pole)
+
+
+def _fraction_point_check(values, f):
+    """The point check on ``Fraction``s: t0 by the same rule, and H + F there,
+    with ``_hamiltonian`` on the exact values of the kept numerators over L(t0)^j."""
+
+    def at(p, t):
+        return sum([Fraction(c, p.den) * t**k for k, c in enumerate(p.nums)], Fraction(0))
+
+    tries = values.den.degree() + f.den.degree() + 1
+    t0 = next(t for t in range(tries) if at(values.den, t) != 0 and at(f.den, t) != 0)
+    den = at(values.den, t0)
+    h = _hamiltonian(*[at(num, t0) / den**j for num, j in map(values.kept.get, _H_ARGS)])
+    return t0, h + at(f.num, t0) / at(f.den, t0)
+
+
+def test_point_check_matches_the_fraction_evaluation(monkeypatch):
+    orbit = enumerate_orbit(seed_state(), depth=8)
+    assert orbit.node_count() == 97 and orbit.nodes[0].state == seed_state()
+    built = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(lambda *a, **k: built.append(1) or new(*a, **k)))
+    rng = random.Random(3303)
+    points = set()
+    for k, node in enumerate(orbit.nodes):
+        state = node.state
+        values = scale_solution(components(state), state.params.as_tuple())
+        t0, total = _fraction_point_check(values, state.f)
+        assert total == 0
+        points.add(t0)
+        built.clear()
+        verify_zero_energy(values, state.f)
+        assert not built, "a passing check built a Fraction"
+        bits = (7, 64, 129, 300)[k % 4]
+        c = Fraction(rng.getrandbits(bits) | 1 << (bits - 1), rng.getrandbits(bits) | 1) * rng.choice((1, -1))
+        shifted = state.f + RatFunc.const(c)
+        assert _fraction_point_check(values, shifted) == (t0, c)
+        built.clear()
+        with pytest.raises(VerificationError) as failed:
+            verify_zero_energy(values, shifted)
+        assert str(failed.value) == f"F is not the zero-energy lift: H + F = {c} at t0 = {t0}"
+        assert built  # the count sees the Fractions of a failing check's message
+    assert points == {0, 1}
 
 
 def test_known_state_returned_only_when_equal(seed):
