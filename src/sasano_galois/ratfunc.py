@@ -356,10 +356,9 @@ class RatFunc(Frozen):
         return RatFunc(num, den)
 
     @staticmethod
-    def const(c) -> RatFunc:
-        # a Fraction is already coprime with a positive denominator
-        c = Fraction(c)
-        return RatFunc(Poly((c.numerator,), c.denominator) if c else Poly((), 1), _ONE)
+    def const(c, den: int = 1) -> RatFunc:
+        """The constant c / den for an int or Fraction c and an int den != 0."""
+        return RatFunc(_reduced([c.numerator], c.denominator * den), _ONE)
 
     @staticmethod
     def variable() -> RatFunc:

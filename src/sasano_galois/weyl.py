@@ -14,8 +14,9 @@ of the full action (50 per relation by default); only the tests run it.
 
 Each generator is one map of the extended phase space, stated once by
 ``_reflect``: F goes to F - shift under s2 and to F under s0 and s1, so
-an image's F is transported, not recomputed.  No code proves that K = H + F
-is preserved; each image's own exact check certifies its F.
+an image's F is transported, not recomputed.  s2 keeps x + y^2, formed once
+for its divisor and its x-image (x + y^2) - (y - shift)^2.  No code proves
+that K = H + F is preserved; each image's own exact check certifies its F.
 
 Orbit enumeration starts from the rational seed solution, applies every
 generator breadth-first, verifies each new state as an exact solution once
@@ -23,13 +24,15 @@ generator breadth-first, verifies each new state as an exact solution once
 checks the arithmetic condition on the parameters (an integer pair (a, b)
 mod 5 falling in one of four admissible rows) at every node.  Past the
 audit depth it skips s_i on a state that s_i of a kept node gave, as
-:func:`verify_involutions` proves the image is that node; parameter
-images keep the affine relation by :func:`verify_parameter_form`.
+:func:`verify_involutions` proves the image is that node.  Triples are
+integer numerators over one denominator, moved by integer matrices that
+keep the affine relation (:func:`verify_parameter_form`).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -51,21 +54,25 @@ class WeylError(VerificationError):
 
 
 class ParamTriple(NamedTuple):
-    """(a0, a1, a2) with a0 + 2 a1 + 2 a2 = 1: checked by :meth:`make`, kept by :func:`act_on_params`."""
+    """(a0, a1, a2) = nums / den with a0 + 2 a1 + 2 a2 = 1 (checked by :meth:`make`), in
+    canonical form as for ``Poly``: den > 0, gcd(den, *nums) = 1, so equal triples are equal ints."""
 
-    a0: Fraction
-    a1: Fraction
-    a2: Fraction
+    nums: tuple[int, int, int]
+    den: int
 
     @staticmethod
     def make(values: Sequence) -> ParamTriple:
-        return ParamTriple(*check_params(values))
+        qs = check_params(values)
+        den = math.lcm(*[q.denominator for q in qs])
+        return ParamTriple(tuple([q.numerator * (den // q.denominator) for q in qs]), den)
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (self.a0, self.a1, self.a2)
+        return tuple([Fraction(n, self.den) for n in self.nums])
+
+    a0, a1, a2 = (property(lambda self, i=i: self.as_tuple()[i]) for i in range(3))
 
     def render(self) -> str:
-        return f"({self.a0}, {self.a1}, {self.a2})"
+        return "({}, {}, {})".format(*self.as_tuple())
 
 
 # The parameter action is linear; rows of each matrix give the new
@@ -96,10 +103,14 @@ def verify_parameter_form() -> None:
 
 
 def act_on_params(name: str, params: ParamTriple) -> ParamTriple:
-    """The image of a checked triple, checked by :func:`verify_parameter_form`."""
+    """The image of a checked triple, checked by :func:`verify_parameter_form`:
+    the matrix on the numerators, over the denominator, then one gcd."""
     _, m = _generator(name)
     verify_parameter_form()
-    return ParamTriple(*[sum([mij * vj for mij, vj in zip(row, params) if mij]) for row in m])
+    n0, n1, n2 = params.nums
+    nums = [r0 * n0 + r1 * n1 + r2 * n2 for r0, r1, r2 in m]
+    g = math.gcd(params.den, *nums)
+    return ParamTriple(tuple([n // g for n in nums]), params.den // g)
 
 
 def word_matrix(word: Iterable[str]):
@@ -152,20 +163,23 @@ def seed_state() -> SolutionState:
 
 
 def _divisor(name: str, x, y, z, w, t):
+    """The invariant of the generator that its divisor is built on, and the divisor."""
     if name == "s0":
-        return w
+        return w, w
     if name == "s1":
-        return x + z**2
-    return x + y**2 + w + t
+        return (x + z**2,) * 2
+    kept = x + y**2
+    return kept, kept + w + t
 
 
-def _reflect(name: str, x, y, z, w, f, shift):
-    """The generator on (x, y, z, w, F), with shift = parameter / divisor."""
+def _reflect(name: str, x, y, z, w, f, shift, kept):
+    """The generator on (x, y, z, w, F), with shift = parameter / divisor and kept its invariant."""
     if name == "s0":
         return x, y, z + shift, w, f
     if name == "s1":
         return x, y - shift, z, w - 2 * shift * z, f
-    return x + 2 * shift * y - shift**2, y - shift, z + shift, w, f - shift
+    y = y - shift
+    return kept - y**2, y, z + shift, w, f - shift
 
 
 def apply_generator(
@@ -183,14 +197,15 @@ def apply_generator(
     is ``act_on_params(name, state.params)``, which the caller computes once.
     """
     i, _ = _generator(name)
-    alpha = state.params[i]
+    alpha = state.params.nums[i]
     x, y, z, w, f = state[:5]
-    div = _divisor(name, x, y, z, w, RatFunc.variable())
+    kept, div = _divisor(name, x, y, z, w, RatFunc.variable())
     if div.is_zero():
         if alpha == 0:
             return state
+        alpha = state.params.as_tuple()[i]
         raise WeylError(f"divisor of {name} vanishes along the solution but its parameter is {alpha} != 0")
-    x, y, z, w, f = _reflect(name, x, y, z, w, f, RatFunc.const(alpha) / div)
+    x, y, z, w, f = _reflect(name, x, y, z, w, f, RatFunc.const(alpha, state.params.den) / div, kept)
     if known is not None and known.params == params and (x, y, z, w, f) == known[:5]:
         return known
     return SolutionState.make(x, y, z, w, params, f)
@@ -202,17 +217,19 @@ def verify_involutions() -> None:
     (x, y, z, w, F), on symbols and a formal shift sigma (the symbol a0, as
     no divisor or formula reads a parameter): its parameter matrix squares
     to 1 and has the row -e_i, so a second step shifts by -sigma; the image
-    has the point's divisor; and ``_reflect`` with -sigma takes the image,
-    F included, back.  Raises :class:`WeylError` otherwise."""
+    has the point's invariant and divisor; and ``_reflect`` with -sigma and
+    that invariant takes the image, F included, back.  Raises
+    :class:`WeylError` otherwise."""
     point = tuple(map(PolyExpr.var, ("x", "y", "z", "w", "F")))
     t, sigma = PolyExpr.var("t"), PolyExpr.var("a0")
     for i, name in enumerate(GENERATORS):
         if word_matrix((name, name)) != _IDENTITY or PARAM_MATRICES[name][i] != tuple(-c for c in _IDENTITY[i]):
             raise WeylError(f"the parameter matrix of {name} is not an involution negating a{i}")
-        image = _reflect(name, *point, sigma)
-        if _divisor(name, *image[:4], t) != _divisor(name, *point[:4], t):
+        kept, div = _divisor(name, *point[:4], t)
+        image = _reflect(name, *point, sigma, kept)
+        if _divisor(name, *image[:4], t) != (kept, div):
             raise WeylError(f"{name} does not fix its divisor")
-        if _reflect(name, *image, -sigma) != point:
+        if _reflect(name, *image, -sigma, kept) != point:
             raise WeylError(f"{name} applied twice is not the identity")
 
 
@@ -235,10 +252,10 @@ RELATIONS: tuple[tuple[str, tuple[str, ...]], ...] = (
 def _point_step(name: str, point, params: ParamTriple, t_val: Fraction):
     """The generator on a plain rational point (x, y, z, w, F), no solution constraint."""
     i, _ = _generator(name)
-    div = _divisor(name, *point[:4], t_val)
+    kept, div = _divisor(name, *point[:4], t_val)
     if div == 0:
         raise ZeroDivisionError(name)
-    return _reflect(name, *point, params[i] / div), act_on_params(name, params)
+    return _reflect(name, *point, params.as_tuple()[i] / div, kept), act_on_params(name, params)
 
 
 def _random_params(rng: random.Random) -> ParamTriple:
@@ -316,12 +333,13 @@ _MATSUDA_ROWS: dict[int, tuple[int, tuple[int, ...]]] = {
 
 
 def matsuda_check(params: ParamTriple) -> MatsudaResult:
-    a = 5 * params.a2 - Fraction(1, 2)
-    b = 5 * params.a1 - 1
-    if a.denominator != 1 or b.denominator != 1:
+    # with a_i = n_i / d: a = (10 n2 - d) / (2 d) and b = (5 n1 - d) / d
+    (_, n1, n2), d = params
+    a, a_rem = divmod(10 * n2 - d, 2 * d)
+    b, b_rem = divmod(5 * n1 - d, d)
+    if a_rem or b_rem:
         return MatsudaResult(False, None, None, None)
-    a_mod = int(a) % 5
-    b_mod = int(b) % 5
+    a_mod, b_mod = a % 5, b % 5
     for row, (a_req, b_set) in _MATSUDA_ROWS.items():
         if a_mod == a_req and b_mod in b_set:
             return MatsudaResult(True, a_mod, b_mod, row)

@@ -341,12 +341,28 @@ def test_wrong_hamiltonian_ends_in_fail_sections(tmp_path, capsys, monkeypatch):
 def flip_s2_x(reflect):
     """s2's x-image with the sign of its 2*shift*y term flipped."""
 
-    def mutant(name, x, y, z, w, f, shift):
+    def mutant(name, x, y, z, w, f, shift, kept):
         if name == "s2":
             return x - 2 * shift * y - shift**2, y - shift, z + shift, w, f - shift
-        return reflect(name, x, y, z, w, f, shift)
+        return reflect(name, x, y, z, w, f, shift, kept)
 
     return mutant
+
+
+def s2_x(image_x):
+    """s2 with x's image ``image_x(kept, y1)`` in place of kept - y1^2, where
+    kept = x + y^2 and y1 = y - shift."""
+
+    def mutate(mp):
+        reflect = weyl._reflect
+
+        def mutant(name, x, y, z, w, f, shift, kept):
+            image = reflect(name, x, y, z, w, f, shift, kept)
+            return (image_x(kept, image[1]), *image[1:]) if name == "s2" else image
+
+        mp.setattr(weyl, "_reflect", mutant)
+
+    return mutate
 
 
 def s2_f(image_f):
@@ -355,8 +371,8 @@ def s2_f(image_f):
     def mutate(mp):
         reflect = weyl._reflect
 
-        def mutant(name, x, y, z, w, f, shift):
-            image = reflect(name, x, y, z, w, f, shift)
+        def mutant(name, x, y, z, w, f, shift, kept):
+            image = reflect(name, x, y, z, w, f, shift, kept)
             return (*image[:4], image_f(f, shift)) if name == "s2" else image
 
         mp.setattr(weyl, "_reflect", mutant)
@@ -368,6 +384,8 @@ def s2_f(image_f):
     "mutate, error",
     [
         (lambda mp: mp.setattr(weyl, "_reflect", flip_s2_x(weyl._reflect)), "s2 does not fix its divisor"),
+        # (x + y^2) + y1^2 moves the invariant x + y^2 by 2 y1^2
+        (s2_x(lambda kept, y1: kept + y1**2), "s2 does not fix its divisor"),
         # F - shift^2 fixes the divisor, which does not read F, but a second step does not undo it
         (s2_f(lambda f, shift: f - shift**2), "s2 applied twice is not the identity"),
         # a0' = -a0, a1' = a0 + a2, a2' = a1 keeps a0 + 2 a1 + 2 a2 but is no involution
@@ -376,7 +394,7 @@ def s2_f(image_f):
             "the parameter matrix of s0 is not an involution",
         ),
     ],
-    ids=["s2-sign-flip", "s2-f-squared", "param-matrix"],
+    ids=["s2-sign-flip", "s2-invariant-plus", "s2-f-squared", "param-matrix"],
 )
 def test_broken_involution_ends_in_orbit_fail_section(tmp_path, capsys, monkeypatch, mutate, error):
     mutate(monkeypatch)
@@ -405,10 +423,10 @@ def test_involutive_mutant_is_caught_by_the_state_check(tmp_path, capsys, monkey
     # only the exact check of each image as a solution can reject it
     reflect = weyl._reflect
 
-    def mutant(name, x, y, z, w, f, shift):
+    def mutant(name, x, y, z, w, f, shift, kept):
         if name == "s1":
             return x, y - shift, z, w - 3 * shift * z, f
-        return reflect(name, x, y, z, w, f, shift)
+        return reflect(name, x, y, z, w, f, shift, kept)
 
     monkeypatch.setattr(weyl, "_reflect", mutant)
     weyl.verify_involutions.__wrapped__()

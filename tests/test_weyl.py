@@ -13,7 +13,14 @@ from sasano_galois.exprparse import parse_ratfunc
 from sasano_galois import sasano, weyl
 from sasano_galois.ratfunc import Poly, RatFunc
 from sasano_galois.report import orbit_section
-from sasano_galois.sasano import _H_ARGS, _hamiltonian, scale_solution, solution_energy, verify_zero_energy
+from sasano_galois.sasano import (
+    _H_ARGS,
+    PolyExpr,
+    _hamiltonian,
+    scale_solution,
+    solution_energy,
+    verify_zero_energy,
+)
 from sasano_galois.weyl import (
     GENERATORS,
     ParamTriple,
@@ -118,6 +125,16 @@ def test_generators_are_involutions_on_seed(seed):
         back = apply_word((name, name), seed)
         assert components(back) == components(seed)
         assert back.params == seed.params
+
+
+def test_s2_keeps_x_plus_y_squared():
+    # on symbols: the invariant s2's divisor and x-image are built on is fixed
+    x, y, z, w, f, t, sigma = map(PolyExpr.var, ("x", "y", "z", "w", "F", "t", "a0"))
+    kept, div = weyl._divisor("s2", x, y, z, w, t)
+    assert kept == x + y**2 and div == x + y**2 + w + t
+    x1, y1, z1, w1, f1 = weyl._reflect("s2", x, y, z, w, f, sigma, kept)
+    assert x1 + y1**2 == x + y**2
+    assert (x1, y1, z1, w1, f1) == (x + 2 * sigma * y - sigma**2, y - sigma, z + sigma, w, f - sigma)
 
 
 def test_zero_divisor_identity_or_error():
@@ -312,6 +329,32 @@ def test_point_check_matches_the_fraction_evaluation(monkeypatch):
     assert points == {0, 1}
 
 
+def test_orbit_parameter_work_builds_no_fraction(monkeypatch):
+    # act_on_params, matsuda_check and the lookups of triples in seen and
+    # reverse read ParamTriple's integers: replaying the recorded steps, whose
+    # state checks are the only Fraction work, rebuilds the orbit without one
+    root = seed_state()
+    images = {}
+    real = weyl.apply_generator
+
+    def recording(name, state, known, params):
+        images[id(state), name] = image = real(name, state, known, params)
+        return image
+
+    monkeypatch.setattr(weyl, "apply_generator", recording)
+    expected = enumerate_orbit(root, depth=8)
+    monkeypatch.setattr(weyl, "apply_generator", lambda name, state, known, params: images[id(state), name])
+    built = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(lambda *a, **k: built.append(1) or new(*a, **k)))
+    replayed = enumerate_orbit(root, depth=8)
+    assert not built, "the orbit's parameter work built a Fraction"
+    assert replayed == expected and replayed.node_count() == 97
+    assert all(node.matsuda.row is not None for node in replayed.nodes)
+    matsuda_check(ParamTriple.make(("1/3", "1/3", 0)))
+    assert built  # the count sees the Fractions of make's check
+
+
 def test_known_state_returned_only_when_equal(seed):
     image = apply_word(("s2",), seed)
     params = act_on_params("s2", seed.params)
@@ -415,10 +458,10 @@ def test_backlund_steps_match_reference_arithmetic(seed):
         for name in GENERATORS:
             alpha = s.params.as_tuple()[GENERATORS.index(name)]
             expect = reference_step(name, s.x, s.y, s.z, s.w, s.f, alpha)
-            div = weyl._divisor(name, s.x, s.y, s.z, s.w, t)
+            kept, div = weyl._divisor(name, s.x, s.y, s.z, s.w, t)
             if expect is None:
                 assert div.is_zero()
                 continue
-            assert weyl._reflect(name, s.x, s.y, s.z, s.w, s.f, RatFunc.const(alpha) / div) == expect
+            assert weyl._reflect(name, s.x, s.y, s.z, s.w, s.f, RatFunc.const(alpha) / div, kept) == expect
             steps += 1
     assert steps == 51  # 17 nodes, no divisor vanishes
