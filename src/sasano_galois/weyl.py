@@ -163,11 +163,12 @@ def seed_state() -> SolutionState:
 
 
 def _divisor(name: str, x, y, z, w, t):
-    """The invariant of the generator that its divisor is built on, and the divisor."""
+    """The generator's invariant that its divisor is built on (w, x + z^2, x + y^2), and the divisor."""
     if name == "s0":
         return w, w
     if name == "s1":
-        return (x + z**2,) * 2
+        kept = x + z**2
+        return kept, kept
     kept = x + y**2
     return kept, kept + w + t
 

@@ -23,9 +23,10 @@ st = pytest.importorskip("hypothesis.strategies")
 
 SETTINGS = hypothesis.settings(max_examples=200, derandomize=True, database=None, deadline=None)
 
-_ints = st.one_of(st.integers(-40, 40), st.integers(-(2**140), 2**140))
-_dens = st.one_of(st.integers(1, 40), st.integers(1, 2**140))
-rationals = st.builds(Fraction, _ints, _dens)
+# denominators of a fixed bit length, so sums past make's 128-bit elision occur
+rationals = st.sampled_from((1, 6, 64, 130)).flatmap(
+    lambda bits: st.builds(Fraction, st.integers(-(2**bits), 2**bits), st.integers(2 ** (bits - 1), 2**bits))
+)
 
 
 def _on_relation(a0: Fraction, a1: Fraction) -> tuple[Fraction, Fraction, Fraction]:
@@ -93,16 +94,6 @@ def test_make_keeps_its_error_text(a0, a1, a2):
     with pytest.raises(VerificationError) as failed:
         ParamTriple.make((a0, str(a1), a2))
     assert str(failed.value) == message
-
-
-def test_error_text_covers_both_lengths():
-    # the long-sum elision and the short form, each on a fixed triple
-    with pytest.raises(VerificationError, match=r"= 1, got 3/2$"):
-        ParamTriple.make((Fraction(1, 2), Fraction(1, 2), 0))
-    with pytest.raises(VerificationError, match=r"= 1$"):
-        ParamTriple.make((Fraction(1, 2**130), 0, 0))
-    with pytest.raises(VerificationError, match=r"expected three parameters"):
-        ParamTriple.make((1, 0))
 
 
 def test_action_reduces_to_canonical_form(monkeypatch):
