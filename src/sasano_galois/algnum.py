@@ -27,8 +27,9 @@ vector, "p/q"] pairs: 8*g^6 - 1/2 in the canonical tower is
 Numbers are immutable and safe to share between threads.  The numeric
 functions load the ball kernel (``ball``) on first use, so exact work
 never compiles it.
-The value base ``Frozen`` and the error root ``VerificationError`` live in
-``ratfunc``, and the base level inverts by extended Euclid on its ``Poly``.
+The value base ``Frozen``, the error root ``VerificationError`` and the
+sparse form's kernels (``_canon``, ``_sum``) live in ``ratfunc``, and the
+base level inverts by extended Euclid on its ``Poly``.
 """
 
 from __future__ import annotations
@@ -40,19 +41,16 @@ from fractions import Fraction
 from operator import add as _add
 from typing import NamedTuple
 
-from .ratfunc import Frozen, Poly, VerificationError, int_power, join_terms
+from .ratfunc import _ZERO, Frozen, Poly, VerificationError, _canon, _sum, int_power, join_terms
 
 
 class TowerError(VerificationError):
     """Raised for structurally invalid tower operations."""
 
 
-# A value is a pair (terms, den): terms a sorted tuple of (exponent tuple,
-# nonzero int) pairs with one exponent per level of its tower, den > 0 and
-# gcd(den, *numerators) == 1; zero is ((), 1).
+# A value is a sparse value of ``ratfunc``, with one exponent per tower level.
 
 _ONE = Fraction(1)
-_ZERO = ((), 1)
 
 # Digits of the embeddings that fix principal branches and run the numeric
 # audit; loading a tower proves its level roots at them.
@@ -251,21 +249,6 @@ class TowerSpec:
         return tuple(lv.name for lv in self.levels)
 
 
-def _canon(items, den: int):
-    """The value of (exponent tuple, int) pairs, exponents distinct, over den != 0."""
-    items = [item for item in items if item[1]]
-    if not items:
-        return _ZERO
-    g = math.gcd(den, *[n for _, n in items])
-    if den < 0:
-        g = -g
-    if g != 1:
-        items = [(e, n // g) for e, n in items]
-        den //= g
-    items.sort()
-    return tuple(items), den
-
-
 def _value(items):
     """The value of (exponent tuple, rational) pairs with distinct exponents."""
     den = math.lcm(*[Fraction(q).denominator for _, q in items])
@@ -337,13 +320,7 @@ class AlgNum(Frozen):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        (ta, da), (tb, db) = self.value, o.value
-        if not tb:
-            return self
-        acc = {e: n * db for e, n in ta}
-        for e, n in tb:
-            acc[e] = acc[e] + n * da if e in acc else n * da
-        return AlgNum(self.tower, _canon(acc.items(), da * db))
+        return AlgNum(self.tower, _sum(self.value, o.value))
 
     __radd__ = __add__
 

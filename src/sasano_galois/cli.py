@@ -27,8 +27,7 @@ from .report import (
     report_to_markdown,
     run_orbit,
 )
-from .sasano import seed_solution
-from .weyl import ParamTriple
+from .sasano import ParamTriple, seed_solution
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,8 +148,7 @@ def cmd_verify_seed(args) -> int:
         if args.solution_file is not None:
             funcs, params = _load_solution_file(args.solution_file)
         else:
-            funcs, values = seed_solution()
-            params = ParamTriple.make(values)
+            funcs, params = seed_solution()
         if args.params is not None:
             params = _parse_params(args.params)
     except (OSError, ValueError, ZeroDivisionError, RecursionError) as exc:  # 1/0, deep nesting

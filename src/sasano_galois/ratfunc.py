@@ -12,17 +12,18 @@ only: convolution, fraction-free pseudo-division and the primitive
 polynomial remainder sequence of Brown, J. ACM 18 (1971).  With e^3 = 1,
 (t, x, y, z, w, F) -> (e t, e x, e^2 y, e^2 z, e w, e^2 F) fixes every
 Backlund orbit state, so an orbit polynomial is t^r P(t^3): two in three
-coefficients are zero.  Fractions enter only through ``Poly.make`` and
-``RatFunc.const`` and leave only through ``Poly.coeffs``.  ``RatFunc.make``
-reduces an arbitrary pair by one gcd, and constants need none; + - * / of
-reduced operands take gcds only with a factor of a denominator (Henrici's
-sum and Knuth's cross-cancelled product, TAOCP vol. 2, 4.5.1), and powers
-need none.
+coefficients are zero.  Fractions enter only through ``Poly.make`` and a
+Fraction given to ``RatFunc.const``, and leave only through ``Poly.coeffs``;
+int constants build none.  ``RatFunc.make`` reduces an arbitrary pair by
+one gcd, and constants need none; + - * / of reduced operands take gcds only
+with a factor of a denominator (Henrici's sum and Knuth's cross-cancelled
+product, TAOCP vol. 2, 4.5.1), and powers need none.
 
 This bottom layer imports no other package module.  It holds what every
-value type shares: the error root ``VerificationError``, the immutable
-base ``Frozen`` (which derives ``-`` from ``+``), ``int_power`` and
-``join_terms``; the tower's base level inverts on ``Poly``.
+value type shares: the error root ``VerificationError``, the immutable base
+``Frozen`` (which derives ``-`` from ``+``), ``int_power``, ``join_terms`` and
+the sparse form of ``AlgNum`` and ``PolyExpr`` (``_canon``, ``_sum``); the
+tower's base level inverts on ``Poly``.
 """
 
 from __future__ import annotations
@@ -228,6 +229,38 @@ def _int_gcd(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
     while b:
         a, b = b, _primitive(_pdiv(a, b)[2])
     return a
+
+
+# -- sparse values (the form of AlgNum and PolyExpr) ------------------------------
+# (terms, den): sorted (exponent tuple, nonzero int) pairs over den > 0, gcd 1; zero is ((), 1).
+
+_ZERO = ((), 1)
+
+
+def _canon(items, den: int):
+    """The sparse value of (exponent tuple, int) pairs, exponents distinct, over den != 0."""
+    items = [item for item in items if item[1]]
+    if not items:
+        return _ZERO
+    g = math.gcd(den, *[n for _, n in items])
+    if den < 0:
+        g = -g
+    if g != 1:
+        items = [(e, n // g) for e, n in items]
+        den //= g
+    items.sort()
+    return tuple(items), den
+
+
+def _sum(a, b):
+    """a + b for sparse values, over the product of their denominators, reduced once."""
+    (ta, da), (tb, db) = a, b
+    if not tb:
+        return a
+    acc = {e: n * db for e, n in ta}
+    for e, n in tb:
+        acc[e] = acc[e] + n * da if e in acc else n * da
+    return _canon(acc.items(), da * db)
 
 
 # -- polynomials and rational functions --------------------------------------------

@@ -10,8 +10,9 @@ extended system autonomous, with equations of motion
     z' =  dH/dw,   w' = -dH/dz,
     t' =  dH/dF,   F' = -dH/dt.
 
-Everything here is exact: polynomials carry Fraction coefficients and
-solutions are rational functions of t.  A solution reaches H, the field
+Everything here is exact: polynomials are integer terms over one
+denominator, parameters a ``ParamTriple`` checked once when made, and
+solutions rational functions of t.  A solution reaches H, the field
 and its Jacobian one way only, as the values :func:`scale_solution` puts
 over one common denominator, and the normal variational system comes out
 with algebraic-number entries ready for the reduction chain.
@@ -23,13 +24,13 @@ import functools
 import math
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .algnum import AlgNum, TowerError, TowerSpec
 from .diffsys import DiffSystem
 from .puiseux import PuiseuxPoly
 from .ratfunc import Frozen, Poly, RatFunc, VerificationError, int_power
-from .ratfunc import _add_into, _conv, _derivative, _reduced, _value_at  # the integer kernels
+from .ratfunc import _ONE, _add_into, _canon, _conv, _derivative, _reduced, _sum, _value_at  # the integer kernels
 
 VARS = ("x", "y", "z", "w", "t", "F", "a0", "a1", "a2")
 _INDEX = {name: k for k, name in enumerate(VARS)}
@@ -41,48 +42,39 @@ class ModelError(VerificationError):
 
 
 class PolyExpr(Frozen):
-    """Sparse polynomial in the nine model symbols: sorted (exponent tuple, Fraction) terms."""
+    """Sparse polynomial in the nine model symbols: a sparse value of ``ratfunc``,
+    sorted (exponent tuple, int) terms over one denominator ``den``."""
 
-    __slots__ = ("terms",)
-
-    @staticmethod
-    def _from_dict(d: dict[tuple[int, ...], Fraction]) -> PolyExpr:
-        items = tuple(sorted((e, c) for e, c in d.items() if c != 0))
-        return PolyExpr(items)
+    __slots__ = ("terms", "den")
 
     @staticmethod
     def const(c) -> PolyExpr:
-        c = Fraction(c)
-        if c == 0:
-            return PolyExpr(())
-        return PolyExpr((((0,) * len(VARS), c),))
+        """The constant c, an int or a Fraction."""
+        return PolyExpr(*_canon([((0,) * len(VARS), c.numerator)], c.denominator))
 
     @staticmethod
     def var(name: str) -> PolyExpr:
         exps = [0] * len(VARS)
         exps[_INDEX[name]] = 1
-        return PolyExpr(((tuple(exps), Fraction(1)),))
+        return PolyExpr(((tuple(exps), 1),), 1)
 
     def __add__(self, other) -> PolyExpr:
         other = _as_polyexpr(other)
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = acc.get(e, Fraction(0)) + c
-        return PolyExpr._from_dict(acc)
+        return PolyExpr(*_sum((self.terms, self.den), (other.terms, other.den)))
 
     __radd__ = __add__
 
     def __neg__(self) -> PolyExpr:
-        return PolyExpr(tuple((e, -c) for e, c in self.terms))
+        return PolyExpr(tuple([(e, -n) for e, n in self.terms]), self.den)
 
     def __mul__(self, other) -> PolyExpr:
         other = _as_polyexpr(other)
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-        return PolyExpr._from_dict(acc)
+        acc: dict[tuple[int, ...], int] = {}
+        for e1, n1 in self.terms:
+            for e2, n2 in other.terms:
+                e = tuple([a + b for a, b in zip(e1, e2)])
+                acc[e] = acc.get(e, 0) + n1 * n2
+        return PolyExpr(*_canon(acc.items(), self.den * other.den))
 
     __rmul__ = __mul__
 
@@ -90,32 +82,26 @@ class PolyExpr(Frozen):
         return int_power(self, n, PolyExpr.const(1))
 
     def diff(self, name: str) -> PolyExpr:
-        k = _INDEX[name]
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms:
-            if e[k] == 0:
-                continue
-            ne = list(e)
-            ne[k] -= 1
-            acc[tuple(ne)] = acc.get(tuple(ne), Fraction(0)) + c * e[k]
-        return PolyExpr._from_dict(acc)
+        k = _INDEX[name]  # distinct terms with e[k] > 0 have distinct derivatives
+        acc = [(e[:k] + (e[k] - 1,) + e[k + 1 :], n * e[k]) for e, n in self.terms if e[k]]
+        return PolyExpr(*_canon(acc, self.den))
 
     def eval_scaled(self, values: CommonDenominator) -> tuple[list[int], int, int]:
         """Evaluate over a common denominator L, unreduced and on the
         integers: (N, S, k) with value N / (S L^k), k the largest weight of
-        a term and S the lcm of the terms' scales.  Cached monomials are
-        summed per weight with integer multipliers, and the sums are brought
-        to L^k by Horner's rule, one product by L per weight."""
-        terms = [(values.monomial(e), c) for e, c in self.terms]
-        scale = math.lcm(*[s * c.denominator for (_, s, _), c in terms])
+        a term and S the lcm of the terms' scales times ``den``.  Cached
+        monomials are summed per weight with integer multipliers, and the
+        sums are brought to L^k by Horner's rule, one product by L per weight."""
+        terms = [(values.monomial(e), n) for e, n in self.terms]
+        scale = math.lcm(*[s for (_, s, _), _ in terms])
         sums: dict[int, list[int]] = {}
-        for (mono, s, weight), c in terms:
-            _add_into(sums.setdefault(weight, []), mono, c.numerator * (scale // (s * c.denominator)))
+        for (mono, s, weight), n in terms:
+            _add_into(sums.setdefault(weight, []), mono, n * (scale // s))
         top = max(sums, default=0)
         total = sums.get(0, [])
         for weight in range(1, top + 1):
             total = _add_into(_conv(total, values.den.nums), sums.get(weight, ()), 1)
-        return total, scale, top
+        return total, scale * self.den, top
 
 
 class CommonDenominator:
@@ -130,7 +116,7 @@ class CommonDenominator:
     """
 
     def __init__(self, values: Mapping[str, RatFunc]):
-        den = Poly.const(1)
+        den = _ONE
         for v in values.values():
             if v.den.degree() > 0:
                 den = v.den if den.degree() == 0 else den * v.den.divmod(den.gcd(v.den))[0]
@@ -140,7 +126,7 @@ class CommonDenominator:
             for name, v in values.items()
         }
         self._monomials = {(0,) * len(VARS): ((1,), 1, 0)}
-        self._den_powers = [Poly.const(1), den]
+        self._den_powers = [_ONE, den]
 
     def monomial(self, exps: tuple[int, ...]) -> tuple[Sequence[int], int, int]:
         """Product of kept numerators over ``exps`` (indexed like VARS) as
@@ -205,17 +191,38 @@ def extended_hamiltonian() -> PolyExpr:
     return hamiltonian() + _v("F")
 
 
-def check_params(params: Sequence) -> tuple[Fraction, Fraction, Fraction]:
-    """Validate the affine parameter relation a0 + 2 a1 + 2 a2 = 1."""
-    if len(params) != 3:
-        raise VerificationError("expected three parameters (a0, a1, a2)")
-    a0, a1, a2 = (Fraction(p) for p in params)
-    total = a0 + 2 * a1 + 2 * a2
-    if total != 1:
-        short = max(total.numerator.bit_length(), total.denominator.bit_length()) <= 128
-        got = f", got {total}" if short else ""  # a long sum would flood the message
-        raise VerificationError(f"parameters must satisfy a0 + 2*a1 + 2*a2 = 1{got}")
-    return a0, a1, a2
+PARAM_FORM = (1, 2, 2)  # the affine relation PARAM_FORM . (a0, a1, a2) = 1
+
+
+class ParamTriple(NamedTuple):
+    """(a0, a1, a2) = nums / den with a0 + 2 a1 + 2 a2 = 1, canonical as ``Poly``: den > 0, gcd 1."""
+
+    nums: tuple[int, int, int]
+    den: int
+
+    @staticmethod
+    def make(values: Sequence) -> ParamTriple:
+        """The triple of three rationals; the one check of the relation, on the numerators."""
+        if len(values) != 3:
+            raise VerificationError("expected three parameters (a0, a1, a2)")
+        qs = [Fraction(v) for v in values]
+        den = math.lcm(*[q.denominator for q in qs])
+        nums = tuple([q.numerator * (den // q.denominator) for q in qs])
+        total = sum([c * n for c, n in zip(PARAM_FORM, nums)])
+        if total != den:
+            total = Fraction(total, den)
+            short = max(total.numerator.bit_length(), total.denominator.bit_length()) <= 128
+            got = f", got {total}" if short else ""  # a long sum would flood the message
+            raise VerificationError(f"parameters must satisfy a0 + 2*a1 + 2*a2 = 1{got}")
+        return ParamTriple(nums, den)
+
+    def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
+        return tuple([Fraction(n, self.den) for n in self.nums])
+
+    a0, a1, a2 = (property(lambda self, i=i: self.as_tuple()[i]) for i in range(3))
+
+    def render(self) -> str:
+        return "({}, {}, {})".format(*self.as_tuple())
 
 
 def _reference_field() -> tuple[PolyExpr, ...]:
@@ -256,15 +263,15 @@ def build_extended_system() -> tuple[PolyExpr, ...]:
     return _symbolic_field()
 
 
-def seed_solution() -> tuple[dict[str, RatFunc], tuple[Fraction, Fraction, Fraction]]:
+def seed_solution() -> tuple[dict[str, RatFunc], ParamTriple]:
     """The rational seed x = w = -2t/5, y = z = 0 at (a0, a1, a2) = (2/5, 1/5, 1/10);
     its F is the energy lift (:func:`solution_energy`), 2t^2/5."""
     x = RatFunc.variable() * Fraction(-2, 5)
     zero = RatFunc.const(0)
-    return {"x": x, "y": zero, "z": zero, "w": x}, (Fraction(2, 5), Fraction(1, 5), Fraction(1, 10))
+    return {"x": x, "y": zero, "z": zero, "w": x}, ParamTriple.make(("2/5", "1/5", "1/10"))
 
 
-def scale_solution(sol: Mapping[str, RatFunc], params: Sequence) -> CommonDenominator:
+def scale_solution(sol: Mapping[str, RatFunc], params: ParamTriple) -> CommonDenominator:
     """The solution, t and the parameters over one common denominator.
 
     These are all the symbols the Hamiltonian, the symbolic equations of
@@ -274,8 +281,8 @@ def scale_solution(sol: Mapping[str, RatFunc], params: Sequence) -> CommonDenomi
     """
     values = {name: sol[name] for name in ("x", "y", "z", "w")}
     values["t"] = RatFunc.variable()
-    for name, a in zip(("a0", "a1", "a2"), check_params(params)):
-        values[name] = RatFunc.const(a)
+    for name, n in zip(("a0", "a1", "a2"), params.nums):
+        values[name] = RatFunc.const(n, params.den)
     return CommonDenominator(values)
 
 
@@ -338,8 +345,8 @@ def verify_zero_energy(values: CommonDenominator, f: RatFunc) -> None:
     least integer t0 >= 0 where neither L nor the denominator d of f
     vanishes, one of the first deg L + deg d + 1.  Each value there is A/q,
     q = S L(t0) for S the lcm of the kept scales; the terms of
-    :func:`hamiltonian` sum to h/(m q^k), m the lcm of their denominators
-    and k their top degree, and with f(t0) = n/d the check is h d + n m q^k = 0.
+    :func:`hamiltonian` sum to h/(m q^k), m their one denominator and k
+    their top degree, and with f(t0) = n/d the check is h d + n m q^k = 0.
     """
     tries = values.den.degree() + f.den.degree() + 1
     t0 = next((t for t in range(tries) if _value_at(values.den.nums, t) and _value_at(f.den.nums, t)), None)
@@ -347,11 +354,11 @@ def verify_zero_energy(values: CommonDenominator, f: RatFunc) -> None:
         raise VerificationError(f"the denominators vanish at every integer t0 < {tries}")
     lt, scale = _value_at(values.den.nums, t0), math.lcm(*[p.den for p, _ in values.kept.values()])
     point = {name: _value_at(p.nums, t0) * (scale // p.den) * lt ** (1 - j) for name, (p, j) in values.kept.items()}
-    terms, q = hamiltonian().terms, scale * lt
-    m, top = math.lcm(*[c.denominator for _, c in terms]), max([sum(exps) for exps, _ in terms])
+    expr, q = hamiltonian(), scale * lt
+    m, top = expr.den, max([sum(exps) for exps, _ in expr.terms])
     h = 0
-    for exps, c in terms:
-        term = c.numerator * (m // c.denominator) * q ** (top - sum(exps))
+    for exps, c in expr.terms:
+        term = c * q ** (top - sum(exps))
         for name, e in zip(VARS, exps):
             if e:
                 term *= point[name] ** e

@@ -25,8 +25,9 @@ checks the arithmetic condition on the parameters (an integer pair (a, b)
 mod 5 falling in one of four admissible rows) at every node.  Past the
 audit depth it skips s_i on a state that s_i of a kept node gave, as
 :func:`verify_involutions` proves the image is that node.  Triples are
-integer numerators over one denominator, moved by integer matrices that
-keep the affine relation (:func:`verify_parameter_form`).
+``sasano.ParamTriple`` records (importable here), integers over one
+denominator, checked once when made and moved by integer matrices that keep
+the relation (:func:`verify_parameter_form`), so a step builds no Fraction.
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ import math
 import random
 from collections import deque
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .diffsys import mat_mul
 from .ratfunc import RatFunc, VerificationError
-from .sasano import PolyExpr, check_params, scale_solution, seed_solution, verify_solution, verify_zero_energy
+from .sasano import PARAM_FORM, ParamTriple, PolyExpr, scale_solution, seed_solution, verify_solution, verify_zero_energy
 
 GENERATORS = ("s0", "s1", "s2")
 
@@ -51,28 +52,6 @@ class WeylError(VerificationError):
 
 
 # -- parameters -----------------------------------------------------------------
-
-
-class ParamTriple(NamedTuple):
-    """(a0, a1, a2) = nums / den with a0 + 2 a1 + 2 a2 = 1 (checked by :meth:`make`), in
-    canonical form as for ``Poly``: den > 0, gcd(den, *nums) = 1, so equal triples are equal ints."""
-
-    nums: tuple[int, int, int]
-    den: int
-
-    @staticmethod
-    def make(values: Sequence) -> ParamTriple:
-        qs = check_params(values)
-        den = math.lcm(*[q.denominator for q in qs])
-        return ParamTriple(tuple([q.numerator * (den // q.denominator) for q in qs]), den)
-
-    def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
-        return tuple([Fraction(n, self.den) for n in self.nums])
-
-    a0, a1, a2 = (property(lambda self, i=i: self.as_tuple()[i]) for i in range(3))
-
-    def render(self) -> str:
-        return "({}, {}, {})".format(*self.as_tuple())
 
 
 # The parameter action is linear; rows of each matrix give the new
@@ -95,10 +74,10 @@ def _generator(name: str) -> tuple[int, tuple[tuple[int, int, int], ...]]:
 
 @functools.cache
 def verify_parameter_form() -> None:
-    """Prove once that (1, 2, 2) M = (1, 2, 2) for each parameter matrix M, so
-    images of checked triples keep a0 + 2 a1 + 2 a2 = 1; else :class:`WeylError`."""
+    """Prove once that v M = v for v = ``PARAM_FORM`` and each parameter matrix M,
+    so images of checked triples keep a0 + 2 a1 + 2 a2 = 1; else :class:`WeylError`."""
     for name, m in PARAM_MATRICES.items():
-        if mat_mul(((1, 2, 2),), m) != ((1, 2, 2),):
+        if mat_mul((PARAM_FORM,), m) != (PARAM_FORM,):
             raise WeylError(f"the parameter matrix of {name} does not keep a0 + 2*a1 + 2*a2")
 
 
@@ -145,7 +124,7 @@ class SolutionState(NamedTuple):
     def make(
         x: RatFunc, y: RatFunc, z: RatFunc, w: RatFunc, params: ParamTriple, f: RatFunc | None = None
     ) -> SolutionState:
-        values = scale_solution({"x": x, "y": y, "z": z, "w": w}, params.as_tuple())
+        values = scale_solution({"x": x, "y": y, "z": z, "w": w}, params)
         f = verify_solution(values, f)
         verify_zero_energy(values, f)
         return SolutionState(x, y, z, w, f, params)
@@ -156,7 +135,7 @@ class SolutionState(NamedTuple):
 
 def seed_state() -> SolutionState:
     sol, params = seed_solution()
-    return SolutionState.make(sol["x"], sol["y"], sol["z"], sol["w"], ParamTriple.make(params))
+    return SolutionState.make(sol["x"], sol["y"], sol["z"], sol["w"], params)
 
 
 # -- the generators on solutions ----------------------------------------------------

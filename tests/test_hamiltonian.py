@@ -25,7 +25,8 @@ numbers = st.builds(Fraction, st.one_of(st.integers(-3, 3), st.integers(-(10**12
 def per_term(point: dict) -> Fraction:
     """Each term of ``hamiltonian()`` at ``point`` (one value per symbol of VARS), summed."""
     total = Fraction(0)
-    for exps, c in hamiltonian().terms:
+    for exps, n in hamiltonian().terms:
+        c = Fraction(n, hamiltonian().den)
         for name, k in zip(VARS, exps):
             c *= point[name] ** k
         total += c

@@ -209,7 +209,7 @@ def test_value_built_with_wrong_field_count_raises(cls):
 def test_value_field_comparison_examples():
     assert Poly((1,), 1) != ((1,), 1)
     assert Poly((1,), 1) == Poly.const(1)
-    assert repr(Poly((1, 2), 3)) == "Poly((1, 2), 3)" and repr(PolyExpr(())) == "PolyExpr(())"
+    assert repr(Poly((1, 2), 3)) == "Poly((1, 2), 3)" and repr(PolyExpr((), 1)) == "PolyExpr((), 1)"
     tower = canonical_tower()
     assert PuiseuxPoly.zero(tower) == 0 and PuiseuxPoly.const(tower, Fraction(3, 4)) == Fraction(3, 4)
     assert AlgNum.from_rational(tower, 1) == 1 and AlgNum.from_rational(tower, 1) != 2
