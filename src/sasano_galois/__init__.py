@@ -34,7 +34,6 @@ _EXPORTS = {
     "hamiltonian": "sasano", "seed_solution": "sasano", "seed_variational_system": "sasano",
     "verify_solution": "sasano",
     "WeylError": "weyl", "enumerate_orbit": "weyl", "matsuda_check": "weyl", "seed_state": "weyl",
-    "verify_group_relations": "weyl",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -75,12 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("nve", "reduction", "classify"),
         help="truncate the pipeline after the named phase",
     )
-    prove.add_argument(
-        "--depth",
-        type=int,
-        default=2,
-        help="depth of the closing orbit summary (default: 2)",
-    )
 
     orbit = sub.add_parser("orbit", help="enumerate the reflection orbit of the seed")
     orbit.add_argument("--depth", type=int, default=6, help="word length bound (default: 6)")
@@ -158,12 +152,7 @@ def cmd_verify_seed(args) -> int:
 
 
 def cmd_prove(args) -> int:
-    report = build_proof(
-        wasow=args.alpha_wasow,
-        stop_after=args.stop_after,
-        orbit_depth=args.depth,
-        digits=args.precision,
-    )
+    report = build_proof(wasow=args.alpha_wasow, stop_after=args.stop_after, digits=args.precision)
     return _publish(report, args, "proof")
 
 

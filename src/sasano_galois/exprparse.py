@@ -282,10 +282,8 @@ def parse_ratfunc(text: str) -> RatFunc:
     return _parse(text, "t", _RATFUNC)
 
 
-def _puiseux_ring(tower: TowerSpec, symbols: SymbolResolver | None) -> _Ring:
+def _puiseux_ring(tower: TowerSpec, symbols: SymbolResolver) -> _Ring:
     def symbol(name: str, exp: Fraction) -> PuiseuxPoly:
-        if symbols is None:
-            raise ExprError(f"no symbol table supplied, cannot resolve {name!r}")
         return PuiseuxPoly.const(tower, symbols(name, exp))
 
     def power(p: PuiseuxPoly, e: int) -> PuiseuxPoly:
@@ -306,11 +304,7 @@ def _puiseux_size(p: PuiseuxPoly) -> tuple[int, int]:
     return len(p.terms) - 1, largest.bit_length()
 
 
-def parse_puiseux(
-    text: str,
-    tower: TowerSpec,
-    var: str = "t",
-    symbols: SymbolResolver | None = None,
-) -> PuiseuxPoly:
-    """Parse ``text`` into an exact Puiseux polynomial in ``var``."""
+def parse_puiseux(text: str, tower: TowerSpec, var: str, symbols: SymbolResolver) -> PuiseuxPoly:
+    """Parse ``text`` into an exact Puiseux polynomial in ``var``, names
+    resolved by ``symbols`` (such as :func:`chain_symbols`)."""
     return _parse(text, var, _puiseux_ring(tower, symbols))

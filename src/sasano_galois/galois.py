@@ -30,8 +30,10 @@ from .puiseux import PuiseuxPoly
 from .ratfunc import VerificationError
 from .reduction import Substitution
 
-# The cover eta = tau^COVER that turns the origin into an apparent singularity.
+# The cover eta = tau^COVER that turns the origin into an apparent singularity,
+# and the order through which its Frobenius series are computed as a witness.
 COVER = 6
+ORDER = 10
 
 
 class GaloisError(VerificationError):
@@ -132,16 +134,17 @@ def _bracket(ode: ScalarODE2) -> tuple[AlgNum, AlgNum, AlgNum]:
     return a, b, c
 
 
-def certify_apparent(ode: ScalarODE2, pullback: int = COVER, order: int = 10) -> ApparentCertificate:
-    """Prove the origin apparent after the pullback x = y^pullback.
+def certify_apparent(ode: ScalarODE2) -> ApparentCertificate:
+    """Prove the origin apparent after the pullback x = y^COVER, the cover
+    :func:`eta_pullback` applied.
 
     Three facts are established exactly:
 
     * the indicial roots do not differ by an integer, so both Frobenius
       series exist with no logarithm;
-    * each root times ``pullback`` is an integer, so the lifted local
+    * each root times ``COVER`` is an integer, so the lifted local
       solutions are single-valued with integer leading exponents;
-    * the recursion denominators I(rho+m) for m = 1..order are nonzero,
+    * the recursion denominators I(rho+m) for m = 1..ORDER are nonzero,
       and the series coefficients are computed as a witness.
     """
     a, b, c = _bracket(ode)
@@ -152,18 +155,16 @@ def certify_apparent(ode: ScalarODE2, pullback: int = COVER, order: int = 10) ->
         raise GaloisError(f"indicial roots differ by the integer {diff}")
     lifted = []
     for rho in (rho1, rho2):
-        scaled = rational_recognize(rho * pullback)
+        scaled = rational_recognize(rho * COVER)
         if scaled is None or scaled.denominator != 1:
-            raise GaloisError(
-                f"exponent times {pullback} is not an integer; the pullback does not uniformize"
-            )
+            raise GaloisError(f"exponent times {COVER} is not an integer; the pullback does not uniformize")
         lifted.append(int(scaled))
     series = []
     zero = AlgNum.from_rational(tower, 0)
     one = AlgNum.from_rational(tower, 1)
     for rho in (rho1, rho2):
         f = [one]
-        for m in range(1, order + 1):
+        for m in range(1, ORDER + 1):
             denom = (rho * 2 + (m - 1)) * m  # I(rho + m) = m (2 rho - 1 + m)
             if denom.is_zero():
                 raise GaloisError(f"resonant recursion at order {m}")
@@ -172,9 +173,9 @@ def certify_apparent(ode: ScalarODE2, pullback: int = COVER, order: int = 10) ->
         series.append(tuple(f))
     return ApparentCertificate(
         exponents=(rho1, rho2),
-        pullback=pullback,
+        pullback=COVER,
         lifted_exponents=tuple(lifted),
-        order=order,
+        order=ORDER,
         series=tuple(series),
     )
 
@@ -342,7 +343,7 @@ def morales_ramis_verdict(
 
 
 def classify_blocks(blocks) -> GaloisOutcome:
-    """Classify each decoupled block on the ``COVER``-fold cover (apparent through order 10)."""
+    """Classify each decoupled block on the ``COVER``-fold cover (apparent through order ``ORDER``)."""
     results = []
     certs = []
     diag: list[int] = []

@@ -49,7 +49,7 @@ STATUSES = ("pass", "fail", "inconclusive")
 # -- exact-value payloads ----------------------------------------------------------
 
 
-def format_numeric(a: AlgNum, digits: int = 20) -> str:
+def format_numeric(a: AlgNum, digits: int) -> str:
     """Decimal rendering of a tower element, every digit proven: the parts are
     rounded from the embedding at digits + 10, good to about digits + 25
     digits, so only a value that near a rounding tie raises (an exact tie
@@ -67,7 +67,7 @@ def format_numeric(a: AlgNum, digits: int = 20) -> str:
     return f"{re} + {im}*i"
 
 
-def algnum_payload(a: AlgNum, digits: int = 20) -> dict[str, Any]:
+def algnum_payload(a: AlgNum, digits: int) -> dict[str, Any]:
     """One exact value: coordinate string, coordinate pairs, numeric rendering."""
     return {
         "exact": str(a),
@@ -178,9 +178,7 @@ def nve_section(system: DiffSystem) -> ReportSection:
     return ReportSection(name="normal variational equations", status="pass", steps=(step,))
 
 
-def reduction_section(
-    trace: ReductionTrace, consistency: ConsistencyReport, digits: int = 20
-) -> ReportSection:
+def reduction_section(trace: ReductionTrace, consistency: ConsistencyReport, digits: int) -> ReportSection:
     steps = [
         CertificateStep(
             claim=f'stage "{gs.stage}" reproduced entrywise',
@@ -216,7 +214,7 @@ def reduction_section(
     return ReportSection(name="reduction trace", status="pass", steps=tuple(steps))
 
 
-def apparent_section(outcome: GaloisOutcome, digits: int = 20) -> ReportSection:
+def apparent_section(outcome: GaloisOutcome, digits: int) -> ReportSection:
     steps = []
     for block, cert in zip(outcome.blocks, outcome.apparent):
         steps.append(
@@ -252,7 +250,7 @@ def apparent_section(outcome: GaloisOutcome, digits: int = 20) -> ReportSection:
     return ReportSection(name="apparent singularity", status="pass", steps=tuple(steps))
 
 
-def whittaker_section(outcome: GaloisOutcome, digits: int = 20) -> ReportSection:
+def whittaker_section(outcome: GaloisOutcome, digits: int) -> ReportSection:
     steps = []
     for block in outcome.blocks:
         wh = block.whittaker
@@ -325,7 +323,7 @@ def verdict_section(verdict: str, prerequisites_pass: bool) -> ReportSection:
     return ReportSection(name="final verdict", status=status, steps=(step,))
 
 
-def orbit_section(orbit: OrbitResult, check_rows: bool = True) -> ReportSection:
+def orbit_section(orbit: OrbitResult, check_rows: bool) -> ReportSection:
     per_depth: dict[str, int] = {}
     row_counts: dict[str, int] = {}
     missing: list[str] = []
@@ -416,15 +414,15 @@ def run_orbit(depth: int, check_rows: bool) -> tuple[ProofReport, OrbitResult | 
 def build_proof(
     wasow: bool = False,
     stop_after: str | None = None,
-    orbit_depth: int = 2,
     digits: int = 20,
 ) -> ProofReport:
     """Run the full verification pipeline and assemble the certificate.
 
     ``stop_after`` truncates the pipeline after the named phase (one of
     "nve", "reduction", "classify"); the report then ends with the last
-    completed section.  Any :class:`VerificationError` ends the report in
-    the fail section of the running phase, so a report is always produced.
+    completed section.  The closing orbit summary runs to depth 2.  Any
+    :class:`VerificationError` ends the report in the fail section of the
+    running phase, so a report is always produced.
     The tower loads in the nve phase; a report that ends before it has
     loaded carries no tower.
     """
@@ -469,7 +467,7 @@ def build_proof(
         verdict = outcome.verdict if prerequisites else "Inconclusive"
         sections.append(verdict_section(verdict, prerequisites))
         phase = ("orbit summary", "orbit enumeration")
-        sections.append(orbit_section(enumerate_orbit(seed, depth=orbit_depth), check_rows=True))
+        sections.append(orbit_section(enumerate_orbit(seed, depth=2), check_rows=True))
     except VerificationError as exc:
         sections.append(failure_section(*phase, exc))
     return finish()

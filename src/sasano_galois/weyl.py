@@ -8,9 +8,8 @@ Three involutions act on solutions and parameters at once:
 
 Together they realize an affine Weyl group: each generator squares to
 the identity, s0 and s2 commute, and both (s0 s1) and (s1 s2) have
-order four.  :func:`verify_group_relations` tests the relations on the
-parameter matrices exactly and on random rational points (x, y, z, w, F)
-of the full action (50 per relation by default); only the tests run it.
+order four.  The tests sample these relations on rational points
+(``tests/relations.py``); no claim here rests on them.
 
 Each generator is one map of the extended phase space, stated once by
 ``_reflect``: F goes to F - shift under s2 and to F under s0 and s1, so
@@ -34,9 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 from collections import deque
-from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .diffsys import mat_mul
@@ -213,92 +210,13 @@ def verify_involutions() -> None:
             raise WeylError(f"{name} applied twice is not the identity")
 
 
-# -- group relations ------------------------------------------------------------------
-
-
-RELATIONS: tuple[tuple[str, tuple[str, ...]], ...] = (
-    ("s0^2", ("s0", "s0")),
-    ("s1^2", ("s1", "s1")),
-    ("s2^2", ("s2", "s2")),
-    ("(s0 s2)^2", ("s0", "s2") * 2),
-    ("(s2 s0)^2", ("s2", "s0") * 2),
-    ("(s0 s1)^4", ("s0", "s1") * 4),
-    ("(s1 s0)^4", ("s1", "s0") * 4),
-    ("(s1 s2)^4", ("s1", "s2") * 4),
-    ("(s2 s1)^4", ("s2", "s1") * 4),
-)
-
-
-def _point_step(name: str, point, params: ParamTriple, t_val: Fraction):
-    """The generator on a plain rational point (x, y, z, w, F), no solution constraint."""
-    i, _ = _generator(name)
-    kept, div = _divisor(name, *point[:4], t_val)
-    if div == 0:
-        raise ZeroDivisionError(name)
-    return _reflect(name, *point, params.as_tuple()[i] / div, kept), act_on_params(name, params)
-
-
-def _random_params(rng: random.Random) -> ParamTriple:
-    a0 = Fraction(rng.randint(-8, 8), rng.randint(1, 8))
-    a1 = Fraction(rng.randint(-8, 8), rng.randint(1, 8))
-    a2 = (1 - a0 - 2 * a1) / 2
-    return ParamTriple.make((a0, a1, a2))
-
-
-def _random_point(rng: random.Random):
-    return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(5))
-
-
-class RelationCheck(NamedTuple):
-    name: str
-    word: tuple[str, ...]
-    matrix_identity: bool
-    points_checked: int
-
-
-def verify_group_relations(samples: int = 50, seed: int = 1105) -> tuple[RelationCheck, ...]:
-    """Every defining relation, on the parameter matrices and on points.
-
-    The matrix of each relation word must be the identity, and the full
-    birational action must fix at least ``samples`` random exact rational
-    ((x, y, z, w, F), parameter) pairs per relation; divisor hits are resampled.
-    Raises :class:`WeylError` on any failure.
-    """
-    rng = random.Random(seed)
-    report = []
-    for label, word in RELATIONS:
-        if word_matrix(word) != _IDENTITY:
-            raise WeylError(f"parameter matrices fail the relation {label}")
-        done = attempts = 0
-        while done < samples:
-            attempts += 1
-            if attempts > samples * 50:
-                raise WeylError(f"could not sample enough points for {label}")
-            point = _random_point(rng)
-            params = _random_params(rng)
-            t_val = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-            try:
-                cur_p, cur_a = point, params
-                for name in word:
-                    cur_p, cur_a = _point_step(name, cur_p, cur_a, t_val)
-            except ZeroDivisionError:
-                continue
-            if cur_p != point or cur_a != params:
-                raise WeylError(
-                    f"relation {label} fails at point {point}, params {params.render()}"
-                )
-            done += 1
-        report.append(RelationCheck(label, word, True, done))
-    return tuple(report)
-
-
 # -- the arithmetic condition on parameters --------------------------------------------
 
 
 class MatsudaResult(NamedTuple):
-    """Reduced pair (a, b) = (5 a2 - 1/2, 5 a1 - 1) mod 5 and its table row."""
+    """Reduced pair (a, b) = (5 a2 - 1/2, 5 a1 - 1) mod 5 and its table row;
+    all None when the pair is not integral."""
 
-    integral: bool
     a_mod: int | None
     b_mod: int | None
     row: int | None
@@ -318,12 +236,12 @@ def matsuda_check(params: ParamTriple) -> MatsudaResult:
     a, a_rem = divmod(10 * n2 - d, 2 * d)
     b, b_rem = divmod(5 * n1 - d, d)
     if a_rem or b_rem:
-        return MatsudaResult(False, None, None, None)
+        return MatsudaResult(None, None, None)
     a_mod, b_mod = a % 5, b % 5
     for row, (a_req, b_set) in _MATSUDA_ROWS.items():
         if a_mod == a_req and b_mod in b_set:
-            return MatsudaResult(True, a_mod, b_mod, row)
-    return MatsudaResult(True, a_mod, b_mod, None)
+            return MatsudaResult(a_mod, b_mod, row)
+    return MatsudaResult(a_mod, b_mod, None)
 
 
 # -- orbit enumeration ------------------------------------------------------------------
@@ -341,12 +259,8 @@ class OrbitNode(NamedTuple):
 
 
 class ParamCollision(NamedTuple):
-    """Two distinct words reaching the same parameter triple."""
+    """Two distinct words reaching the same parameter triple: whether their states agree."""
 
-    params: ParamTriple
-    kept_word: tuple[str, ...]
-    other_word: tuple[str, ...]
-    depth: int
     states_equal: bool
 
 
@@ -360,7 +274,7 @@ class OrbitResult(NamedTuple):
         return len(self.nodes)
 
 
-def enumerate_orbit(root: SolutionState, depth: int = 6) -> OrbitResult:
+def enumerate_orbit(root: SolutionState, depth: int) -> OrbitResult:
     """Breadth-first orbit of ``root`` (a verified state, such as
     :func:`seed_state`) under the three generators.
 
@@ -408,15 +322,7 @@ def enumerate_orbit(root: SolutionState, depth: int = 6) -> OrbitResult:
                 reverse.add((params, name))
             if known is not None:
                 if image is not known.state or node.depth + 1 <= AUDIT_DEPTH:
-                    collisions.append(
-                        ParamCollision(
-                            params=image.params,
-                            kept_word=known.word,
-                            other_word=word,
-                            depth=node.depth + 1,
-                            states_equal=image is known.state,
-                        )
-                    )
+                    collisions.append(ParamCollision(image is known.state))
                 continue
             child = OrbitNode(word, node.depth + 1, image, matsuda_check(image.params))
             seen[params] = child

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_algnum
+from relations import RELATIONS, verify_group_relations
 from sasano_galois.algnum import AlgNum, canonical_constants, rational_recognize
 from sasano_galois.diffsys import char_poly, leading_data
 from sasano_galois.exprparse import chain_symbols, parse_puiseux
@@ -34,13 +35,7 @@ from sasano_galois.reduction import (
     verify_trace_consistency,
 )
 from sasano_galois.sasano import seed_variational_system
-from sasano_galois.weyl import (
-    RELATIONS,
-    enumerate_orbit,
-    matsuda_check,
-    seed_state,
-    verify_group_relations,
-)
+from sasano_galois.weyl import enumerate_orbit, matsuda_check, seed_state
 
 NVE_ENTRIES = (
     ("0", "-8/5*t", "-4/5*t", "0"),

@@ -205,9 +205,9 @@ def test_renderer_matches_mpmath_on_edge_values(digits):
 def test_renderer_without_mpmath_examples():
     tower = canonical_tower()
     one = AlgNum.from_rational(tower, 1)
-    assert format_numeric(one / 2) == "0.5" and format_numeric(one * 0) == "0.0"
-    assert format_numeric(one / 10**5, 15) == "1.0e-5" and format_numeric(one / 10**5) == "0.00001"
-    assert format_numeric(one / 10**6) == "1.0e-6" and format_numeric(one / 10**6, 40) == "0.000001"
+    assert format_numeric(one / 2, 20) == "0.5" and format_numeric(one * 0, 20) == "0.0"
+    assert format_numeric(one / 10**5, 15) == "1.0e-5" and format_numeric(one / 10**5, 20) == "0.00001"
+    assert format_numeric(one / 10**6, 20) == "1.0e-6" and format_numeric(one / 10**6, 40) == "0.000001"
     assert format_numeric(AlgNum.generator(tower, 1) * -3, 15) == "-3.0*i"
     assert format_numeric(one * Fraction("0.12345678901234550001"), 15) == "0.123456789012346"
     assert format_numeric(one * Fraction("0.99999999999999951"), 15) == "1.0"
@@ -217,4 +217,4 @@ def test_undecided_rendering_raises(monkeypatch):
     tower = canonical_tower()
     monkeypatch.setattr(AlgNum, "embed", lambda self, precision=20: Ball(1 << 60, 0, 1 << 59, 0, 60))
     with pytest.raises(TowerError, match="does not decide 20 digits"):
-        format_numeric(AlgNum.from_rational(tower, 1))
+        format_numeric(AlgNum.from_rational(tower, 1), 20)

@@ -130,7 +130,7 @@ def test_deeply_nested_solution_file_is_input_error(tmp_path, capsys, content):
 
 
 def test_prove_full(tmp_path, capsys):
-    assert run(tmp_path, "prove", "--depth", "1") == 0
+    assert run(tmp_path, "prove") == 0
     out = capsys.readouterr().out
     assert "verdict: NotIntegrable" in out
     data = read_json(tmp_path, "proof")
@@ -416,4 +416,8 @@ def test_precision_ceiling(tmp_path, capsys):
 def test_negative_depth_rejected(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["orbit", "--depth", "-3"])
+    assert err.value.code == 2
+    # prove's orbit summary has a fixed depth and no option for it
+    with pytest.raises(SystemExit) as err:
+        main(["prove", "--depth", "1"])
     assert err.value.code == 2

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import system_from_entries
 from sasano_galois.algnum import AlgNum, canonical_constants, rational_recognize
+from sasano_galois import galois
 from sasano_galois.exprparse import chain_symbols, parse_puiseux
 from sasano_galois.galois import (
     GaloisError,
@@ -79,7 +80,7 @@ def test_apparent_certificate(trace):
     diag = []
     for block in trace.blocks:
         ode = system_to_scalar(eta_pullback(block))
-        cert = certify_apparent(ode, pullback=6, order=10)
+        cert = certify_apparent(ode)
         assert cert.lifted_exponents == (4, 2)
         assert len(cert.series[0]) == 11 and len(cert.series[1]) == 11
         assert cert.series[0][0] == 1
@@ -92,13 +93,14 @@ def test_apparent_rejects_integer_difference(cc):
     # u'' = 0 has indicial roots 1 and 0 at the origin
     ode = ScalarODE2("eta", PuiseuxPoly.zero(tower), PuiseuxPoly.zero(tower))
     with pytest.raises(GaloisError, match="integer"):
-        certify_apparent(ode, pullback=6)
+        certify_apparent(ode)
 
 
-def test_apparent_rejects_bad_pullback(trace):
+def test_apparent_rejects_bad_pullback(trace, monkeypatch):
     ode = system_to_scalar(eta_pullback(trace.blocks[0]))
+    monkeypatch.setattr(galois, "COVER", 5)
     with pytest.raises(GaloisError, match="pullback"):
-        certify_apparent(ode, pullback=5)
+        certify_apparent(ode)
 
 
 def test_irregular_coefficient_rejected(cc):

@@ -46,10 +46,6 @@ COMMANDS = (  # (argv, exit code)
 
 _ACCEPTANCE = "tests/test_acceptance.py"
 KEPT = {
-    "weyl.verify_group_relations": f"criterion 5 of {_ACCEPTANCE} samples the reflection relations",
-    "weyl._point_step": "a helper of verify_group_relations",
-    "weyl._random_params": "a helper of verify_group_relations",
-    "weyl._random_point": "a helper of verify_group_relations",
     "ball.Ball.__abs__": f"criterion 7 of {_ACCEPTANCE} calls abs() on embeddings",
     "ratfunc.Frozen.__rsub__": "AlgNum's class-dict entry, which perfbench/spans.py wraps (test_tracer_names)",
     # protocol dunders: no command compares, hashes, copies, prints or

@@ -1,6 +1,6 @@
 """The package's layers: the numeric kernel ``ball`` and ``ratfunc`` at the
 bottom, each module above them importing only modules below it, no module
-importing ``mpmath``, and one subtraction for every ring type."""
+importing ``mpmath`` or ``random``, and one subtraction for every ring type."""
 
 from __future__ import annotations
 
@@ -72,6 +72,12 @@ def _imports(name: str) -> set[str]:
 @pytest.mark.parametrize("name", LAYERS)
 def test_no_module_imports_mpmath(name):
     assert not {n for n in _imports(name) if n.split(".")[0] == "mpmath"}
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_no_module_imports_random(name):
+    # every check the commands run is exact and deterministic; sampling lives in the tests
+    assert "random" not in _imports(name)
 
 
 def test_no_runtime_dependency():

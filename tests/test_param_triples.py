@@ -81,7 +81,7 @@ def test_action_is_the_fraction_matrix_action(values, name):
 @hypothesis.given(triples)
 def test_matsuda_check_is_the_fraction_formula(values):
     got = matsuda_check(ParamTriple.make(values))
-    assert (got.integral, got.a_mod, got.b_mod) == _reference_matsuda(values)
+    assert (got.a_mod is not None, got.a_mod, got.b_mod) == _reference_matsuda(values)
 
 
 @SETTINGS

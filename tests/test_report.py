@@ -37,12 +37,12 @@ from sasano_galois.weyl import (
 
 @pytest.fixture(scope="module")
 def proof():
-    return build_proof(orbit_depth=2)
+    return build_proof()
 
 
 @pytest.fixture(scope="module")
 def wasow_proof():
-    return build_proof(wasow=True, orbit_depth=1)
+    return build_proof(wasow=True)
 
 
 def test_section_order_and_statuses(proof):
@@ -75,7 +75,7 @@ def test_stop_after_truncates(stop, last):
 
 
 def test_reports_are_deterministic(proof):
-    again = build_proof(orbit_depth=2)
+    again = build_proof()
     assert report_to_json(proof) == report_to_json(again)
     assert report_to_markdown(proof) == report_to_markdown(again)
 
@@ -209,17 +209,17 @@ def test_apparent_claim_names_the_certificate_exponents():
     cert = ApparentCertificate(exponents=rho, pullback=6, lifted_exponents=(5, 1), order=4, series=((), ()))
     block = BlockClassification(label="block 1", whittaker=None, stokes=None, group="SL2")
     outcome = GaloisOutcome(blocks=(block,), apparent=(cert,), lifted_diagonal=(5, 1), verdict="NotIntegrable")
-    assert apparent_section(outcome).steps[0].claim == "indicial exponents of block 1 are 5/6 and 1/6"
+    assert apparent_section(outcome, 20).steps[0].claim == "indicial exponents of block 1 are 5/6 and 1/6"
 
 
 def test_format_numeric():
     cc = canonical_constants()
     tower = cc.tower
     half = AlgNum.from_rational(tower, Fraction(1, 2))
-    assert format_numeric(half) == "0.5"
-    assert format_numeric(cc.imag_unit) == "1.0*i"
-    assert format_numeric(half + cc.imag_unit) == "0.5 + 1.0*i"
-    assert format_numeric(half - cc.imag_unit) == "0.5 - 1.0*i"
+    assert format_numeric(half, 20) == "0.5"
+    assert format_numeric(cc.imag_unit, 20) == "1.0*i"
+    assert format_numeric(half + cc.imag_unit, 20) == "0.5 + 1.0*i"
+    assert format_numeric(half - cc.imag_unit, 20) == "0.5 - 1.0*i"
     assert format_numeric(cc.sqrt5, digits=25) == "2.236067977499789696409174"
 
 
@@ -247,7 +247,7 @@ def test_orbit_jsonl_schema():
 
 def test_orbit_section_flags_missing_row():
     base = seed_state()
-    no_row = MatsudaResult(integral=True, a_mod=2, b_mod=4, row=None)
+    no_row = MatsudaResult(a_mod=2, b_mod=4, row=None)
     node = OrbitNode(word=(), depth=0, state=base, matsuda=no_row)
     orbit = OrbitResult(depth=0, nodes=(node,), collisions=(), skipped=())
     assert orbit_section(orbit, check_rows=True).status == "fail"

@@ -113,7 +113,7 @@ RECORDS = (
     reduction.ChainConfig, reduction.ConstantGauge, reduction.Shear, reduction.Substitution,
     reduction.GaugeStep, reduction.ReductionTrace, reduction.ConsistencyReport,
     report.CertificateStep, report.ReportSection, report.ProofReport,
-    weyl.ParamTriple, weyl.SolutionState, weyl.RelationCheck, weyl.MatsudaResult,
+    weyl.ParamTriple, weyl.SolutionState, weyl.MatsudaResult,
     weyl.OrbitNode, weyl.ParamCollision, weyl.OrbitResult,
 )
 

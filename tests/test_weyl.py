@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import components
+from relations import verify_group_relations
 from sasano_galois.algnum import VerificationError
 from sasano_galois.exprparse import parse_ratfunc
 from sasano_galois import sasano, weyl
@@ -31,7 +32,6 @@ from sasano_galois.weyl import (
     enumerate_orbit,
     matsuda_check,
     seed_state,
-    verify_group_relations,
     word_matrix,
 )
 
@@ -178,10 +178,10 @@ def test_matsuda_rows():
     assert (r.a_mod, r.b_mod, r.row) == (4, 1, 4)
     # a non-integral pair carries no row
     off = matsuda_check(ParamTriple.make(("1/3", 0, "1/3")))
-    assert not off.integral and off.row is None
+    assert off.a_mod is None and off.row is None
     # integral but with residue a = 2, which no table row admits
     outside = matsuda_check(ParamTriple.make((0, 0, "1/2")))
-    assert outside.integral and (outside.a_mod, outside.b_mod) == (2, 4)
+    assert outside.a_mod is not None and (outside.a_mod, outside.b_mod) == (2, 4)
     assert outside.row is None
 
 
@@ -201,7 +201,7 @@ def test_orbit_depth_three_all_checked(seed):
     for node in orbit.nodes:
         # states were verified on construction; the arithmetic condition
         # must hold at every node of this seed's orbit
-        assert node.matsuda.integral
+        assert node.matsuda.a_mod is not None
         assert node.matsuda.row in (1, 2, 3, 4)
     assert not orbit.skipped
     for col in orbit.collisions:
@@ -232,7 +232,7 @@ def test_differing_collision_is_recorded_past_the_audit_depth(monkeypatch):
     monkeypatch.setattr(weyl, "apply_generator", parent_at_first_collision)
     orbit = enumerate_orbit(seed_state(), depth=2)
     assert wrong and [c.states_equal for c in orbit.collisions] == [False]
-    assert orbit_section(orbit).status == "fail"
+    assert orbit_section(orbit, check_rows=True).status == "fail"
 
 
 def test_orbit_verifies_each_state_once(monkeypatch):
