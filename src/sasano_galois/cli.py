@@ -1,10 +1,11 @@
 """Command line front end for the verification pipeline.
 
-Three subcommands cover the workflow: ``verify-seed`` checks one candidate
-solution, ``prove`` runs the full certificate pipeline, and ``orbit``
-enumerates the reflection orbit of the seed.  Reports are written under a
-chosen directory as JSON and Markdown; both are deterministic, so reruns
-yield byte-identical files.
+Three subcommands cover the workflow, one pipeline each: ``verify-seed``
+checks one candidate solution, ``prove`` runs the certificate pipeline
+through to the verdict, and ``orbit`` enumerates the reflection orbit of the
+seed and requires every node to match a row of the integrality table.
+Reports are written under a chosen directory as JSON and Markdown; both are
+deterministic, so reruns yield byte-identical files.
 
 Exit codes: 0 when every requested check passes, 1 when a verification
 fails, 2 for malformed input.
@@ -70,18 +71,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="normalize the irregular reduction in the alternative root convention",
     )
-    prove.add_argument(
-        "--stop-after",
-        choices=("nve", "reduction", "classify"),
-        help="truncate the pipeline after the named phase",
-    )
 
     orbit = sub.add_parser("orbit", help="enumerate the reflection orbit of the seed")
     orbit.add_argument("--depth", type=int, default=6, help="word length bound (default: 6)")
     orbit.add_argument(
         "--check-matsuda",
         action="store_true",
-        help="require every node to match a row of the integrality table",
+        help="accepted for existing command lines: rows are always checked",
     )
     return parser
 
@@ -152,12 +148,12 @@ def cmd_verify_seed(args) -> int:
 
 
 def cmd_prove(args) -> int:
-    report = build_proof(wasow=args.alpha_wasow, stop_after=args.stop_after, digits=args.precision)
+    report = build_proof(wasow=args.alpha_wasow, digits=args.precision)
     return _publish(report, args, "proof")
 
 
 def cmd_orbit(args) -> int:
-    report, orbit = run_orbit(args.depth, check_rows=args.check_matsuda)
+    report, orbit = run_orbit(args.depth)
     files = () if orbit is None else (("orbit.jsonl", orbit_jsonl(orbit)),)
     return _publish(report, args, "orbit_summary", files)
 

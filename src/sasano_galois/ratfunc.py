@@ -40,28 +40,21 @@ class VerificationError(ValueError):
 
 
 class Frozen:
-    """Immutable base of the value types, whose one or two fields are the
+    """Immutable base of the value types, whose two fields are the
     ``__slots__``.  Each subclass gets one ``__init__(self, *fields)`` that
     stores them through the slot descriptors; a wrong count raises ``ValueError``."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._key = staticmethod(attrgetter(*cls.__slots__))  # a bare value, not a tuple, for one slot
-        setters = [getattr(cls, name).__set__ for name in cls.__slots__]
-        if len(setters) == 1:
-            (set_a,) = setters
+        cls._key = staticmethod(attrgetter(*cls.__slots__))  # the tuple of both fields
+        set_a, set_b = [getattr(cls, name).__set__ for name in cls.__slots__]
 
-            def __init__(self, *fields):
-                (a,) = fields
-                set_a(self, a)
-        else:
-            set_a, set_b = setters
+        def __init__(self, *fields):
+            a, b = fields
+            set_a(self, a)
+            set_b(self, b)
 
-            def __init__(self, *fields):
-                a, b = fields
-                set_a(self, a)
-                set_b(self, b)
         cls.__init__ = __init__
 
     def __setattr__(self, *args):

@@ -13,6 +13,7 @@ functions of the input, so repeated runs produce identical bytes.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from typing import Any, NamedTuple
 
 from .algnum import AlgNum, TowerError, algnum_to_json, tower_to_json
@@ -28,7 +29,7 @@ from .reduction import (
     verify_trace_consistency,
     wasow_config,
 )
-from .sasano import seed_variational_system
+from .sasano import PARAM_FORM, seed_variational_system
 from .weyl import OrbitResult, ParamTriple, SolutionState, enumerate_orbit, seed_state
 
 SECTION_ORDER = (
@@ -150,7 +151,7 @@ def failure_section(name: str, basis: str, error: Exception) -> ReportSection:
 
 def model_section(state: SolutionState) -> ReportSection:
     params = state.params
-    relation = params.a0 + 2 * params.a1 + 2 * params.a2
+    relation = Fraction(sum([c * n for c, n in zip(PARAM_FORM, params.nums)]), params.den)
     steps = (
         CertificateStep(
             claim="the parameter triple satisfies a0 + 2*a1 + 2*a2 = 1",
@@ -323,7 +324,7 @@ def verdict_section(verdict: str, prerequisites_pass: bool) -> ReportSection:
     return ReportSection(name="final verdict", status=status, steps=(step,))
 
 
-def orbit_section(orbit: OrbitResult, check_rows: bool) -> ReportSection:
+def orbit_section(orbit: OrbitResult) -> ReportSection:
     per_depth: dict[str, int] = {}
     row_counts: dict[str, int] = {}
     missing: list[str] = []
@@ -355,29 +356,16 @@ def orbit_section(orbit: OrbitResult, check_rows: bool) -> ReportSection:
                 ("states equal", collisions_equal),
             ),
         ),
+        CertificateStep(
+            claim="every orbit node matches a row of the integrality table",
+            basis="reduction of the parameter pair mod 5 against the four stated rows",
+            values=(
+                ("row counts", dict(sorted(row_counts.items()))),
+                ("nodes without a row", missing),
+            ),
+        ),
     ]
-    status = "pass" if collisions_equal and not orbit.skipped else "fail"
-    if check_rows:
-        steps.append(
-            CertificateStep(
-                claim="every orbit node matches a row of the integrality table",
-                basis="reduction of the parameter pair mod 5 against the four stated rows",
-                values=(
-                    ("row counts", dict(sorted(row_counts.items()))),
-                    ("nodes without a row", missing),
-                ),
-            )
-        )
-        if missing:
-            status = "fail"
-    else:
-        steps.append(
-            CertificateStep(
-                claim="row counts recorded without the matching requirement",
-                basis="reduction of the parameter pair mod 5",
-                values=(("row counts", dict(sorted(row_counts.items()))),),
-            )
-        )
+    status = "pass" if collisions_equal and not orbit.skipped and not missing else "fail"
     return ReportSection(name="orbit summary", status=status, steps=tuple(steps))
 
 
@@ -393,51 +381,32 @@ def build_seed_report(components: dict[str, RatFunc], params: ParamTriple) -> Pr
     return ProofReport(title="solution check for the coupled Hamiltonian system", sections=(section,))
 
 
-def build_orbit_report(orbit: OrbitResult, check_rows: bool) -> ProofReport:
-    return ProofReport(
-        title=f"reflection orbit audit to depth {orbit.depth}", sections=(orbit_section(orbit, check_rows),)
-    )
-
-
-def run_orbit(depth: int, check_rows: bool) -> tuple[ProofReport, OrbitResult | None]:
-    """The seed's orbit to ``depth`` and its report.  A failure of the seed
-    or of the proof that lets the search skip back-edges ends the report in
-    the orbit's fail section, and there is no orbit."""
+def run_orbit(depth: int) -> tuple[ProofReport, OrbitResult | None]:
+    """The seed's orbit to ``depth`` and its report, which requires every
+    node to match a row of the integrality table.  A failure of the seed or
+    of the proof that lets the search skip back-edges ends the report in the
+    orbit's fail section, and there is no orbit."""
+    title = f"reflection orbit audit to depth {depth}"
     try:
         orbit = enumerate_orbit(seed_state(), depth=depth)
     except VerificationError as exc:
-        section = failure_section("orbit summary", "orbit enumeration", exc)
-        return ProofReport(title=f"reflection orbit audit to depth {depth}", sections=(section,)), None
-    return build_orbit_report(orbit, check_rows), orbit
+        return ProofReport(title=title, sections=(failure_section("orbit summary", "orbit enumeration", exc),)), None
+    return ProofReport(title=title, sections=(orbit_section(orbit),)), orbit
 
 
-def build_proof(
-    wasow: bool = False,
-    stop_after: str | None = None,
-    digits: int = 20,
-) -> ProofReport:
-    """Run the full verification pipeline and assemble the certificate.
+def build_proof(wasow: bool = False, digits: int = 20) -> ProofReport:
+    """Run the full verification pipeline, through to the verdict, and
+    assemble the certificate.
 
-    ``stop_after`` truncates the pipeline after the named phase (one of
-    "nve", "reduction", "classify"); the report then ends with the last
-    completed section.  The closing orbit summary runs to depth 2.  Any
-    :class:`VerificationError` ends the report in the fail section of the
-    running phase, so a report is always produced.
+    The closing orbit summary runs to depth 2.  Any :class:`VerificationError`
+    ends the report in the fail section of the running phase, so a report is
+    always produced.
     The tower loads in the nve phase; a report that ends before it has
     loaded carries no tower.
     """
     sections: list[ReportSection] = []
     config: ChainConfig | None = None
     verdict: str | None = None
-
-    def finish() -> ProofReport:
-        return ProofReport(
-            title="differential Galois certificate for the Sasano Hamiltonian system",
-            normalization="wasow" if wasow else "canonical",
-            tower=None if config is None else tower_to_json(config.constants.tower),
-            sections=tuple(sections),
-            verdict=verdict,
-        )
 
     # (section, basis) of the fail section the running phase would end in
     phase = ("model check", "seed solution verification")
@@ -448,29 +417,29 @@ def build_proof(
         config = wasow_config() if wasow else canonical_config()
         nve = seed_variational_system(config.constants.tower)
         sections.append(nve_section(nve))
-        if stop_after == "nve":
-            return finish()
         phase = ("reduction trace", "staged gauge reduction")
         trace = run_canonical_chain(nve, config)
         sections.append(reduction_section(trace, verify_trace_consistency(trace), digits))
-        if stop_after == "reduction":
-            return finish()
         phase = ("apparent singularity", "block classification")
         outcome = classify_blocks(trace.blocks)
         sections.append(apparent_section(outcome, digits))
         sections.append(whittaker_section(outcome, digits))
         sections.append(stokes_section(outcome))
         sections.append(components_section(outcome))
-        if stop_after == "classify":
-            return finish()
         prerequisites = all(s.status == "pass" for s in sections)
         verdict = outcome.verdict if prerequisites else "Inconclusive"
         sections.append(verdict_section(verdict, prerequisites))
         phase = ("orbit summary", "orbit enumeration")
-        sections.append(orbit_section(enumerate_orbit(seed, depth=2), check_rows=True))
+        sections.append(orbit_section(enumerate_orbit(seed, depth=2)))
     except VerificationError as exc:
         sections.append(failure_section(*phase, exc))
-    return finish()
+    return ProofReport(
+        title="differential Galois certificate for the Sasano Hamiltonian system",
+        normalization="wasow" if wasow else "canonical",
+        tower=None if config is None else tower_to_json(config.constants.tower),
+        sections=tuple(sections),
+        verdict=verdict,
+    )
 
 
 # -- markdown rendering ------------------------------------------------------------

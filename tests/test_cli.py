@@ -138,18 +138,17 @@ def test_prove_full(tmp_path, capsys):
     assert data["sections"][-1]["name"] == "orbit summary"
 
 
-def test_prove_stop_after(tmp_path):
-    assert run(tmp_path, "prove", "--stop-after", "reduction") == 0
-    data = read_json(tmp_path, "proof")
-    assert [s["name"] for s in data["sections"]][-1] == "reduction trace"
-    assert "verdict" not in data
+def test_prove_stop_after(tmp_path, capsys):
+    # prove has one pipeline, which runs to the verdict: no option truncates it
+    with pytest.raises(SystemExit) as err:
+        run(tmp_path, "prove", "--stop-after", "reduction")
+    assert err.value.code == 2
+    assert "unrecognized arguments: --stop-after" in capsys.readouterr().err
+    assert not (tmp_path / "reports").exists()
 
 
 def test_prove_format_json_only(tmp_path):
-    assert main(
-        ["--report-dir", str(tmp_path / "reports"), "--format", "json", "prove",
-         "--stop-after", "nve"]
-    ) == 0
+    assert main(["--report-dir", str(tmp_path / "reports"), "--format", "json", "prove"]) == 0
     assert (tmp_path / "reports" / "proof.json").exists()
     assert not (tmp_path / "reports" / "proof.md").exists()
 
@@ -164,6 +163,20 @@ def test_orbit_depth_one(tmp_path, capsys):
     assert words == [(), ("s0",), ("s1",), ("s2",)]
 
 
+@pytest.mark.parametrize("depth", ["0", "1", "6"])
+def test_orbit_checks_rows_with_or_without_the_flag(tmp_path, depth):
+    # the flag is accepted for existing command lines and changes no byte
+    written = {}
+    for sub, flags in (("plain", ()), ("flagged", ("--check-matsuda",))):
+        assert main(["--report-dir", str(tmp_path / sub), "orbit", "--depth", depth, *flags]) == 0
+        written[sub] = {
+            name: (tmp_path / sub / name).read_bytes()
+            for name in ("orbit.jsonl", "orbit_summary.json", "orbit_summary.md")
+        }
+    assert written["plain"] == written["flagged"]
+    assert b"every orbit node matches a row of the integrality table" in written["plain"]["orbit_summary.md"]
+
+
 def test_orbit_depth_zero(tmp_path):
     assert run(tmp_path, "orbit", "--depth", "0") == 0
     lines = (tmp_path / "reports" / "orbit.jsonl").read_text().splitlines()
@@ -171,8 +184,8 @@ def test_orbit_depth_zero(tmp_path):
 
 
 def test_reports_byte_stable(tmp_path):
-    assert main(["--report-dir", str(tmp_path / "a"), "prove", "--stop-after", "nve"]) == 0
-    assert main(["--report-dir", str(tmp_path / "b"), "prove", "--stop-after", "nve"]) == 0
+    assert main(["--report-dir", str(tmp_path / "a"), "prove"]) == 0
+    assert main(["--report-dir", str(tmp_path / "b"), "prove"]) == 0
     assert (tmp_path / "a" / "proof.json").read_bytes() == (
         tmp_path / "b" / "proof.json"
     ).read_bytes()
@@ -261,13 +274,6 @@ GOLDEN = (
         },
     ),
     (
-        ("prove", "--stop-after", "nve"),
-        {
-            "proof.json": "53ddbef5fc60362bc2c92099969fc4d1b4e5e73917b0efaa9ee8dc8bf1a2a26c",
-            "proof.md": "2d12d6355a27afac599cb36c567a7a61fae03b254f19fc1221f7206ff1110426",
-        },
-    ),
-    (
         ("--precision", "1000", "prove"),
         {
             "proof.json": "0f881a30ae230e5ae0ba16b2636be8a28b2ce0b7705ed20619cb00703f9aff37",
@@ -275,25 +281,11 @@ GOLDEN = (
         },
     ),
     (
-        ("prove", "--stop-after", "reduction"),
-        {
-            "proof.json": "37e4fabcc590161a208a09506af1ae92634a9581206b315f0046334ec249b82d",
-            "proof.md": "5d90c898e2b49ba94d473739bbe1cdb955f1c860d213221225b1899da896ada5",
-        },
-    ),
-    (
-        ("prove", "--stop-after", "classify"),
-        {
-            "proof.json": "56a4bffd1b8fe915e587c4941590aaa5ce9e9c92b10867d755671bc6c10e987c",
-            "proof.md": "eaec981af974d9de4d664c84b7e5e47b86c14b0885e2a38db6f26f9528f94322",
-        },
-    ),
-    (
         ("orbit", "--depth", "6"),
         {
             "orbit.jsonl": "a0f3d65c6ea71375e6ded69f71e26d7b42d48d6504198b0f9444494b83e489e6",
-            "orbit_summary.json": "0261e91559c5de6f34bee9a9ea2c619d77d2d70bfe62b85f9e30037a39463fbe",
-            "orbit_summary.md": "12f5c890f0a8e9e870a1df53a4a27482d1b0cb3772fd29f6441791a79b676bf4",
+            "orbit_summary.json": "72e3f947670e6ed6720d3216d13d87cbc4ca06db66d3d523b7fc3f4e0bc1d231",
+            "orbit_summary.md": "c1dc9a276339f326e273d9e7e3e83a30f5a3544cad43fb488f98e7ba8db88a13",
         },
     ),
 )
@@ -305,8 +297,7 @@ GOLDEN = (
     ids=[
         "prove", "prove-wasow", "prove-precision-40", "prove-wasow-precision-15",
         "orbit-depth-2", "orbit-depth-6", "orbit-depth-8", "orbit-depth-10",
-        "verify-seed", "verify-seed-file", "prove-nve",
-        "prove-precision-1000", "prove-reduction", "prove-classify", "orbit-depth-6-unchecked",
+        "verify-seed", "verify-seed-file", "prove-precision-1000", "orbit-depth-6-unchecked",
     ],
 )
 def test_reports_match_golden_digests(tmp_path, argv, digests):
@@ -374,7 +365,7 @@ def test_nve_failure_gives_fail_section(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv", [("verify-seed",), ("prove", "--stop-after", "nve"), ("orbit", "--depth", "0")]
+    "argv", [("verify-seed",), ("prove",), ("orbit", "--depth", "0")]
 )
 @pytest.mark.parametrize("target", ["file", "file/sub"])
 def test_unusable_report_dir_is_input_error(tmp_path, capsys, argv, target):
@@ -387,7 +378,7 @@ def test_unusable_report_dir_is_input_error(tmp_path, capsys, argv, target):
 
 @pytest.mark.parametrize(
     "argv, name",
-    [(("prove", "--stop-after", "nve"), "proof.json"), (("orbit", "--depth", "0"), "orbit.jsonl")],
+    [(("prove",), "proof.json"), (("orbit", "--depth", "0"), "orbit.jsonl")],
 )
 def test_report_path_that_is_a_directory_is_input_error(tmp_path, capsys, argv, name):
     (tmp_path / "reports" / name).mkdir(parents=True)
@@ -417,7 +408,9 @@ def test_negative_depth_rejected(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["orbit", "--depth", "-3"])
     assert err.value.code == 2
-    # prove's orbit summary has a fixed depth and no option for it
-    with pytest.raises(SystemExit) as err:
-        main(["prove", "--depth", "1"])
-    assert err.value.code == 2
+    # prove's orbit summary has a fixed depth and no option for it, and
+    # no option truncates prove's pipeline
+    for argv in (["prove", "--depth", "1"], ["prove", "--stop-after", "nve"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2

@@ -83,7 +83,7 @@ def test_every_fixture_table_is_covered():
 @pytest.mark.parametrize("case", CASES, ids=[case_id(c) for c in CASES])
 def test_corrupt_fixture_ends_in_reduction_fail_section(corrupted, case):
     corrupted(*case)
-    proof = build_proof(stop_after="reduction")
+    proof = build_proof()
     assert [s.status for s in proof.sections] == ["pass", "pass", "fail"]
     last = proof.sections[-1]
     assert last.name == "reduction trace"
@@ -148,7 +148,7 @@ def test_malformed_fixture_layout_ends_in_reduction_fail_section(monkeypatch, ch
     fixtures = copy.deepcopy(reduction.load_fixtures())
     change(fixtures)
     monkeypatch.setattr(reduction, "load_fixtures", lambda: fixtures)
-    proof = build_proof(stop_after="reduction")
+    proof = build_proof()
     assert [s.status for s in proof.sections] == ["pass", "pass", "fail"]
     assert proof.sections[-1].name == "reduction trace"
     assert dict(proof.sections[-1].steps[0].values)["error"].startswith(error)
@@ -164,7 +164,7 @@ def test_malformed_fixture_layout_ends_in_reduction_fail_section(monkeypatch, ch
 )
 def test_gauge_power_outside_the_tower_ends_in_reduction_fail_section(corrupted, entry, error):
     corrupted("gauge", "t1", "entry", entry)
-    proof = build_proof(stop_after="reduction")
+    proof = build_proof()
     assert [s.status for s in proof.sections] == ["pass", "pass", "fail"]
     assert error in dict(proof.sections[-1].steps[0].values)["error"]
 
@@ -177,7 +177,7 @@ def test_stage_read_in_another_variable_ends_in_reduction_fail_section(monkeypat
     stage["var"] = "u"
     stage["rows"] = [[e.replace("tau", "u") for e in row] for row in stage["rows"]]
     monkeypatch.setattr(reduction, "load_fixtures", lambda: fixtures)
-    proof = build_proof(stop_after="reduction")
+    proof = build_proof()
     assert [s.status for s in proof.sections] == ["pass", "pass", "fail"]
     error = dict(proof.sections[-1].steps[0].values)["error"]
     assert error == "stage ramified_time: variable is 'tau', reference uses 'u'"
@@ -186,7 +186,7 @@ def test_stage_read_in_another_variable_ends_in_reduction_fail_section(monkeypat
 @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no limit on integer string conversion")
 def test_overlong_integer_literal_ends_in_reduction_fail_section(tmp_path, corrupted):
     corrupted("stage", STAGES[0], "entry", "1" * (sys.get_int_max_str_digits() + 1))
-    proof = build_proof(stop_after="reduction")
+    proof = build_proof()
     assert [s.status for s in proof.sections] == ["pass", "pass", "fail"]
     assert proof.sections[-1].name == "reduction trace"
     assert "too long" in dict(proof.sections[-1].steps[0].values)["error"]
@@ -233,7 +233,7 @@ def test_wrong_eigenvalue_ends_in_reduction_fail_section(monkeypatch):
     c = reduction.canonical_constants()
     lam1, *rest = c.eigenvalues
     monkeypatch.setattr(reduction, "canonical_constants", lambda: c._replace(eigenvalues=(lam1 + 1, *rest)))
-    proof = build_proof(stop_after="reduction")
+    proof = build_proof()
     assert [s.status for s in proof.sections] == ["pass", "pass", "fail"]
     assert proof.sections[-1].name == "reduction trace"
     assert "diag(eigenvalues)" in dict(proof.sections[-1].steps[0].values)["error"]
@@ -249,7 +249,7 @@ def test_printed_gauge_not_block_scaled_ends_in_reduction_fail_section(monkeypat
         row[0] = f"2*({row[0]})"
     t3_inv[0] = [f"({e})/2" for e in t3_inv[0]]
     monkeypatch.setattr(reduction, "load_fixtures", lambda: fixtures)
-    proof = build_proof(stop_after="reduction")
+    proof = build_proof()
     assert [s.status for s in proof.sections] == ["pass", "pass", "fail"]
     assert proof.sections[-1].name == "reduction trace"
     assert "stage decoupled (printed gauge)" in dict(proof.sections[-1].steps[0].values)["error"]
@@ -267,9 +267,9 @@ def test_eigenvalue_off_the_characteristic_polynomial_ends_in_reduction_fail_sec
     c = reduction.canonical_constants()
     lam1, *rest = c.eigenvalues
     monkeypatch.setattr(reduction, "char_poly", lambda lead: poly_with_roots(c.tower, c.eigenvalues))
-    assert build_proof(stop_after="reduction").all_pass()
+    assert build_proof().all_pass()
     monkeypatch.setattr(reduction, "char_poly", lambda lead: poly_with_roots(c.tower, (lam1 + 1, *rest)))
-    proof = build_proof(stop_after="reduction")
+    proof = build_proof()
     assert [s.status for s in proof.sections] == ["pass", "pass", "fail"]
     assert proof.sections[-1].name == "reduction trace"
     assert "is not a root of the characteristic polynomial" in dict(proof.sections[-1].steps[0].values)["error"]

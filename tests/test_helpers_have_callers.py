@@ -47,6 +47,7 @@ COMMANDS = (  # (argv, exit code)
 _ACCEPTANCE = "tests/test_acceptance.py"
 KEPT = {
     "ball.Ball.__abs__": f"criterion 7 of {_ACCEPTANCE} calls abs() on embeddings",
+    "sasano.ParamTriple.<genexpr>.<lambda>": f"criterion 6 of {_ACCEPTANCE} reads the a0, a1, a2 properties",
     "ratfunc.Frozen.__rsub__": "AlgNum's class-dict entry, which perfbench/spans.py wraps (test_tracer_names)",
     # protocol dunders: no command compares, hashes, copies, prints or
     # mutates these values through them, and test_startup checks each
